@@ -192,6 +192,12 @@ def cmd_solve(args) -> int:
             _ablation_name(args.no_rs, args.no_cpi),
             max_sweeps=args.max_sweeps, restarts=args.restarts,
             init_obs=args.init_obs)
+        line = _json_line({
+            "env": env, "J_exact": result.j_exact,
+            "J_risk_final": result.j_risk_final, "sweeps": result.sweeps,
+            "wall_time_ms": result.wall_time_ms,
+            "peak_floats": result.peak_floats, "seed": result.seed,
+        })
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -206,13 +212,16 @@ def cmd_solve(args) -> int:
               encoding="utf-8") as fh:
         fh.write(dump_policy(result.policy, model))
     _append_rows(args.out, [record.to_row()])
-    print(json.dumps({
-        "env": env, "J_exact": result.j_exact,
-        "J_risk_final": result.j_risk_final, "sweeps": result.sweeps,
-        "wall_time_ms": result.wall_time_ms,
-        "peak_floats": result.peak_floats, "seed": result.seed,
-    }))
+    print(line)
     return 0
+
+
+def _json_line(doc: dict) -> str:
+    """Strict JSON: a non-finite value is a numeric failure, not NaN text."""
+    try:
+        return json.dumps(doc, allow_nan=False)
+    except ValueError:
+        raise NumericError(f"non-finite result {doc!r}") from None
 
 
 def _ablation_name(no_rs: bool, no_cpi: bool) -> str:
@@ -292,13 +301,14 @@ def cmd_eval(args) -> int:
                                                args.seed)
             out["mc_mean"] = mean
             out["mc_stderr"] = stderr
+        line = _json_line(out)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    print(json.dumps(out))
+    print(line)
     return 0
 
 

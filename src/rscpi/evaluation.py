@@ -5,6 +5,7 @@ seeded Monte-Carlo rollout cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,25 +35,22 @@ def expand_joint_policy(policy: JointPolicy, t: int, skip_agent=None) -> np.ndar
     """Joint policy table M[y, w, a, z] = prod_i pi^i_t(a^i, z^i | y^i, w^i).
 
     Flat joint axes in row-major agent order. skip_agent omits that agent's
-    factor (used for the co-policy of a single-agent update).
+    factor (used for the co-policy of a single-agent update). The product is
+    taken on per-agent axes (Y_1..Y_N, W_1..W_N, A_1..A_N, Z_1..Z_N), each
+    agent's row broadcast along the others', then flattened.
     """
-    y_comps = joint_components(policy.obs_counts())
-    w_comps = joint_components(policy.agent_state_sizes)
-    a_comps = joint_components(policy.action_counts())
-    ny = int(np.prod(policy.obs_counts()))
-    nw = int(np.prod(policy.agent_state_sizes))
-    na = int(np.prod(policy.action_counts()))
-    out = np.ones((ny, nw, na, nw))
+    n = policy.n_agents
+    y_sizes, a_sizes = policy.obs_counts(), policy.action_counts()
+    w_sizes = policy.agent_state_sizes
+    out = np.ones(y_sizes + w_sizes + a_sizes + w_sizes)
     for i, tab in enumerate(policy.tables):
         if i == skip_agent:
             continue
-        out *= tab[t][
-            y_comps[i][:, None, None, None],
-            w_comps[i][None, :, None, None],
-            a_comps[i][None, None, :, None],
-            w_comps[i][None, None, None, :],
-        ]
-    return out
+        shape = [1] * (4 * n)
+        shape[i::n] = tab.shape[1:]
+        out *= tab[t].reshape(shape)
+    nw = math.prod(w_sizes)
+    return out.reshape(math.prod(y_sizes), nw, math.prod(a_sizes), nw)
 
 
 @dataclass

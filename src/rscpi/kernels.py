@@ -175,8 +175,13 @@ def _local_weights_mean(zeta, copi, q_red, y_comp, w_comp, a_comp, z_comp, out):
 
 
 # Pure-numpy backend: same contracts, vectorized where the loop nest would be
-# python-slow, with explicit -inf guards around the max-shift.
+# python-slow, with explicit -inf guards around the max-shift. The log-domain
+# forms silence overflow and inf - inf: an overflowing cell comes out as
+# +inf or nan, which the caller's finiteness check reports as a NumericError.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
+
+@_quiet_overflow
 def _np_tilted_q_log(indptr, sp_idx, yp_idx, logp, lam_r, L_next, out):
     S, A, Z = out.shape
     for s in range(S):
@@ -204,6 +209,7 @@ def _np_tilted_q_mean(indptr, sp_idx, yp_idx, p, r, V_next, out):
     return out
 
 
+@_quiet_overflow
 def _np_fold_policy_log(log_m, q_red, out):
     S = q_red.shape[0]
     Y, W = log_m.shape[0], log_m.shape[1]
@@ -232,6 +238,7 @@ def _joint_to_agent_cols(y_comp, w_comp, a_comp, z_comp, out_shape):
     return ywaz.reshape(-1)
 
 
+@_quiet_overflow
 def _np_local_weights_log(log_zeta, log_copi, q_red, y_comp, w_comp, a_comp, z_comp,
                           out_max, out):
     vals = (

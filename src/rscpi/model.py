@@ -111,6 +111,8 @@ class DecPomdpModel:
             raise ValueError(f"zeta1 has shape {self.zeta1.shape}, expected {(S, Y)}")
         if not np.all(np.isfinite(self.r)):
             raise ValueError("rewards must be finite")
+        if not (np.all(np.isfinite(self.P)) and np.all(np.isfinite(self.zeta1))):
+            raise ValueError("probabilities must be finite")
         if np.any(self.P < 0) or np.any(self.zeta1 < 0):
             raise ValueError("probabilities must be nonnegative")
         row_sums = self.P.sum(axis=(2, 3))

@@ -53,6 +53,8 @@ class JointPolicy:
             zi = self.agent_state_sizes[i]
             if tab.shape[2] != zi or tab.shape[4] != zi:
                 raise ValueError(f"agent {i} table disagrees with |Z^{i}|={zi}")
+            if not np.all(np.isfinite(tab)):
+                raise ValueError(f"agent {i} table has non-finite entries")
             if np.any(tab < 0):
                 raise ValueError(f"agent {i} table has negative entries")
             sums = tab.sum(axis=(3, 4))
@@ -63,7 +65,8 @@ class JointPolicy:
                     f"{sums[tuple(bad)]:.12g}, expected 1"
                 )
             ph = self.phi[i]
-            if ph.shape != (zi,) or abs(ph.sum() - 1.0) > ROW_ATOL or np.any(ph < 0):
+            if (ph.shape != (zi,) or not abs(ph.sum() - 1.0) <= ROW_ATOL
+                    or np.any(ph < 0)):
                 raise ValueError(f"agent {i} phi invalid")
 
     def copy(self) -> "JointPolicy":
@@ -125,15 +128,18 @@ def mix_policies(old_slice: np.ndarray, new: DeterministicAgentSlice,
                  alpha: float) -> np.ndarray:
     """Conservative update (1 - alpha) * old + alpha * point_mass(new), rowwise.
 
-    alpha = 0 returns the old slice unchanged (bitwise); otherwise rows are
-    renormalized after mixing to absorb floating-point drift.
+    alpha = 0 returns the old slice unchanged (bitwise); otherwise alpha is
+    added in place at each row's greedy cell, and rows are renormalized after
+    mixing to absorb floating-point drift.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if alpha == 0.0:
         return old_slice
-    ny, nw, na, nz = old_slice.shape
-    mixed = (1.0 - alpha) * old_slice + alpha * new.as_table(na, nz)
+    ny, nw = new.actions.shape
+    mixed = (1.0 - alpha) * old_slice
+    mixed[np.arange(ny)[:, None], np.arange(nw)[None, :],
+          new.actions, new.next_states] += alpha
     sums = mixed.sum(axis=(2, 3), keepdims=True)
     return mixed / sums
 

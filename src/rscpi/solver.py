@@ -7,22 +7,25 @@ before moving to t-1. Tilted values are carried in the log domain as
 L_t = lam * V_t for lam > 0 and as plain V_t at lam = 0, so the same
 tensors stay finite for any reward scale.
 
-Memory accounting: a solve registers exactly the marginal trajectory, the
-two alternating value tensors, and the one reused full local-value slice.
-Everything else is transient scratch.
+Each stage is backed up once: the reduced local value q_red of stage t
+depends only on L_{t+1} and lambda, so one backup serves every agent update
+of the stage and the refold that follows them.
+
+Memory accounting: a solve registers exactly the marginal trajectory and the
+two alternating value tensors. Everything else is transient scratch.
 """
 
 from __future__ import annotations
 
-import os
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .evaluation import (EvalWorkspace, MarginalTrajectory, aggregate_initial,
-                         evaluate_exact, expand_joint_policy, forward_marginals,
+from .evaluation import (EvalWorkspace, aggregate_initial, evaluate_exact,
+                         expand_joint_policy, forward_marginals,
                          joint_components)
 from .model import DecPomdpModel
 from .policy import (DeterministicAgentSlice, JointPolicy, mix_policies,
@@ -92,9 +95,15 @@ class SolverConfig:
     z_sizes: tuple = (2, 2)
     phi_mode: str = "point_mass"
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
-        if self.lambda0 < 0:
-            raise ValueError("lambda0 must be >= 0")
+        if not 0.0 <= self.lambda0 < math.inf:
+            raise ValueError(f"lambda0 must be finite and >= 0, "
+                             f"got {self.lambda0}")
+        if math.isnan(self.tol):
+            raise ValueError("tol must not be nan")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
         if self.anneal_sweeps < 0:
@@ -180,8 +189,6 @@ class SolveWorkspace:
         self.counter.register("values", 2 * S * Y * Z)
         self.l_a = np.zeros((S, Y, Z))
         self.l_b = np.zeros((S, Y, Z))
-        self.counter.register("q_slice", S * Y * Z * A * Z)
-        self.q_full = np.zeros((S, Y, Z, A, Z))
         self.q_red = np.zeros((S, A, Z))
         self.support = dynamics_support(model)
         self.y_comps = joint_components(model.obs_counts)
@@ -214,8 +221,8 @@ def backward_tilted_values(model: DecPomdpModel, policy: JointPolicy,
                            lam) -> list:
     """Full backward pass; element k holds L_{k+1}, so index 0 is L_1."""
     risk = lam if isinstance(lam, RiskParameter) else RiskParameter(float(lam))
-    if risk.lam < 0:
-        raise ValueError("tilted recursion requires lam >= 0")
+    if not 0.0 <= risk.lam < math.inf:
+        raise ValueError("tilted recursion requires finite lam >= 0")
     S, Y = model.state_count, model.joint_obs_count
     Z = int(np.prod(policy.agent_state_sizes))
     l_next = np.zeros((S, Y, Z))
@@ -227,9 +234,7 @@ def backward_tilted_values(model: DecPomdpModel, policy: JointPolicy,
         if risk.is_neutral:
             kernels.fold_policy_mean(m, q_red, l_cur)
         else:
-            kernels.fold_policy_log(np.log(m, where=m > 0,
-                                           out=np.full_like(m, -np.inf)),
-                                    q_red, l_cur)
+            kernels.fold_policy_log(_log_policy(m), q_red, l_cur)
         _check_finite(l_cur, t)
         out.append(TiltedValueTensor(t=t, values=l_cur, lam=risk.lam,
                                      is_plain=risk.is_neutral))
@@ -256,16 +261,19 @@ def averaged_local_q(model: DecPomdpModel, zeta_t: np.ndarray,
                      workspace: SolveWorkspace = None) -> AveragedLocalQ:
     """Average the stage's local values over zeta_t and the co-agents' rows.
 
-    t is 1-based. l_next holds L_{t+1}. The full (s, y, z_, a, z) slice is
-    materialized once in the workspace buffer; the kernels then read its
-    reduced (s, a, z) form, which the slice broadcasts.
+    t is 1-based. l_next holds L_{t+1}; the stage is backed up into its
+    reduced (s, a, z) form, which the kernels broadcast over (y, z_).
     """
     risk = lam if isinstance(lam, RiskParameter) else RiskParameter(float(lam))
-    ws = workspace
-    q_red = _tilted_q(model, l_next, risk, ws)
+    q_red = _tilted_q(model, l_next, risk, workspace)
+    return _averaged_local_q(model, zeta_t, policy, t, q_red, risk, agent,
+                             workspace)
+
+
+def _averaged_local_q(model, zeta_t, policy, t, q_red, risk, agent, ws):
+    """averaged_local_q on the stage's backed-up q_red."""
     z_sizes = policy.agent_state_sizes
     if ws is not None:
-        ws.q_full[:] = q_red[:, None, None, :, :]
         y_comps, w_comps, a_comps = ws.y_comps, ws.w_comps, ws.a_comps
     else:
         y_comps = joint_components(model.obs_counts)
@@ -309,8 +317,8 @@ def greedy_agent_update(qbar: AveragedLocalQ,
                                    next_states=(best % zi).astype(np.int64))
 
 
-def _update_agent_at(model, policy, t, zeta_t, l_next, risk, alpha, agent, ws):
-    qbar = averaged_local_q(model, zeta_t, policy, t, l_next, risk, agent, ws)
+def _update_agent_at(model, policy, t, zeta_t, q_red, risk, alpha, agent, ws):
+    qbar = _averaged_local_q(model, zeta_t, policy, t, q_red, risk, agent, ws)
     tab = policy.tables[agent][t - 1]
     det = greedy_agent_update(qbar, tab)
     mixed = mix_policies(tab, det, alpha)
@@ -321,8 +329,7 @@ def _update_agent_at(model, policy, t, zeta_t, l_next, risk, alpha, agent, ws):
         policy.tables[agent][t - 1] = mixed
 
 
-def _refold(model, policy, t, l_next, l_cur, risk, ws):
-    q_red = _tilted_q(model, l_next, risk, ws)
+def _refold(model, policy, t, q_red, l_cur, risk, ws):
     m = expand_joint_policy(policy, t - 1)
     if risk.is_neutral:
         kernels.fold_policy_mean(m, q_red, l_cur)
@@ -342,8 +349,8 @@ def sweep(model: DecPomdpModel, policy: JointPolicy, lam, alpha: float,
     t..T walk has not yet modified.
     """
     risk = lam if isinstance(lam, RiskParameter) else RiskParameter(float(lam))
-    if risk.lam < 0:
-        raise ValueError("sweep requires lam >= 0")
+    if not 0.0 <= risk.lam < math.inf:
+        raise ValueError("sweep requires finite lam >= 0")
     ws = workspace or SolveWorkspace(model, policy.agent_state_sizes)
     agents = range(model.n_agents)
     if ordering == "sequential":
@@ -351,10 +358,11 @@ def sweep(model: DecPomdpModel, policy: JointPolicy, lam, alpha: float,
         l_next, l_cur = ws.l_a, ws.l_b
         l_next[:] = 0.0
         for t in range(model.horizon, 0, -1):
+            q_red = _tilted_q(model, l_next, risk, ws)
             for i in agents:
-                _update_agent_at(model, policy, t, ws.zeta[t - 1], l_next,
+                _update_agent_at(model, policy, t, ws.zeta[t - 1], q_red,
                                  risk, alpha, i, ws)
-            _refold(model, policy, t, l_next, l_cur, risk, ws)
+            _refold(model, policy, t, q_red, l_cur, risk, ws)
             l_next, l_cur = l_cur, l_next
     elif ordering == "per_agent":
         for i in agents:
@@ -362,9 +370,10 @@ def sweep(model: DecPomdpModel, policy: JointPolicy, lam, alpha: float,
             l_next, l_cur = ws.l_a, ws.l_b
             l_next[:] = 0.0
             for t in range(model.horizon, 0, -1):
-                _update_agent_at(model, policy, t, ws.zeta[t - 1], l_next,
+                q_red = _tilted_q(model, l_next, risk, ws)
+                _update_agent_at(model, policy, t, ws.zeta[t - 1], q_red,
                                  risk, alpha, i, ws)
-                _refold(model, policy, t, l_next, l_cur, risk, ws)
+                _refold(model, policy, t, q_red, l_cur, risk, ws)
                 l_next, l_cur = l_cur, l_next
     else:
         raise ValueError(f"unknown ordering {ordering!r}")
@@ -382,6 +391,9 @@ def rscpi(model: DecPomdpModel, config: SolverConfig,
     is chosen by exact value, ties keeping the earliest (lowest) seed.
     """
     config.validate()
+    if len(config.z_sizes) != model.n_agents:
+        raise ValueError(f"z_sizes lists {len(config.z_sizes)} agent-state "
+                         f"sizes for {model.n_agents} agents")
     t0 = time.perf_counter()
     ws = SolveWorkspace(model, config.z_sizes)
     best = None
@@ -414,8 +426,3 @@ def rscpi(model: DecPomdpModel, config: SolverConfig,
     best.wall_time_ms = (time.perf_counter() - t0) * 1e3
     best.peak_floats = ws.counter.peak
     return best
-
-
-def backend_name() -> str:
-    """Active kernel backend, for reporting."""
-    return kernels.BACKEND

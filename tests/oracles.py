@@ -210,3 +210,34 @@ def risk_policy_eval_reference(P, r, T, lam, psi):
                           for sp in range(S))
                 V[t][s] = r[s][a] + math.log(acc) / lam
     return V
+
+
+def expand_joint_policy_gather(policy, t, skip_agent=None):
+    """Joint policy table by per-agent fancy-index gathers over flat axes.
+
+    The dense (Y, W, A, W) product of the agents' rows, built the direct
+    way: for every flat joint index, look up each agent's component and
+    multiply the gathered factors in agent order into a table of ones.
+    """
+    import numpy as np
+
+    def comps(sizes):
+        grid = np.indices(tuple(sizes))
+        return [g.reshape(-1) for g in grid]
+
+    y_sizes = [tab.shape[1] for tab in policy.tables]
+    a_sizes = [tab.shape[3] for tab in policy.tables]
+    w_sizes = list(policy.agent_state_sizes)
+    y_c, w_c, a_c = comps(y_sizes), comps(w_sizes), comps(a_sizes)
+    ny, nw, na = y_c[0].size, w_c[0].size, a_c[0].size
+    out = np.ones((ny, nw, na, nw))
+    for i, tab in enumerate(policy.tables):
+        if i == skip_agent:
+            continue
+        out *= tab[t][
+            y_c[i][:, None, None, None],
+            w_c[i][None, :, None, None],
+            a_c[i][None, None, :, None],
+            w_c[i][None, None, None, :],
+        ]
+    return out

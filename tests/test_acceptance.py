@@ -358,13 +358,13 @@ def test_09_fully_observed_sweep_matches_value_iteration():
 
 
 def test_10_memory_claim_linear_in_horizon():
-    S, Y, Z, A = 2, 9, 4, 9
+    S, Y, Z = 2, 9, 4
     peaks = {}
     for T in (10, 20, 40):
         cfg = SolverConfig(lambda0=0.5, anneal_sweeps=2, alpha=1.0,
                            max_sweeps=4, restarts=1, seed=0, z_sizes=(2, 2))
         res = rscpi(dectiger_model(T), cfg)
-        assert res.peak_floats == T * S * Y * Z + 2 * S * Y * Z + S * Y * Z * A * Z
+        assert res.peak_floats == T * S * Y * Z + 2 * S * Y * Z
         peaks[T] = res.peak_floats
     # affine in T: the slope over 10->20 matches the slope over 20->40
     assert 2 * (peaks[20] - peaks[10]) == peaks[40] - peaks[20]

@@ -23,6 +23,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """Parse one JSON document, refusing the NaN/Infinity extensions."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+HUGE_REWARD_MODEL = "\n".join([
+    "agents: 2", "discount: 1.0", "values: reward", "states: 2",
+    "actions:", "2", "2", "observations:", "2", "1",
+    "start: uniform", "T: * : uniform", "O: * : uniform",
+    "R: * : * : * : * : 9e307",
+]) + "\n"
+
+
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
@@ -39,7 +54,7 @@ class TestSolve:
     def test_matrix_game_artifacts_and_stdout(self, capsys, tmp_path):
         code, out, _ = solve_matrix(capsys, tmp_path)
         assert code == 0
-        doc = json.loads(out)
+        doc = strict_json(out)
         assert doc["env"] == "matrix-game"
         assert doc["J_exact"] == 6.0
         assert set(doc) == {"env", "J_exact", "J_risk_final", "sweeps",
@@ -93,12 +108,7 @@ class TestSolve:
 
     def test_numeric_overflow_exits_3(self, capsys, tmp_path):
         path = tmp_path / "huge.dpomdp"
-        path.write_text("\n".join([
-            "agents: 2", "discount: 1.0", "values: reward", "states: 2",
-            "actions:", "2", "2", "observations:", "2", "1",
-            "start: uniform", "T: * : uniform", "O: * : uniform",
-            "R: * : * : * : * : 9e307",
-        ]) + "\n")
+        path.write_text(HUGE_REWARD_MODEL)
         code, _, err = run_cli(
             capsys, "solve", "--model", str(path), "--horizon", "3",
             "--agent-states", "1", "--lambda0", "1", "--alpha", "1",
@@ -106,6 +116,16 @@ class TestSolve:
             "--out", str(tmp_path))
         assert code == 3
         assert f"{path}:0: error: nonfinite tilted value" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_lambda0_exits_2(self, capsys, tmp_path, value):
+        code, out, err = run_cli(
+            capsys, "solve", "--model", "matrix-game", "--horizon", "1",
+            "--agent-states", "1", "--lambda0", value,
+            "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert "lambda0 must be finite" in err
+        assert not (tmp_path / "runs.csv").exists()
 
     def test_bad_agent_states_arity_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -153,7 +173,7 @@ class TestEval:
         code, out, _ = run_cli(capsys, "eval", "--model", "matrix-game",
                                "--horizon", "1", "--policy", str(path))
         assert code == 0
-        assert json.loads(out) == {"J_exact": -3.0}
+        assert strict_json(out) == {"J_exact": -3.0}
 
     def test_risk_lambda_zero_matches_exact(self, capsys, tmp_path):
         path = self.write_policy(tmp_path, MATRIX_UNIFORM)
@@ -191,6 +211,40 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["J_exact"] == pytest.approx(5.1908125,
                                                            abs=1e-9)
+
+    def test_nan_policy_cell_exits_2(self, capsys, tmp_path):
+        doc = json.loads(policy_to_json(MATRIX_UNIFORM))
+        doc["tables"][1][0][0][0][0][0] = math.nan
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "eval", "--model", "matrix-game",
+                                 "--horizon", "1", "--policy", str(path),
+                                 "--mc", "100")
+        assert code == 2 and out == ""
+        assert "agent 1 table has non-finite entries" in err
+
+    def test_nonfinite_risk_lambda_exits_2(self, capsys, tmp_path):
+        path = self.write_policy(tmp_path, MATRIX_UNIFORM)
+        code, out, err = run_cli(capsys, "eval", "--model", "matrix-game",
+                                 "--horizon", "1", "--policy", str(path),
+                                 "--risk-lambda", "nan")
+        assert code == 2 and out == ""
+        assert "finite lam" in err
+
+    def test_overflowing_value_exits_3_not_nan_json(self, capsys, tmp_path):
+        model_path = tmp_path / "huge.dpomdp"
+        model_path.write_text(HUGE_REWARD_MODEL)
+        model, _ = load_model(str(model_path), 3)
+        tables = [np.full((3, y, 1, a, 1), 1.0 / a)
+                  for y, a in zip(model.obs_counts, model.action_counts)]
+        path = self.write_policy(tmp_path, JointPolicy(
+            horizon=3, agent_state_sizes=(1, 1), tables=tables))
+        with pytest.warns(RuntimeWarning):  # the chain values overflow
+            code, out, err = run_cli(capsys, "eval", "--model",
+                                     str(model_path), "--horizon", "3",
+                                     "--policy", str(path))
+        assert code == 3 and out == ""
+        assert "non-finite result" in err
 
     def test_missing_policy_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "eval", "--model", "matrix-game",

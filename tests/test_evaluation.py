@@ -7,12 +7,14 @@ from _benchmarks import (dectiger_block_policy, dectiger_model,
                          deterministic_policy, fully_observed_model,
                          random_model, random_policy_for, recycling_model,
                          recycling_reactive_policy)
-from oracles import (evaluate_enum, evaluate_risk_enum, forward_sum_eval,
+from oracles import (evaluate_enum, evaluate_risk_enum,
+                     expand_joint_policy_gather, forward_sum_eval,
                      marginal_enum)
-from rscpi.evaluation import (evaluate_exact, evaluate_risk, forward_marginals,
+from rscpi.evaluation import (evaluate_exact, evaluate_risk,
+                              expand_joint_policy, forward_marginals,
                               joint_phi, rollout_monte_carlo)
 from rscpi.model import matrix_game_model
-from rscpi.policy import JointPolicy
+from rscpi.policy import JointPolicy, random_policy
 from rscpi.risk import certainty_equivalent
 
 MATRIX_PAYOFFS = [[2.0, -10.0], [-10.0, 6.0]]
@@ -27,6 +29,23 @@ def uniform_matrix_policy():
 def pick_policy(model, a1, a2):
     return deterministic_policy(model, (1, 1),
                                 lambda i, t, y, w: ((a1, a2)[i], 0))
+
+
+class TestExpandJointPolicy:
+    def test_matches_gather_form_bitwise(self):
+        rng = np.random.default_rng(21)
+        for k in range(12):
+            n = int(rng.integers(1, 4))
+            a_sizes = tuple(int(v) for v in rng.integers(1, 4, size=n))
+            y_sizes = tuple(int(v) for v in rng.integers(1, 4, size=n))
+            z_sizes = tuple(int(v) for v in rng.integers(1, 3, size=n))
+            policy = random_policy(a_sizes, y_sizes, z_sizes, 2, seed=k)
+            for t in range(2):
+                for skip in [None] + list(range(n)):
+                    got = expand_joint_policy(policy, t, skip_agent=skip)
+                    want = expand_joint_policy_gather(policy, t, skip)
+                    assert got.shape == want.shape
+                    assert np.array_equal(got, want), (k, t, skip)
 
 
 class TestForwardMarginals:

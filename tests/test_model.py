@@ -148,6 +148,17 @@ class TestDecPomdpModel:
                 action_counts=model.action_counts, obs_counts=model.obs_counts,
                 P=model.P, r=r, zeta1=model.zeta1, horizon=model.horizon)
 
+    @pytest.mark.parametrize("field", ["P", "zeta1"])
+    def test_rejects_nan_probabilities(self, field):
+        model = random_model(np.random.default_rng(6))
+        arrays = dict(P=model.P.copy(), zeta1=model.zeta1.copy())
+        arrays[field].reshape(-1)[0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            DecPomdpModel(
+                n_agents=model.n_agents, state_count=model.state_count,
+                action_counts=model.action_counts, obs_counts=model.obs_counts,
+                r=model.r, horizon=model.horizon, **arrays)
+
     def test_rejects_bad_horizon(self):
         model = random_model(np.random.default_rng(5))
         with pytest.raises(ValueError, match="horizon"):

@@ -52,6 +52,19 @@ class TestJointPolicy:
         with pytest.raises(ValueError, match="phi"):
             pol.validate()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_nonfinite_table_entries(self, value):
+        pol = dectiger_random(0)
+        pol.tables[0][1, 0, 1, 0, 0] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            pol.validate()
+
+    def test_rejects_nan_phi(self):
+        pol = dectiger_random(0)
+        pol.phi[1] = np.array([np.nan, 1.0])
+        with pytest.raises(ValueError, match="phi"):
+            pol.validate()
+
     def test_copy_is_deep(self):
         pol = dectiger_random(0)
         dup = pol.copy()
@@ -128,6 +141,24 @@ class TestMixPolicies:
         for alpha in np.linspace(0.0, 1.0, 21):
             out = mix_policies(old, det, float(alpha))
             np.testing.assert_allclose(out.sum(axis=(2, 3)), 1.0, atol=1e-12)
+
+    def test_matches_point_mass_table_mix_bitwise(self):
+        rng = np.random.default_rng(6)
+        for k in range(20):
+            ny, nw, na, nz = (int(v) for v in rng.integers(1, 5, size=4))
+            old = rng.dirichlet(np.ones(na * nz), size=(ny, nw))
+            old = old.reshape(ny, nw, na, nz)
+            if k % 2:
+                old[old < 0.1] = 0.0  # zero cells, as after a full greedy step
+                old /= old.sum(axis=(2, 3), keepdims=True)
+            det = DeterministicAgentSlice(
+                agent=0, t=1,
+                actions=rng.integers(0, na, size=(ny, nw)),
+                next_states=rng.integers(0, nz, size=(ny, nw)))
+            for alpha in (0.1, 0.3, float(rng.uniform()), 1.0):
+                want = (1.0 - alpha) * old + alpha * det.as_table(na, nz)
+                want = want / want.sum(axis=(2, 3), keepdims=True)
+                assert np.array_equal(mix_policies(old, det, alpha), want)
 
 
 class TestDeterministicSlice:

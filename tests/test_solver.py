@@ -8,6 +8,7 @@ import pytest
 from _benchmarks import (dectiger_model, fully_observed_model, random_model,
                          random_policy_for)
 from oracles import logmeanexp_direct
+from rscpi import kernels
 from rscpi.evaluation import (aggregate_initial, evaluate_exact, evaluate_risk,
                               forward_marginals, joint_components)
 from rscpi.model import matrix_game_model
@@ -273,6 +274,31 @@ class TestSweep:
             sweep(model, policy, -0.1, 1.0)
 
 
+class TestStageBackups:
+    """A sweep backs each stage up once and shares it across the stage."""
+
+    @pytest.mark.parametrize("lam, kernel", [(0.0, "tilted_q_mean"),
+                                             (0.7, "tilted_q_log")])
+    @pytest.mark.parametrize("ordering", ["sequential", "per_agent"])
+    def test_one_backup_per_stage(self, monkeypatch, lam, kernel, ordering):
+        calls = []
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        for name in ("tilted_q_mean", "tilted_q_log"):
+            monkeypatch.setattr(kernels, name,
+                                counted(name, getattr(kernels, name)))
+        model = random_model(np.random.default_rng(19), horizon=4)
+        policy = random_policy_for(model, (2, 2), seed=70)
+        sweep(model, policy, lam, 0.5, ordering=ordering)
+        passes = model.n_agents if ordering == "per_agent" else 1
+        assert calls == [kernel] * (passes * model.horizon)
+
+
 class TestFixpoints:
     def reachable_rows(self, model, policy, t, agent):
         """Mask of (y_i, w_i) cells with positive pre-sweep marginal mass."""
@@ -328,6 +354,19 @@ class TestSolverConfig:
             with pytest.raises(ValueError):
                 SolverConfig(**kv).validate()
         SolverConfig().validate()
+
+    @pytest.mark.parametrize("kv", [dict(lambda0=math.nan),
+                                    dict(lambda0=math.inf),
+                                    dict(tol=math.nan)])
+    def test_rejects_nonfinite_fields_at_construction(self, kv):
+        with pytest.raises(ValueError, match=next(iter(kv))):
+            SolverConfig(**kv)
+
+    def test_rscpi_rejects_z_sizes_of_wrong_arity(self):
+        model = matrix_game_model(MATRIX_PAYOFFS)
+        config = SolverConfig(restarts=1, z_sizes=(1, 1, 1))
+        with pytest.raises(ValueError, match="3 agent-state sizes for 2"):
+            rscpi(model, config)
 
     def test_anneal_schedule(self):
         cfg = SolverConfig(lambda0=2.0, anneal_sweeps=4)
@@ -401,8 +440,8 @@ class TestRscpi:
                                   max_sweeps=8, restarts=1, seed=4,
                                   z_sizes=(2, 2))
             result = rscpi(model, config)
-            S, Y, Z, A = 2, 9, 4, 9
-            want = T * S * Y * Z + 2 * S * Y * Z + S * Y * Z * A * Z
+            S, Y, Z = 2, 9, 4
+            want = T * S * Y * Z + 2 * S * Y * Z
             assert result.peak_floats == want
 
     def test_single_sweep_solves_fully_observed_mdp(self):
