@@ -3,7 +3,7 @@
 
 The backend is fixed at import time by RSCPI_BACKEND, so each one runs in
 its own subprocess and the parent merges the timings into one table. Rows
-cover the six hot kernels plus full solver sweeps on two synthetic models;
+cover the four hot kernels plus full solver sweeps on two synthetic models;
 numbers are best-of-R wall times after a warmup call (which also absorbs
 JIT compilation).
 
@@ -63,10 +63,10 @@ def best_time(fn, repeats):
 
 def build_cases(size_key, seed=0):
     from rscpi import kernels
-    from rscpi.evaluation import (expand_joint_policy, forward_marginals,
-                                  joint_components)
+    from rscpi.evaluation import (dynamics_support, expand_joint_policy,
+                                  forward_marginals, joint_components)
     from rscpi.policy import random_policy
-    from rscpi.solver import SolveWorkspace, dynamics_support, sweep
+    from rscpi.solver import SolveWorkspace, sweep
 
     dims = SIZES[size_key]
     z_sizes = dims["z_sizes"]
@@ -77,7 +77,7 @@ def build_cases(size_key, seed=0):
     S, Y = model.state_count, model.joint_obs_count
     A = model.joint_action_count
     W = int(np.prod(z_sizes))
-    indptr, sp, yp, p, logp = dynamics_support(model)
+    indptr, sp, yp, logp = dynamics_support(model)
     rng = np.random.default_rng(seed + 1)
     lam = 0.7
     l_next = rng.normal(size=(S, Y, W))
@@ -103,12 +103,8 @@ def build_cases(size_key, seed=0):
     cases = [
         ("tilted_q_log", lambda: kernels.tilted_q_log(
             indptr, sp, yp, logp, lam_r, l_next, q_out)),
-        ("tilted_q_mean", lambda: kernels.tilted_q_mean(
-            indptr, sp, yp, p, model.r, l_next, q_out)),
         ("fold_policy_log", lambda: kernels.fold_policy_log(
             log_m, q_red, l_out)),
-        ("fold_policy_mean", lambda: kernels.fold_policy_mean(
-            m, q_red, l_out)),
         ("local_weights_log", lambda: kernels.local_weights_log(
             log_zeta, log_copi, q_red, y_comp, w_comp, a_comp, w_comp,
             lw_max, lw_out)),

@@ -7,8 +7,8 @@ harness. See the README for the CLI and file conventions.
 
 from .dpomdp_parser import (ParseDiagnostic, RawDpomdpFile, compile_model,
                             parse_dpomdp, serialize_canonical)
-from .evaluation import (evaluate_exact, evaluate_risk, forward_marginals,
-                         rollout_monte_carlo)
+from .evaluation import (NumericError, backward, evaluate_exact,
+                         evaluate_risk, forward_marginals, rollout_monte_carlo)
 from .model import (DecPomdpModel, JointIndexer, make_initial_distribution,
                     matrix_game_model)
 from .policy import (DeterministicAgentSlice, JointPolicy, dump_policy,
@@ -17,9 +17,8 @@ from .policy import (DeterministicAgentSlice, JointPolicy, dump_policy,
 from .risk import (FiniteMdp, RiskParameter, certainty_equivalent,
                    risk_policy_evaluation_mdp, risk_value_iteration,
                    weighted_logmeanexp)
-from .solver import (AveragedLocalQ, NumericError, SolveResult, SolverConfig,
-                     averaged_local_q, backward_tilted_values,
-                     greedy_agent_update, rscpi, sweep)
+from .solver import (AveragedLocalQ, SolveResult, SolverConfig,
+                     averaged_local_q, greedy_agent_update, rscpi, sweep)
 
 __version__ = "0.1.0"
 
@@ -27,10 +26,10 @@ __all__ = [
     "AveragedLocalQ", "DecPomdpModel", "DeterministicAgentSlice",
     "FiniteMdp", "JointIndexer", "JointPolicy", "NumericError",
     "ParseDiagnostic", "RawDpomdpFile", "RiskParameter", "SolveResult",
-    "SolverConfig", "averaged_local_q", "backward_tilted_values",
-    "certainty_equivalent", "compile_model", "dump_policy", "evaluate_exact",
-    "evaluate_risk", "forward_marginals", "greedy_agent_update",
-    "make_initial_distribution", "matrix_game_model", "mix_policies",
+    "SolverConfig", "averaged_local_q", "backward", "certainty_equivalent",
+    "compile_model", "dump_policy", "evaluate_exact", "evaluate_risk",
+    "forward_marginals", "greedy_agent_update", "make_initial_distribution",
+    "matrix_game_model", "mix_policies",
     "parse_dpomdp", "policy_from_json", "policy_to_json", "random_policy",
     "risk_policy_evaluation_mdp", "risk_value_iteration",
     "rollout_monte_carlo", "rscpi", "serialize_canonical", "sweep",

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dpomdp_parser import parse_dpomdp, compile_model, render_diagnostics
-from .evaluation import evaluate_exact, evaluate_risk, rollout_monte_carlo
+from .evaluation import (NumericError, evaluate_exact, evaluate_risk,
+                         rollout_monte_carlo)
 from .model import matrix_game_model
 from .policy import dump_policy, policy_from_json, policy_to_json
-from .solver import NumericError, SolverConfig, rscpi
+from .solver import SolverConfig, rscpi
 
 CSV_COLUMNS = ["env", "T", "z_sizes", "lambda0", "alpha", "anneal_sweeps",
                "seed", "ablation", "sweeps", "J_exact", "J_risk_final",

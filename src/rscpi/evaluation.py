@@ -1,6 +1,12 @@
-"""Exact policy evaluation: forward marginals, the induced Markov chain over
-(state, joint observation, joint agent state), risk-seeking evaluation, and a
-seeded Monte-Carlo rollout cross-check.
+"""Policy evaluation: forward marginals, the backward recursion, and a seeded
+Monte-Carlo rollout cross-check.
+
+The backward recursion walks t = T..1 over the chain on (state, joint
+observation, joint agent state). Each stage is one `stage_backup`, which
+reduces L_{t+1} to q_red[s, a, z], and one `fold_stage`, which folds the
+stage's joint policy row into L_t. Values are carried in the log domain as
+L_t = lam * V_t for lam > 0 and as plain V_t at lam = 0. Exact evaluation,
+risk-seeking evaluation and the solver's sweep all run on these two steps.
 """
 
 from __future__ import annotations
@@ -10,11 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .model import DecPomdpModel, JointIndexer
 from .policy import JointPolicy
 from .risk import RiskParameter
 
 MARGINAL_ATOL = 1e-8
+
+
+class NumericError(RuntimeError):
+    """A value tensor left the finite range (reported with stage and cell)."""
 
 
 def joint_phi(policy: JointPolicy) -> np.ndarray:
@@ -70,18 +81,6 @@ class MarginalTrajectory:
         return self.values[t - 1]
 
 
-@dataclass
-class EvalWorkspace:
-    """Reusable backward-evaluation scratch: the value pair and one-step terms."""
-
-    v_cur: np.ndarray    # (S, Y, Z)
-    v_next: np.ndarray   # (S, Y, Z)
-
-    @classmethod
-    def for_dims(cls, S, Y, Z):
-        return cls(v_cur=np.zeros((S, Y, Z)), v_next=np.zeros((S, Y, Z)))
-
-
 def _check_dims(model: DecPomdpModel, policy: JointPolicy):
     if policy.horizon != model.horizon:
         raise ValueError(
@@ -128,35 +127,115 @@ def forward_marginals(model: DecPomdpModel, policy: JointPolicy,
     return MarginalTrajectory(values=zetas)
 
 
-def evaluate_exact(model: DecPomdpModel, policy: JointPolicy,
-                   workspace: EvalWorkspace = None) -> float:
-    """Risk-neutral J via the induced Markov chain over (s, y, z).
+def finite_risk(lam, what: str) -> RiskParameter:
+    """lam as a RiskParameter; `what` names the caller in the error."""
+    risk = lam if isinstance(lam, RiskParameter) else RiskParameter(float(lam))
+    if not 0.0 <= risk.lam < math.inf:
+        raise ValueError(f"{what} requires finite lam >= 0")
+    return risk
 
-    Backward accumulation of the chain's value function with the one-step
-    reward r_bar and kernel P_bar of the joint policy, then the expectation
-    over zeta1 (x) phi.
+
+def dynamics_support(model: DecPomdpModel):
+    """CSR-style support of P over flat (s*A + a) rows; cached on the model.
+
+    Returns (indptr, s', y', log p): the successors of row s*A + a sit at
+    positions indptr[s*A + a] : indptr[s*A + a + 1].
     """
+    cached = getattr(model, "_support", None)
+    if cached is not None:
+        return cached
+    S, A, Y = model.state_count, model.joint_action_count, model.joint_obs_count
+    flat = model.P.reshape(S * A, S * Y)
+    rows, cols = np.nonzero(flat)
+    indptr = np.zeros(S * A + 1, dtype=np.int64)
+    np.add.at(indptr, rows + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    support = (indptr, (cols // Y).astype(np.int64),
+               (cols % Y).astype(np.int64), np.log(flat[rows, cols]))
+    model._support = support
+    return support
+
+
+def log_policy(m: np.ndarray) -> np.ndarray:
+    """Elementwise log of a policy table, -inf where it is 0."""
+    return np.log(m, where=m > 0, out=np.full_like(m, -np.inf))
+
+
+def stage_backup(model: DecPomdpModel, l_next: np.ndarray,
+                 risk: RiskParameter, out: np.ndarray) -> np.ndarray:
+    """Reduced local value q_red[s, a, z] of a stage under L_{t+1}.
+
+    lam = 0: r(s, a) + sum_{s', y'} P(s', y' | s, a) V_{t+1}(s', y', z).
+    lam > 0: lam r(s, a) + log sum_{s', y'} P(s', y' | s, a) exp L_{t+1}.
+    """
+    S, Y, Z = l_next.shape
+    A = model.r.shape[1]
+    if risk.is_neutral:
+        p_flat = model.P.reshape(S * A, S * Y)
+        ev = (p_flat @ l_next.reshape(S * Y, Z)).reshape(S, A, Z)
+        np.add(model.r[:, :, None], ev, out=out)
+    else:
+        indptr, sp, yp, logp = dynamics_support(model)
+        kernels.tilted_q_log(indptr, sp, yp, logp, risk.lam * model.r,
+                             l_next, out)
+    return out
+
+
+def fold_stage(policy: JointPolicy, t: int, q_red: np.ndarray,
+               risk: RiskParameter, out: np.ndarray) -> np.ndarray:
+    """L_t[s, y, w] = the stage-t (1-based) joint policy row folded into q_red.
+
+    lam = 0: sum_{a, z} M_t[y, w, a, z] q_red[s, a, z]; lam > 0: the same sum
+    taken in the log domain. Raises NumericError at the first non-finite cell.
+    """
+    m = expand_joint_policy(policy, t - 1)
+    S, A, Z = q_red.shape
+    Y = m.shape[0]
+    if risk.is_neutral:
+        out[:] = (
+            m.reshape(Y * Z, A * Z) @ q_red.reshape(S, A * Z).T
+        ).T.reshape(S, Y, Z)
+    else:
+        kernels.fold_policy_log(log_policy(m), q_red, out)
+    if not np.isfinite(out).all():
+        cell = np.argwhere(~np.isfinite(out))[0]
+        raise NumericError(
+            f"nonfinite tilted value at t={t}, cell={tuple(int(c) for c in cell)}"
+        )
+    return out
+
+
+def backward(model: DecPomdpModel, policy: JointPolicy, lam,
+             out: np.ndarray = None) -> np.ndarray:
+    """The backward recursion t = T..1; returns L_1.
+
+    With a (T, S, Y, Z) `out`, L_t is kept in out[t - 1] for every t.
+    """
+    risk = finite_risk(lam, "tilted recursion")
     _check_dims(model, policy)
     S, Y = model.state_count, model.joint_obs_count
     A = model.joint_action_count
     Z = int(np.prod(policy.agent_state_sizes))
-    ws = workspace or EvalWorkspace.for_dims(S, Y, Z)
-    v_cur, v_next = ws.v_cur, ws.v_next
-    v_next[:] = 0.0
-    p_flat = model.P.reshape(S * A, S * Y)
-    for t in range(model.horizon - 1, -1, -1):
-        m = expand_joint_policy(policy, t)
-        # ev[s, a, z] = sum_{s', y'} P(s', y' | s, a) V_{t+1}(s', y', z)
-        ev = (p_flat @ v_next.reshape(S * Y, Z)).reshape(S, A, Z)
-        tot = model.r[:, :, None] + ev
-        # V_t(s, y, w) = sum_{a, z} M_t[y, w, a, z] (r(s, a) + ev[s, a, z])
-        v_cur[:] = (
-            m.reshape(Y * Z, A * Z) @ tot.reshape(S, A * Z).T
-        ).T.reshape(S, Y, Z)
-        v_cur, v_next = v_next, v_cur
-    phi = joint_phi(policy)
-    j = np.einsum("sy,z,syz->", model.zeta1, phi, v_next)
-    return float(j)
+    if out is not None and out.shape != (model.horizon, S, Y, Z):
+        raise ValueError(f"out has shape {out.shape}, expected "
+                         f"{(model.horizon, S, Y, Z)}")
+    q_red = np.empty((S, A, Z))
+    l_next, l_cur = np.zeros((S, Y, Z)), np.empty((S, Y, Z))
+    with kernels.quiet_overflow():
+        for t in range(model.horizon, 0, -1):
+            stage_backup(model, l_next, risk, q_red)
+            if out is not None:
+                l_cur = out[t - 1]
+            fold_stage(policy, t, q_red, risk, l_cur)
+            l_next, l_cur = l_cur, l_next
+    return l_next
+
+
+def evaluate_exact(model: DecPomdpModel, policy: JointPolicy) -> float:
+    """Risk-neutral J: the lam = 0 backward recursion, then the expectation
+    over zeta1 (x) phi. Raises NumericError when a value overflows."""
+    risk = RiskParameter(0.0)
+    return aggregate_initial(model, policy, backward(model, policy, risk), risk)
 
 
 def evaluate_risk(model: DecPomdpModel, policy: JointPolicy, lam) -> float:
@@ -165,14 +244,8 @@ def evaluate_risk(model: DecPomdpModel, policy: JointPolicy, lam) -> float:
     Aggregates the t=1 tilted values through the certainty-equivalent wrapper
     (1/lam) log sum zeta1 phi exp(lam V_1); plain expectation at lam ~ 0.
     """
-    risk = lam if isinstance(lam, RiskParameter) else RiskParameter(float(lam))
-    if risk.lam < 0:
-        raise ValueError("risk-seeking evaluation requires lam >= 0")
-    from . import solver
-
-    tilted = solver.backward_tilted_values(model, policy, risk)
-    l1 = tilted[0].values
-    return aggregate_initial(model, policy, l1, risk)
+    risk = finite_risk(lam, "risk-seeking evaluation")
+    return aggregate_initial(model, policy, backward(model, policy, risk), risk)
 
 
 def aggregate_initial(model: DecPomdpModel, policy: JointPolicy,

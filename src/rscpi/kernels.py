@@ -2,16 +2,18 @@
 
 Set RSCPI_BACKEND=numpy to force the pure-numpy implementations; the default
 is the numba JIT path when numba is importable. Both backends implement the
-same functions with identical semantics (tests assert agreement):
+same four functions with identical semantics (tests assert agreement):
 
-    tilted_q_log / tilted_q_mean      backward Q backup over the sparse support
-    fold_policy_log / fold_policy_mean   fold a joint policy row into L_t
+    tilted_q_log         backward Q backup over the sparse support
+    fold_policy_log      fold a joint policy row into L_t
     local_weights_log / local_weights_mean   per-agent averaged-Q contraction
 
 Log-domain variants ("_log") carry lambda-scaled values (L = lambda*V) and use
 per-output-cell max-shifted logsumexp; a single global shift is unsafe because
-lambda*V spans far beyond exp()'s range on long horizons. "_mean" variants are
-the exact risk-neutral (lambda = 0) forms in plain expectation space.
+lambda*V spans far beyond exp()'s range on long horizons. local_weights_mean
+is the exact risk-neutral (lambda = 0) form in plain expectation space. The
+lambda = 0 stage backup and fold are dense matrix products on both backends,
+so they live in `evaluation.stage_backup` and `evaluation.fold_stage`.
 
 Dynamics enter as a CSR-style support: for flat row (s, a), the nonzero
 successors (s', y') live at positions indptr[s*A + a] : indptr[s*A + a + 1].
@@ -49,21 +51,6 @@ def _tilted_q_log(indptr, sp_idx, yp_idx, logp, lam_r, L_next, out):
     return out
 
 
-def _tilted_q_mean(indptr, sp_idx, yp_idx, p, r, V_next, out):
-    # out[s, a, z] = r[s, a] + sum_k p[k] * V_next[sp[k], yp[k], z]
-    S, A, Z = out.shape
-    for s in range(S):
-        for a in range(A):
-            lo = indptr[s * A + a]
-            hi = indptr[s * A + a + 1]
-            for z in range(Z):
-                acc = 0.0
-                for k in range(lo, hi):
-                    acc += p[k] * V_next[sp_idx[k], yp_idx[k], z]
-                out[s, a, z] = r[s, a] + acc
-    return out
-
-
 def _fold_policy_log(log_m, q_red, out):
     # out[s, y, w] = LSE_{a,z}( log_m[y, w, a, z] + q_red[s, a, z] )
     S, Y, W = out.shape
@@ -85,21 +72,6 @@ def _fold_policy_log(log_m, q_red, out):
                     for z in range(Z):
                         acc += np.exp(log_m[y, w, a, z] + q_red[s, a, z] - m)
                 out[s, y, w] = m + np.log(acc)
-    return out
-
-
-def _fold_policy_mean(m_tab, q_red, out):
-    # out[s, y, w] = sum_{a,z} m_tab[y, w, a, z] * q_red[s, a, z]
-    S, Y, W = out.shape
-    A, Z = q_red.shape[1], q_red.shape[2]
-    for s in range(S):
-        for y in range(Y):
-            for w in range(W):
-                acc = 0.0
-                for a in range(A):
-                    for z in range(Z):
-                        acc += m_tab[y, w, a, z] * q_red[s, a, z]
-                out[s, y, w] = acc
     return out
 
 
@@ -174,14 +146,18 @@ def _local_weights_mean(zeta, copi, q_red, y_comp, w_comp, a_comp, z_comp, out):
     return out
 
 
+def quiet_overflow():
+    """The floating-point state the kernels' callers run them under.
+
+    Overflow and inf - inf are silenced: an overflowing cell comes out as
+    +inf or nan, which the caller's finiteness check reports as a
+    NumericError. Callers enter it once per recursion, not once per call.
+    """
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 # Pure-numpy backend: same contracts, vectorized where the loop nest would be
-# python-slow, with explicit -inf guards around the max-shift. The log-domain
-# forms silence overflow and inf - inf: an overflowing cell comes out as
-# +inf or nan, which the caller's finiteness check reports as a NumericError.
-_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
-
-
-@_quiet_overflow
+# python-slow, with explicit -inf guards around the max-shift.
 def _np_tilted_q_log(indptr, sp_idx, yp_idx, logp, lam_r, L_next, out):
     S, A, Z = out.shape
     for s in range(S):
@@ -200,16 +176,6 @@ def _np_tilted_q_log(indptr, sp_idx, yp_idx, logp, lam_r, L_next, out):
     return out
 
 
-def _np_tilted_q_mean(indptr, sp_idx, yp_idx, p, r, V_next, out):
-    S, A, Z = out.shape
-    for s in range(S):
-        for a in range(A):
-            lo, hi = indptr[s * A + a], indptr[s * A + a + 1]
-            out[s, a, :] = r[s, a] + p[lo:hi] @ V_next[sp_idx[lo:hi], yp_idx[lo:hi], :]
-    return out
-
-
-@_quiet_overflow
 def _np_fold_policy_log(log_m, q_red, out):
     S = q_red.shape[0]
     Y, W = log_m.shape[0], log_m.shape[1]
@@ -223,11 +189,6 @@ def _np_fold_policy_log(log_m, q_red, out):
     return out
 
 
-def _np_fold_policy_mean(m_tab, q_red, out):
-    out[:] = np.einsum("ywaz,saz->syw", m_tab, q_red)
-    return out
-
-
 def _joint_to_agent_cols(y_comp, w_comp, a_comp, z_comp, out_shape):
     # Flat output index of (y_comp[y], w_comp[w], a_comp[a], z_comp[z]) for every
     # joint (y, w, a, z) cell, in the row-major order of the joint tensor.
@@ -238,7 +199,6 @@ def _joint_to_agent_cols(y_comp, w_comp, a_comp, z_comp, out_shape):
     return ywaz.reshape(-1)
 
 
-@_quiet_overflow
 def _np_local_weights_log(log_zeta, log_copi, q_red, y_comp, w_comp, a_comp, z_comp,
                           out_max, out):
     vals = (
@@ -295,33 +255,25 @@ BACKEND, _njit = _pick_backend()
 if BACKEND == "numba":
     _jit = _njit(cache=True, fastmath=False)
     tilted_q_log = _jit(_tilted_q_log)
-    tilted_q_mean = _jit(_tilted_q_mean)
     fold_policy_log = _jit(_fold_policy_log)
-    fold_policy_mean = _jit(_fold_policy_mean)
     local_weights_log = _jit(_local_weights_log)
     local_weights_mean = _jit(_local_weights_mean)
 else:
     tilted_q_log = _np_tilted_q_log
-    tilted_q_mean = _np_tilted_q_mean
     fold_policy_log = _np_fold_policy_log
-    fold_policy_mean = _np_fold_policy_mean
     local_weights_log = _np_local_weights_log
     local_weights_mean = _np_local_weights_mean
 
 NUMPY_IMPLS = {
     "tilted_q_log": _np_tilted_q_log,
-    "tilted_q_mean": _np_tilted_q_mean,
     "fold_policy_log": _np_fold_policy_log,
-    "fold_policy_mean": _np_fold_policy_mean,
     "local_weights_log": _np_local_weights_log,
     "local_weights_mean": _np_local_weights_mean,
 }
 
 LOOP_IMPLS = {
     "tilted_q_log": _tilted_q_log,
-    "tilted_q_mean": _tilted_q_mean,
     "fold_policy_log": _fold_policy_log,
-    "fold_policy_mean": _fold_policy_mean,
     "local_weights_log": _local_weights_log,
     "local_weights_mean": _local_weights_mean,
 }

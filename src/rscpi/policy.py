@@ -57,7 +57,8 @@ class JointPolicy:
                 raise ValueError(f"agent {i} table has non-finite entries")
             if np.any(tab < 0):
                 raise ValueError(f"agent {i} table has negative entries")
-            sums = tab.sum(axis=(3, 4))
+            with np.errstate(over="ignore"):  # huge entries: inf, not 1
+                sums = tab.sum(axis=(3, 4))
             if np.any(np.abs(sums - 1.0) > ROW_ATOL):
                 bad = np.argwhere(np.abs(sums - 1.0) > ROW_ATOL)[0]
                 raise ValueError(
@@ -65,8 +66,9 @@ class JointPolicy:
                     f"{sums[tuple(bad)]:.12g}, expected 1"
                 )
             ph = self.phi[i]
-            if (ph.shape != (zi,) or not abs(ph.sum() - 1.0) <= ROW_ATOL
-                    or np.any(ph < 0)):
+            with np.errstate(over="ignore"):
+                phi_ok = abs(ph.sum() - 1.0) <= ROW_ATOL
+            if ph.shape != (zi,) or not phi_ok or np.any(ph < 0):
                 raise ValueError(f"agent {i} phi invalid")
 
     def copy(self) -> "JointPolicy":
@@ -155,13 +157,44 @@ def policy_to_json(policy: JointPolicy) -> str:
 
 
 def policy_from_json(text: str) -> JointPolicy:
+    """Inverse of policy_to_json; a malformed document raises ValueError
+    naming the offending field."""
     doc = json.loads(text)
-    return JointPolicy(
-        horizon=int(doc["horizon"]),
-        agent_state_sizes=tuple(doc["agent_state_sizes"]),
-        tables=[np.asarray(t, dtype=np.float64) for t in doc["tables"]],
-        phi=[np.asarray(p, dtype=np.float64) for p in doc["phi"]],
-    )
+    if not isinstance(doc, dict):
+        raise ValueError(f"policy JSON must be an object, "
+                         f"not {type(doc).__name__}")
+    horizon = _json_field(doc, "horizon")
+    if not _is_count(horizon):
+        raise ValueError("policy field 'horizon' must be a positive integer")
+    sizes = _json_field(doc, "agent_state_sizes")
+    if not isinstance(sizes, list) or not all(map(_is_count, sizes)):
+        raise ValueError("policy field 'agent_state_sizes' must be a list "
+                         "of positive integers")
+    arrays = {}
+    for name in ("tables", "phi"):
+        items = _json_field(doc, name)
+        if not isinstance(items, list) or len(items) != len(sizes):
+            raise ValueError(f"policy field {name!r} must be a list with one "
+                             f"entry per agent ({len(sizes)})")
+        try:
+            arrays[name] = [np.asarray(x, dtype=np.float64) for x in items]
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"policy field {name!r} holds an entry that is "
+                             "not a numeric array") from None
+    return JointPolicy(horizon=horizon, agent_state_sizes=tuple(sizes),
+                       tables=arrays["tables"], phi=arrays["phi"])
+
+
+def _json_field(doc: dict, name: str):
+    if name not in doc:
+        raise ValueError(f"policy JSON lacks the field {name!r}")
+    return doc[name]
+
+
+def _is_count(value) -> bool:
+    """A JSON integer >= 1 (bools are ints in Python, but not here)."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= 1)
 
 
 def dump_policy(policy: JointPolicy, model=None, names=None) -> str:

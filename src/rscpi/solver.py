@@ -1,15 +1,12 @@
 """Risk-seeking conservative policy iteration over agent-state policies.
 
-The sweep walks t = T..1. For each stage it holds the forward marginals
-zeta_t fixed, updates every agent in turn against the averaged local value
-of its stage action, then refolds the stage into the tilted backward value
-before moving to t-1. Tilted values are carried in the log domain as
-L_t = lam * V_t for lam > 0 and as plain V_t at lam = 0, so the same
-tensors stay finite for any reward scale.
-
-Each stage is backed up once: the reduced local value q_red of stage t
-depends only on L_{t+1} and lambda, so one backup serves every agent update
-of the stage and the refold that follows them.
+A sweep is the evaluation's backward recursion with agent updates spliced
+in. It walks t = T..1, holding the forward marginals zeta_t fixed; per stage
+it runs one `stage_backup`, updates the agents against the averaged local
+value of their stage action, then runs one `fold_stage` on the updated
+policy to get L_t before moving to t-1. Tilted values are carried in the log
+domain as L_t = lam * V_t for lam > 0 and as plain V_t at lam = 0, so the
+same tensors stay finite for any reward scale.
 
 Memory accounting: a solve registers exactly the marginal trajectory and the
 two alternating value tensors. Everything else is transient scratch.
@@ -24,27 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .evaluation import (EvalWorkspace, aggregate_initial, evaluate_exact,
-                         expand_joint_policy, forward_marginals,
-                         joint_components)
+from .evaluation import (aggregate_initial, evaluate_exact,
+                         expand_joint_policy, finite_risk, fold_stage,
+                         forward_marginals, joint_components, log_policy,
+                         stage_backup)
 from .model import DecPomdpModel
 from .policy import (DeterministicAgentSlice, JointPolicy, mix_policies,
                      random_policy)
-from .risk import RiskParameter
-
-
-class NumericError(RuntimeError):
-    """A value tensor left the finite range (reported with stage and cell)."""
-
-
-@dataclass
-class TiltedValueTensor:
-    """L_t over (s, y, z_): lam * V_t in the log domain, or V_t when plain."""
-
-    t: int
-    values: np.ndarray
-    lam: float
-    is_plain: bool
 
 
 @dataclass
@@ -155,24 +138,6 @@ class FloatCounter:
         self.current -= self._live.pop(name)
 
 
-def dynamics_support(model: DecPomdpModel):
-    """CSR-style support of P over flat (s*A + a) rows; cached on the model."""
-    cached = getattr(model, "_support", None)
-    if cached is not None:
-        return cached
-    S, A, Y = model.state_count, model.joint_action_count, model.joint_obs_count
-    flat = model.P.reshape(S * A, S * Y)
-    rows, cols = np.nonzero(flat)
-    indptr = np.zeros(S * A + 1, dtype=np.int64)
-    np.add.at(indptr, rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    p = flat[rows, cols]
-    support = (indptr, (cols // Y).astype(np.int64),
-               (cols % Y).astype(np.int64), p, np.log(p))
-    model._support = support
-    return support
-
-
 class SolveWorkspace:
     """Registered work tensors plus unregistered scratch for one model/|Z|."""
 
@@ -190,69 +155,9 @@ class SolveWorkspace:
         self.l_a = np.zeros((S, Y, Z))
         self.l_b = np.zeros((S, Y, Z))
         self.q_red = np.zeros((S, A, Z))
-        self.support = dynamics_support(model)
         self.y_comps = joint_components(model.obs_counts)
         self.w_comps = joint_components(self.z_sizes)
         self.a_comps = joint_components(model.action_counts)
-        self.eval_ws = EvalWorkspace.for_dims(S, Y, Z)
-        self.lam_r = np.zeros((S, A))
-
-
-def _tilted_q(model, l_next, risk: RiskParameter, ws: SolveWorkspace = None):
-    """Reduced local value q[s, a, z] of the stage under L_{t+1}."""
-    S, A = model.state_count, model.joint_action_count
-    Z = l_next.shape[2]
-    support = ws.support if ws is not None else dynamics_support(model)
-    out = ws.q_red if ws is not None else np.zeros((S, A, Z))
-    indptr, sp, yp, p, logp = support
-    if risk.is_neutral:
-        kernels.tilted_q_mean(indptr, sp, yp, p, model.r, l_next, out)
-    else:
-        if ws is not None:
-            np.multiply(model.r, risk.lam, out=ws.lam_r)
-            lam_r = ws.lam_r
-        else:
-            lam_r = risk.lam * model.r
-        kernels.tilted_q_log(indptr, sp, yp, logp, lam_r, l_next, out)
-    return out
-
-
-def backward_tilted_values(model: DecPomdpModel, policy: JointPolicy,
-                           lam) -> list:
-    """Full backward pass; element k holds L_{k+1}, so index 0 is L_1."""
-    risk = lam if isinstance(lam, RiskParameter) else RiskParameter(float(lam))
-    if not 0.0 <= risk.lam < math.inf:
-        raise ValueError("tilted recursion requires finite lam >= 0")
-    S, Y = model.state_count, model.joint_obs_count
-    Z = int(np.prod(policy.agent_state_sizes))
-    l_next = np.zeros((S, Y, Z))
-    out = []
-    for t in range(model.horizon, 0, -1):
-        q_red = _tilted_q(model, l_next, risk)
-        m = expand_joint_policy(policy, t - 1)
-        l_cur = np.zeros((S, Y, Z))
-        if risk.is_neutral:
-            kernels.fold_policy_mean(m, q_red, l_cur)
-        else:
-            kernels.fold_policy_log(_log_policy(m), q_red, l_cur)
-        _check_finite(l_cur, t)
-        out.append(TiltedValueTensor(t=t, values=l_cur, lam=risk.lam,
-                                     is_plain=risk.is_neutral))
-        l_next = l_cur
-    out.reverse()
-    return out
-
-
-def _check_finite(arr: np.ndarray, t: int):
-    if not np.isfinite(arr).all():
-        cell = np.argwhere(~np.isfinite(arr))[0]
-        raise NumericError(
-            f"nonfinite tilted value at t={t}, cell={tuple(int(c) for c in cell)}"
-        )
-
-
-def _log_policy(m: np.ndarray) -> np.ndarray:
-    return np.log(m, where=m > 0, out=np.full_like(m, -np.inf))
 
 
 def averaged_local_q(model: DecPomdpModel, zeta_t: np.ndarray,
@@ -264,10 +169,13 @@ def averaged_local_q(model: DecPomdpModel, zeta_t: np.ndarray,
     t is 1-based. l_next holds L_{t+1}; the stage is backed up into its
     reduced (s, a, z) form, which the kernels broadcast over (y, z_).
     """
-    risk = lam if isinstance(lam, RiskParameter) else RiskParameter(float(lam))
-    q_red = _tilted_q(model, l_next, risk, workspace)
-    return _averaged_local_q(model, zeta_t, policy, t, q_red, risk, agent,
-                             workspace)
+    risk = finite_risk(lam, "averaged_local_q")
+    S, A = model.state_count, model.joint_action_count
+    q_red = np.empty((S, A, l_next.shape[2]))
+    with kernels.quiet_overflow():
+        stage_backup(model, l_next, risk, q_red)
+        return _averaged_local_q(model, zeta_t, policy, t, q_red, risk,
+                                 agent, workspace)
 
 
 def _averaged_local_q(model, zeta_t, policy, t, q_red, risk, agent, ws):
@@ -294,7 +202,7 @@ def _averaged_local_q(model, zeta_t, policy, t, q_red, risk, agent, ws):
         with np.errstate(divide="ignore"):
             log_zeta = np.log(zeta_t)
         scratch = np.full((yi, wi, ai, wi), -np.inf)
-        kernels.local_weights_log(log_zeta, _log_policy(copi), q_red, *comp,
+        kernels.local_weights_log(log_zeta, log_policy(copi), q_red, *comp,
                                   scratch, table)
     return AveragedLocalQ(agent=agent, t=t, table=table, mass=mass,
                           lam=risk.lam, is_plain=risk.is_neutral)
@@ -329,54 +237,37 @@ def _update_agent_at(model, policy, t, zeta_t, q_red, risk, alpha, agent, ws):
         policy.tables[agent][t - 1] = mixed
 
 
-def _refold(model, policy, t, q_red, l_cur, risk, ws):
-    m = expand_joint_policy(policy, t - 1)
-    if risk.is_neutral:
-        kernels.fold_policy_mean(m, q_red, l_cur)
-    else:
-        kernels.fold_policy_log(_log_policy(m), q_red, l_cur)
-    _check_finite(l_cur, t)
-
-
 def sweep(model: DecPomdpModel, policy: JointPolicy, lam, alpha: float,
           ordering: str = "sequential",
           workspace: SolveWorkspace = None) -> float:
-    """One full backward pass of agent updates; mutates the policy in place.
+    """One backward pass of agent updates per agent group; mutates the policy.
 
-    Returns the sweep's risk objective, read off the refolded L_1. The
-    marginals are computed from the incumbent policy before any stage is
-    touched: zeta_t only depends on the rows at stages before t, which the
-    t..T walk has not yet modified.
+    `sequential` updates all agents at each stage in one pass; `per_agent`
+    runs one pass per agent. Each pass recomputes the forward marginals from
+    the incumbent policy before any stage is touched: zeta_t only depends on
+    the rows at stages before t, which the T..t walk has not yet modified.
+    Returns the risk objective read off the last pass's L_1.
     """
-    risk = lam if isinstance(lam, RiskParameter) else RiskParameter(float(lam))
-    if not 0.0 <= risk.lam < math.inf:
-        raise ValueError("sweep requires finite lam >= 0")
-    ws = workspace or SolveWorkspace(model, policy.agent_state_sizes)
-    agents = range(model.n_agents)
+    risk = finite_risk(lam, "sweep")
     if ordering == "sequential":
-        forward_marginals(model, policy, out=ws.zeta)
-        l_next, l_cur = ws.l_a, ws.l_b
-        l_next[:] = 0.0
-        for t in range(model.horizon, 0, -1):
-            q_red = _tilted_q(model, l_next, risk, ws)
-            for i in agents:
-                _update_agent_at(model, policy, t, ws.zeta[t - 1], q_red,
-                                 risk, alpha, i, ws)
-            _refold(model, policy, t, q_red, l_cur, risk, ws)
-            l_next, l_cur = l_cur, l_next
+        groups = [range(model.n_agents)]
     elif ordering == "per_agent":
-        for i in agents:
+        groups = [[i] for i in range(model.n_agents)]
+    else:
+        raise ValueError(f"unknown ordering {ordering!r}")
+    ws = workspace or SolveWorkspace(model, policy.agent_state_sizes)
+    with kernels.quiet_overflow():
+        for group in groups:
             forward_marginals(model, policy, out=ws.zeta)
             l_next, l_cur = ws.l_a, ws.l_b
             l_next[:] = 0.0
             for t in range(model.horizon, 0, -1):
-                q_red = _tilted_q(model, l_next, risk, ws)
-                _update_agent_at(model, policy, t, ws.zeta[t - 1], q_red,
-                                 risk, alpha, i, ws)
-                _refold(model, policy, t, q_red, l_cur, risk, ws)
+                stage_backup(model, l_next, risk, ws.q_red)
+                for i in group:
+                    _update_agent_at(model, policy, t, ws.zeta[t - 1],
+                                     ws.q_red, risk, alpha, i, ws)
+                fold_stage(policy, t, ws.q_red, risk, l_cur)
                 l_next, l_cur = l_cur, l_next
-    else:
-        raise ValueError(f"unknown ordering {ordering!r}")
     return aggregate_initial(model, policy, l_next, risk)
 
 
@@ -411,7 +302,7 @@ def rscpi(model: DecPomdpModel, config: SolverConfig,
             lam_k = config.lam_at(k)
             alpha_k = 1.0 if config.disable_cpi else config.alpha
             j_risk = sweep(model, policy, lam_k, alpha_k, config.ordering, ws)
-            j = evaluate_exact(model, policy, ws.eval_ws)
+            j = evaluate_exact(model, policy)
             trace.append((lam_k, j_risk, j))
             if lam_k == 0.0:
                 if prev is not None and j_risk - prev < config.tol:

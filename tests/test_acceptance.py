@@ -20,6 +20,7 @@ from _benchmarks import (
 )
 from oracles import forward_sum_eval
 from rscpi.evaluation import (
+    backward,
     evaluate_exact,
     forward_marginals,
     rollout_monte_carlo,
@@ -35,7 +36,6 @@ from rscpi.risk import (
 from rscpi.solver import (
     SolverConfig,
     averaged_local_q,
-    backward_tilted_values,
     greedy_agent_update,
     rscpi,
     sweep,
@@ -224,6 +224,15 @@ def test_05_ablations_collapse_to_always_listen(dectiger6):
         assert val < reference, (name, val, reference)
 
 
+def _tilted_stack(model, policy, lam):
+    """Every L_t of the backward recursion; row t - 1 holds L_t."""
+    Z = int(np.prod(policy.agent_state_sizes))
+    stack = np.empty((model.horizon, model.state_count,
+                      model.joint_obs_count, Z))
+    backward(model, policy, lam, out=stack)
+    return stack
+
+
 def _tail_objective(zeta_t, l_t, risk):
     if risk.is_neutral:
         return float(np.sum(zeta_t * l_t))
@@ -251,12 +260,12 @@ def test_06_conservative_update_never_degrades_tail():
         alpha = float(rng.choice([0.1, 0.3, 0.5, 1.0]))
 
         zeta_t = forward_marginals(model, policy).at(t)
-        tilted = backward_tilted_values(model, policy, risk)
+        tilted = _tilted_stack(model, policy, risk)
         S, Y = model.state_count, model.joint_obs_count
         Z = int(np.prod(z_sizes))
-        l_next = (tilted[t].values if t < horizon
+        l_next = (tilted[t] if t < horizon
                   else np.zeros((S, Y, Z)))
-        j_before = _tail_objective(zeta_t, tilted[t - 1].values, risk)
+        j_before = _tail_objective(zeta_t, tilted[t - 1], risk)
 
         qbar = averaged_local_q(model, zeta_t, policy, t, l_next, risk,
                                 agent)
@@ -267,7 +276,7 @@ def test_06_conservative_update_never_degrades_tail():
             mixed[keep] = tab[keep]
         policy.tables[agent][t - 1] = mixed
 
-        l_after = backward_tilted_values(model, policy, risk)[t - 1].values
+        l_after = _tilted_stack(model, policy, risk)[t - 1]
         j_after = _tail_objective(zeta_t, l_after, risk)
         assert j_after >= j_before - 1e-9, (k, j_before, j_after)
     assert time.perf_counter() - t0 < 30.0
@@ -302,11 +311,11 @@ def test_07_greedy_fixpoint_is_a_no_op():
         assert converged, (k, lam)
 
         traj = forward_marginals(model, policy)
-        tilted = backward_tilted_values(model, policy, lam)
+        tilted = _tilted_stack(model, policy, lam)
         S, Y = model.state_count, model.joint_obs_count
         Z = int(np.prod(z_sizes))
         for t in range(1, horizon + 1):
-            l_next = (tilted[t].values if t < horizon
+            l_next = (tilted[t] if t < horizon
                       else np.zeros((S, Y, Z)))
             for agent in range(model.n_agents):
                 qbar = averaged_local_q(model, traj.at(t), policy, t,

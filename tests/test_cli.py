@@ -1,11 +1,17 @@
 """End-to-end subcommand tests driven through bench_cli.main."""
 
 import csv
+import io
 import json
 import math
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _benchmarks import dectiger_block_policy, dectiger_text
 from rscpi.bench_cli import (ABLATION_ORDER, CSV_COLUMNS, RunRecord,
@@ -239,12 +245,10 @@ class TestEval:
                   for y, a in zip(model.obs_counts, model.action_counts)]
         path = self.write_policy(tmp_path, JointPolicy(
             horizon=3, agent_state_sizes=(1, 1), tables=tables))
-        with pytest.warns(RuntimeWarning):  # the chain values overflow
-            code, out, err = run_cli(capsys, "eval", "--model",
-                                     str(model_path), "--horizon", "3",
-                                     "--policy", str(path))
+        code, out, err = run_cli(capsys, "eval", "--model", str(model_path),
+                                 "--horizon", "3", "--policy", str(path))
         assert code == 3 and out == ""
-        assert "non-finite result" in err
+        assert "nonfinite tilted value at t=" in err
 
     def test_missing_policy_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "eval", "--model", "matrix-game",
@@ -258,6 +262,55 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "--model", "matrix-game",
                                "--horizon", "1", "--policy", str(path))
         assert code == 2 and "error:" in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=12)
+
+
+def matrix_doc_with(field, value):
+    """The uniform matrix-game policy document, one field replaced by value
+    (field None: the whole document)."""
+    doc = json.loads(policy_to_json(MATRIX_UNIFORM))
+    if field is None:
+        return json.dumps(value)
+    doc[field] = value
+    return json.dumps(doc)
+
+
+class TestEvalPolicyFuzz:
+    @given(text=st.builds(
+        matrix_doc_with,
+        st.sampled_from([None, "horizon", "agent_state_sizes", "tables",
+                         "phi"]),
+        JSON_VALUES))
+    @example(text="[]")
+    @example(text='"x"')
+    @example(text='{"horizon": 1, "agent_state_sizes": null, "tables": [], '
+                  '"phi": []}')
+    @example(text=matrix_doc_with("tables", 5))
+    @example(text=matrix_doc_with("phi", 3))
+    @example(text=matrix_doc_with("horizon", 1).replace(
+        '"horizon": 1,', '"horizon": 1e999,'))
+    @settings(max_examples=150, deadline=None)
+    def test_malformed_policy_exits_2_with_a_diagnostic(self, text):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "policy.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["eval", "--model", "matrix-game", "--horizon",
+                             "1", "--policy", path])
+        assert code in (0, 2)
+        if code == 2:
+            assert out.getvalue() == "" and "error:" in err.getvalue()
+        else:
+            strict_json(out.getvalue())
 
 
 class TestSweep:

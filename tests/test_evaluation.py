@@ -10,12 +10,14 @@ from _benchmarks import (dectiger_block_policy, dectiger_model,
 from oracles import (evaluate_enum, evaluate_risk_enum,
                      expand_joint_policy_gather, forward_sum_eval,
                      marginal_enum)
-from rscpi.evaluation import (evaluate_exact, evaluate_risk,
+from rscpi.bench_cli import load_model
+from rscpi.evaluation import (NumericError, evaluate_exact, evaluate_risk,
                               expand_joint_policy, forward_marginals,
                               joint_phi, rollout_monte_carlo)
 from rscpi.model import matrix_game_model
 from rscpi.policy import JointPolicy, random_policy
 from rscpi.risk import certainty_equivalent
+from test_cli import HUGE_REWARD_MODEL
 
 MATRIX_PAYOFFS = [[2.0, -10.0], [-10.0, 6.0]]
 
@@ -133,6 +135,15 @@ class TestEvaluateExact:
         model6 = dectiger_model(horizon=6)
         got6 = evaluate_exact(model6, dectiger_block_policy(6))
         assert got6 == pytest.approx(2 * 5.1908125, abs=1e-10)
+
+    def test_overflow_raises_numeric_error(self, tmp_path):
+        # rewards of 9e307 are finite, but three stages of them are not
+        path = tmp_path / "huge.dpomdp"
+        path.write_text(HUGE_REWARD_MODEL)
+        model, _ = load_model(str(path), 3)
+        policy = random_policy_for(model, (1, 1), seed=0)
+        with pytest.raises(NumericError, match="t="):
+            evaluate_exact(model, policy)
 
     def test_recycling_closed_forms_long_horizon(self):
         # geometric closed forms for the two reactive rules at T=100

@@ -8,15 +8,15 @@ import pytest
 from _benchmarks import (dectiger_model, fully_observed_model, random_model,
                          random_policy_for)
 from oracles import logmeanexp_direct
-from rscpi import kernels
-from rscpi.evaluation import (aggregate_initial, evaluate_exact, evaluate_risk,
+from rscpi import solver
+from rscpi.evaluation import (NumericError, aggregate_initial, backward,
+                              evaluate_exact, evaluate_risk,
                               forward_marginals, joint_components)
 from rscpi.model import matrix_game_model
 from rscpi.policy import JointPolicy, mix_policies
 from rscpi.risk import (RiskParameter, risk_value_iteration,
                         weighted_logmeanexp)
-from rscpi.solver import (AveragedLocalQ, NumericError, SolverConfig,
-                          averaged_local_q, backward_tilted_values,
+from rscpi.solver import (AveragedLocalQ, SolverConfig, averaged_local_q,
                           greedy_agent_update, rscpi, sweep)
 
 MATRIX_PAYOFFS = [[2.0, -10.0], [-10.0, 6.0]]
@@ -45,19 +45,27 @@ def matrix_qbar(p2, lam):
     return averaged_local_q(model, zeta1, policy, 1, l_next, lam, 0)
 
 
+def value_stack(model, policy):
+    """A (T, S, Y, Z) tensor for backward(..., out=) to fill with every L_t."""
+    Z = int(np.prod(policy.agent_state_sizes))
+    return np.full((model.horizon, model.state_count, model.joint_obs_count,
+                    Z), np.nan)
+
+
 class TestBackwardTiltedValues:
     def test_matrix_game_base_case(self):
         model = matrix_game_model(MATRIX_PAYOFFS)
         policy = interior_matrix_policy(0.9, 0.9)
         lam = 1.0
-        out = backward_tilted_values(model, policy, lam)
-        assert len(out) == 1
-        assert out[0].t == 1 and not out[0].is_plain
+        stack = value_stack(model, policy)
+        l1 = backward(model, policy, lam, out=stack)
+        assert stack.shape == (1, 1, 1, 1)
+        assert np.array_equal(l1, stack[0])
         # L_1 = log sum_a pi(a) exp(lam * payoff(a))
         probs = [0.81, 0.09, 0.09, 0.01]
         vals = [2.0, -10.0, -10.0, 6.0]
         want = math.log(sum(p * math.exp(v) for p, v in zip(probs, vals)))
-        assert out[0].values[0, 0, 0] == pytest.approx(want, abs=1e-12)
+        assert l1[0, 0, 0] == pytest.approx(want, abs=1e-12)
 
     def test_constant_reward_scales_linearly(self):
         rng = np.random.default_rng(0)
@@ -65,33 +73,37 @@ class TestBackwardTiltedValues:
         model.r[:] = 1.3
         policy = random_policy_for(model, (2, 2), seed=1)
         for lam in (0.5, 2.0):
-            out = backward_tilted_values(model, policy, lam)
-            np.testing.assert_allclose(out[0].values / lam, 4 * 1.3,
-                                       atol=1e-9)
+            l1 = backward(model, policy, lam)
+            np.testing.assert_allclose(l1 / lam, 4 * 1.3, atol=1e-9)
 
     def test_neutral_aggregate_matches_exact_evaluation(self):
         rng = np.random.default_rng(2)
         for k in range(10):
             model = random_model(rng, horizon=int(rng.integers(2, 5)))
             policy = random_policy_for(model, (2, 2), seed=10 + k)
-            out = backward_tilted_values(model, policy, 0.0)
-            assert all(tv.is_plain for tv in out)
-            j = aggregate_initial(model, policy, out[0].values,
-                                  RiskParameter(0.0))
+            l1 = backward(model, policy, 0.0)
+            j = aggregate_initial(model, policy, l1, RiskParameter(0.0))
             assert j == pytest.approx(evaluate_exact(model, policy), abs=1e-9)
 
     def test_stage_indexing(self):
         model = dectiger_model(horizon=4)
         policy = random_policy_for(model, (2, 2), seed=0)
-        out = backward_tilted_values(model, policy, 0.5)
-        assert [tv.t for tv in out] == [1, 2, 3, 4]
-        assert all(np.isfinite(tv.values).all() for tv in out)
+        stack = value_stack(model, policy)
+        l1 = backward(model, policy, 0.5, out=stack)
+        assert np.isfinite(stack).all()
+        assert np.array_equal(l1, stack[0])
+        # out[t - 1] holds L_t: the last stage is the one-step backup alone
+        last = JointPolicy(horizon=1,
+                           agent_state_sizes=policy.agent_state_sizes,
+                           tables=[tab[3:] for tab in policy.tables])
+        np.testing.assert_array_equal(
+            backward(dectiger_model(horizon=1), last, 0.5), stack[3])
 
     def test_negative_lambda_rejected(self):
         model = matrix_game_model(MATRIX_PAYOFFS)
         policy = interior_matrix_policy(0.5, 0.5)
         with pytest.raises(ValueError, match="lam"):
-            backward_tilted_values(model, policy, -1.0)
+            backward(model, policy, -1.0)
 
     def test_overflow_raises_numeric_error(self):
         rng = np.random.default_rng(3)
@@ -99,7 +111,7 @@ class TestBackwardTiltedValues:
         model.r[:] = 9e307  # finite, but sums past the float64 ceiling
         policy = random_policy_for(model, (2, 2), seed=4)
         with pytest.raises(NumericError, match="nonfinite tilted value at t="):
-            backward_tilted_values(model, policy, 1.0)
+            backward(model, policy, 1.0)
 
 
 class TestAveragedLocalQ:
@@ -204,10 +216,11 @@ class TestGreedyAgentUpdate:
         policy = random_policy_for(model, (2, 2), seed=12)
         traj = forward_marginals(model, policy)
         for lam in (1e-6, 0.1, 1.0, 5.0):
-            tilted = backward_tilted_values(model, policy, lam)
+            tilted = value_stack(model, policy)
+            backward(model, policy, lam, out=tilted)
             for agent in (0, 1):
                 qbar = averaged_local_q(model, traj.at(2), policy, 2,
-                                        tilted[2].values, lam, agent)
+                                        tilted[2], lam, agent)
                 yi, wi, ai, zi = qbar.table.shape
                 flat_w = qbar.table.reshape(yi, wi, ai * zi)
                 flat_q = qbar.q_values().reshape(yi, wi, ai * zi)
@@ -277,26 +290,22 @@ class TestSweep:
 class TestStageBackups:
     """A sweep backs each stage up once and shares it across the stage."""
 
-    @pytest.mark.parametrize("lam, kernel", [(0.0, "tilted_q_mean"),
-                                             (0.7, "tilted_q_log")])
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
     @pytest.mark.parametrize("ordering", ["sequential", "per_agent"])
-    def test_one_backup_per_stage(self, monkeypatch, lam, kernel, ordering):
+    def test_one_backup_per_stage(self, monkeypatch, lam, ordering):
         calls = []
+        backup = solver.stage_backup
 
-        def counted(name, fn):
-            def wrapped(*args):
-                calls.append(name)
-                return fn(*args)
-            return wrapped
+        def counted(model, l_next, risk, out):
+            calls.append(risk.lam)
+            return backup(model, l_next, risk, out)
 
-        for name in ("tilted_q_mean", "tilted_q_log"):
-            monkeypatch.setattr(kernels, name,
-                                counted(name, getattr(kernels, name)))
+        monkeypatch.setattr(solver, "stage_backup", counted)
         model = random_model(np.random.default_rng(19), horizon=4)
         policy = random_policy_for(model, (2, 2), seed=70)
         sweep(model, policy, lam, 0.5, ordering=ordering)
         passes = model.n_agents if ordering == "per_agent" else 1
-        assert calls == [kernel] * (passes * model.horizon)
+        assert calls == [lam] * (passes * model.horizon)
 
 
 class TestFixpoints:
