@@ -3,7 +3,7 @@
 
 The backend is fixed at import time by RSCPI_BACKEND, so each one runs in
 its own subprocess and the parent merges the timings into one table. Rows
-cover the four hot kernels plus full solver sweeps on two synthetic models;
+cover the two hot kernels plus full solver sweeps on two synthetic models;
 numbers are best-of-R wall times after a warmup call (which also absorbs
 JIT compilation).
 
@@ -63,8 +63,7 @@ def best_time(fn, repeats):
 
 def build_cases(size_key, seed=0):
     from rscpi import kernels
-    from rscpi.evaluation import (dynamics_support, expand_joint_policy,
-                                  forward_marginals, joint_components)
+    from rscpi.evaluation import dynamics_support, expand_joint_policy
     from rscpi.policy import random_policy
     from rscpi.solver import SolveWorkspace, sweep
 
@@ -85,31 +84,14 @@ def build_cases(size_key, seed=0):
     q_red = rng.normal(size=(S, A, W))
     q_out = np.zeros((S, A, W))
     l_out = np.zeros((S, Y, W))
-    m = expand_joint_policy(policy, 0)
-    zeta = forward_marginals(model, policy).at(2)
-    copi = expand_joint_policy(policy, 1, skip_agent=0)
     with np.errstate(divide="ignore"):
-        log_m = np.log(m)
-        log_zeta = np.log(zeta)
-        log_copi = np.log(copi)
-    y_comp = joint_components(model.obs_counts)[0]
-    w_comp = joint_components(z_sizes)[0]
-    a_comp = joint_components(model.action_counts)[0]
-    lw_shape = (model.obs_counts[0], z_sizes[0], model.action_counts[0],
-                z_sizes[0])
-    lw_out = np.zeros(lw_shape)
-    lw_max = np.zeros(lw_shape)
+        log_m = np.log(expand_joint_policy(policy, 0))
 
     cases = [
         ("tilted_q_log", lambda: kernels.tilted_q_log(
             indptr, sp, yp, logp, lam_r, l_next, q_out)),
         ("fold_policy_log", lambda: kernels.fold_policy_log(
             log_m, q_red, l_out)),
-        ("local_weights_log", lambda: kernels.local_weights_log(
-            log_zeta, log_copi, q_red, y_comp, w_comp, a_comp, w_comp,
-            lw_max, lw_out)),
-        ("local_weights_mean", lambda: kernels.local_weights_mean(
-            zeta, copi, q_red, y_comp, w_comp, a_comp, w_comp, lw_out)),
     ]
 
     ws = SolveWorkspace(model, z_sizes)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -89,6 +90,25 @@ class RunConfigFile:
             val = getattr(cfg, name)
             if not isinstance(val, list) or not val:
                 raise ValueError(f"config field '{name}' must be a nonempty list")
+        rules = [
+            (("model", "out", "init_obs"), "a string",
+             lambda v: isinstance(v, str)),
+            (("max_sweeps", "restarts", "workers"), "an integer >= 1",
+             lambda v: _is_int(v, 1)),
+            (("horizons",), "a list of integers >= 1",
+             lambda v: all(_is_int(x, 1) for x in v)),
+            (("anneal_sweeps", "seeds"), "a list of integers >= 0",
+             lambda v: all(_is_int(x, 0) for x in v)),
+            (("agent_states",), "a list of integers >= 1 or of lists of them",
+             lambda v: all(_is_int(x, 1) or isinstance(x, list)
+                           and all(_is_int(z, 1) for z in x) for x in v)),
+            (("lambda0", "alpha"), "a list of finite numbers",
+             lambda v: all(_is_finite(x) for x in v)),
+        ]
+        for names, what, ok in rules:
+            for name in names:
+                if not ok(getattr(cfg, name)):
+                    raise ValueError(f"config field '{name}' must be {what}")
         for ab in cfg.ablations:
             if ab not in ABLATION_ORDER:
                 raise ValueError(f"unknown ablation '{ab}'; "
@@ -96,6 +116,20 @@ class RunConfigFile:
         if cfg.init_obs not in ("dummy", "uniform"):
             raise ValueError("init_obs must be 'dummy' or 'uniform'")
         return cfg
+
+
+def _is_int(value, lo: int) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= lo)
+
+
+def _is_finite(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an int beyond float range
+        return False
 
 
 def _init_obs_mode(flag: str) -> str:
@@ -119,8 +153,11 @@ def load_model(path: str, horizon: int, init_obs: str = "dummy"):
         return model, "matrix-game"
     if not os.path.exists(path):
         raise ValueError(f"{path}: error: model file not found")
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: error: {exc}") from None
     raw, diags = parse_dpomdp(text)
     if raw is None:
         raise ValueError(render_diagnostics(diags, path))
@@ -264,8 +301,9 @@ def cmd_sweep(args) -> int:
         for ab in cfg.ablations for l0 in cfg.lambda0 for a in cfg.alpha
         for k1 in cfg.anneal_sweeps for seed in cfg.seeds
     ]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    workers = min(cfg.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_task, tasks))
     else:
         outcomes = [_sweep_task(t) for t in tasks]
@@ -279,11 +317,15 @@ def cmd_sweep(args) -> int:
     if not rows:
         print("error: every grid cell failed", file=sys.stderr)
         return 2
-    path = _append_rows(cfg.out, rows)
-    report = render_report(path)
-    with open(os.path.join(cfg.out, "report.md"), "w",
-              encoding="utf-8") as fh:
-        fh.write(report)
+    try:
+        path = _append_rows(cfg.out, rows)
+        report = render_report(path)
+        with open(os.path.join(cfg.out, "report.md"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(report)
+    except OSError as exc:
+        print(f"{cfg.out}:0: error: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps({"rows": len(rows), "failed": failures,
                       "csv": path}))
     return 0

@@ -47,6 +47,10 @@ class JointPolicy:
     def validate(self):
         if len(self.phi) != len(self.tables):
             raise ValueError("phi and tables must cover the same agents")
+        if len(self.agent_state_sizes) != len(self.tables):
+            raise ValueError(
+                f"agent_state_sizes lists {len(self.agent_state_sizes)} "
+                f"sizes for {len(self.tables)} tables")
         for i, tab in enumerate(self.tables):
             if tab.ndim != 5 or tab.shape[0] != self.horizon:
                 raise ValueError(f"agent {i} table has shape {tab.shape}")

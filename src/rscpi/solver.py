@@ -23,8 +23,7 @@ import numpy as np
 from . import kernels
 from .evaluation import (aggregate_initial, evaluate_exact,
                          expand_joint_policy, finite_risk, fold_stage,
-                         forward_marginals, joint_components, log_policy,
-                         stage_backup)
+                         forward_marginals, log_policy, stage_backup)
 from .model import DecPomdpModel
 from .policy import (DeterministicAgentSlice, JointPolicy, mix_policies,
                      random_policy)
@@ -155,56 +154,77 @@ class SolveWorkspace:
         self.l_a = np.zeros((S, Y, Z))
         self.l_b = np.zeros((S, Y, Z))
         self.q_red = np.zeros((S, A, Z))
-        self.y_comps = joint_components(model.obs_counts)
-        self.w_comps = joint_components(self.z_sizes)
-        self.a_comps = joint_components(model.action_counts)
 
 
 def averaged_local_q(model: DecPomdpModel, zeta_t: np.ndarray,
                      policy: JointPolicy, t: int, l_next: np.ndarray,
-                     lam, agent: int,
-                     workspace: SolveWorkspace = None) -> AveragedLocalQ:
+                     lam, agent: int) -> AveragedLocalQ:
     """Average the stage's local values over zeta_t and the co-agents' rows.
 
     t is 1-based. l_next holds L_{t+1}; the stage is backed up into its
-    reduced (s, a, z) form, which the kernels broadcast over (y, z_).
+    reduced (s, a, z) form, which is broadcast over (y, z_).
     """
     risk = finite_risk(lam, "averaged_local_q")
     S, A = model.state_count, model.joint_action_count
     q_red = np.empty((S, A, l_next.shape[2]))
     with kernels.quiet_overflow():
         stage_backup(model, l_next, risk, q_red)
-        return _averaged_local_q(model, zeta_t, policy, t, q_red, risk,
-                                 agent, workspace)
+        return _averaged_local_q(model, zeta_t, policy, t, q_red, risk, agent)
 
 
-def _averaged_local_q(model, zeta_t, policy, t, q_red, risk, agent, ws):
-    """averaged_local_q on the stage's backed-up q_red."""
-    z_sizes = policy.agent_state_sizes
-    if ws is not None:
-        y_comps, w_comps, a_comps = ws.y_comps, ws.w_comps, ws.a_comps
-    else:
-        y_comps = joint_components(model.obs_counts)
-        w_comps = joint_components(z_sizes)
-        a_comps = joint_components(model.action_counts)
+def _agent_last(x: np.ndarray, agent: int, n: int) -> np.ndarray:
+    """x with agent's axis of every per-agent group moved to the end.
+
+    x has one leading axis, then groups of n per-agent axes (Y_1..Y_N,
+    W_1..W_N, ...). The co-agents' axes keep their order, so the axes in
+    front flatten in the row-major order of the flat joint cells.
+    """
+    groups = range(1, x.ndim, n)
+    co = [g + j for g in groups for j in range(n) if j != agent]
+    return x.transpose([0] + co + [g + agent for g in groups])
+
+
+def _averaged_local_q(model, zeta_t, policy, t, q_red, risk, agent):
+    """averaged_local_q on the stage's backed-up q_red.
+
+    zeta_t, the co-policy and q_red are viewed on per-agent axes (S, Y_1..,
+    W_1.., A_1.., Z_1..) with agent i's axes last, so every (y^i, w^i, a^i,
+    z^i) cell is one column of the (rows, cells) product. A column sum adds
+    the rows one at a time in flat joint order; lam > 0 shifts each column
+    by its own max before the exp.
+    """
+    n = model.n_agents
+    y_sizes, a_sizes = model.obs_counts, model.action_counts
+    w_sizes = policy.agent_state_sizes
+    ones = (1,) * (2 * n)
+    shape = (y_sizes[agent], w_sizes[agent], a_sizes[agent], w_sizes[agent])
+    cells = math.prod(shape)
+    zeta = _agent_last(zeta_t.reshape(-1, *y_sizes, *w_sizes, *ones),
+                       agent, n)
     copi = expand_joint_policy(policy, t - 1, skip_agent=agent)
-    yi = model.obs_counts[agent]
-    wi = z_sizes[agent]
-    ai = model.action_counts[agent]
-    table = np.zeros((yi, wi, ai, wi))
-    mass = np.zeros((yi, wi))
-    np.add.at(mass, (y_comps[agent][:, None], w_comps[agent][None, :]),
-              zeta_t.sum(axis=0))
-    comp = (y_comps[agent], w_comps[agent], a_comps[agent], w_comps[agent])
+    copi = _agent_last(copi.reshape(1, *y_sizes, *w_sizes, *a_sizes,
+                                    *w_sizes), agent, n)
+    q = _agent_last(q_red.reshape(-1, *ones, *a_sizes, *w_sizes), agent, n)
     if risk.is_neutral:
-        kernels.local_weights_mean(zeta_t, copi, q_red, *comp, table)
+        vals = np.multiply(zeta, copi, order="C")
+        vals *= q
+        table = vals.reshape(-1, cells).sum(axis=0)
     else:
         with np.errstate(divide="ignore"):
-            log_zeta = np.log(zeta_t)
-        scratch = np.full((yi, wi, ai, wi), -np.inf)
-        kernels.local_weights_log(log_zeta, log_policy(copi), q_red, *comp,
-                                  scratch, table)
-    return AveragedLocalQ(agent=agent, t=t, table=table, mass=mass,
+            vals = np.add(np.log(zeta), log_policy(copi), order="C")
+        vals += q
+        vals = vals.reshape(-1, cells)
+        top = vals.max(axis=0)
+        ok = np.isfinite(top)
+        vals -= np.where(ok, top, 0.0)
+        acc = np.exp(vals, out=vals).sum(axis=0)
+        table = np.full(cells, -np.inf)
+        table[ok] = top[ok] + np.log(acc[ok])
+    mass = _agent_last(zeta_t.sum(axis=0).reshape(1, *y_sizes, *w_sizes),
+                       agent, n)
+    mass = np.ascontiguousarray(mass).reshape(-1, shape[0] * shape[1])
+    return AveragedLocalQ(agent=agent, t=t, table=table.reshape(shape),
+                          mass=mass.sum(axis=0).reshape(shape[:2]),
                           lam=risk.lam, is_plain=risk.is_neutral)
 
 
@@ -225,8 +245,8 @@ def greedy_agent_update(qbar: AveragedLocalQ,
                                    next_states=(best % zi).astype(np.int64))
 
 
-def _update_agent_at(model, policy, t, zeta_t, q_red, risk, alpha, agent, ws):
-    qbar = _averaged_local_q(model, zeta_t, policy, t, q_red, risk, agent, ws)
+def _update_agent_at(model, policy, t, zeta_t, q_red, risk, alpha, agent):
+    qbar = _averaged_local_q(model, zeta_t, policy, t, q_red, risk, agent)
     tab = policy.tables[agent][t - 1]
     det = greedy_agent_update(qbar, tab)
     mixed = mix_policies(tab, det, alpha)
@@ -265,7 +285,7 @@ def sweep(model: DecPomdpModel, policy: JointPolicy, lam, alpha: float,
                 stage_backup(model, l_next, risk, ws.q_red)
                 for i in group:
                     _update_agent_at(model, policy, t, ws.zeta[t - 1],
-                                     ws.q_red, risk, alpha, i, ws)
+                                     ws.q_red, risk, alpha, i)
                 fold_stage(policy, t, ws.q_red, risk, l_cur)
                 l_next, l_cur = l_cur, l_next
     return aggregate_initial(model, policy, l_next, risk)

@@ -221,10 +221,7 @@ def expand_joint_policy_gather(policy, t, skip_agent=None):
     """
     import numpy as np
 
-    def comps(sizes):
-        grid = np.indices(tuple(sizes))
-        return [g.reshape(-1) for g in grid]
-
+    comps = agent_components
     y_sizes = [tab.shape[1] for tab in policy.tables]
     a_sizes = [tab.shape[3] for tab in policy.tables]
     w_sizes = list(policy.agent_state_sizes)
@@ -241,3 +238,117 @@ def expand_joint_policy_gather(policy, t, skip_agent=None):
             w_c[i][None, None, None, :],
         ]
     return out
+
+
+def agent_components(sizes):
+    """Per-agent component of every flat joint index, row-major agent order."""
+    import numpy as np
+
+    return [g.reshape(-1) for g in np.indices(tuple(sizes))]
+
+
+def local_weights_log(log_zeta, log_copi, q_red, y_comp, w_comp, a_comp,
+                      z_comp, out_max, out):
+    """out[yi, wi, ai, zi] = LSE over all (s, y, w, a, z) whose agent-i
+    components match, of log_zeta[s, y, w] + log_copi[y, w, a, z] +
+    q_red[s, a, z]; one max shift per output cell."""
+    import numpy as np
+
+    NEG_INF = -np.inf
+    S = log_zeta.shape[0]
+    Y, W = log_zeta.shape[1], log_zeta.shape[2]
+    A, Z = q_red.shape[1], q_red.shape[2]
+    out_max[:] = NEG_INF
+    for s in range(S):
+        for y in range(Y):
+            for w in range(W):
+                base = log_zeta[s, y, w]
+                if base == NEG_INF:
+                    continue
+                yi = y_comp[y]
+                wi = w_comp[w]
+                for a in range(A):
+                    for z in range(Z):
+                        v = base + log_copi[y, w, a, z] + q_red[s, a, z]
+                        if v > out_max[yi, wi, a_comp[a], z_comp[z]]:
+                            out_max[yi, wi, a_comp[a], z_comp[z]] = v
+    out[:] = 0.0
+    for s in range(S):
+        for y in range(Y):
+            for w in range(W):
+                base = log_zeta[s, y, w]
+                if base == NEG_INF:
+                    continue
+                yi = y_comp[y]
+                wi = w_comp[w]
+                for a in range(A):
+                    for z in range(Z):
+                        m = out_max[yi, wi, a_comp[a], z_comp[z]]
+                        if m > NEG_INF:
+                            v = base + log_copi[y, w, a, z] + q_red[s, a, z]
+                            out[yi, wi, a_comp[a], z_comp[z]] += np.exp(v - m)
+    for yi in range(out.shape[0]):
+        for wi in range(out.shape[1]):
+            for ai in range(out.shape[2]):
+                for zi in range(out.shape[3]):
+                    m = out_max[yi, wi, ai, zi]
+                    if m == NEG_INF:
+                        out[yi, wi, ai, zi] = NEG_INF
+                    else:
+                        out[yi, wi, ai, zi] = m + np.log(out[yi, wi, ai, zi])
+    return out
+
+
+def local_weights_mean(zeta, copi, q_red, y_comp, w_comp, a_comp, z_comp, out):
+    """out[yi, wi, ai, zi] = sum of zeta[s, y, w] * copi[y, w, a, z] *
+    q_red[s, a, z] over all (s, y, w, a, z) whose agent-i components match."""
+    S = zeta.shape[0]
+    Y, W = zeta.shape[1], zeta.shape[2]
+    A, Z = q_red.shape[1], q_red.shape[2]
+    out[:] = 0.0
+    for s in range(S):
+        for y in range(Y):
+            for w in range(W):
+                base = zeta[s, y, w]
+                if base == 0.0:
+                    continue
+                yi = y_comp[y]
+                wi = w_comp[w]
+                for a in range(A):
+                    for z in range(Z):
+                        out[yi, wi, a_comp[a], z_comp[z]] += (
+                            base * copi[y, w, a, z] * q_red[s, a, z]
+                        )
+    return out
+
+
+def averaged_local_q_loops(zeta, copi, q_red, y_sizes, w_sizes, a_sizes,
+                           agent, lam):
+    """(table, mass) of agent's averaged local value by the loops above.
+
+    copi is the (Y, W, A, W) co-policy table without agent's factor; the
+    table is log-domain for lam > 0 and a plain weighted sum at lam = 0.
+    mass[yi, wi] sums zeta over every (s, y, w) with agent's components.
+    """
+    import numpy as np
+
+    y_comp = agent_components(y_sizes)[agent]
+    w_comp = agent_components(w_sizes)[agent]
+    a_comp = agent_components(a_sizes)[agent]
+    shape = (y_sizes[agent], w_sizes[agent], a_sizes[agent], w_sizes[agent])
+    table = np.zeros(shape)
+    comp = (y_comp, w_comp, a_comp, w_comp)
+    if lam == 0.0:
+        local_weights_mean(zeta, copi, q_red, *comp, table)
+    else:
+        def log_of(x):
+            return np.log(x, where=x > 0, out=np.full_like(x, -np.inf))
+
+        local_weights_log(log_of(zeta), log_of(copi), q_red, *comp,
+                          np.full(shape, -np.inf), table)
+    mass = np.zeros(shape[:2])
+    for s in range(zeta.shape[0]):
+        for y in range(zeta.shape[1]):
+            for w in range(zeta.shape[2]):
+                mass[y_comp[y], w_comp[w]] += zeta[s, y, w]
+    return table, mass

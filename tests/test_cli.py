@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _benchmarks import dectiger_block_policy, dectiger_text
+from rscpi import bench_cli
 from rscpi.bench_cli import (ABLATION_ORDER, CSV_COLUMNS, RunRecord,
                              load_model, main, render_report)
 from rscpi.policy import JointPolicy, policy_to_json
@@ -264,12 +265,19 @@ class TestEval:
         assert code == 2 and "error:" in err
 
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers()
-    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
-    lambda inner: (st.lists(inner, max_size=4)
-                   | st.dictionaries(st.text(), inner, max_size=4)),
-    max_leaves=12)
+def json_values(integers):
+    """Arbitrary JSON documents whose integers come from `integers`."""
+    def containers(inner):
+        return (st.lists(inner, max_size=4)
+                | st.dictionaries(st.text(), inner, max_size=4))
+
+    return st.recursive(
+        st.none() | st.booleans() | integers
+        | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+        containers, max_leaves=12)
+
+
+JSON_VALUES = json_values(st.integers())
 
 
 def matrix_doc_with(field, value):
@@ -376,6 +384,90 @@ class TestSweep:
         assert code == 2
         assert "every grid cell failed" in err
         assert not (tmp_path / "runs.csv").exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("horizons", ["x"]), ("agent_states", ["a"]), ("workers", "2"),
+        ("restarts", None), ("seeds", [0.5]), ("lambda0", [True]),
+        ("max_sweeps", 1.5), ("model", 3)])
+    def test_mistyped_field_exits_2(self, capsys, tmp_path, field, value):
+        path = self.write_config(tmp_path, **{field: value})
+        code, out, err = run_cli(capsys, "sweep", str(path))
+        assert code == 2 and out == ""
+        assert f"error: config field '{field}' must be" in err
+
+    def test_out_on_a_file_exits_2(self, capsys, tmp_path):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        path = self.write_config(tmp_path, out=str(blocker), seeds=[0],
+                                 lambda0=[1.0], ablations=["rs-cpi"])
+        code, out, err = run_cli(capsys, "sweep", str(path))
+        assert code == 2 and out == ""
+        assert f"{blocker}:0: error:" in err
+
+    def test_workers_capped_at_grid_cells(self, capsys, tmp_path,
+                                          monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-cell grid started a process pool")
+
+        monkeypatch.setattr(bench_cli, "ProcessPoolExecutor", refuse)
+        path = self.write_config(tmp_path, workers=10 ** 9, lambda0=[1.0],
+                                 seeds=[0], ablations=["rs-cpi"])
+        code, out, _ = run_cli(capsys, "sweep", str(path))
+        assert code == 0 and json.loads(out)["rows"] == 1
+
+
+# Small integers keep every well-typed cell a millisecond solve: the fuzz
+# is after type and shape errors, not after how long a large grid runs.
+CONFIG_VALUES = json_values(st.integers(-2, 4))
+
+CONFIG_FIELDS = ["model", "horizons", "agent_states", "lambda0", "alpha",
+                 "anneal_sweeps", "seeds", "ablations", "max_sweeps",
+                 "restarts", "init_obs", "workers"]
+
+
+def sweep_doc_with(field, value):
+    """A valid one-cell matrix-game sweep config (its "out" left to the
+    caller), one field replaced by value (field None: the whole document)."""
+    if field is None:
+        return value
+    doc = {"model": "matrix-game", "horizons": [1], "agent_states": [1],
+           "lambda0": [0.0], "alpha": [1.0], "anneal_sweeps": [1],
+           "seeds": [0], "ablations": ["rs-cpi"], "max_sweeps": 20,
+           "restarts": 1}
+    doc[field] = value
+    return doc
+
+
+class TestSweepConfigFuzz:
+    # "out" is fuzzed with non-strings only: a string is a well-typed
+    # directory, and the run would write into it.
+    @given(doc=st.builds(sweep_doc_with,
+                         st.sampled_from([None] + CONFIG_FIELDS),
+                         CONFIG_VALUES)
+           | st.builds(sweep_doc_with, st.just("out"),
+                       CONFIG_VALUES.filter(lambda v: not isinstance(v, str))))
+    @example(doc=sweep_doc_with("horizons", ["x"]))
+    @example(doc=sweep_doc_with("agent_states", ["a"]))
+    @example(doc=sweep_doc_with("workers", "2"))
+    @example(doc=sweep_doc_with("restarts", None))
+    @example(doc=sweep_doc_with("seeds", [0.5]))
+    @example(doc=sweep_doc_with("model", "."))
+    @settings(max_examples=150, deadline=None)
+    def test_malformed_config_exits_2_with_a_diagnostic(self, doc):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            if isinstance(doc, dict):
+                doc.setdefault("out", tmp)
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["sweep", path])
+        assert code in (0, 2)
+        if code == 2:
+            assert out.getvalue() == "" and "error:" in err.getvalue()
+        else:
+            strict_json(out.getvalue())
 
 
 class TestReport:

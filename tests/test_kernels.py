@@ -1,4 +1,5 @@
-"""Backend agreement: loop (numba-compiled) kernels vs the numpy fallback."""
+"""Backend agreement: loop (numba-compiled) kernels vs the numpy fallback,
+and the averaged local value's per-agent reduction vs its loop reference."""
 
 import json
 import os
@@ -10,16 +11,19 @@ import numpy as np
 import pytest
 
 from _benchmarks import random_model, random_policy_for
+from oracles import averaged_local_q_loops, expand_joint_policy_gather
 from rscpi import kernels
 from rscpi.evaluation import (dynamics_support, expand_joint_policy,
-                              joint_components)
+                              finite_risk, stage_backup)
+from rscpi.solver import averaged_local_q
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def kernel_inputs(seed, n_states=3, action_counts=(2, 2), obs_counts=(2, 2),
                   z_sizes=(2, 2), lam=0.7):
-    """One consistent bundle of arguments for all four kernels."""
+    """One consistent bundle of arguments for the kernels and the averaged
+    local value."""
     rng = np.random.default_rng(seed)
     model = random_model(rng, n_states=n_states, action_counts=action_counts,
                          obs_counts=obs_counts, horizon=3)
@@ -29,28 +33,33 @@ def kernel_inputs(seed, n_states=3, action_counts=(2, 2), obs_counts=(2, 2),
     indptr, sp, yp, logp = dynamics_support(model)
     l_next = rng.uniform(-2.0, 2.0, size=(S, Y, Z))
     m = expand_joint_policy(policy, 0)
-    copi = expand_joint_policy(policy, 0, skip_agent=0)
     zeta = rng.dirichlet(np.ones(S * Y * Z)).reshape(S, Y, Z)
     zeta[zeta < 0.002] = 0.0  # genuine zero-mass cells
     zeta /= zeta.sum()
     q_red = rng.uniform(-3.0, 3.0, size=(S, A, Z))
-    y_comps = joint_components(model.obs_counts)
-    w_comps = joint_components(z_sizes)
-    a_comps = joint_components(model.action_counts)
-    comp = (y_comps[0], w_comps[0], a_comps[0], w_comps[0])
-    return dict(model=model, indptr=indptr, sp=sp, yp=yp, logp=logp,
-                l_next=l_next, m=m, copi=copi, zeta=zeta, q_red=q_red,
-                comp=comp, lam=lam, S=S, A=A, Y=Y, Z=Z,
-                yi=model.obs_counts[0], wi=z_sizes[0],
-                ai=model.action_counts[0])
+    return dict(model=model, policy=policy, indptr=indptr, sp=sp, yp=yp,
+                logp=logp, l_next=l_next, m=m, zeta=zeta, q_red=q_red,
+                lam=lam, S=S, A=A, Y=Y, Z=Z)
 
 
 def log_of(arr):
     return np.log(arr, where=arr > 0, out=np.full_like(arr, -np.inf))
 
 
-PAIRS = [(name, kernels.LOOP_IMPLS[name], kernels.NUMPY_IMPLS[name])
-         for name in sorted(kernels.NUMPY_IMPLS)]
+def assert_matches_loops(b, lam, agent):
+    """averaged_local_q's table and mass at t=1 equal the loop reference."""
+    model, policy = b["model"], b["policy"]
+    qbar = averaged_local_q(model, b["zeta"], policy, 1, b["l_next"], lam,
+                            agent)
+    q_red = np.empty((b["S"], b["A"], b["Z"]))
+    with kernels.quiet_overflow():
+        stage_backup(model, b["l_next"], finite_risk(lam, "test"), q_red)
+    table, mass = averaged_local_q_loops(
+        b["zeta"], expand_joint_policy_gather(policy, 0, skip_agent=agent),
+        q_red, model.obs_counts, policy.agent_state_sizes,
+        model.action_counts, agent, lam)
+    np.testing.assert_allclose(qbar.table, table, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(qbar.mass, mass, rtol=0, atol=1e-12)
 
 
 class TestBackendAgreement:
@@ -75,29 +84,33 @@ class TestBackendAgreement:
         kernels.NUMPY_IMPLS["fold_policy_log"](log_of(b["m"]), b["q_red"], out_b)
         np.testing.assert_allclose(out_a, out_b, rtol=0, atol=1e-12)
 
+    # The averaged local value is one numpy reduction on both backends;
+    # these pin it to the loop form in oracles, at lam = 0 and lam > 0.
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_local_weights_log(self, seed):
         b = kernel_inputs(seed)
-        shape = (b["yi"], b["wi"], b["ai"], b["wi"])
-        out_a, out_b = np.zeros(shape), np.zeros(shape)
-        kernels.LOOP_IMPLS["local_weights_log"](
-            log_of(b["zeta"]), log_of(b["copi"]), b["q_red"], *b["comp"],
-            np.full(shape, -np.inf), out_a)
-        kernels.NUMPY_IMPLS["local_weights_log"](
-            log_of(b["zeta"]), log_of(b["copi"]), b["q_red"], *b["comp"],
-            np.full(shape, -np.inf), out_b)
-        np.testing.assert_allclose(out_a, out_b, rtol=0, atol=1e-12)
+        for agent in (0, 1):
+            assert_matches_loops(b, b["lam"], agent)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_local_weights_mean(self, seed):
         b = kernel_inputs(seed)
-        shape = (b["yi"], b["wi"], b["ai"], b["wi"])
-        out_a, out_b = np.zeros(shape), np.zeros(shape)
-        kernels.LOOP_IMPLS["local_weights_mean"](
-            b["zeta"], b["copi"], b["q_red"], *b["comp"], out_a)
-        kernels.NUMPY_IMPLS["local_weights_mean"](
-            b["zeta"], b["copi"], b["q_red"], *b["comp"], out_b)
-        np.testing.assert_allclose(out_a, out_b, rtol=0, atol=1e-12)
+        for agent in (0, 1):
+            assert_matches_loops(b, 0.0, agent)
+
+    def test_asymmetric_agent_spaces(self):
+        b = kernel_inputs(11, action_counts=(3, 2), obs_counts=(2, 3),
+                          z_sizes=(1, 2))
+        for lam in (0.0, 0.7):
+            for agent in (0, 1):
+                assert_matches_loops(b, lam, agent)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_three_agents(self, lam):
+        b = kernel_inputs(13, action_counts=(2, 3, 2), obs_counts=(2, 2, 3),
+                          z_sizes=(2, 1, 2))
+        for agent in (0, 1, 2):
+            assert_matches_loops(b, lam, agent)
 
     def test_active_backend_matches_numpy(self):
         # whatever is bound at module level must agree with the fallback
@@ -109,17 +122,6 @@ class TestBackendAgreement:
                              lam_r, b["l_next"], out_a)
         kernels.NUMPY_IMPLS["tilted_q_log"](
             b["indptr"], b["sp"], b["yp"], b["logp"], lam_r, b["l_next"], out_b)
-        np.testing.assert_allclose(out_a, out_b, rtol=0, atol=1e-12)
-
-    def test_asymmetric_agent_spaces(self):
-        b = kernel_inputs(11, action_counts=(3, 2), obs_counts=(2, 3),
-                          z_sizes=(1, 2))
-        shape = (b["yi"], b["wi"], b["ai"], b["wi"])
-        out_a, out_b = np.zeros(shape), np.zeros(shape)
-        kernels.LOOP_IMPLS["local_weights_mean"](
-            b["zeta"], b["copi"], b["q_red"], *b["comp"], out_a)
-        kernels.NUMPY_IMPLS["local_weights_mean"](
-            b["zeta"], b["copi"], b["q_red"], *b["comp"], out_b)
         np.testing.assert_allclose(out_a, out_b, rtol=0, atol=1e-12)
 
     def test_empty_support_row_gives_neg_inf(self):

@@ -46,6 +46,12 @@ class TestJointPolicy:
         with pytest.raises(ValueError, match="shape"):
             JointPolicy(horizon=3, agent_state_sizes=(1,), tables=[tab])
 
+    def test_rejects_size_count_mismatch(self):
+        with pytest.raises(ValueError, match="lists 0 sizes for 1 tables"):
+            JointPolicy(horizon=1, agent_state_sizes=(),
+                        tables=[np.full((1, 1, 1, 2, 1), 0.5)],
+                        phi=[np.ones(1)])
+
     def test_rejects_bad_phi(self):
         pol = dectiger_random(0)
         pol.phi[0] = np.array([0.5, 0.4])

@@ -175,6 +175,26 @@ class TestAveragedLocalQ:
                 want[y_comp[y], w_comp[w]] += flat[y, w]
         np.testing.assert_allclose(qbar.mass, want, atol=1e-12)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_last_stage_ties_stay_exact(self, lam):
+        # At t = T with L_{T+1} = 0 no cell depends on z'^i, so the table is
+        # constant along that axis in real arithmetic. It must be bitwise
+        # constant too, or the greedy tie-break stops picking index 0.
+        for seed in range(3):
+            model = random_model(np.random.default_rng(seed), n_states=8,
+                                 action_counts=(4, 4), obs_counts=(4, 4),
+                                 horizon=3)
+            policy = random_policy_for(model, (3, 3), seed=seed + 10)
+            zeta_t = forward_marginals(model, policy).at(model.horizon)
+            l_next = np.zeros((8, model.joint_obs_count, 9))
+            for agent in (0, 1):
+                qbar = averaged_local_q(model, zeta_t, policy,
+                                        model.horizon, l_next, lam, agent)
+                assert np.all(qbar.table == qbar.table[..., :1])
+                det = greedy_agent_update(
+                    qbar, policy.tables[agent][model.horizon - 1])
+                assert np.all(det.next_states[qbar.reachable] == 0)
+
 
 class TestGreedyAgentUpdate:
     def test_neutral_picks_safe_action(self):
