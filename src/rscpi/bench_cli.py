@@ -272,6 +272,9 @@ def _sweep_task(task: dict):
     try:
         model, env = load_model(task["model"], task["horizon"],
                                 task["init_obs"])
+    except ValueError as exc:  # load_model's messages start with the path
+        return task, None, str(exc)
+    try:
         z_sizes = task["z"]
         if isinstance(z_sizes, int):
             z_sizes = (z_sizes,) * model.n_agents
@@ -282,7 +285,7 @@ def _sweep_task(task: dict):
             init_obs=task["init_obs"])
         return task, record.to_row(), None
     except (ValueError, NumericError) as exc:
-        return task, None, str(exc)
+        return task, None, f"{task['model']}:0: error: {exc}"
 
 
 def cmd_sweep(args) -> int:
@@ -311,7 +314,7 @@ def cmd_sweep(args) -> int:
     for task, row, err in outcomes:
         if row is None:
             failures += 1
-            print(f"{task['model']}:0: error: {err}", file=sys.stderr)
+            print(err, file=sys.stderr)
         else:
             rows.append(row)
     if not rows:

@@ -10,10 +10,8 @@ same two functions with identical semantics (tests assert agreement):
 Both carry lambda-scaled values (L = lambda*V) and use per-output-cell
 max-shifted logsumexp; a single global shift is unsafe because lambda*V
 spans far beyond exp()'s range on long horizons. The lambda = 0 stage backup
-and fold are dense matrix products on both backends, so they live in
-`evaluation.stage_backup` and `evaluation.fold_stage`; the averaged local
-value is a numpy reduction over per-agent axes in
-`solver._averaged_local_q`.
+and fold (`evaluation.stage_backup`, `evaluation.fold_stage`) and the averaged
+local value (`solver._averaged_local_q`) are plain numpy on both backends.
 
 Dynamics enter as a CSR-style support: for flat row (s, a), the nonzero
 successors (s', y') live at positions indptr[s*A + a] : indptr[s*A + a + 1].
@@ -85,36 +83,35 @@ def quiet_overflow():
     return np.errstate(over="ignore", invalid="ignore")
 
 
-# Pure-numpy backend: same contracts, vectorized where the loop nest would be
-# python-slow, with explicit -inf guards around the max-shift.
+# Pure-numpy backend: the same contracts as whole-array operations. The backup
+# pads support rows to one width with -inf (exp adds an exact 0.0), successors
+# leading, so it sums one at a time as the loops do; reduceat would not.
 def _np_tilted_q_log(indptr, sp_idx, yp_idx, logp, lam_r, L_next, out):
-    S, A, Z = out.shape
-    for s in range(S):
-        for a in range(A):
-            lo, hi = indptr[s * A + a], indptr[s * A + a + 1]
-            vals = logp[lo:hi, None] + L_next[sp_idx[lo:hi], yp_idx[lo:hi], :]
-            if vals.shape[0] == 0:
-                out[s, a, :] = NEG_INF
-                continue
-            m = vals.max(axis=0)
-            safe = np.where(np.isfinite(m), m, 0.0)
-            acc = np.exp(vals - safe[None, :]).sum(axis=0)
-            out[s, a, :] = np.where(
-                np.isfinite(m), lam_r[s, a] + m + np.log(acc), NEG_INF
-            )
+    lengths = np.diff(indptr)
+    cols = np.arange(lengths.max(initial=0))[:, None]
+    pos = np.minimum(indptr[:-1] + cols, len(logp) - 1)
+    vals = L_next[sp_idx[pos], yp_idx[pos]]
+    vals += logp[pos][:, :, None]
+    vals[cols >= lengths] = NEG_INF
+    m = vals.max(axis=0, initial=NEG_INF)
+    ok = np.isfinite(m)
+    vals -= np.where(ok, m, 0.0)
+    acc = np.exp(vals, out=vals).sum(axis=0)
+    np.log(acc, out=acc, where=ok)
+    res = np.where(ok, lam_r.reshape(-1, 1) + m + acc, NEG_INF)
+    out[...] = res.reshape(out.shape)
     return out
 
 
 def _np_fold_policy_log(log_m, q_red, out):
-    S = q_red.shape[0]
-    Y, W = log_m.shape[0], log_m.shape[1]
-    flat_m = log_m.reshape(Y, W, -1)
-    for s in range(S):
-        vals = flat_m + q_red[s].reshape(-1)[None, None, :]
-        m = vals.max(axis=2)
-        safe = np.where(np.isfinite(m), m, 0.0)
-        acc = np.exp(vals - safe[:, :, None]).sum(axis=2)
-        out[s] = np.where(np.isfinite(m), m + np.log(acc), NEG_INF)
+    S, Y, W = out.shape
+    vals = log_m.reshape(1, Y, W, -1) + q_red.reshape(S, 1, 1, -1)
+    m = vals.max(axis=3)
+    ok = np.isfinite(m)
+    vals -= np.where(ok, m, 0.0)[..., None]
+    acc = np.exp(vals, out=vals).sum(axis=3)
+    np.log(acc, out=acc, where=ok)
+    out[...] = np.where(ok, m + acc, NEG_INF)
     return out
 
 

@@ -352,3 +352,45 @@ def averaged_local_q_loops(zeta, copi, q_red, y_sizes, w_sizes, a_sizes,
             for w in range(zeta.shape[2]):
                 mass[y_comp[y], w_comp[w]] += zeta[s, y, w]
     return table, mass
+
+
+def tilted_q_log_rows(indptr, sp_idx, yp_idx, logp, lam_r, L_next, out):
+    """kernels.tilted_q_log one (s, a) support row at a time.
+
+    Each row's successors are summed down axis 0 of a C-ordered (n, Z)
+    array, one successor after another; this is the order the whole-array
+    kernel must keep for Z > 1.
+    """
+    import numpy as np
+
+    S, A, Z = out.shape
+    for s in range(S):
+        for a in range(A):
+            lo, hi = indptr[s * A + a], indptr[s * A + a + 1]
+            vals = logp[lo:hi, None] + L_next[sp_idx[lo:hi], yp_idx[lo:hi], :]
+            if vals.shape[0] == 0:
+                out[s, a, :] = -np.inf
+                continue
+            m = vals.max(axis=0)
+            safe = np.where(np.isfinite(m), m, 0.0)
+            acc = np.exp(vals - safe[None, :]).sum(axis=0)
+            out[s, a, :] = np.where(
+                np.isfinite(m), lam_r[s, a] + m + np.log(acc), -np.inf
+            )
+    return out
+
+
+def fold_policy_log_states(log_m, q_red, out):
+    """kernels.fold_policy_log one state s at a time."""
+    import numpy as np
+
+    S = q_red.shape[0]
+    Y, W = log_m.shape[0], log_m.shape[1]
+    flat_m = log_m.reshape(Y, W, -1)
+    for s in range(S):
+        vals = flat_m + q_red[s].reshape(-1)[None, None, :]
+        m = vals.max(axis=2)
+        safe = np.where(np.isfinite(m), m, 0.0)
+        acc = np.exp(vals - safe[:, :, None]).sum(axis=2)
+        out[s] = np.where(np.isfinite(m), m + np.log(acc), -np.inf)
+    return out

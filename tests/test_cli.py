@@ -385,6 +385,24 @@ class TestSweep:
         assert "every grid cell failed" in err
         assert not (tmp_path / "runs.csv").exists()
 
+    def test_failed_cell_location_printed_once(self, capsys, tmp_path):
+        # load_model's message already starts with "<path>: error:"
+        path = self.write_config(tmp_path, model=".", lambda0=[0.0],
+                                 seeds=[0], ablations=["rs-cpi"])
+        code, _, err = run_cli(capsys, "sweep", str(path))
+        assert code == 2
+        cell, last = err.splitlines()
+        assert cell.startswith(".: error: ") and cell.count("error:") == 1
+        assert last == "error: every grid cell failed"
+
+    def test_solver_error_gets_the_model_prefix(self, capsys, tmp_path):
+        path = self.write_config(tmp_path, alpha=[1.5], lambda0=[0.0],
+                                 seeds=[0], ablations=["rs-cpi"])
+        code, _, err = run_cli(capsys, "sweep", str(path))
+        assert code == 2
+        assert err.splitlines()[0] == (
+            "matrix-game:0: error: alpha must lie in (0, 1]")
+
     @pytest.mark.parametrize("field,value", [
         ("horizons", ["x"]), ("agent_states", ["a"]), ("workers", "2"),
         ("restarts", None), ("seeds", [0.5]), ("lambda0", [True]),

@@ -1,5 +1,6 @@
 """Backend agreement: loop (numba-compiled) kernels vs the numpy fallback,
-and the averaged local value's per-agent reduction vs its loop reference."""
+the whole-array numpy kernels vs their per-row forms, and the averaged local
+value's per-agent reduction vs its loop reference."""
 
 import json
 import os
@@ -11,10 +12,12 @@ import numpy as np
 import pytest
 
 from _benchmarks import random_model, random_policy_for
-from oracles import averaged_local_q_loops, expand_joint_policy_gather
+from oracles import (averaged_local_q_loops, expand_joint_policy_gather,
+                     fold_policy_log_states, tilted_q_log_rows)
 from rscpi import kernels
+from rscpi.bench_cli import load_model
 from rscpi.evaluation import (dynamics_support, expand_joint_policy,
-                              finite_risk, stage_backup)
+                              finite_risk, log_policy, stage_backup)
 from rscpi.solver import averaged_local_q
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -139,6 +142,118 @@ class TestBackendAgreement:
             indptr, empty_i, empty_i, empty_f, lam_r, l_next, out_b)
         assert np.all(out_a == -np.inf)
         assert np.all(out_b == -np.inf)
+
+
+def tilted_args(b, l_next=None):
+    """tilted_q_log's inputs, all but `out`, from a kernel_inputs bundle."""
+    return (b["indptr"], b["sp"], b["yp"], b["logp"],
+            b["lam"] * b["model"].r, b["l_next"] if l_next is None else l_next)
+
+
+def bench_file_inputs(name, horizon, seed=0, z_sizes=(2, 2)):
+    """kernel_inputs' kernel arguments on a bundled .dpomdp file, whose
+    support rows hold between 1 and 8 successors."""
+    model, _ = load_model(str(ROOT / "benchmarks" / name), horizon)
+    rng = np.random.default_rng(seed)
+    S, A = model.state_count, model.joint_action_count
+    Y = model.joint_obs_count
+    Z = int(np.prod(z_sizes))
+    indptr, sp, yp, logp = dynamics_support(model)
+    policy = random_policy_for(model, z_sizes, seed + 1)
+    return dict(model=model, indptr=indptr, sp=sp, yp=yp, logp=logp,
+                l_next=rng.uniform(-20.0, 20.0, size=(S, Y, Z)),
+                m=expand_joint_policy(policy, 0),
+                q_red=rng.uniform(-20.0, 20.0, size=(S, A, Z)),
+                lam=0.5, S=S, A=A, Y=Y, Z=Z)
+
+
+def run_numpy_and_oracle(b):
+    """Both numpy kernels and their per-row oracles on one bundle."""
+    S, A, Y, Z = b["S"], b["A"], b["Y"], b["Z"]
+    got_q, want_q = np.empty((S, A, Z)), np.empty((S, A, Z))
+    kernels.NUMPY_IMPLS["tilted_q_log"](*tilted_args(b), got_q)
+    tilted_q_log_rows(*tilted_args(b), want_q)
+    log_m = log_policy(b["m"])
+    got_l, want_l = np.empty((S, Y, Z)), np.empty((S, Y, Z))
+    kernels.NUMPY_IMPLS["fold_policy_log"](log_m, b["q_red"], got_l)
+    fold_policy_log_states(log_m, b["q_red"], want_l)
+    return (got_q, want_q), (got_l, want_l)
+
+
+class TestNumpyKernels:
+    """The whole-array numpy kernels add each cell's terms in the order of
+    their per-row forms in oracles, so they agree bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_equal_to_per_row_forms(self, seed):
+        for got, want in run_numpy_and_oracle(kernel_inputs(seed)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name,horizon", [("dectiger.dpomdp", 6),
+                                              ("recycling.dpomdp", 100)])
+    def test_equal_on_bundled_supports(self, name, horizon):
+        b = bench_file_inputs(name, horizon)
+        lengths = np.diff(b["indptr"])
+        assert lengths.min() < lengths.max()  # rows are padded
+        for got, want in run_numpy_and_oracle(b):
+            assert np.array_equal(got, want)
+
+    def test_sum_order_does_not_depend_on_z(self):
+        # successors are added one at a time for every Z; summing along a
+        # contiguous axis would switch to pairwise sums when Z = 1
+        b = kernel_inputs(5, n_states=4, obs_counts=(3, 3))
+        assert np.diff(b["indptr"]).min() >= 16
+        l2 = b["l_next"][:, :, :2].copy()
+        l1 = l2[:, :, :1].copy()
+        out1 = np.empty((b["S"], b["A"], 1))
+        out2 = np.empty((b["S"], b["A"], 2))
+        kernels.NUMPY_IMPLS["tilted_q_log"](*tilted_args(b, l1), out1)
+        kernels.NUMPY_IMPLS["tilted_q_log"](*tilted_args(b, l2), out2)
+        assert np.array_equal(out1[:, :, 0], out2[:, :, 0])
+
+    def test_padding_with_empty_rows(self):
+        # S=2, A=3: empty rows between non-empty rows of lengths 3, 1 and 4,
+        # and one at the end; pytest makes a log(0) RuntimeWarning an error
+        rng = np.random.default_rng(3)
+        lengths = np.array([3, 0, 1, 0, 4, 0])
+        indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        nnz = int(indptr[-1])
+        sp = rng.integers(0, 2, size=nnz).astype(np.int64)
+        yp = rng.integers(0, 3, size=nnz).astype(np.int64)
+        logp = np.log(rng.uniform(0.1, 1.0, size=nnz))
+        lam_r = rng.uniform(-1.0, 1.0, size=(2, 3))
+        l_next = rng.uniform(-5.0, 5.0, size=(2, 3, 2))
+        args = (indptr, sp, yp, logp, lam_r, l_next)
+        got, loop, rows = (np.empty((2, 3, 2)) for _ in range(3))
+        kernels.NUMPY_IMPLS["tilted_q_log"](*args, got)
+        kernels.LOOP_IMPLS["tilted_q_log"](*args, loop)
+        tilted_q_log_rows(*args, rows)
+        empty = (lengths == 0).reshape(2, 3)
+        assert np.all(got[empty] == -np.inf)
+        assert np.all(np.isfinite(got[~empty]))
+        np.testing.assert_allclose(got, loop, rtol=0, atol=1e-12)
+        assert np.array_equal(got, rows)
+
+    def test_strided_out(self):
+        # a reshape of these views copies, so writes through one would be lost
+        def views(shape):
+            S, A, Z = shape
+            return [np.full((S, A, 2 * Z), np.nan)[:, :, ::2],
+                    np.full((Z, A, S), np.nan).T]
+
+        b = kernel_inputs(0)
+        S, A, Y, Z = b["S"], b["A"], b["Y"], b["Z"]
+        dense = np.empty((S, A, Z))
+        kernels.NUMPY_IMPLS["tilted_q_log"](*tilted_args(b), dense)
+        for out in views((S, A, Z)):
+            kernels.NUMPY_IMPLS["tilted_q_log"](*tilted_args(b), out)
+            assert np.array_equal(out, dense)
+        log_m = log_policy(b["m"])
+        dense = np.empty((S, Y, Z))
+        kernels.NUMPY_IMPLS["fold_policy_log"](log_m, b["q_red"], dense)
+        for out in views((S, Y, Z)):
+            kernels.NUMPY_IMPLS["fold_policy_log"](log_m, b["q_red"], out)
+            assert np.array_equal(out, dense)
 
 
 class TestBackendSelection:
