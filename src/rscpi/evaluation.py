@@ -7,10 +7,15 @@ reduces L_{t+1} to q_red[s, a, z], and one `fold_stage`, which folds the
 stage's joint policy row into L_t. Values are carried in the log domain as
 L_t = lam * V_t for lam > 0 and as plain V_t at lam = 0. Exact evaluation,
 risk-seeking evaluation and the solver's sweep all run on these two steps.
+
+The forward marginals, both steps and `expand_joint_policy` also take a
+`PolicyBatch`: its leading restart axis leads every tensor they read and
+write, and each restart's slice gets the bits it would get alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,10 +34,12 @@ class NumericError(RuntimeError):
 
 
 def joint_phi(policy: JointPolicy) -> np.ndarray:
-    """Flat joint distribution over (z^1_0, ..., z^N_0)."""
-    out = np.ones(1)
+    """Flat joint distribution over (z^1_0, ..., z^N_0), behind any leading
+    restart axis of the policy."""
+    lead = policy.phi[0].shape[:-1]
+    out = np.ones(lead + (1,))
     for p in policy.phi:
-        out = np.multiply.outer(out, p).reshape(-1)
+        out = (out[..., :, None] * p[..., None, :]).reshape(lead + (-1,))
     return out
 
 
@@ -46,39 +53,57 @@ def expand_joint_policy(policy: JointPolicy, t: int, skip_agent=None) -> np.ndar
     """Joint policy table M[y, w, a, z] = prod_i pi^i_t(a^i, z^i | y^i, w^i).
 
     Flat joint axes in row-major agent order. skip_agent omits that agent's
-    factor (used for the co-policy of a single-agent update). The product is
-    taken on per-agent axes (Y_1..Y_N, W_1..W_N, A_1..A_N, Z_1..Z_N), each
-    agent's row broadcast along the others', then flattened.
+    factor, so the table is constant along its axes. The agents' rows are
+    multiplied into ones as outer products in agent order, each row's
+    (y^i, w^i, a^i, z^i) cells contiguous, then one gather moves every
+    product to its flat joint cell. A batch's restart axis leads the result.
     """
-    n = policy.n_agents
     y_sizes, a_sizes = policy.obs_counts(), policy.action_counts()
     w_sizes = policy.agent_state_sizes
-    out = np.ones(y_sizes + w_sizes + a_sizes + w_sizes)
-    for i, tab in enumerate(policy.tables):
-        if i == skip_agent:
-            continue
-        shape = [1] * (4 * n)
-        shape[i::n] = tab.shape[1:]
-        out *= tab[t].reshape(shape)
+    lead = policy.tables[0].shape[:-5]
+    keep = tuple(i for i in range(policy.n_agents) if i != skip_agent)
+    prod = np.ones(lead + (1,))
+    for i in keep:
+        row = policy.tables[i][..., t, :, :, :, :].reshape(lead + (-1,))
+        prod = (prod[..., :, None] * row[..., None, :]).reshape(lead + (-1,))
+    m = np.take(prod, _joint_cells(y_sizes, w_sizes, a_sizes, keep), axis=-1)
     nw = math.prod(w_sizes)
-    return out.reshape(math.prod(y_sizes), nw, math.prod(a_sizes), nw)
+    return m.reshape(lead + (math.prod(y_sizes), nw, math.prod(a_sizes), nw))
+
+
+@functools.lru_cache(maxsize=64)
+def _joint_cells(y_sizes, w_sizes, a_sizes, keep) -> np.ndarray:
+    """For each flat joint (y, w, a, z) cell, the flat index of its factor
+    in the outer product of the rows of the agents in `keep`."""
+    n = len(y_sizes)
+    axes = y_sizes + w_sizes + a_sizes + w_sizes
+    comp = np.indices(axes, sparse=True)
+    idx = np.zeros((1,) * len(axes), dtype=np.intp)
+    for i in keep:
+        cell = comp[i]
+        for k, size in ((n + i, w_sizes[i]), (2 * n + i, a_sizes[i]),
+                        (3 * n + i, w_sizes[i])):
+            cell = cell * size + comp[k]
+        idx = idx * (y_sizes[i] * w_sizes[i] * a_sizes[i] * w_sizes[i]) + cell
+    return np.ascontiguousarray(np.broadcast_to(idx, axes)).reshape(-1)
 
 
 @dataclass
 class MarginalTrajectory:
-    """zeta_t(s, y, z_) for t = 1..T, stored as one (T, S, Y, Z) tensor."""
+    """zeta_t(s, y, z_) for t = 1..T, stored as one (T, S, Y, Z) tensor
+    ((R, T, S, Y, Z) for a batch of R restarts)."""
 
     values: np.ndarray
 
     @property
     def horizon(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-4]
 
     def at(self, t: int) -> np.ndarray:
         """1-based time index, matching the recursion's t = 1..T."""
         if not 1 <= t <= self.horizon:
             raise IndexError(f"t={t} outside 1..{self.horizon}")
-        return self.values[t - 1]
+        return self.values[..., t - 1, :, :, :]
 
 
 def _check_dims(model: DecPomdpModel, policy: JointPolicy):
@@ -107,23 +132,26 @@ def forward_marginals(model: DecPomdpModel, policy: JointPolicy,
     A = model.joint_action_count
     Z = int(np.prod(policy.agent_state_sizes))
     T = model.horizon
-    zetas = out if out is not None else np.zeros((T, S, Y, Z))
     phi = joint_phi(policy)
-    zetas[0] = model.zeta1[:, :, None] * phi[None, None, :]
+    lead = phi.shape[:-1]
+    zetas = out if out is not None else np.zeros(lead + (T, S, Y, Z))
+    zetas[..., 0, :, :, :] = model.zeta1[:, :, None] * phi[..., None, None, :]
     p_flat = model.P.reshape(S * A, S * Y)
     for t in range(1, T):
         m = expand_joint_policy(policy, t - 1)
-        occ = (zetas[t - 1].reshape(S, Y * Z) @ m.reshape(Y * Z, A * Z))
-        occ = occ.reshape(S, A, Z)
-        nxt = occ.reshape(S * A, Z).T @ p_flat
-        zetas[t] = nxt.T.reshape(S, Y, Z)
-        total = zetas[t].sum()
-        if abs(total - 1.0) > MARGINAL_ATOL:
+        occ = (zetas[..., t - 1, :, :, :].reshape(lead + (S, Y * Z))
+               @ m.reshape(lead + (Y * Z, A * Z)))
+        nxt = np.swapaxes(occ.reshape(lead + (S * A, Z)), -1, -2) @ p_flat
+        cur = zetas[..., t, :, :, :]
+        cur[...] = np.swapaxes(nxt, -1, -2).reshape(lead + (S, Y, Z))
+        total = cur.sum(axis=(-3, -2, -1))
+        off = np.abs(total - 1.0) > MARGINAL_ATOL
+        if off.any():
             raise ValueError(
-                f"marginal at t={t + 1} sums to {total:.12g}; "
+                f"marginal at t={t + 1} sums to {total[off].flat[0]:.12g}; "
                 "dynamics or policy rows are not normalized"
             )
-        zetas[t] /= total
+        cur /= total[..., None, None, None]
     return MarginalTrajectory(values=zetas)
 
 
@@ -141,6 +169,12 @@ def dynamics_support(model: DecPomdpModel):
     Returns (indptr, s', y', log p): the successors of row s*A + a sit at
     positions indptr[s*A + a] : indptr[s*A + a + 1].
     """
+    return _support(model)[0]
+
+
+def _support(model: DecPomdpModel):
+    """dynamics_support and its `kernels.pad_support` form, built once per
+    model."""
     cached = getattr(model, "_support", None)
     if cached is not None:
         return cached
@@ -152,8 +186,8 @@ def dynamics_support(model: DecPomdpModel):
     np.cumsum(indptr, out=indptr)
     support = (indptr, (cols // Y).astype(np.int64),
                (cols % Y).astype(np.int64), np.log(flat[rows, cols]))
-    model._support = support
-    return support
+    model._support = (support, kernels.pad_support(*support))
+    return model._support
 
 
 def log_policy(m: np.ndarray) -> np.ndarray:
@@ -167,17 +201,19 @@ def stage_backup(model: DecPomdpModel, l_next: np.ndarray,
 
     lam = 0: r(s, a) + sum_{s', y'} P(s', y' | s, a) V_{t+1}(s', y', z).
     lam > 0: lam r(s, a) + log sum_{s', y'} P(s', y' | s, a) exp L_{t+1}.
+    A leading restart axis of l_next leads out too.
     """
-    S, Y, Z = l_next.shape
+    S, Y, Z = l_next.shape[-3:]
+    lead = l_next.shape[:-3]
     A = model.r.shape[1]
     if risk.is_neutral:
         p_flat = model.P.reshape(S * A, S * Y)
-        ev = (p_flat @ l_next.reshape(S * Y, Z)).reshape(S, A, Z)
-        np.add(model.r[:, :, None], ev, out=out)
+        ev = (p_flat @ l_next.reshape(lead + (S * Y, Z)))
+        np.add(model.r[:, :, None], ev.reshape(lead + (S, A, Z)), out=out)
     else:
-        indptr, sp, yp, logp = dynamics_support(model)
-        kernels.tilted_q_log(indptr, sp, yp, logp, risk.lam * model.r,
-                             l_next, out)
+        support, padded = _support(model)
+        kernels.tilted_q_log(*support, risk.lam * model.r, l_next, out,
+                             pad=padded)
     return out
 
 
@@ -186,21 +222,24 @@ def fold_stage(policy: JointPolicy, t: int, q_red: np.ndarray,
     """L_t[s, y, w] = the stage-t (1-based) joint policy row folded into q_red.
 
     lam = 0: sum_{a, z} M_t[y, w, a, z] q_red[s, a, z]; lam > 0: the same sum
-    taken in the log domain. Raises NumericError at the first non-finite cell.
+    taken in the log domain. A batch's restart axis leads q_red and out.
+    Raises NumericError at the first non-finite cell.
     """
     m = expand_joint_policy(policy, t - 1)
-    S, A, Z = q_red.shape
-    Y = m.shape[0]
+    S, A, Z = q_red.shape[-3:]
+    lead = q_red.shape[:-3]
+    Y = m.shape[-4]
     if risk.is_neutral:
-        out[:] = (
-            m.reshape(Y * Z, A * Z) @ q_red.reshape(S, A * Z).T
-        ).T.reshape(S, Y, Z)
+        prod = (m.reshape(lead + (Y * Z, A * Z))
+                @ np.swapaxes(q_red.reshape(lead + (S, A * Z)), -1, -2))
+        out[...] = np.swapaxes(prod, -1, -2).reshape(lead + (S, Y, Z))
     else:
         kernels.fold_policy_log(log_policy(m), q_red, out)
     if not np.isfinite(out).all():
-        cell = np.argwhere(~np.isfinite(out))[0]
+        *restart, s, y, w = (int(c) for c in np.argwhere(~np.isfinite(out))[0])
+        where = f" of restart {restart[0]}" if restart else ""
         raise NumericError(
-            f"nonfinite tilted value at t={t}, cell={tuple(int(c) for c in cell)}"
+            f"nonfinite tilted value at t={t}, cell={(s, y, w)}{where}"
         )
     return out
 

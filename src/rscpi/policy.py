@@ -6,7 +6,9 @@ A joint policy holds, per agent i, a table of shape (T, Y_i, Z_i, A_i, Z_i):
 
 where w is the incoming agent state and z the outgoing one. Rows (the last two
 axes together) are probability distributions. phi[i] is agent i's distribution
-over the initial agent state z_0.
+over the initial agent state z_0. A `PolicyBatch` stacks R joint policies
+of one shape on a leading restart axis, so that the solver can sweep them in
+lockstep.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ class JointPolicy:
         return len(self.tables)
 
     def action_counts(self):
-        return tuple(t.shape[3] for t in self.tables)
+        return tuple(t.shape[-2] for t in self.tables)
 
     def obs_counts(self):
-        return tuple(t.shape[1] for t in self.tables)
+        return tuple(t.shape[-4] for t in self.tables)
 
     def validate(self):
         if len(self.phi) != len(self.tables):
@@ -84,6 +86,83 @@ class JointPolicy:
         )
 
 
+class PolicyBatch:
+    """R joint policies of one shape, stacked on a leading restart axis.
+
+    tables[i] has shape (R, T, Y_i, Z_i, A_i, Z_i) and phi[i] (R, Z_i).
+    policies[r] is a JointPolicy viewing restart r's slices, so a write to
+    the batch shows in it and the other way round.
+    """
+
+    def __init__(self, tables, phi, policies=None):
+        self.tables = tables
+        self.phi = phi
+        self.horizon = tables[0].shape[1]
+        self.agent_state_sizes = tuple(t.shape[3] for t in tables)
+        self._policies = policies
+
+    @classmethod
+    def of(cls, policy: JointPolicy) -> "PolicyBatch":
+        """A batch of one that views policy's arrays; nothing is copied."""
+        return cls([t[None] for t in policy.tables],
+                   [p[None] for p in policy.phi], [policy])
+
+    @classmethod
+    def stack(cls, policies, count: int) -> "PolicyBatch":
+        """Copy `count` policies of one shape into a new batch.
+
+        `policies` may be a generator: each policy is copied in as it comes,
+        so they need not all be alive at once.
+        """
+        tables = phi = None
+        for r, policy in enumerate(policies):
+            if tables is None:
+                tables = [np.empty((count,) + t.shape) for t in policy.tables]
+                phi = [np.empty((count,) + p.shape) for p in policy.phi]
+            if r >= count:
+                raise ValueError(f"more than {count} policies to stack")
+            for dst, src in zip(tables + phi, policy.tables + policy.phi):
+                if dst.shape[1:] != src.shape:
+                    raise ValueError(f"policy {r} has an array of shape "
+                                     f"{src.shape}, the batch {dst.shape[1:]}")
+                dst[r] = src
+        if tables is None or r + 1 != count:
+            raise ValueError(f"expected {count} policies to stack")
+        return cls(tables, phi)
+
+    @property
+    def policies(self) -> list:
+        """The per-restart JointPolicy views, built on first use."""
+        if self._policies is None:
+            self._policies = [
+                JointPolicy(horizon=self.horizon,
+                            agent_state_sizes=self.agent_state_sizes,
+                            tables=[t[r] for t in self.tables],
+                            phi=[p[r] for p in self.phi])
+                for r in range(self.size)]
+        return self._policies
+
+    def agents(self, keep) -> "PolicyBatch":
+        """The policies of the agents in `keep` alone, in that order, on
+        the same arrays."""
+        return PolicyBatch([self.tables[i] for i in keep],
+                           [self.phi[i] for i in keep])
+
+    @property
+    def size(self) -> int:
+        return self.tables[0].shape[0]
+
+    @property
+    def n_agents(self) -> int:
+        return len(self.tables)
+
+    def action_counts(self):
+        return tuple(t.shape[-2] for t in self.tables)
+
+    def obs_counts(self):
+        return tuple(t.shape[-4] for t in self.tables)
+
+
 def point_mass_phi(z_size: int, index: int = 0) -> np.ndarray:
     phi = np.zeros(int(z_size))
     phi[index] = 1.0
@@ -100,8 +179,8 @@ class DeterministicAgentSlice:
 
     agent: int
     t: int
-    actions: np.ndarray       # (Y_i, Z_i) int
-    next_states: np.ndarray   # (Y_i, Z_i) int
+    actions: np.ndarray       # (Y_i, Z_i) int, or (R, Y_i, Z_i) for a batch
+    next_states: np.ndarray   # same shape as actions
 
     def as_table(self, action_count: int, z_size: int) -> np.ndarray:
         """Point-mass policy table of shape (Y_i, Z_i, A_i, Z_i)."""
@@ -136,17 +215,17 @@ def mix_policies(old_slice: np.ndarray, new: DeterministicAgentSlice,
 
     alpha = 0 returns the old slice unchanged (bitwise); otherwise alpha is
     added in place at each row's greedy cell, and rows are renormalized after
-    mixing to absorb floating-point drift.
+    mixing to absorb floating-point drift. Leading axes in front of
+    (Y_i, Z_i, A_i, Z_i), such as a restart axis, are mixed row by row.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if alpha == 0.0:
         return old_slice
-    ny, nw = new.actions.shape
     mixed = (1.0 - alpha) * old_slice
-    mixed[np.arange(ny)[:, None], np.arange(nw)[None, :],
-          new.actions, new.next_states] += alpha
-    sums = mixed.sum(axis=(2, 3), keepdims=True)
+    rows = np.indices(new.actions.shape, sparse=True)
+    mixed[(*rows, new.actions, new.next_states)] += alpha
+    sums = mixed.sum(axis=(-2, -1), keepdims=True)
     return mixed / sums
 
 

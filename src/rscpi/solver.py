@@ -8,8 +8,15 @@ policy to get L_t before moving to t-1. Tilted values are carried in the log
 domain as L_t = lam * V_t for lam > 0 and as plain V_t at lam = 0, so the
 same tensors stay finite for any reward scale.
 
+`rscpi` runs its R restarts in lockstep: one `sweep` call per sweep index
+advances all of them on a `PolicyBatch`, every tensor of the sweep carrying
+a leading restart axis, and each restart's rows come out bit for bit as if
+swept alone. A restart that has converged is masked, not dropped: its rows
+are no longer written, so it stays frozen while the others go on.
+
 Memory accounting: a solve registers exactly the marginal trajectory and the
-two alternating value tensors. Everything else is transient scratch.
+two alternating value tensors, one of each per restart:
+R * (T*S*Y*Z + 2*S*Y*Z) floats. Everything else is transient scratch.
 """
 
 from __future__ import annotations
@@ -25,18 +32,18 @@ from .evaluation import (aggregate_initial, evaluate_exact,
                          expand_joint_policy, finite_risk, fold_stage,
                          forward_marginals, log_policy, stage_backup)
 from .model import DecPomdpModel
-from .policy import (DeterministicAgentSlice, JointPolicy, mix_policies,
-                     random_policy)
+from .policy import (DeterministicAgentSlice, JointPolicy, PolicyBatch,
+                     mix_policies, random_policy)
 
 
 @dataclass
 class AveragedLocalQ:
     """Averaged stage value of one agent's (a^i, z^i) choice at (y^i, z^i_-).
 
-    For lam > 0 `log_weights` holds log sum_cells zeta * copi * exp(lam Q);
-    at lam = 0 `weights` holds the plain weighted sum. `mass` is the marginal
-    probability of each (y^i, z^i_-) cell; cells with zero mass are
-    unreachable and carry no information.
+    For lam > 0 `table` holds log sum_cells zeta * copi * exp(lam Q); at
+    lam = 0 the plain weighted sum. `mass` is the marginal probability of
+    each (y^i, z^i_-) cell; cells with zero mass are unreachable and carry
+    no information. For a batch both carry a leading restart axis.
     """
 
     agent: int
@@ -138,22 +145,30 @@ class FloatCounter:
 
 
 class SolveWorkspace:
-    """Registered work tensors plus unregistered scratch for one model/|Z|."""
+    """Registered work tensors plus unregistered scratch for one model/|Z|.
 
-    def __init__(self, model: DecPomdpModel, z_sizes, counter: FloatCounter = None):
+    Every tensor has a leading axis of `restarts`: the marginal trajectory
+    (R, T, S, Y, Z) and the two value tensors (R, S, Y, Z) are registered,
+    R * (T*S*Y*Z + 2*S*Y*Z) floats; q_red (R, S, A, Z) is scratch.
+    """
+
+    def __init__(self, model: DecPomdpModel, z_sizes,
+                 counter: FloatCounter = None, restarts: int = 1):
         self.model = model
         self.z_sizes = tuple(int(z) for z in z_sizes)
+        self.restarts = int(restarts)
         self.counter = counter or FloatCounter()
         S, Y = model.state_count, model.joint_obs_count
         A = model.joint_action_count
         Z = int(np.prod(self.z_sizes))
         T = model.horizon
-        self.counter.register("marginals", T * S * Y * Z)
-        self.zeta = np.zeros((T, S, Y, Z))
-        self.counter.register("values", 2 * S * Y * Z)
-        self.l_a = np.zeros((S, Y, Z))
-        self.l_b = np.zeros((S, Y, Z))
-        self.q_red = np.zeros((S, A, Z))
+        R = self.restarts
+        self.counter.register("marginals", R * T * S * Y * Z)
+        self.zeta = np.zeros((R, T, S, Y, Z))
+        self.counter.register("values", R * 2 * S * Y * Z)
+        self.l_a = np.zeros((R, S, Y, Z))
+        self.l_b = np.zeros((R, S, Y, Z))
+        self.q_red = np.zeros((R, S, A, Z))
 
 
 def averaged_local_q(model: DecPomdpModel, zeta_t: np.ndarray,
@@ -162,57 +177,78 @@ def averaged_local_q(model: DecPomdpModel, zeta_t: np.ndarray,
     """Average the stage's local values over zeta_t and the co-agents' rows.
 
     t is 1-based. l_next holds L_{t+1}; the stage is backed up into its
-    reduced (s, a, z) form, which is broadcast over (y, z_).
+    reduced (s, a, z) form, which is broadcast over (y, z_). For a
+    PolicyBatch, zeta_t and l_next carry its leading restart axis, and so
+    does the result.
     """
     risk = finite_risk(lam, "averaged_local_q")
+    batch = _as_batch(policy)
+    if batch is not policy:
+        zeta_t, l_next = zeta_t[None], l_next[None]
     S, A = model.state_count, model.joint_action_count
-    q_red = np.empty((S, A, l_next.shape[2]))
+    q_red = np.empty((batch.size, S, A, l_next.shape[-1]))
     with kernels.quiet_overflow():
         stage_backup(model, l_next, risk, q_red)
-        return _averaged_local_q(model, zeta_t, policy, t, q_red, risk, agent)
+        qbar = _averaged_local_q(model, zeta_t, batch, t, q_red, risk, agent)
+    if batch is not policy:
+        qbar.table, qbar.mass = qbar.table[0], qbar.mass[0]
+    return qbar
+
+
+def _as_batch(policy) -> PolicyBatch:
+    return policy if isinstance(policy, PolicyBatch) else PolicyBatch.of(policy)
 
 
 def _agent_last(x: np.ndarray, agent: int, n: int) -> np.ndarray:
-    """x with agent's axis of every per-agent group moved to the end.
+    """x with its restart axis and agent's axis of every group moved last.
 
-    x has one leading axis, then groups of n per-agent axes (Y_1..Y_N,
-    W_1..W_N, ...). The co-agents' axes keep their order, so the axes in
-    front flatten in the row-major order of the flat joint cells.
+    x has a leading restart axis, one more leading axis, then groups of n
+    per-agent axes (Y_1..Y_N, W_1..W_N, ...). The result is a contiguous
+    copy holding the second leading axis, the co-agents' axes in their
+    order, the restart axis, then agent's axes: the axes in front of the
+    restart axis flatten in the row-major order of the flat joint cells.
     """
-    groups = range(1, x.ndim, n)
+    groups = range(2, x.ndim, n)
     co = [g + j for g in groups for j in range(n) if j != agent]
-    return x.transpose([0] + co + [g + agent for g in groups])
+    return np.ascontiguousarray(
+        x.transpose([1] + co + [0] + [g + agent for g in groups]))
 
 
-def _averaged_local_q(model, zeta_t, policy, t, q_red, risk, agent):
-    """averaged_local_q on the stage's backed-up q_red.
+def _averaged_local_q(model, zeta_t, batch, t, q_red, risk, agent):
+    """averaged_local_q of a batch on the stage's backed-up q_red.
 
-    zeta_t, the co-policy and q_red are viewed on per-agent axes (S, Y_1..,
-    W_1.., A_1.., Z_1..) with agent i's axes last, so every (y^i, w^i, a^i,
-    z^i) cell is one column of the (rows, cells) product. A column sum adds
-    the rows one at a time in flat joint order; lam > 0 shifts each column
-    by its own max before the exp.
+    Every (s, co-agents' y, w, a, z) cell is one row of a (rows, cells)
+    product and every (restart, y^i, w^i, a^i, z^i) cell one column; a
+    column sum adds the rows one at a time in flat joint order, whatever R
+    is. zeta_t (R, S, Y, Z) varies along (s, y, w), the co-agents' policy
+    along their own axes, q_red (R, S, A, Z) along (s, a, z): the first two
+    are multiplied on their small common shape before q is broadcast in.
+    lam > 0 adds logs instead and shifts each column by its own max before
+    the exp.
     """
     n = model.n_agents
+    R, S = zeta_t.shape[:2]
     y_sizes, a_sizes = model.obs_counts, model.action_counts
-    w_sizes = policy.agent_state_sizes
-    ones = (1,) * (2 * n)
-    shape = (y_sizes[agent], w_sizes[agent], a_sizes[agent], w_sizes[agent])
-    cells = math.prod(shape)
-    zeta = _agent_last(zeta_t.reshape(-1, *y_sizes, *w_sizes, *ones),
-                       agent, n)
-    copi = expand_joint_policy(policy, t - 1, skip_agent=agent)
-    copi = _agent_last(copi.reshape(1, *y_sizes, *w_sizes, *a_sizes,
-                                    *w_sizes), agent, n)
-    q = _agent_last(q_red.reshape(-1, *ones, *a_sizes, *w_sizes), agent, n)
+    w_sizes = batch.agent_state_sizes
+    yw = y_sizes[agent] * w_sizes[agent]
+    az = a_sizes[agent] * w_sizes[agent]
+    co_yw = zeta_t.shape[2] * zeta_t.shape[3] // yw
+    co_az = q_red.shape[2] * q_red.shape[3] // az
+    zeta = _agent_last(zeta_t.reshape(R, S, *y_sizes, *w_sizes), agent, n)
+    zeta = zeta.reshape(S, co_yw, 1, R, yw, 1)
+    co = [j for j in range(n) if j != agent]
+    copi = (expand_joint_policy(batch.agents(co), t - 1) if co
+            else np.ones((R, 1, 1, 1, 1)))
+    copi = copi.reshape(R, co_yw, co_az).transpose(1, 2, 0)[..., None, None]
+    q = _agent_last(q_red.reshape(R, S, *a_sizes, *w_sizes), agent, n)
+    q = q.reshape(S, 1, co_az, R, 1, az)
+    cells = R * yw * az
     if risk.is_neutral:
-        vals = np.multiply(zeta, copi, order="C")
-        vals *= q
-        table = vals.reshape(-1, cells).sum(axis=0)
+        vals = np.multiply(zeta * copi, q).reshape(-1, cells)
+        table = vals.sum(axis=0)
     else:
         with np.errstate(divide="ignore"):
-            vals = np.add(np.log(zeta), log_policy(copi), order="C")
-        vals += q
+            vals = np.add(np.log(zeta) + log_policy(copi), q)
         vals = vals.reshape(-1, cells)
         top = vals.max(axis=0)
         ok = np.isfinite(top)
@@ -220,11 +256,11 @@ def _averaged_local_q(model, zeta_t, policy, t, q_red, risk, agent):
         acc = np.exp(vals, out=vals).sum(axis=0)
         table = np.full(cells, -np.inf)
         table[ok] = top[ok] + np.log(acc[ok])
-    mass = _agent_last(zeta_t.sum(axis=0).reshape(1, *y_sizes, *w_sizes),
-                       agent, n)
-    mass = np.ascontiguousarray(mass).reshape(-1, shape[0] * shape[1])
+    mass = zeta.reshape(S, co_yw, R * yw).sum(axis=0).sum(axis=0)
+    shape = (R, y_sizes[agent], w_sizes[agent], a_sizes[agent],
+             w_sizes[agent])
     return AveragedLocalQ(agent=agent, t=t, table=table.reshape(shape),
-                          mass=mass.sum(axis=0).reshape(shape[:2]),
+                          mass=mass.reshape(shape[:3]),
                           lam=risk.lam, is_plain=risk.is_neutral)
 
 
@@ -234,39 +270,43 @@ def greedy_agent_update(qbar: AveragedLocalQ,
 
     Ties break to the smallest flat (a^i, z'^i) index. Unreachable cells copy
     the incumbent row's argmax so the mixed update leaves them unchanged.
+    A leading restart axis of the table and the incumbent carries through.
     """
-    yi, wi, ai, zi = qbar.table.shape
-    flat = qbar.table.reshape(yi, wi, ai * zi)
-    best = np.argmax(flat, axis=2)
-    fallback = np.argmax(incumbent.reshape(yi, wi, ai * zi), axis=2)
+    *lead, yi, wi, ai, zi = qbar.table.shape
+    best = np.argmax(qbar.table.reshape(*lead, yi, wi, ai * zi), axis=-1)
+    fallback = np.argmax(incumbent.reshape(*lead, yi, wi, ai * zi), axis=-1)
     best = np.where(qbar.reachable, best, fallback)
     return DeterministicAgentSlice(agent=qbar.agent, t=qbar.t,
                                    actions=(best // zi).astype(np.int64),
                                    next_states=(best % zi).astype(np.int64))
 
 
-def _update_agent_at(model, policy, t, zeta_t, q_red, risk, alpha, agent):
-    qbar = _averaged_local_q(model, zeta_t, policy, t, q_red, risk, agent)
-    tab = policy.tables[agent][t - 1]
-    det = greedy_agent_update(qbar, tab)
-    mixed = mix_policies(tab, det, alpha)
+def _update_agent_at(model, batch, t, zeta_t, q_red, risk, alpha, agent,
+                     live):
+    """Mix the greedy rows of agent at stage t into the live restarts' rows
+    of reachable cells; every other row keeps its bytes."""
+    qbar = _averaged_local_q(model, zeta_t, batch, t, q_red, risk, agent)
+    tab = batch.tables[agent][:, t - 1]
+    mixed = mix_policies(tab, greedy_agent_update(qbar, tab), alpha)
     if mixed is not tab:
-        keep = ~qbar.reachable
-        if keep.any():
-            mixed[keep] = tab[keep]
-        policy.tables[agent][t - 1] = mixed
+        write = qbar.reachable & live[:, None, None]
+        np.copyto(tab, mixed, where=write[..., None, None])
 
 
-def sweep(model: DecPomdpModel, policy: JointPolicy, lam, alpha: float,
-          ordering: str = "sequential",
-          workspace: SolveWorkspace = None) -> float:
+def sweep(model: DecPomdpModel, policy, lam, alpha: float,
+          ordering: str = "sequential", workspace: SolveWorkspace = None,
+          live=None):
     """One backward pass of agent updates per agent group; mutates the policy.
 
-    `sequential` updates all agents at each stage in one pass; `per_agent`
-    runs one pass per agent. Each pass recomputes the forward marginals from
-    the incumbent policy before any stage is touched: zeta_t only depends on
-    the rows at stages before t, which the T..t walk has not yet modified.
-    Returns the risk objective read off the last pass's L_1.
+    `policy` is a JointPolicy, swept as a batch of one, or a PolicyBatch,
+    whose restarts are swept in lockstep; `live` (default all) masks the
+    restarts whose rows are updated. `sequential` updates all agents at each
+    stage in one pass; `per_agent` runs one pass per agent. Each pass
+    recomputes the forward marginals from the incumbent policy before any
+    stage is touched: zeta_t only depends on the rows at stages before t,
+    which the T..t walk has not yet modified. Returns the risk objective
+    read off the last pass's L_1: a float for a JointPolicy, an array with
+    one entry per restart for a PolicyBatch.
     """
     risk = finite_risk(lam, "sweep")
     if ordering == "sequential":
@@ -275,65 +315,97 @@ def sweep(model: DecPomdpModel, policy: JointPolicy, lam, alpha: float,
         groups = [[i] for i in range(model.n_agents)]
     else:
         raise ValueError(f"unknown ordering {ordering!r}")
-    ws = workspace or SolveWorkspace(model, policy.agent_state_sizes)
+    batch = _as_batch(policy)
+    ws = workspace or SolveWorkspace(model, batch.agent_state_sizes,
+                                     restarts=batch.size)
+    if (ws.restarts, ws.z_sizes) != (batch.size, batch.agent_state_sizes):
+        raise ValueError(f"workspace holds {ws.restarts} restarts of "
+                         f"agent-state sizes {ws.z_sizes}, the batch "
+                         f"{batch.size} of {batch.agent_state_sizes}")
+    live = (np.ones(batch.size, dtype=bool) if live is None
+            else np.asarray(live, dtype=bool))
     with kernels.quiet_overflow():
         for group in groups:
-            forward_marginals(model, policy, out=ws.zeta)
+            forward_marginals(model, batch, out=ws.zeta)
             l_next, l_cur = ws.l_a, ws.l_b
             l_next[:] = 0.0
             for t in range(model.horizon, 0, -1):
                 stage_backup(model, l_next, risk, ws.q_red)
                 for i in group:
-                    _update_agent_at(model, policy, t, ws.zeta[t - 1],
-                                     ws.q_red, risk, alpha, i)
-                fold_stage(policy, t, ws.q_red, risk, l_cur)
+                    _update_agent_at(model, batch, t, ws.zeta[:, t - 1],
+                                     ws.q_red, risk, alpha, i, live)
+                fold_stage(batch, t, ws.q_red, risk, l_cur)
                 l_next, l_cur = l_cur, l_next
-    return aggregate_initial(model, policy, l_next, risk)
+    j = np.array([aggregate_initial(model, p, l1, risk)
+                  for p, l1 in zip(batch.policies, l_next)])
+    return j if batch is policy else float(j[0])
+
+
+def _check_initial_policy(model: DecPomdpModel, z_sizes, policy: JointPolicy):
+    """Raise ValueError naming the first field of policy that does not fit
+    the model and the configured agent-state sizes."""
+    fields = [("horizon", policy.horizon, model.horizon),
+              ("n_agents", policy.n_agents, model.n_agents),
+              ("action_counts", policy.action_counts(), model.action_counts),
+              ("obs_counts", policy.obs_counts(), model.obs_counts),
+              ("agent_state_sizes", policy.agent_state_sizes,
+               tuple(int(z) for z in z_sizes))]
+    for name, got, want in fields:
+        if got != want:
+            raise ValueError(f"initial_policy {name} is {got}, "
+                             f"the solve needs {want}")
 
 
 def rscpi(model: DecPomdpModel, config: SolverConfig,
           initial_policy: JointPolicy = None) -> SolveResult:
-    """Annealed risk-seeking CPI with random restarts.
+    """Annealed risk-seeking CPI with random restarts run in lockstep.
 
-    Each restart r draws its initial policy from seed + r (restart 0 may be
-    overridden with initial_policy) and runs sweeps under the annealed tilt.
-    Convergence is only checked once the tilt has reached zero: stop when
-    the sweep's risk objective improves by less than tol. The best restart
-    is chosen by exact value, ties keeping the earliest (lowest) seed.
+    Restart r draws its initial policy from seed + r (restart 0 may be
+    overridden with initial_policy). Sweep k advances every running restart
+    by one `sweep` under the annealed tilt, then evaluates each exactly.
+    Convergence is only checked once the tilt has reached zero: a restart
+    stops when its sweep's risk objective improves by less than tol, and is
+    masked out of the sweeps that follow. The best restart is chosen by
+    exact value, ties keeping the earliest (lowest) seed.
     """
     config.validate()
     if len(config.z_sizes) != model.n_agents:
         raise ValueError(f"z_sizes lists {len(config.z_sizes)} agent-state "
                          f"sizes for {model.n_agents} agents")
+    if initial_policy is not None:
+        _check_initial_policy(model, config.z_sizes, initial_policy)
     t0 = time.perf_counter()
-    ws = SolveWorkspace(model, config.z_sizes)
-    best = None
-    for r in range(config.restarts):
-        seed_r = config.seed + r
+    R = config.restarts
+    ws = SolveWorkspace(model, config.z_sizes, restarts=R)
+
+    def draw(r):
         if r == 0 and initial_policy is not None:
-            policy = initial_policy.copy()
-        else:
-            policy = random_policy(model.action_counts, model.obs_counts,
-                                   config.z_sizes, model.horizon, seed_r,
-                                   phi_mode=config.phi_mode)
-        trace = []
-        prev = None
-        for k in range(1, config.max_sweeps + 1):
-            lam_k = config.lam_at(k)
-            alpha_k = 1.0 if config.disable_cpi else config.alpha
-            j_risk = sweep(model, policy, lam_k, alpha_k, config.ordering, ws)
-            j = evaluate_exact(model, policy)
-            trace.append((lam_k, j_risk, j))
+            return initial_policy
+        return random_policy(model.action_counts, model.obs_counts,
+                             config.z_sizes, model.horizon, config.seed + r,
+                             phi_mode=config.phi_mode)
+
+    batch = PolicyBatch.stack((draw(r) for r in range(R)), R)
+    alpha = 1.0 if config.disable_cpi else config.alpha
+    live = np.ones(R, dtype=bool)
+    traces = [[] for _ in range(R)]
+    prev = [None] * R
+    for k in range(1, config.max_sweeps + 1):
+        lam_k = config.lam_at(k)
+        j_risk = sweep(model, batch, lam_k, alpha, config.ordering, ws, live)
+        for r in np.flatnonzero(live):
+            j = evaluate_exact(model, batch.policies[r])
+            traces[r].append((lam_k, float(j_risk[r]), j))
             if lam_k == 0.0:
-                if prev is not None and j_risk - prev < config.tol:
-                    break
-                prev = j_risk
-        j_final = trace[-1][2]
-        if best is None or j_final > best.j_exact:
-            best = SolveResult(policy=policy.copy(), j_exact=j_final,
-                               j_risk_final=trace[-1][1], trace=trace,
-                               sweeps=len(trace), wall_time_ms=0.0,
-                               peak_floats=ws.counter.peak, seed=seed_r)
-    best.wall_time_ms = (time.perf_counter() - t0) * 1e3
-    best.peak_floats = ws.counter.peak
-    return best
+                if prev[r] is not None and j_risk[r] - prev[r] < config.tol:
+                    live[r] = False
+                prev[r] = j_risk[r]
+        if not live.any():
+            break
+    best = max(range(R), key=lambda r: traces[r][-1][2])   # earliest of ties
+    trace = traces[best]
+    return SolveResult(policy=batch.policies[best].copy(),
+                       j_exact=trace[-1][2], j_risk_final=trace[-1][1],
+                       trace=trace, sweeps=len(trace),
+                       wall_time_ms=(time.perf_counter() - t0) * 1e3,
+                       peak_floats=ws.counter.peak, seed=config.seed + best)

@@ -256,6 +256,45 @@ class TestNumpyKernels:
             assert np.array_equal(out, dense)
 
 
+class TestBatchedKernels:
+    """A leading restart axis gives each restart the bits of its own call."""
+
+    def batch(self, seed, R=3):
+        b = kernel_inputs(seed)
+        rng = np.random.default_rng(seed + 100)
+        S, A, Y, Z = b["S"], b["A"], b["Y"], b["Z"]
+        return b, dict(l_next=rng.uniform(-2.0, 2.0, size=(R, S, Y, Z)),
+                       log_m=log_of(rng.dirichlet(np.ones(A * Z),
+                                                  size=(R, Y, Z))
+                                    .reshape(R, Y, Z, A, Z)),
+                       q_red=rng.uniform(-3.0, 3.0, size=(R, S, A, Z)))
+
+    @pytest.mark.parametrize("impls", ["numpy", "loop"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equal_to_per_restart_calls(self, impls, seed):
+        b, x = self.batch(seed)
+        if impls == "numpy":
+            tilted = kernels.NUMPY_IMPLS["tilted_q_log"]
+            fold = kernels.NUMPY_IMPLS["fold_policy_log"]
+        else:   # the per-restart loop the numba backend runs batches with
+            tilted = kernels._per_restart(kernels.LOOP_IMPLS["tilted_q_log"], 2)
+            fold = kernels._per_restart(kernels.LOOP_IMPLS["fold_policy_log"],
+                                        3)
+        R, S, A, Y, Z = 3, b["S"], b["A"], b["Y"], b["Z"]
+        lam_r = b["lam"] * b["model"].r
+        csr = (b["indptr"], b["sp"], b["yp"], b["logp"])
+        got_q, got_l = np.empty((R, S, A, Z)), np.empty((R, S, Y, Z))
+        tilted(*csr, lam_r, x["l_next"], got_q,
+               pad=kernels.pad_support(*csr))
+        fold(x["log_m"], x["q_red"], got_l)
+        for r in range(R):
+            want_q, want_l = np.empty((S, A, Z)), np.empty((S, Y, Z))
+            tilted(*csr, lam_r, x["l_next"][r], want_q)
+            fold(x["log_m"][r], x["q_red"][r], want_l)
+            assert np.array_equal(got_q[r], want_q)
+            assert np.array_equal(got_l[r], want_l)
+
+
 class TestBackendSelection:
     def test_backend_name_is_known(self):
         assert kernels.BACKEND in ("numba", "numpy")

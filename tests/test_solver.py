@@ -13,11 +13,11 @@ from rscpi.evaluation import (NumericError, aggregate_initial, backward,
                               evaluate_exact, evaluate_risk,
                               forward_marginals, joint_components)
 from rscpi.model import matrix_game_model
-from rscpi.policy import JointPolicy, mix_policies
+from rscpi.policy import JointPolicy, PolicyBatch, mix_policies, random_policy
 from rscpi.risk import (RiskParameter, risk_value_iteration,
                         weighted_logmeanexp)
-from rscpi.solver import (AveragedLocalQ, SolverConfig, averaged_local_q,
-                          greedy_agent_update, rscpi, sweep)
+from rscpi.solver import (AveragedLocalQ, SolverConfig, SolveWorkspace,
+                          averaged_local_q, greedy_agent_update, rscpi, sweep)
 
 MATRIX_PAYOFFS = [[2.0, -10.0], [-10.0, 6.0]]
 
@@ -177,23 +177,56 @@ class TestAveragedLocalQ:
 
     @pytest.mark.parametrize("lam", [0.0, 0.7])
     def test_last_stage_ties_stay_exact(self, lam):
-        # At t = T with L_{T+1} = 0 no cell depends on z'^i, so the table is
-        # constant along that axis in real arithmetic. It must be bitwise
-        # constant too, or the greedy tie-break stops picking index 0.
+        """At t = T with L_{T+1} = 0 no cell depends on z'^i, so the table is
+        constant along that axis in real arithmetic. It must be bitwise
+        constant too, or the greedy tie-break stops picking index 0. Checked
+        on one policy and on a batch of three restarts.
+
+        This pins the property, but no mutant has been shown to break it:
+        with numpy 2.4.6 and OpenBLAS 0.3.31 (Haswell kernels), replacing the
+        column sum with np.einsum(..., optimize=True) on the per-agent views
+        or on the flat joint views, or with np.ones(M) @ vals, kept every
+        last-stage table bitwise constant along z'^i.
+        """
         for seed in range(3):
             model = random_model(np.random.default_rng(seed), n_states=8,
                                  action_counts=(4, 4), obs_counts=(4, 4),
                                  horizon=3)
-            policy = random_policy_for(model, (3, 3), seed=seed + 10)
-            zeta_t = forward_marginals(model, policy).at(model.horizon)
-            l_next = np.zeros((8, model.joint_obs_count, 9))
-            for agent in (0, 1):
-                qbar = averaged_local_q(model, zeta_t, policy,
-                                        model.horizon, l_next, lam, agent)
-                assert np.all(qbar.table == qbar.table[..., :1])
-                det = greedy_agent_update(
-                    qbar, policy.tables[agent][model.horizon - 1])
-                assert np.all(det.next_states[qbar.reachable] == 0)
+            singles = [random_policy_for(model, (3, 3), seed=seed + 10 + r)
+                       for r in range(3)]
+            batch = PolicyBatch.stack(singles, 3)
+            shape = (8, model.joint_obs_count, 9)
+            for policy, l_next in ((singles[0], np.zeros(shape)),
+                                   (batch, np.zeros((3,) + shape))):
+                zeta_t = forward_marginals(model, policy).at(model.horizon)
+                for agent in (0, 1):
+                    qbar = averaged_local_q(model, zeta_t, policy,
+                                            model.horizon, l_next, lam, agent)
+                    assert np.all(qbar.table == qbar.table[..., :1])
+                    incumbent = policy.tables[agent][..., model.horizon - 1,
+                                                     :, :, :, :]
+                    det = greedy_agent_update(qbar, incumbent)
+                    assert np.all(det.next_states[qbar.reachable] == 0)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_batch_equals_each_restart(self, lam):
+        model = random_model(np.random.default_rng(4), n_states=3,
+                             action_counts=(2, 3), obs_counts=(3, 2),
+                             horizon=3)
+        singles = [random_policy_for(model, (2, 3), seed=80 + r)
+                   for r in range(3)]
+        batch = PolicyBatch.stack(singles, 3)
+        zeta_t = forward_marginals(model, batch).at(2)
+        l_next = np.random.default_rng(5).uniform(
+            -1.0, 1.0, size=(3, 3, model.joint_obs_count, 6))
+        for agent in (0, 1):
+            qbar = averaged_local_q(model, zeta_t, batch, 2, l_next, lam,
+                                    agent)
+            for r, policy in enumerate(singles):
+                one = averaged_local_q(model, zeta_t[r], policy, 2,
+                                       l_next[r], lam, agent)
+                assert np.array_equal(qbar.table[r], one.table)
+                assert np.array_equal(qbar.mass[r], one.mass)
 
 
 class TestGreedyAgentUpdate:
@@ -328,6 +361,59 @@ class TestStageBackups:
         assert calls == [lam] * (passes * model.horizon)
 
 
+def tables_bytes(policy):
+    return [t.tobytes() for t in policy.tables + policy.phi]
+
+
+class TestBatchedSweep:
+    """A sweep on a PolicyBatch leaves each restart as if swept alone."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    @pytest.mark.parametrize("ordering", ["sequential", "per_agent"])
+    @pytest.mark.parametrize("agents", [2, 3])
+    def test_each_restart_as_if_swept_alone(self, lam, ordering, agents):
+        sizes = {2: dict(action_counts=(2, 3), obs_counts=(3, 2)),
+                 3: dict(action_counts=(2, 2, 3), obs_counts=(2, 3, 2))}
+        z_sizes = {2: (2, 3), 3: (2, 1, 2)}[agents]
+        model = random_model(np.random.default_rng(agents), n_states=3,
+                             horizon=3, **sizes[agents])
+        start = [random_policy_for(model, z_sizes, seed=90 + r)
+                 for r in range(3)]
+        batch = PolicyBatch.stack(start, 3)
+        live = np.array([True, False, True])
+        ws = SolveWorkspace(model, z_sizes, restarts=3)
+        alone = [p.copy() for p in start]
+        for _ in range(2):
+            j = sweep(model, batch, lam, 0.4, ordering, ws, live)
+            for r in (0, 2):
+                want = sweep(model, alone[r], lam, 0.4, ordering)
+                assert j[r] == want
+                assert tables_bytes(batch.policies[r]) == tables_bytes(
+                    alone[r])
+            # the masked restart's rows stay untouched
+            assert tables_bytes(batch.policies[1]) == tables_bytes(start[1])
+            assert j[1] == evaluate_risk(model, start[1], lam)
+
+    def test_single_policy_is_a_batch_of_one(self):
+        model = random_model(np.random.default_rng(6), horizon=3)
+        policy = random_policy_for(model, (2, 2), seed=7)
+        batch = PolicyBatch.of(policy)
+        twin = policy.copy()
+        j = sweep(model, batch, 0.5, 0.4)
+        assert isinstance(j, np.ndarray) and j.shape == (1,)
+        assert j[0] == sweep(model, twin, 0.5, 0.4)
+        # the batch views the policy's own arrays
+        assert tables_bytes(policy) == tables_bytes(twin)
+
+    def test_workspace_must_match_the_batch(self):
+        model = random_model(np.random.default_rng(8), horizon=2)
+        policy = random_policy_for(model, (2, 2), seed=9)
+        for restarts, z_sizes in ((2, (2, 2)), (1, (3, 3))):
+            ws = SolveWorkspace(model, z_sizes, restarts=restarts)
+            with pytest.raises(ValueError, match="workspace holds"):
+                sweep(model, policy, 0.0, 0.5, workspace=ws)
+
+
 class TestFixpoints:
     def reachable_rows(self, model, policy, t, agent):
         """Mask of (y_i, w_i) cells with positive pre-sweep marginal mass."""
@@ -451,6 +537,47 @@ class TestRscpi:
         first = min(i for i, s in enumerate(singles) if s.j_exact == best)
         assert combined.seed == singles[first].seed
 
+    def test_lockstep_restarts_equal_best_single_run(self):
+        # restarts stop at different sweeps, so later sweeps run masked
+        model = dectiger_model(horizon=3)
+        base = dict(lambda0=0.5, anneal_sweeps=2, alpha=0.5, max_sweeps=60,
+                    tol=1e-6, z_sizes=(2, 2))
+        singles = [rscpi(model, SolverConfig(restarts=1, seed=s, **base))
+                   for s in (3, 4, 5, 6)]
+        assert len({s.sweeps for s in singles}) > 1
+        combined = rscpi(model, SolverConfig(restarts=4, seed=3, **base))
+        best = singles[0]
+        for s in singles[1:]:
+            if s.j_exact > best.j_exact:
+                best = s
+        assert combined.seed == best.seed
+        assert combined.trace == best.trace
+        assert combined.sweeps == best.sweeps
+        assert combined.j_exact == best.j_exact
+        assert combined.j_risk_final == best.j_risk_final
+        assert tables_bytes(combined.policy) == tables_bytes(best.policy)
+
+    @pytest.mark.parametrize("field,kwargs", [
+        ("horizon", dict(horizon=3)),
+        ("n_agents", dict(action_counts=(3, 3, 3), obs_counts=(3, 3, 3),
+                          z_sizes=(2, 2, 2))),
+        ("action_counts", dict(action_counts=(3, 2))),
+        ("obs_counts", dict(obs_counts=(3, 2))),
+        ("agent_state_sizes", dict(z_sizes=(3, 3))),
+    ])
+    def test_initial_policy_checked_against_model_and_config(self, field,
+                                                              kwargs):
+        model = dectiger_model(horizon=2)
+        dims = dict(action_counts=model.action_counts,
+                    obs_counts=model.obs_counts, z_sizes=(2, 2), horizon=2)
+        dims.update(kwargs)
+        policy = random_policy(dims["action_counts"], dims["obs_counts"],
+                               dims["z_sizes"], dims["horizon"], seed=0)
+        config = SolverConfig(restarts=2, anneal_sweeps=1, max_sweeps=3,
+                              z_sizes=(2, 2))
+        with pytest.raises(ValueError, match=f"initial_policy {field} "):
+            rscpi(model, config, initial_policy=policy)
+
     def test_disable_cpi_forces_full_greedy(self):
         model = matrix_game_model(MATRIX_PAYOFFS)
         config = SolverConfig(lambda0=0.0, anneal_sweeps=0, alpha=0.1,
@@ -472,6 +599,19 @@ class TestRscpi:
             S, Y, Z = 2, 9, 4
             want = T * S * Y * Z + 2 * S * Y * Z
             assert result.peak_floats == want
+
+    def test_peak_floats_counts_every_restart(self):
+        S, Y, Z = 2, 9, 4
+        for R in (1, 3):
+            peaks = {}
+            for T in (4, 6):
+                config = SolverConfig(lambda0=0.5, anneal_sweeps=2,
+                                      alpha=0.5, max_sweeps=4, restarts=R,
+                                      seed=4, z_sizes=(2, 2))
+                peaks[T] = rscpi(dectiger_model(horizon=T), config).peak_floats
+                assert peaks[T] == R * (T * S * Y * Z + 2 * S * Y * Z)
+            # affine in T: each stage adds one marginal slice per restart
+            assert peaks[6] - peaks[4] == 2 * R * S * Y * Z
 
     def test_single_sweep_solves_fully_observed_mdp(self):
         rng = np.random.default_rng(18)
