@@ -8,9 +8,10 @@ stage's joint policy row into L_t. Values are carried in the log domain as
 L_t = lam * V_t for lam > 0 and as plain V_t at lam = 0. Exact evaluation,
 risk-seeking evaluation and the solver's sweep all run on these two steps.
 
-The forward marginals, both steps and `expand_joint_policy` also take a
-`PolicyBatch`: its leading restart axis leads every tensor they read and
-write, and each restart's slice gets the bits it would get alone.
+The forward marginals, both steps, `backward`, `evaluate_exact`,
+`evaluate_risk` and `expand_joint_policy` also take a `PolicyBatch`: its
+leading restart axis leads every tensor they read and write, and each
+restart's slice gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .model import DecPomdpModel, JointIndexer
-from .policy import JointPolicy
+from .policy import JointPolicy, PolicyBatch
 from .risk import RiskParameter
 
 MARGINAL_ATOL = 1e-8
@@ -248,48 +249,62 @@ def backward(model: DecPomdpModel, policy: JointPolicy, lam,
              out: np.ndarray = None) -> np.ndarray:
     """The backward recursion t = T..1; returns L_1.
 
-    With a (T, S, Y, Z) `out`, L_t is kept in out[t - 1] for every t.
+    With a (T, S, Y, Z) `out`, L_t is kept in out[t - 1] for every t. For a
+    PolicyBatch of R restarts, L_1 and `out` carry a leading restart axis:
+    (R, S, Y, Z) and (R, T, S, Y, Z).
     """
     risk = finite_risk(lam, "tilted recursion")
     _check_dims(model, policy)
     S, Y = model.state_count, model.joint_obs_count
     A = model.joint_action_count
     Z = int(np.prod(policy.agent_state_sizes))
-    if out is not None and out.shape != (model.horizon, S, Y, Z):
+    lead = (policy.size,) if isinstance(policy, PolicyBatch) else ()
+    if out is not None and out.shape != lead + (model.horizon, S, Y, Z):
         raise ValueError(f"out has shape {out.shape}, expected "
-                         f"{(model.horizon, S, Y, Z)}")
-    q_red = np.empty((S, A, Z))
-    l_next, l_cur = np.zeros((S, Y, Z)), np.empty((S, Y, Z))
+                         f"{lead + (model.horizon, S, Y, Z)}")
+    q_red = np.empty(lead + (S, A, Z))
+    l_next, l_cur = np.zeros(lead + (S, Y, Z)), np.empty(lead + (S, Y, Z))
     with kernels.quiet_overflow():
         for t in range(model.horizon, 0, -1):
             stage_backup(model, l_next, risk, q_red)
             if out is not None:
-                l_cur = out[t - 1]
+                l_cur = out[..., t - 1, :, :, :]
             fold_stage(policy, t, q_red, risk, l_cur)
             l_next, l_cur = l_cur, l_next
     return l_next
 
 
-def evaluate_exact(model: DecPomdpModel, policy: JointPolicy) -> float:
+def evaluate_exact(model: DecPomdpModel, policy: JointPolicy):
     """Risk-neutral J: the lam = 0 backward recursion, then the expectation
-    over zeta1 (x) phi. Raises NumericError when a value overflows."""
+    over zeta1 (x) phi. A float for a JointPolicy, one value per restart for
+    a PolicyBatch. Raises NumericError when a value overflows."""
     risk = RiskParameter(0.0)
-    return aggregate_initial(model, policy, backward(model, policy, risk), risk)
+    return aggregate_initial(model, policy, backward(model, policy, risk),
+                             risk)
 
 
-def evaluate_risk(model: DecPomdpModel, policy: JointPolicy, lam) -> float:
+def evaluate_risk(model: DecPomdpModel, policy: JointPolicy, lam):
     """Risk-seeking objective via the backward tilted-value recursion.
 
     Aggregates the t=1 tilted values through the certainty-equivalent wrapper
     (1/lam) log sum zeta1 phi exp(lam V_1); plain expectation at lam ~ 0.
+    A float for a JointPolicy, one value per restart for a PolicyBatch.
     """
     risk = finite_risk(lam, "risk-seeking evaluation")
-    return aggregate_initial(model, policy, backward(model, policy, risk), risk)
+    return aggregate_initial(model, policy, backward(model, policy, risk),
+                             risk)
 
 
 def aggregate_initial(model: DecPomdpModel, policy: JointPolicy,
-                      l1: np.ndarray, risk: RiskParameter) -> float:
-    """Fold L_1 with zeta1 (x) phi into the scalar objective."""
+                      l1: np.ndarray, risk: RiskParameter):
+    """Fold L_1 with zeta1 (x) phi into the scalar objective.
+
+    A PolicyBatch folds each restart alone on its slice of L_1, into an
+    array with one value per restart.
+    """
+    if isinstance(policy, PolicyBatch):
+        return np.array([aggregate_initial(model, p, l, risk)
+                         for p, l in zip(policy.policies, l1)])
     phi = joint_phi(policy)
     if risk.is_neutral:
         return float(np.einsum("sy,z,syz->", model.zeta1, phi, l1))

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ROW_ATOL = 1e-9
+PHI_MODES = ("point_mass", "uniform")
 
 
 @dataclass
@@ -196,7 +197,12 @@ def random_policy(action_counts, obs_counts, z_sizes, horizon, seed,
     """Independent flat-Dirichlet rows; bitwise deterministic per (dims, seed).
 
     Draw order is fixed: agents outer, time steps inner, rows in C order.
+    phi_mode picks each agent's initial agent state: state 0 ("point_mass")
+    or all states alike ("uniform").
     """
+    if phi_mode not in PHI_MODES:
+        raise ValueError(f"unknown phi_mode {phi_mode!r}; choose from "
+                         f"{PHI_MODES}")
     rng = np.random.default_rng(int(seed))
     tables = []
     for ai, yi, zi in zip(action_counts, obs_counts, z_sizes):

@@ -32,8 +32,8 @@ from .evaluation import (aggregate_initial, evaluate_exact,
                          expand_joint_policy, finite_risk, fold_stage,
                          forward_marginals, log_policy, stage_backup)
 from .model import DecPomdpModel
-from .policy import (DeterministicAgentSlice, JointPolicy, PolicyBatch,
-                     mix_policies, random_policy)
+from .policy import (PHI_MODES, DeterministicAgentSlice, JointPolicy,
+                     PolicyBatch, mix_policies, random_policy)
 
 
 @dataclass
@@ -88,6 +88,24 @@ class SolverConfig:
         self.validate()
 
     def validate(self):
+        kinds = [
+            (("anneal_sweeps", "max_sweeps", "restarts", "seed"),
+             "an integer", _is_int),
+            (("lambda0", "alpha", "tol"), "a number",
+             lambda v: _is_int(v) or isinstance(v, (float, np.floating))),
+            (("disable_rs", "disable_cpi"), "a bool",
+             lambda v: isinstance(v, (bool, np.bool_))),
+            (("z_sizes",), "a sequence of integers",
+             lambda v: isinstance(v, (tuple, list)) and all(map(_is_int, v))),
+        ]
+        for names, what, ok in kinds:
+            for name in names:
+                value = getattr(self, name)
+                if not ok(value):
+                    raise ValueError(f"{name} must be {what}, got {value!r}")
+        if self.phi_mode not in PHI_MODES:
+            raise ValueError(f"unknown phi_mode {self.phi_mode!r}; choose "
+                             f"from {PHI_MODES}")
         if not 0.0 <= self.lambda0 < math.inf:
             raise ValueError(f"lambda0 must be finite and >= 0, "
                              f"got {self.lambda0}")
@@ -101,16 +119,24 @@ class SolverConfig:
             raise ValueError("max_sweeps must cover the anneal schedule")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.ordering not in ("sequential", "per_agent"):
             raise ValueError(f"unknown ordering {self.ordering!r}")
         if any(z < 1 for z in self.z_sizes):
-            raise ValueError("agent-state sizes must be >= 1")
+            raise ValueError("z_sizes entries (agent-state sizes) must be >= 1")
 
     def lam_at(self, k: int) -> float:
         """Annealed tilt for sweep k (1-based): lambda0 max(0, 1-(k-1)/K1)."""
         if self.disable_rs or self.lambda0 == 0.0 or self.anneal_sweeps == 0:
             return 0.0
         return self.lambda0 * max(0.0, 1.0 - (k - 1) / self.anneal_sweeps)
+
+
+def _is_int(value) -> bool:
+    """An integer, numpy's included, but not a bool."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))
 
 
 @dataclass
@@ -336,9 +362,8 @@ def sweep(model: DecPomdpModel, policy, lam, alpha: float,
                                      ws.q_red, risk, alpha, i, live)
                 fold_stage(batch, t, ws.q_red, risk, l_cur)
                 l_next, l_cur = l_cur, l_next
-    j = np.array([aggregate_initial(model, p, l1, risk)
-                  for p, l1 in zip(batch.policies, l_next)])
-    return j if batch is policy else float(j[0])
+    return aggregate_initial(model, policy,
+                             l_next if batch is policy else l_next[0], risk)
 
 
 def _check_initial_policy(model: DecPomdpModel, z_sizes, policy: JointPolicy):
@@ -362,7 +387,9 @@ def rscpi(model: DecPomdpModel, config: SolverConfig,
 
     Restart r draws its initial policy from seed + r (restart 0 may be
     overridden with initial_policy). Sweep k advances every running restart
-    by one `sweep` under the annealed tilt, then evaluates each exactly.
+    by one `sweep` under the annealed tilt, then one `evaluate_exact` of the
+    whole batch values each exactly; a masked restart's rows are unchanged,
+    so its value is only read while it runs.
     Convergence is only checked once the tilt has reached zero: a restart
     stops when its sweep's risk objective improves by less than tol, and is
     masked out of the sweeps that follow. The best restart is chosen by
@@ -393,9 +420,9 @@ def rscpi(model: DecPomdpModel, config: SolverConfig,
     for k in range(1, config.max_sweeps + 1):
         lam_k = config.lam_at(k)
         j_risk = sweep(model, batch, lam_k, alpha, config.ordering, ws, live)
+        j_exact = evaluate_exact(model, batch)
         for r in np.flatnonzero(live):
-            j = evaluate_exact(model, batch.policies[r])
-            traces[r].append((lam_k, float(j_risk[r]), j))
+            traces[r].append((lam_k, float(j_risk[r]), float(j_exact[r])))
             if lam_k == 0.0:
                 if prev[r] is not None and j_risk[r] - prev[r] < config.tol:
                     live[r] = False

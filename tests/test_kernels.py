@@ -295,12 +295,20 @@ class TestBatchedKernels:
             assert np.array_equal(got_l[r], want_l)
 
 
+def src_env(**extra):
+    """os.environ with this checkout's src/ first on PYTHONPATH, so that a
+    child interpreter imports the rscpi under test."""
+    path = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 class TestBackendSelection:
     def test_backend_name_is_known(self):
         assert kernels.BACKEND in ("numba", "numpy")
 
     def test_env_forces_numpy(self):
-        env = dict(os.environ, RSCPI_BACKEND="numpy")
+        env = src_env(RSCPI_BACKEND="numpy")
         out = subprocess.run(
             [sys.executable, "-c",
              "import rscpi.kernels as k; print(k.BACKEND)"],
@@ -309,7 +317,7 @@ class TestBackendSelection:
         assert out.stdout.strip() == "numpy"
 
     def test_env_rejects_unknown_value(self):
-        env = dict(os.environ, RSCPI_BACKEND="cuda")
+        env = src_env(RSCPI_BACKEND="cuda")
         out = subprocess.run(
             [sys.executable, "-c", "import rscpi.kernels"],
             capture_output=True, text=True, env=env)
@@ -320,12 +328,10 @@ class TestBackendSelection:
 class TestBenchScript:
     def test_numpy_small_smoke(self):
         # every kernel and sweep row of scripts/bench_backends.py still runs
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
         out = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "bench_backends.py"),
              "--backends", "numpy", "--sizes", "small", "--repeats", "1",
              "--json"],
-            capture_output=True, text=True, env=env, timeout=300)
+            capture_output=True, text=True, env=src_env(), timeout=300)
         assert out.returncode == 0, out.stderr
         assert "numpy" in json.loads(out.stdout)

@@ -1,9 +1,16 @@
 """Grammar, table expansion, diagnostics, and canonical serialization."""
 
+import os
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _benchmarks import dectiger_text, recycling_text
+from rscpi.bench_cli import load_model
 from rscpi.dpomdp_parser import (ParseDiagnostic, compile_model,
                                  compile_tables, parse_dpomdp,
                                  render_diagnostics, serialize_canonical)
@@ -441,3 +448,77 @@ class TestDiagnostics:
                  ParseDiagnostic(2, "error", "e")]
         out = render_diagnostics(diags, "m.dpomdp")
         assert out == "m.dpomdp:1: warning: w\nm.dpomdp:2: error: e"
+
+
+MODELS = Path(__file__).resolve().parents[1] / "benchmarks"
+BUNDLED = {name: (MODELS / name).read_text(encoding="utf-8")
+           for name in ("dectiger.dpomdp", "recycling.dpomdp")}
+FUZZ_TOKENS = ["nan", "inf", "-inf", "1e400", "-1e400", "-1", "0", "1", "2",
+               "0.5", "1e-320", "-0.0", "*", ":", "uniform", "identity",
+               "agents:", "states:", "start:", "T:", "x", "1.0.0", "9" * 30]
+FUZZ_LINES = ["agents: 0", "agents: -1", "agents: 3", "agents: nan",
+              "states: 0", "states: 1e400", "discount: nan", "values: cost",
+              "values: maybe", "start: nan nan", "start: -1 2",
+              "start: exclude 0", "T: * : uniform", "O: * : identity",
+              "R: * : * : * : * : 1e400", "R: * : * : * : * : nan",
+              "T: * : * : * : -1", "O: * : * : * : 2", "actions:",
+              "observations:", "start:", ":", "*", "0.5 0.5 0.5"]
+
+
+@st.composite
+def mutated_bundled_file(draw):
+    """A bundled .dpomdp file with a few lines or tokens replaced, inserted,
+    deleted or doubled."""
+    lines = BUNDLED[draw(st.sampled_from(sorted(BUNDLED)))].splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["token", "line", "insert", "delete",
+                                     "double"]))
+        if not lines:
+            lines.append(draw(st.sampled_from(FUZZ_LINES)))
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split()
+        if kind == "token" and tokens:
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
+                st.sampled_from(FUZZ_TOKENS))
+            lines[i] = " ".join(tokens)
+        elif kind == "line":
+            lines[i] = draw(st.sampled_from(FUZZ_LINES))
+        elif kind == "insert":
+            lines.insert(i, draw(st.sampled_from(FUZZ_LINES)))
+        elif kind == "delete":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+    return "\n".join(lines) + "\n"
+
+
+class TestMutatedFilesFuzz:
+    """Malformed model text yields diagnostics, never an exception."""
+
+    @given(text=mutated_bundled_file())
+    @example(text=BUNDLED["dectiger.dpomdp"].replace("agents: 2",
+                                                     "agents: 0"))
+    @example(text=BUNDLED["dectiger.dpomdp"].replace("0.7225", "nan"))
+    @example(text=BUNDLED["recycling.dpomdp"].replace("1.0 0.0 0.0 0.0",
+                                                      "1e400 0 0 0"))
+    @example(text=BUNDLED["recycling.dpomdp"].replace("0.25", "-1", 1))
+    @settings(max_examples=80, deadline=None)
+    def test_mutated_bundled_file_gives_diagnostics(self, text):
+        raw, diags = parse_dpomdp(text)
+        assert all(isinstance(d, ParseDiagnostic) for d in diags)
+        assert (raw is None) == any(d.severity == "error" for d in diags)
+        if raw is not None:
+            for horizon in (1, 3):
+                model, cdiags = compile_model(raw, horizon)
+                assert all(isinstance(d, ParseDiagnostic) for d in cdiags)
+                if model is None:
+                    assert any(d.severity == "error" for d in cdiags)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.dpomdp")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            try:
+                load_model(path, 3)
+            except ValueError as exc:
+                assert "error:" in str(exc)

@@ -112,6 +112,12 @@ class TestRandomPolicy:
         for ph in pol.phi:
             np.testing.assert_array_equal(ph, uniform_phi(2))
 
+    @pytest.mark.parametrize("mode", ["point-mass", "Uniform", None])
+    def test_unknown_phi_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match="phi_mode"):
+            random_policy((2, 2), (2, 2), (2, 2), horizon=2, seed=0,
+                          phi_mode=mode)
+
 
 class TestMixPolicies:
     def setup_method(self):

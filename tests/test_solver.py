@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from _benchmarks import (dectiger_model, fully_observed_model, random_model,
-                         random_policy_for)
+from _benchmarks import (dectiger_model, deterministic_policy,
+                         fully_observed_model, random_model, random_policy_for)
 from oracles import logmeanexp_direct
 from rscpi import solver
 from rscpi.evaluation import (NumericError, aggregate_initial, backward,
@@ -112,6 +112,70 @@ class TestBackwardTiltedValues:
         policy = random_policy_for(model, (2, 2), seed=4)
         with pytest.raises(NumericError, match="nonfinite tilted value at t="):
             backward(model, policy, 1.0)
+
+
+BATCH_SIZES = {2: dict(action_counts=(2, 3), obs_counts=(3, 2)),
+               3: dict(action_counts=(2, 2, 3), obs_counts=(2, 3, 2))}
+BATCH_Z_SIZES = {2: (2, 3), 3: (2, 1, 2)}
+
+
+class TestBatchedEvaluation:
+    """backward, evaluate_exact and evaluate_risk on a PolicyBatch give each
+    restart the bits of its lone call."""
+
+    def batch_of_three(self, agents):
+        model = random_model(np.random.default_rng(40 + agents), n_states=3,
+                             horizon=3, **BATCH_SIZES[agents])
+        singles = [random_policy_for(model, BATCH_Z_SIZES[agents],
+                                     seed=110 + r) for r in range(3)]
+        return model, singles, PolicyBatch.stack(singles, 3)
+
+    @pytest.mark.parametrize("agents", [2, 3])
+    def test_each_restart_as_if_evaluated_alone(self, agents):
+        model, singles, batch = self.batch_of_three(agents)
+        j = evaluate_exact(model, batch)
+        j_risk = evaluate_risk(model, batch, 0.5)
+        assert j.shape == j_risk.shape == (3,)
+        for r, policy in enumerate(singles):
+            assert j[r] == evaluate_exact(model, policy)
+            assert j_risk[r] == evaluate_risk(model, policy, 0.5)
+
+    @pytest.mark.parametrize("agents", [2, 3])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_out_keeps_each_restarts_stages(self, agents, lam):
+        model, singles, batch = self.batch_of_three(agents)
+        stack = np.stack([value_stack(model, p) for p in singles])
+        l1 = backward(model, batch, lam, out=stack)
+        assert np.array_equal(l1, stack[:, 0])
+        for r, policy in enumerate(singles):
+            alone = value_stack(model, policy)
+            assert np.array_equal(backward(model, policy, lam, out=alone),
+                                  l1[r])
+            assert np.array_equal(alone, stack[r])
+
+    def test_out_of_wrong_shape_names_both_shapes(self):
+        model, singles, batch = self.batch_of_three(2)
+        lone = value_stack(model, singles[0])
+        want = str((3,) + lone.shape)
+        with pytest.raises(ValueError) as err:
+            backward(model, batch, 0.0, out=lone)
+        assert str(lone.shape) in str(err.value)
+        assert want in str(err.value)
+
+    def test_overflow_names_the_restart(self):
+        # joint action 0 pays 9e307 a stage: restart 1 takes it at every
+        # stage and overflows at t=2, restart 0 never takes it
+        model = random_model(np.random.default_rng(44), horizon=3)
+        model.r[:] = 0.0
+        model.r[:, 0] = 9e307
+        never = deterministic_policy(model, (1, 1), lambda i, t, y, w: (1, 0))
+        always = deterministic_policy(model, (1, 1))
+        batch = PolicyBatch.stack([never, always], 2)
+        assert evaluate_exact(model, never) == 0.0
+        with pytest.raises(NumericError,
+                           match=r"nonfinite tilted value at t=2, "
+                                 r"cell=.* of restart 1"):
+            evaluate_exact(model, batch)
 
 
 class TestAveragedLocalQ:
@@ -372,11 +436,9 @@ class TestBatchedSweep:
     @pytest.mark.parametrize("ordering", ["sequential", "per_agent"])
     @pytest.mark.parametrize("agents", [2, 3])
     def test_each_restart_as_if_swept_alone(self, lam, ordering, agents):
-        sizes = {2: dict(action_counts=(2, 3), obs_counts=(3, 2)),
-                 3: dict(action_counts=(2, 2, 3), obs_counts=(2, 3, 2))}
-        z_sizes = {2: (2, 3), 3: (2, 1, 2)}[agents]
+        z_sizes = BATCH_Z_SIZES[agents]
         model = random_model(np.random.default_rng(agents), n_states=3,
-                             horizon=3, **sizes[agents])
+                             horizon=3, **BATCH_SIZES[agents])
         start = [random_policy_for(model, z_sizes, seed=90 + r)
                  for r in range(3)]
         batch = PolicyBatch.stack(start, 3)
@@ -388,6 +450,9 @@ class TestBatchedSweep:
             for r in (0, 2):
                 want = sweep(model, alone[r], lam, 0.4, ordering)
                 assert j[r] == want
+                if lam == 0.0:
+                    # a plain sweep's L_1 is the recursion of its result
+                    assert j[r] == evaluate_exact(model, batch.policies[r])
                 assert tables_bytes(batch.policies[r]) == tables_bytes(
                     alone[r])
             # the masked restart's rows stay untouched
@@ -464,11 +529,21 @@ class TestSolverConfig:
     def test_validation_catches_bad_fields(self):
         bad = [dict(lambda0=-0.5), dict(alpha=0.0), dict(alpha=1.2),
                dict(anneal_sweeps=-1), dict(max_sweeps=5, anneal_sweeps=9),
-               dict(restarts=0), dict(ordering="both"), dict(z_sizes=(0, 2))]
+               dict(restarts=0), dict(ordering="both"), dict(z_sizes=(0, 2)),
+               dict(restarts=2.0), dict(restarts=True), dict(max_sweeps=50.0),
+               dict(anneal_sweeps=2.5), dict(seed=1.5), dict(seed=False),
+               dict(seed=-1), dict(z_sizes=(2.5, 2)), dict(z_sizes=(True, 2)),
+               dict(z_sizes=2), dict(phi_mode="point-mass"),
+               dict(phi_mode=None), dict(lambda0="1"), dict(alpha=True),
+               dict(tol="x"), dict(disable_rs="no"), dict(disable_cpi=1)]
         for kv in bad:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=next(iter(kv))):
                 SolverConfig(**kv).validate()
         SolverConfig().validate()
+        SolverConfig(restarts=np.int64(2), seed=np.int64(3),
+                     z_sizes=[np.int64(1), 2], phi_mode="uniform",
+                     lambda0=1, alpha=np.float64(0.5), tol=math.inf,
+                     disable_rs=np.bool_(True)).validate()
 
     @pytest.mark.parametrize("kv", [dict(lambda0=math.nan),
                                     dict(lambda0=math.inf),
@@ -494,6 +569,28 @@ class TestSolverConfig:
 
 
 class TestRscpi:
+    def test_one_batched_evaluation_per_sweep(self, monkeypatch):
+        calls = []
+        run_sweep, run_eval = solver.sweep, solver.evaluate_exact
+
+        def counted_sweep(model, policy, *args):
+            calls.append("sweep")
+            return run_sweep(model, policy, *args)
+
+        def counted_eval(model, policy):
+            calls.append(("evaluate_exact", policy.size))
+            return run_eval(model, policy)
+
+        monkeypatch.setattr(solver, "sweep", counted_sweep)
+        monkeypatch.setattr(solver, "evaluate_exact", counted_eval)
+        config = SolverConfig(lambda0=0.5, anneal_sweeps=2, alpha=0.5,
+                              max_sweeps=40, tol=1e-6, restarts=3, seed=3,
+                              z_sizes=(2, 2))
+        result = rscpi(dectiger_model(horizon=3), config)
+        sweeps = calls.count("sweep")
+        assert sweeps >= result.sweeps > 2
+        assert calls == ["sweep", ("evaluate_exact", 3)] * sweeps
+
     def test_matrix_game_annealed_escape(self):
         model = matrix_game_model(MATRIX_PAYOFFS)
         config = SolverConfig(lambda0=1.0, anneal_sweeps=1, alpha=1.0,
