@@ -12,6 +12,10 @@ The forward marginals, both steps, `backward`, `evaluate_exact`,
 `evaluate_risk` and `expand_joint_policy` also take a `PolicyBatch`: its
 leading restart axis leads every tensor they read and write, and each
 restart's slice gets the bits it would get alone.
+
+The Monte-Carlo rollout builds the CDF of every distribution it draws from
+once per call and samples chunks of episodes from them; its results are
+reproducible per (seed, chunk).
 """
 
 from __future__ import annotations
@@ -317,41 +321,48 @@ def aggregate_initial(model: DecPomdpModel, policy: JointPolicy,
 
 def rollout_monte_carlo(model: DecPomdpModel, policy: JointPolicy,
                         episodes: int, seed: int, chunk: int = 4096):
-    """Seeded simulation of the generative process; returns (mean, stderr)."""
+    """Seeded simulation of the generative process; returns (mean, stderr).
+
+    Every draw is from a row of zeta1, a phi^i, an agent's table at
+    (t, y^i, w^i) or P at (s, a). Their CDFs are built once per call with
+    the category axis leading, and each step gathers one column per episode.
+    The draws depend on the seed and on the chunk size.
+    """
     _check_dims(model, policy)
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
+    for name, value, low in (("episodes", episodes, 1), ("chunk", chunk, 1),
+                             ("seed", seed, 0)):
+        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                or value < low):
+            raise ValueError(f"{name} must be an integer >= {low}, "
+                             f"got {value!r}")
     rng = np.random.default_rng(int(seed))
-    S, Y = model.state_count, model.joint_obs_count
-    n = policy.n_agents
+    Y, A = model.joint_obs_count, model.joint_action_count
     y_comps = joint_components(model.obs_counts)
-    a_sizes = model.action_counts
+    y_sizes, a_sizes = model.obs_counts, model.action_counts
     z_sizes = policy.agent_state_sizes
+    zeta_cdf = _cdf_columns(model.zeta1.reshape(1, -1))
+    phi_cdfs = [_cdf_columns(p.reshape(1, -1)) for p in policy.phi]
+    tab_cdfs = [_cdf_columns(tab.reshape(-1, a * z))
+                for tab, a, z in zip(policy.tables, a_sizes, z_sizes)]
+    p_cdf = _cdf_columns(model.P.reshape(model.state_count * A, -1))
     totals = np.zeros(episodes)
-    zeta_flat = model.zeta1.reshape(-1)
     done = 0
     while done < episodes:
         e = min(chunk, episodes - done)
-        sy = _sample_rows(rng, np.broadcast_to(zeta_flat, (e, zeta_flat.size)))
+        sy = _draw(rng, zeta_cdf, e)
         s, y = sy // Y, sy % Y
-        w = [_sample_rows(rng, np.broadcast_to(policy.phi[i], (e, z_sizes[i])))
-             for i in range(n)]
+        w = [_draw(rng, cdf, e) for cdf in phi_cdfs]
         reward = np.zeros(e)
         for t in range(model.horizon):
-            a_parts, z_parts = [], []
-            for i in range(n):
-                rows = policy.tables[i][t, y_comps[i][y], w[i]].reshape(e, -1)
-                pick = _sample_rows(rng, rows)
-                a_parts.append(pick // z_sizes[i])
-                z_parts.append(pick % z_sizes[i])
             a = np.zeros(e, dtype=np.int64)
-            for i in range(n):
-                a = a * a_sizes[i] + a_parts[i]
+            for i, cdf in enumerate(tab_cdfs):
+                row = (t * y_sizes[i] + y_comps[i][y]) * z_sizes[i] + w[i]
+                pick = _draw(rng, np.take(cdf, row, axis=1), e)
+                a = a * a_sizes[i] + pick // z_sizes[i]
+                w[i] = pick % z_sizes[i]
             reward += model.r[s, a]
-            w = z_parts
             if t + 1 < model.horizon:
-                rows = model.P[s, a].reshape(e, -1)
-                nxt = _sample_rows(rng, rows)
+                nxt = _draw(rng, np.take(p_cdf, s * A + a, axis=1), e)
                 s, y = nxt // Y, nxt % Y
         totals[done:done + e] = reward
         done += e
@@ -362,8 +373,23 @@ def rollout_monte_carlo(model: DecPomdpModel, policy: JointPolicy,
     return mean, stderr
 
 
-def _sample_rows(rng, rows) -> np.ndarray:
-    """One categorical draw per row of a (n, k) probability matrix."""
-    cdf = np.cumsum(rows, axis=1)
-    u = rng.random(rows.shape[0]) * cdf[:, -1]
-    return np.minimum((u[:, None] > cdf).sum(axis=1), rows.shape[1] - 1)
+def _cdf_columns(rows) -> np.ndarray:
+    """(K, n) running sums of the n rows of a (n, K) probability matrix.
+
+    cumsum adds left to right, so a column equals the cumsum of its row
+    taken on its own, bit for bit.
+    """
+    return np.ascontiguousarray(np.cumsum(rows, axis=1).T)
+
+
+def _draw(rng, cdf, n) -> np.ndarray:
+    """One categorical draw per column of a (K, n) CDF; a (K, 1) CDF is
+    shared by all n draws.
+
+    The draw is the number of CDF entries below u, counted in the smallest
+    integer type that holds K, whose column sum numpy vectorizes.
+    """
+    u = rng.random(n) * cdf[-1]
+    k = cdf.shape[0]
+    below = (u > cdf).sum(axis=0, dtype=np.min_scalar_type(k))
+    return np.minimum(below, k - 1).astype(np.intp)

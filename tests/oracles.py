@@ -394,3 +394,64 @@ def fold_policy_log_states(log_m, q_red, out):
         acc = np.exp(vals - safe[:, :, None]).sum(axis=2)
         out[s] = np.where(np.isfinite(m), m + np.log(acc), -np.inf)
     return out
+
+
+def rollout_monte_carlo_rows(model, policy, episodes, seed, chunk=4096):
+    """Monte-Carlo rollout that gathers probability rows and cumsums them at
+    every step; returns (mean, stderr).
+
+    Draws the same uniforms in the same order as the package's rollout, so
+    the two agree bit for bit for every (seed, chunk).
+    """
+    import numpy as np
+
+    if episodes < 1:
+        raise ValueError("episodes must be >= 1")
+    rng = np.random.default_rng(int(seed))
+    S, Y = model.state_count, model.joint_obs_count
+    n = policy.n_agents
+    y_comps = agent_components(model.obs_counts)
+    a_sizes = model.action_counts
+    z_sizes = policy.agent_state_sizes
+    totals = np.zeros(episodes)
+    zeta_flat = model.zeta1.reshape(-1)
+    done = 0
+    while done < episodes:
+        e = min(chunk, episodes - done)
+        sy = _sample_rows(rng, np.broadcast_to(zeta_flat, (e, zeta_flat.size)))
+        s, y = sy // Y, sy % Y
+        w = [_sample_rows(rng, np.broadcast_to(policy.phi[i], (e, z_sizes[i])))
+             for i in range(n)]
+        reward = np.zeros(e)
+        for t in range(model.horizon):
+            a_parts, z_parts = [], []
+            for i in range(n):
+                rows = policy.tables[i][t, y_comps[i][y], w[i]].reshape(e, -1)
+                pick = _sample_rows(rng, rows)
+                a_parts.append(pick // z_sizes[i])
+                z_parts.append(pick % z_sizes[i])
+            a = np.zeros(e, dtype=np.int64)
+            for i in range(n):
+                a = a * a_sizes[i] + a_parts[i]
+            reward += model.r[s, a]
+            w = z_parts
+            if t + 1 < model.horizon:
+                rows = model.P[s, a].reshape(e, -1)
+                nxt = _sample_rows(rng, rows)
+                s, y = nxt // Y, nxt % Y
+        totals[done:done + e] = reward
+        done += e
+    mean = float(totals.mean())
+    if episodes == 1:
+        return mean, 0.0
+    stderr = float(totals.std(ddof=1) / np.sqrt(episodes))
+    return mean, stderr
+
+
+def _sample_rows(rng, rows):
+    """One categorical draw per row of a (n, k) probability matrix."""
+    import numpy as np
+
+    cdf = np.cumsum(rows, axis=1)
+    u = rng.random(rows.shape[0]) * cdf[:, -1]
+    return np.minimum((u[:, None] > cdf).sum(axis=1), rows.shape[1] - 1)

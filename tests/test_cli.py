@@ -209,6 +209,18 @@ class TestEval:
         assert doc["mc_stderr"] > 0
         assert abs(doc["mc_mean"] - doc["J_exact"]) < 4 * doc["mc_stderr"]
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--mc", "-5"], "episodes"),
+        (["--mc", "100", "--seed", "-1"], "seed")])
+    def test_bad_monte_carlo_argument_exits_2(self, capsys, tmp_path, flags,
+                                              name):
+        path = self.write_policy(tmp_path, MATRIX_UNIFORM)
+        code, out, err = run_cli(capsys, "eval", "--model", "matrix-game",
+                                 "--horizon", "1", "--policy", str(path),
+                                 *flags)
+        assert code == 2 and out == ""
+        assert name in err
+
     def test_dectiger_block_policy_end_to_end(self, capsys, tmp_path):
         model_path = tmp_path / "dectiger.dpomdp"
         model_path.write_text(dectiger_text())

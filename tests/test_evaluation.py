@@ -9,7 +9,7 @@ from _benchmarks import (dectiger_block_policy, dectiger_model,
                          recycling_reactive_policy)
 from oracles import (evaluate_enum, evaluate_risk_enum,
                      expand_joint_policy_gather, forward_sum_eval,
-                     marginal_enum)
+                     marginal_enum, rollout_monte_carlo_rows)
 from rscpi.bench_cli import load_model
 from rscpi.evaluation import (NumericError, evaluate_exact, evaluate_risk,
                               expand_joint_policy, forward_marginals,
@@ -207,14 +207,19 @@ class TestEvaluateRisk:
             evaluate_risk(model, uniform_matrix_policy(), -0.5)
 
 
+def deterministic_process():
+    """A fully observed chain and policy with a single possible episode."""
+    P = np.zeros((2, 2, 2))
+    P[:, :, 1] = 1.0  # every action leads to state 1
+    r = np.array([[1.0, 2.0], [3.0, 4.0]])
+    model = fully_observed_model(P, r, [1.0, 0.0], horizon=3)
+    return model, deterministic_policy(model, (1,),
+                                       lambda i, t, y, w: (y % 2, 0))
+
+
 class TestMonteCarlo:
     def test_deterministic_process_zero_stderr(self):
-        P = np.zeros((2, 2, 2))
-        P[:, :, 1] = 1.0  # every action leads to state 1
-        r = np.array([[1.0, 2.0], [3.0, 4.0]])
-        model = fully_observed_model(P, r, [1.0, 0.0], horizon=3)
-        policy = deterministic_policy(model, (1,),
-                                      lambda i, t, y, w: (y % 2, 0))
+        model, policy = deterministic_process()
         mean, stderr = rollout_monte_carlo(model, policy, 500, seed=0)
         assert stderr == 0.0
         assert mean == pytest.approx(evaluate_exact(model, policy), abs=1e-12)
@@ -240,6 +245,55 @@ class TestMonteCarlo:
         assert a == b
 
     def test_episode_count_validated(self):
+        """episodes and chunk are integers >= 1, seed an integer >= 0; each
+        error names its argument (chunk=0 would loop forever)."""
         model = matrix_game_model(MATRIX_PAYOFFS)
-        with pytest.raises(ValueError, match="episodes"):
-            rollout_monte_carlo(model, uniform_matrix_policy(), 0, seed=0)
+        for name, bad in [("episodes", 0), ("episodes", -3),
+                          ("episodes", True), ("episodes", 10.0),
+                          ("chunk", 0), ("chunk", -3), ("chunk", True),
+                          ("chunk", 2.5), ("seed", -1), ("seed", 1.5),
+                          ("seed", "7")]:
+            args = dict(episodes=10, seed=0, chunk=4) | {name: bad}
+            with pytest.raises(ValueError, match=name):
+                rollout_monte_carlo(model, uniform_matrix_policy(), **args)
+
+    def test_numpy_integers_accepted(self):
+        model = matrix_game_model(MATRIX_PAYOFFS)
+        policy = uniform_matrix_policy()
+        assert (rollout_monte_carlo(model, policy, np.int64(50), np.int64(3),
+                                    chunk=np.int32(7))
+                == rollout_monte_carlo(model, policy, 50, 3, chunk=7))
+
+
+def _oracle_cases():
+    """(model, policy, episodes) on which the rollout is checked bitwise;
+    no episode count is a multiple of 7 or 4096."""
+    tiger = dectiger_model(horizon=6)
+    yield tiger, random_policy(tiger.action_counts, tiger.obs_counts, (2, 2),
+                               6, seed=4, phi_mode="uniform"), 1003
+    recycling = recycling_model(horizon=100)
+    yield recycling, random_policy_for(recycling, (2, 2), seed=0), 45
+    three = random_model(np.random.default_rng(8), action_counts=(2, 2, 2),
+                         obs_counts=(2, 2, 2), horizon=4)
+    yield three, random_policy_for(three, (2, 1, 3), seed=5), 1003
+    yield *deterministic_process(), 1003
+
+
+ORACLE_CASES = list(_oracle_cases())
+
+
+class TestMonteCarloOracle:
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    @pytest.mark.parametrize("case", range(len(ORACLE_CASES)),
+                             ids=["dectiger", "recycling", "three_agents",
+                                  "deterministic"])
+    def test_equal_to_per_row_sampler(self, case, chunk):
+        """Drawing from CDFs built once per call gives the same bits as
+        gathering probability rows and summing them at every step."""
+        model, policy, episodes = ORACLE_CASES[case]
+        if chunk == 1:  # one Python step per episode and stage
+            episodes = 2 + 100 // model.horizon
+        got = rollout_monte_carlo(model, policy, episodes, seed=11,
+                                  chunk=chunk)
+        assert got == rollout_monte_carlo_rows(model, policy, episodes,
+                                               seed=11, chunk=chunk)
