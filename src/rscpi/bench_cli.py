@@ -22,7 +22,7 @@ import numpy as np
 from .dpomdp_parser import parse_dpomdp, compile_model, render_diagnostics
 from .evaluation import (NumericError, evaluate_exact, evaluate_risk,
                          rollout_monte_carlo)
-from .model import matrix_game_model
+from .model import is_int, matrix_game_model
 from .policy import dump_policy, policy_from_json, policy_to_json
 from .solver import SolverConfig, rscpi
 
@@ -94,14 +94,14 @@ class RunConfigFile:
             (("model", "out", "init_obs"), "a string",
              lambda v: isinstance(v, str)),
             (("max_sweeps", "restarts", "workers"), "an integer >= 1",
-             lambda v: _is_int(v, 1)),
+             lambda v: is_int(v, 1)),
             (("horizons",), "a list of integers >= 1",
-             lambda v: all(_is_int(x, 1) for x in v)),
+             lambda v: all(is_int(x, 1) for x in v)),
             (("anneal_sweeps", "seeds"), "a list of integers >= 0",
-             lambda v: all(_is_int(x, 0) for x in v)),
+             lambda v: all(is_int(x, 0) for x in v)),
             (("agent_states",), "a list of integers >= 1 or of lists of them",
-             lambda v: all(_is_int(x, 1) or isinstance(x, list)
-                           and all(_is_int(z, 1) for z in x) for x in v)),
+             lambda v: all(is_int(x, 1) or isinstance(x, list)
+                           and all(is_int(z, 1) for z in x) for x in v)),
             (("lambda0", "alpha"), "a list of finite numbers",
              lambda v: all(_is_finite(x) for x in v)),
         ]
@@ -116,11 +116,6 @@ class RunConfigFile:
         if cfg.init_obs not in ("dummy", "uniform"):
             raise ValueError("init_obs must be 'dummy' or 'uniform'")
         return cfg
-
-
-def _is_int(value, lo: int) -> bool:
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and value >= lo)
 
 
 def _is_finite(value) -> bool:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .model import DecPomdpModel, JointIndexer
+from .model import DecPomdpModel, JointIndexer, is_int
 from .policy import JointPolicy, PolicyBatch
 from .risk import RiskParameter
 
@@ -331,8 +331,7 @@ def rollout_monte_carlo(model: DecPomdpModel, policy: JointPolicy,
     _check_dims(model, policy)
     for name, value, low in (("episodes", episodes, 1), ("chunk", chunk, 1),
                              ("seed", seed, 0)):
-        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                or value < low):
+        if not is_int(value, low):
             raise ValueError(f"{name} must be an integer >= {low}, "
                              f"got {value!r}")
     rng = np.random.default_rng(int(seed))

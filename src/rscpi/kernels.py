@@ -12,6 +12,9 @@ max-shifted logsumexp; a single global shift is unsafe because lambda*V
 spans far beyond exp()'s range on long horizons. The lambda = 0 stage backup
 and fold (`evaluation.stage_backup`, `evaluation.fold_stage`) and the averaged
 local value (`solver._averaged_local_q`) are plain numpy on both backends.
+The averaged local value sums the co-agents' (y, w) axes out of zeta * copi
+before the backup is broadcast in; at lambda > 0 both of its sums are
+logsumexps with the same per-output-cell shift.
 
 Dynamics enter as a CSR-style support: for flat row (s, a), the nonzero
 successors (s', y') live at positions indptr[s*A + a] : indptr[s*A + a + 1].

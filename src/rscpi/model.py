@@ -20,6 +20,13 @@ import numpy as np
 PROB_ATOL = 1e-9
 
 
+def is_int(value, lo=None) -> bool:
+    """An integer, numpy's included, but not a bool, and >= lo if given."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool)
+            and (lo is None or bool(value >= lo)))
+
+
 class JointIndexer:
     """Mixed-radix bijection between per-agent index tuples and flat indices."""
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .model import is_int
+
 ROW_ATOL = 1e-9
 PHI_MODES = ("point_mass", "uniform")
 
@@ -253,10 +255,10 @@ def policy_from_json(text: str) -> JointPolicy:
         raise ValueError(f"policy JSON must be an object, "
                          f"not {type(doc).__name__}")
     horizon = _json_field(doc, "horizon")
-    if not _is_count(horizon):
+    if not is_int(horizon, 1):
         raise ValueError("policy field 'horizon' must be a positive integer")
     sizes = _json_field(doc, "agent_state_sizes")
-    if not isinstance(sizes, list) or not all(map(_is_count, sizes)):
+    if not isinstance(sizes, list) or not all(is_int(z, 1) for z in sizes):
         raise ValueError("policy field 'agent_state_sizes' must be a list "
                          "of positive integers")
     arrays = {}
@@ -278,12 +280,6 @@ def _json_field(doc: dict, name: str):
     if name not in doc:
         raise ValueError(f"policy JSON lacks the field {name!r}")
     return doc[name]
-
-
-def _is_count(value) -> bool:
-    """A JSON integer >= 1 (bools are ints in Python, but not here)."""
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and value >= 1)
 
 
 def dump_policy(policy: JointPolicy, model=None, names=None) -> str:

@@ -31,7 +31,7 @@ from . import kernels
 from .evaluation import (aggregate_initial, evaluate_exact,
                          expand_joint_policy, finite_risk, fold_stage,
                          forward_marginals, log_policy, stage_backup)
-from .model import DecPomdpModel
+from .model import DecPomdpModel, is_int
 from .policy import (PHI_MODES, DeterministicAgentSlice, JointPolicy,
                      PolicyBatch, mix_policies, random_policy)
 
@@ -90,13 +90,13 @@ class SolverConfig:
     def validate(self):
         kinds = [
             (("anneal_sweeps", "max_sweeps", "restarts", "seed"),
-             "an integer", _is_int),
+             "an integer", is_int),
             (("lambda0", "alpha", "tol"), "a number",
-             lambda v: _is_int(v) or isinstance(v, (float, np.floating))),
+             lambda v: is_int(v) or isinstance(v, (float, np.floating))),
             (("disable_rs", "disable_cpi"), "a bool",
              lambda v: isinstance(v, (bool, np.bool_))),
             (("z_sizes",), "a sequence of integers",
-             lambda v: isinstance(v, (tuple, list)) and all(map(_is_int, v))),
+             lambda v: isinstance(v, (tuple, list)) and all(map(is_int, v))),
         ]
         for names, what, ok in kinds:
             for name in names:
@@ -131,12 +131,6 @@ class SolverConfig:
         if self.disable_rs or self.lambda0 == 0.0 or self.anneal_sweeps == 0:
             return 0.0
         return self.lambda0 * max(0.0, 1.0 - (k - 1) / self.anneal_sweeps)
-
-
-def _is_int(value) -> bool:
-    """An integer, numpy's included, but not a bool."""
-    return (isinstance(value, (int, np.integer))
-            and not isinstance(value, bool))
 
 
 @dataclass
@@ -243,14 +237,16 @@ def _agent_last(x: np.ndarray, agent: int, n: int) -> np.ndarray:
 def _averaged_local_q(model, zeta_t, batch, t, q_red, risk, agent):
     """averaged_local_q of a batch on the stage's backed-up q_red.
 
-    Every (s, co-agents' y, w, a, z) cell is one row of a (rows, cells)
-    product and every (restart, y^i, w^i, a^i, z^i) cell one column; a
-    column sum adds the rows one at a time in flat joint order, whatever R
-    is. zeta_t (R, S, Y, Z) varies along (s, y, w), the co-agents' policy
-    along their own axes, q_red (R, S, A, Z) along (s, a, z): the first two
-    are multiplied on their small common shape before q is broadcast in.
-    lam > 0 adds logs instead and shifts each column by its own max before
-    the exp.
+    zeta_t (R, S, Y, Z) varies along (s, y, w), the co-agents' policy along
+    their own (y, w, a, z) axes, q_red (R, S, A, Z) along (s, a, z). The
+    co-agents' (y, w) axes meet only the first two, so they are summed out
+    first: b[s, co (a, z), restart, y^i w^i] = sum_{co (y, w)} zeta * copi.
+    Then each (restart, y^i, w^i, a^i, z^i) column sums b * q over its
+    (s, co (a, z)) rows. Both are elementwise products and axis sums, which
+    add one row at a time whatever R is, so a batch gives each restart its
+    lone bits, and columns that differ only in z'^i get the same operations.
+    lam > 0 adds logs instead and takes each sum as a logsumexp, every
+    output cell shifted by its own max before the exp.
     """
     n = model.n_agents
     R, S = zeta_t.shape[:2]
@@ -261,33 +257,39 @@ def _averaged_local_q(model, zeta_t, batch, t, q_red, risk, agent):
     co_yw = zeta_t.shape[2] * zeta_t.shape[3] // yw
     co_az = q_red.shape[2] * q_red.shape[3] // az
     zeta = _agent_last(zeta_t.reshape(R, S, *y_sizes, *w_sizes), agent, n)
-    zeta = zeta.reshape(S, co_yw, 1, R, yw, 1)
+    zeta = zeta.reshape(S, co_yw, 1, R, yw)
     co = [j for j in range(n) if j != agent]
     copi = (expand_joint_policy(batch.agents(co), t - 1) if co
             else np.ones((R, 1, 1, 1, 1)))
-    copi = copi.reshape(R, co_yw, co_az).transpose(1, 2, 0)[..., None, None]
+    copi = copi.reshape(R, co_yw, co_az).transpose(1, 2, 0)[..., None]
     q = _agent_last(q_red.reshape(R, S, *a_sizes, *w_sizes), agent, n)
-    q = q.reshape(S, 1, co_az, R, 1, az)
+    q = q.reshape(S, co_az, R, 1, az)
     cells = R * yw * az
     if risk.is_neutral:
-        vals = np.multiply(zeta * copi, q).reshape(-1, cells)
-        table = vals.sum(axis=0)
+        b = np.multiply(zeta, copi).sum(axis=1)
+        table = np.multiply(b[..., None], q).reshape(-1, cells).sum(axis=0)
     else:
         with np.errstate(divide="ignore"):
-            vals = np.add(np.log(zeta) + log_policy(copi), q)
-        vals = vals.reshape(-1, cells)
-        top = vals.max(axis=0)
-        ok = np.isfinite(top)
-        vals -= np.where(ok, top, 0.0)
-        acc = np.exp(vals, out=vals).sum(axis=0)
-        table = np.full(cells, -np.inf)
-        table[ok] = top[ok] + np.log(acc[ok])
+            b = _logsumexp(np.add(np.log(zeta), log_policy(copi)), axis=1)
+        vals = np.add(b[..., None], q).reshape(-1, cells)
+        table = _logsumexp(vals, axis=0)
     mass = zeta.reshape(S, co_yw, R * yw).sum(axis=0).sum(axis=0)
     shape = (R, y_sizes[agent], w_sizes[agent], a_sizes[agent],
              w_sizes[agent])
     return AveragedLocalQ(agent=agent, t=t, table=table.reshape(shape),
                           mass=mass.reshape(shape[:3]),
                           lam=risk.lam, is_plain=risk.is_neutral)
+
+
+def _logsumexp(vals: np.ndarray, axis: int) -> np.ndarray:
+    """log sum exp of vals along axis, overwriting vals. Each output cell is
+    shifted by its own max; a cell whose max is not finite comes out -inf."""
+    top = vals.max(axis=axis)
+    ok = np.isfinite(top)
+    vals -= np.expand_dims(np.where(ok, top, 0.0), axis)
+    acc = np.exp(vals, out=vals).sum(axis=axis)
+    np.log(acc, out=acc, where=ok)
+    return np.where(ok, top + acc, -np.inf)
 
 
 def greedy_agent_update(qbar: AveragedLocalQ,

@@ -354,6 +354,60 @@ def averaged_local_q_loops(zeta, copi, q_red, y_sizes, w_sizes, a_sizes,
     return table, mass
 
 
+def averaged_local_q_flat(model, zeta_t, batch, t, q_red, risk, agent):
+    """solver._averaged_local_q by the full product, a drop-in replacement.
+
+    Every (s, co-agents' y, w, a, z) cell is one row of a (rows, cells)
+    product and every (restart, y^i, w^i, a^i, z^i) cell one column; a
+    column sum adds the rows one at a time in flat joint order, whatever R
+    is. It holds S * co_yw * co_az * R * yw * az floats at once, where the
+    package sums the co-agents' (y, w) axes out before q is broadcast in.
+    lam > 0 adds logs instead and shifts each column by its own max before
+    the exp.
+    """
+    import numpy as np
+
+    from rscpi.evaluation import expand_joint_policy, log_policy
+    from rscpi.solver import AveragedLocalQ, _agent_last
+
+    n = model.n_agents
+    R, S = zeta_t.shape[:2]
+    y_sizes, a_sizes = model.obs_counts, model.action_counts
+    w_sizes = batch.agent_state_sizes
+    yw = y_sizes[agent] * w_sizes[agent]
+    az = a_sizes[agent] * w_sizes[agent]
+    co_yw = zeta_t.shape[2] * zeta_t.shape[3] // yw
+    co_az = q_red.shape[2] * q_red.shape[3] // az
+    zeta = _agent_last(zeta_t.reshape(R, S, *y_sizes, *w_sizes), agent, n)
+    zeta = zeta.reshape(S, co_yw, 1, R, yw, 1)
+    co = [j for j in range(n) if j != agent]
+    copi = (expand_joint_policy(batch.agents(co), t - 1) if co
+            else np.ones((R, 1, 1, 1, 1)))
+    copi = copi.reshape(R, co_yw, co_az).transpose(1, 2, 0)[..., None, None]
+    q = _agent_last(q_red.reshape(R, S, *a_sizes, *w_sizes), agent, n)
+    q = q.reshape(S, 1, co_az, R, 1, az)
+    cells = R * yw * az
+    if risk.is_neutral:
+        vals = np.multiply(zeta * copi, q).reshape(-1, cells)
+        table = vals.sum(axis=0)
+    else:
+        with np.errstate(divide="ignore"):
+            vals = np.add(np.log(zeta) + log_policy(copi), q)
+        vals = vals.reshape(-1, cells)
+        top = vals.max(axis=0)
+        ok = np.isfinite(top)
+        vals -= np.where(ok, top, 0.0)
+        acc = np.exp(vals, out=vals).sum(axis=0)
+        table = np.full(cells, -np.inf)
+        table[ok] = top[ok] + np.log(acc[ok])
+    mass = zeta.reshape(S, co_yw, R * yw).sum(axis=0).sum(axis=0)
+    shape = (R, y_sizes[agent], w_sizes[agent], a_sizes[agent],
+             w_sizes[agent])
+    return AveragedLocalQ(agent=agent, t=t, table=table.reshape(shape),
+                          mass=mass.reshape(shape[:3]),
+                          lam=risk.lam, is_plain=risk.is_neutral)
+
+
 def tilted_q_log_rows(indptr, sp_idx, yp_idx, logp, lam_r, L_next, out):
     """kernels.tilted_q_log one (s, a) support row at a time.
 

@@ -10,12 +10,13 @@ from _benchmarks import (dectiger_block_policy, dectiger_model,
 from oracles import (evaluate_enum, evaluate_risk_enum,
                      expand_joint_policy_gather, forward_sum_eval,
                      marginal_enum, rollout_monte_carlo_rows)
+from rscpi import evaluation
 from rscpi.bench_cli import load_model
 from rscpi.evaluation import (NumericError, evaluate_exact, evaluate_risk,
                               expand_joint_policy, forward_marginals,
                               joint_phi, rollout_monte_carlo)
 from rscpi.model import matrix_game_model
-from rscpi.policy import JointPolicy, random_policy
+from rscpi.policy import ROW_ATOL, JointPolicy, random_policy
 from rscpi.risk import certainty_equivalent
 from test_cli import HUGE_REWARD_MODEL
 
@@ -297,3 +298,38 @@ class TestMonteCarloOracle:
                                   chunk=chunk)
         assert got == rollout_monte_carlo_rows(model, policy, episodes,
                                                seed=11, chunk=chunk)
+
+
+class FixedUniforms:
+    """Stands in for a numpy Generator: random(n) hands out the next n of
+    the given uniforms."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, n):
+        out, self.values = self.values[:n], self.values[n:]
+        return np.array(out)
+
+
+class TestDrawConvention:
+    """evaluation._draw at exact boundary uniforms: category k takes the
+    scaled u = u * cdf[-1] in (cdf[k-1], cdf[k]]. Random uniforms almost
+    never land on a boundary, so the rollout oracle cannot pin this."""
+
+    def test_boundaries_of_exact_steps(self):
+        cdf = evaluation._cdf_columns(np.array([[0.25, 0.25, 0.5]]))
+        u = [0.0, 0.25, np.nextafter(0.25, 1.0), 0.5,
+             np.nextafter(0.5, 1.0), 0.75, np.nextafter(1.0, 0.0)]
+        got = evaluation._draw(FixedUniforms(u), cdf, len(u))
+        assert got.tolist() == [0, 0, 1, 1, 2, 2, 2]
+
+    def test_scaled_by_the_row_sum(self):
+        """A row summing to 1 - 5e-10 passes the row check; u just above
+        cdf[1] = 0.5 lands below it once scaled by the row sum."""
+        row = np.array([[0.25, 0.25, 0.5 - 5e-10]])
+        assert 0.0 < 1.0 - row.sum() <= ROW_ATOL
+        cdf = evaluation._cdf_columns(row)
+        assert cdf[1, 0] == 0.5
+        got = evaluation._draw(FixedUniforms([0.5 + 1.25e-10]), cdf, 1)
+        assert got.tolist() == [1]

@@ -6,8 +6,20 @@ import numpy as np
 import pytest
 
 from _benchmarks import dectiger_model, deterministic_policy, random_model
-from rscpi.model import (DecPomdpModel, JointIndexer, make_initial_distribution,
-                         matrix_game_model, pad_dynamics_for_dummy)
+from rscpi.model import (DecPomdpModel, JointIndexer, is_int,
+                         make_initial_distribution, matrix_game_model,
+                         pad_dynamics_for_dummy)
+
+
+@pytest.mark.parametrize("value, lo, ok", [
+    (3, None, True), (-3, None, True), (np.int64(3), 1, True),
+    (np.uint8(0), 0, True), (0, 1, False), (np.int32(-1), 0, False),
+    (True, None, False), (np.bool_(True), None, False), (3.0, None, False),
+    ("3", None, False), (None, None, False)])
+def test_is_int(value, lo, ok):
+    """The one integer check of configs, policy JSON and rollout arguments:
+    numpy integers count, bools and floats do not."""
+    assert is_int(value, lo) is ok
 
 
 class TestJointIndexer:

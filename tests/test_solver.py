@@ -1,17 +1,19 @@
 """Tilted backward values, averaged local Q, greedy sweeps, and rscpi."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from _benchmarks import (dectiger_model, deterministic_policy,
                          fully_observed_model, random_model, random_policy_for)
-from oracles import logmeanexp_direct
-from rscpi import solver
+from oracles import averaged_local_q_flat, logmeanexp_direct
+from rscpi import kernels, solver
 from rscpi.evaluation import (NumericError, aggregate_initial, backward,
                               evaluate_exact, evaluate_risk,
-                              forward_marginals, joint_components)
+                              forward_marginals, joint_components,
+                              stage_backup)
 from rscpi.model import matrix_game_model
 from rscpi.policy import JointPolicy, PolicyBatch, mix_policies, random_policy
 from rscpi.risk import (RiskParameter, risk_value_iteration,
@@ -291,6 +293,98 @@ class TestAveragedLocalQ:
                                        l_next[r], lam, agent)
                 assert np.array_equal(qbar.table[r], one.table)
                 assert np.array_equal(qbar.mass[r], one.mass)
+
+
+class TestFactoredLocalQ:
+    """The averaged local value sums the co-agents' (y, w) axes out before
+    q is broadcast in; `averaged_local_q_flat` is the full product it
+    replaced. The table's last bits may move; they reach the policy only
+    through the greedy argmax."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    @pytest.mark.parametrize("agents", [2, 3])
+    def test_matches_full_product_through_real_sweeps(self, monkeypatch,
+                                                      lam, agents):
+        """At every stage and agent of two sweeps of a batch of three
+        restarts, the table is the full product's to 1e-12, and the greedy
+        pick is the full product's wherever its best two cells differ by
+        more than 1e-9."""
+        factored = solver._averaged_local_q
+        clear_cells = []
+
+        def checked(model, zeta_t, batch, t, q_red, risk, agent):
+            got = factored(model, zeta_t, batch, t, q_red, risk, agent)
+            want = averaged_local_q_flat(model, zeta_t, batch, t, q_red,
+                                         risk, agent)
+            np.testing.assert_allclose(got.table, want.table, rtol=0,
+                                       atol=1e-12)
+            assert np.array_equal(got.mass, want.mass)
+            *lead, ai, zi = want.table.shape
+            top2 = np.sort(want.table.reshape(*lead, ai * zi))[..., -2:]
+            with np.errstate(invalid="ignore"):
+                clear = want.reachable & (top2[..., 1] - top2[..., 0] > 1e-9)
+            incumbent = batch.tables[agent][:, t - 1]
+            picks = [greedy_agent_update(x, incumbent) for x in (got, want)]
+            for name in ("actions", "next_states"):
+                mine, theirs = (getattr(p, name)[clear] for p in picks)
+                assert np.array_equal(mine, theirs)
+            clear_cells.append(int(clear.sum()))
+            return got
+
+        monkeypatch.setattr(solver, "_averaged_local_q", checked)
+        model = random_model(np.random.default_rng(30 + agents), n_states=3,
+                             action_counts=(2,) * agents,
+                             obs_counts=(2,) * agents, horizon=3)
+        z_sizes = (2,) * agents
+        batch = PolicyBatch.stack(
+            [random_policy_for(model, z_sizes, seed=120 + r)
+             for r in range(3)], 3)
+        for _ in range(2):
+            sweep(model, batch, lam, 0.4)
+        assert len(clear_cells) == 2 * model.horizon * agents
+        assert sum(clear_cells) > 0
+
+    @pytest.mark.parametrize("lambda0", [0.0, 0.5])
+    def test_dectiger_trace_as_with_full_product(self, monkeypatch, lambda0):
+        model = dectiger_model(horizon=6)
+        config = SolverConfig(lambda0=lambda0, anneal_sweeps=3, alpha=0.1,
+                              max_sweeps=8, restarts=2, seed=0,
+                              z_sizes=(2, 2))
+        got = rscpi(model, config)
+        monkeypatch.setattr(solver, "_averaged_local_q",
+                            averaged_local_q_flat)
+        want = rscpi(model, config)
+        assert got.trace == want.trace
+        assert got.sweeps == want.sweeps == 8
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_peak_memory_on_the_large_synthetic_shape(self, lam):
+        """One call at S=8, A^i=Y^i=4, Z^i=3 and one restart peaks under
+        0.6 MB; the full product, S*co_yw*co_az*yw*az = 165,888 floats,
+        peaks above it."""
+        model = random_model(np.random.default_rng(0), n_states=8,
+                             action_counts=(4, 4), obs_counts=(4, 4),
+                             horizon=2, init_obs_mode="uniform_observation")
+        batch = PolicyBatch.of(random_policy_for(model, (3, 3), seed=1))
+        zeta_t = forward_marginals(model, batch).at(2)
+        risk = RiskParameter(lam)
+        q_red = np.empty((1, 8, 16, 9))
+        with kernels.quiet_overflow():
+            stage_backup(model, np.zeros((1, 8, 16, 9)), risk, q_red)
+
+        def peak_mb(local_q):
+            args = (model, zeta_t, batch, 2, q_red, risk)
+            local_q(*args, 0)   # fills the joint-cell index cache
+            tracemalloc.start()
+            try:
+                for agent in (0, 1):
+                    local_q(*args, agent)
+                return tracemalloc.get_traced_memory()[1] / 1e6
+            finally:
+                tracemalloc.stop()
+
+        assert peak_mb(solver._averaged_local_q) < 0.6
+        assert peak_mb(averaged_local_q_flat) > 0.6
 
 
 class TestGreedyAgentUpdate:
