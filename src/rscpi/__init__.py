@@ -14,9 +14,7 @@ from .model import (DecPomdpModel, JointIndexer, make_initial_distribution,
 from .policy import (DeterministicAgentSlice, JointPolicy, dump_policy,
                      mix_policies, policy_from_json, policy_to_json,
                      random_policy)
-from .risk import (FiniteMdp, RiskParameter, certainty_equivalent,
-                   risk_policy_evaluation_mdp, risk_value_iteration,
-                   weighted_logmeanexp)
+from .risk import RiskParameter
 from .solver import (AveragedLocalQ, SolveResult, SolverConfig,
                      averaged_local_q, greedy_agent_update, rscpi, sweep)
 
@@ -24,14 +22,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AveragedLocalQ", "DecPomdpModel", "DeterministicAgentSlice",
-    "FiniteMdp", "JointIndexer", "JointPolicy", "NumericError",
+    "JointIndexer", "JointPolicy", "NumericError",
     "ParseDiagnostic", "RawDpomdpFile", "RiskParameter", "SolveResult",
-    "SolverConfig", "averaged_local_q", "backward", "certainty_equivalent",
+    "SolverConfig", "averaged_local_q", "backward",
     "compile_model", "dump_policy", "evaluate_exact", "evaluate_risk",
     "forward_marginals", "greedy_agent_update", "make_initial_distribution",
     "matrix_game_model", "mix_policies",
     "parse_dpomdp", "policy_from_json", "policy_to_json", "random_policy",
-    "risk_policy_evaluation_mdp", "risk_value_iteration",
     "rollout_monte_carlo", "rscpi", "serialize_canonical", "sweep",
-    "weighted_logmeanexp",
 ]

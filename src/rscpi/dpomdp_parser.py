@@ -109,9 +109,6 @@ class _Parser:
     def error(self, line, msg):
         self.diags.append(ParseDiagnostic(line, "error", msg))
 
-    def warn(self, line, msg):
-        self.diags.append(ParseDiagnostic(line, "warning", msg))
-
     def peek(self):
         return self.lines[self.pos] if self.pos < len(self.lines) else None
 

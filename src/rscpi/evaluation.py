@@ -54,11 +54,10 @@ def joint_components(sizes):
     return [idx.component(i) for i in range(len(idx.sizes))]
 
 
-def expand_joint_policy(policy: JointPolicy, t: int, skip_agent=None) -> np.ndarray:
+def expand_joint_policy(policy: JointPolicy, t: int) -> np.ndarray:
     """Joint policy table M[y, w, a, z] = prod_i pi^i_t(a^i, z^i | y^i, w^i).
 
-    Flat joint axes in row-major agent order. skip_agent omits that agent's
-    factor, so the table is constant along its axes. The agents' rows are
+    Flat joint axes in row-major agent order. The agents' rows are
     multiplied into ones as outer products in agent order, each row's
     (y^i, w^i, a^i, z^i) cells contiguous, then one gather moves every
     product to its flat joint cell. A batch's restart axis leads the result.
@@ -66,25 +65,24 @@ def expand_joint_policy(policy: JointPolicy, t: int, skip_agent=None) -> np.ndar
     y_sizes, a_sizes = policy.obs_counts(), policy.action_counts()
     w_sizes = policy.agent_state_sizes
     lead = policy.tables[0].shape[:-5]
-    keep = tuple(i for i in range(policy.n_agents) if i != skip_agent)
     prod = np.ones(lead + (1,))
-    for i in keep:
-        row = policy.tables[i][..., t, :, :, :, :].reshape(lead + (-1,))
+    for tab in policy.tables:
+        row = tab[..., t, :, :, :, :].reshape(lead + (-1,))
         prod = (prod[..., :, None] * row[..., None, :]).reshape(lead + (-1,))
-    m = np.take(prod, _joint_cells(y_sizes, w_sizes, a_sizes, keep), axis=-1)
+    m = np.take(prod, _joint_cells(y_sizes, w_sizes, a_sizes), axis=-1)
     nw = math.prod(w_sizes)
     return m.reshape(lead + (math.prod(y_sizes), nw, math.prod(a_sizes), nw))
 
 
 @functools.lru_cache(maxsize=64)
-def _joint_cells(y_sizes, w_sizes, a_sizes, keep) -> np.ndarray:
+def _joint_cells(y_sizes, w_sizes, a_sizes) -> np.ndarray:
     """For each flat joint (y, w, a, z) cell, the flat index of its factor
-    in the outer product of the rows of the agents in `keep`."""
+    in the outer product of the agents' rows."""
     n = len(y_sizes)
     axes = y_sizes + w_sizes + a_sizes + w_sizes
     comp = np.indices(axes, sparse=True)
     idx = np.zeros((1,) * len(axes), dtype=np.intp)
-    for i in keep:
+    for i in range(n):
         cell = comp[i]
         for k, size in ((n + i, w_sizes[i]), (2 * n + i, a_sizes[i]),
                         (3 * n + i, w_sizes[i])):

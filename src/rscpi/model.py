@@ -101,9 +101,6 @@ class DecPomdpModel:
     def action_indexer(self) -> JointIndexer:
         return JointIndexer(self.action_counts)
 
-    def obs_indexer(self) -> JointIndexer:
-        return JointIndexer(self.obs_counts)
-
     def validate(self):
         S, A, Y = self.state_count, self.joint_action_count, self.joint_obs_count
         if self.n_agents < 1:

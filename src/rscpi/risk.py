@@ -1,159 +1,22 @@
-"""Entropic-risk kernel and finite-horizon risk-aware MDP recursions.
+"""The entropic-risk parameter of the tilted recursions.
 
 The certainty equivalent of a random return X under risk parameter lambda is
 (1/lambda) * log E[exp(lambda X)]; lambda > 0 weights high outcomes (risk
-seeking), and lambda -> 0 recovers the plain expectation. Everything here is
-plain numpy written for clarity: this module doubles as the independent
-oracle that the multi-agent solver is tested against.
+seeking), and lambda -> 0 recovers the plain expectation. Below
+ZERO_THRESHOLD the evaluation and the solver take the plain expectation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-DEFAULT_ZERO_THRESHOLD = 1e-9
+ZERO_THRESHOLD = 1e-9
 
 
 @dataclass(frozen=True)
 class RiskParameter:
     lam: float
-    zero_threshold: float = DEFAULT_ZERO_THRESHOLD
 
     @property
     def is_neutral(self) -> bool:
-        return abs(self.lam) < self.zero_threshold
-
-
-def _as_risk(lam) -> RiskParameter:
-    if isinstance(lam, RiskParameter):
-        return lam
-    return RiskParameter(float(lam))
-
-
-@dataclass
-class FiniteMdp:
-    """Single-agent finite-horizon MDP <S, A, P, r, zeta1, T>."""
-
-    P: np.ndarray       # (S, A, S')
-    r: np.ndarray       # (S, A)
-    zeta1: np.ndarray   # (S,)
-    horizon: int
-
-    def __post_init__(self):
-        self.P = np.asarray(self.P, dtype=np.float64)
-        self.r = np.asarray(self.r, dtype=np.float64)
-        self.zeta1 = np.asarray(self.zeta1, dtype=np.float64)
-        S, A, S2 = self.P.shape
-        if S2 != S or self.r.shape != (S, A) or self.zeta1.shape != (S,):
-            raise ValueError("inconsistent MDP shapes")
-        if np.any(np.abs(self.P.sum(axis=2) - 1.0) > 1e-9):
-            raise ValueError("P rows must be normalized")
-        if abs(self.zeta1.sum() - 1.0) > 1e-9:
-            raise ValueError("zeta1 must be normalized")
-
-    @property
-    def state_count(self):
-        return self.P.shape[0]
-
-    @property
-    def action_count(self):
-        return self.P.shape[1]
-
-
-def weighted_logmeanexp(weights, values, lam) -> float:
-    """(1/lam) * log sum_k (w_k / sum w) * exp(lam * v_k), max-shift stabilized.
-
-    Only entries with positive weight participate; for |lam| below the zero
-    threshold this is the plain weighted mean (the exact algebraic limit).
-    """
-    risk = _as_risk(lam)
-    w = np.asarray(weights, dtype=np.float64)
-    v = np.asarray(values, dtype=np.float64)
-    if w.shape != v.shape:
-        raise ValueError("weights and values must have the same shape")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    total = w.sum()
-    if total <= 0.0:
-        raise ValueError("all-zero weights: conditional expectation undefined")
-    support = w > 0
-    wv = w[support] / total
-    vv = v[support]
-    if risk.is_neutral:
-        return float(wv @ vv)
-    # Shift by the extreme value in the direction of lam so every exponent is
-    # nonpositive (max for lam > 0, min for the risk-averse lam < 0 case).
-    m = vv.max() if risk.lam > 0 else vv.min()
-    return float(m + np.log(np.sum(wv * np.exp(risk.lam * (vv - m)))) / risk.lam)
-
-
-def certainty_equivalent(probabilities, values, lam) -> float:
-    """Alias of weighted_logmeanexp for normalized outcome distributions."""
-    return weighted_logmeanexp(probabilities, values, lam)
-
-
-def risk_value_iteration(mdp: FiniteMdp, lam):
-    """Optimal risk-aware values and the deterministic greedy policy.
-
-    Returns (V, Q, psi): V has shape (T+1, S) with V[T] = 0, Q has shape
-    (T, S, A), psi has shape (T, S) with ties broken toward the smallest
-    action index.
-    """
-    risk = _as_risk(lam)
-    S, A, T = mdp.state_count, mdp.action_count, mdp.horizon
-    V = np.zeros((T + 1, S))
-    Q = np.zeros((T, S, A))
-    psi = np.zeros((T, S), dtype=np.int64)
-    for t in range(T - 1, -1, -1):
-        for s in range(S):
-            for a in range(A):
-                Q[t, s, a] = mdp.r[s, a] + _risk_expectation(
-                    mdp.P[s, a], V[t + 1], risk
-                )
-        psi[t] = np.argmax(Q[t], axis=1)
-        V[t] = Q[t][np.arange(S), psi[t]]
-    return V, Q, psi
-
-
-def risk_policy_evaluation_mdp(mdp: FiniteMdp, psi, lam):
-    """Risk-aware evaluation of a (possibly stochastic) MDP policy.
-
-    psi may be (T, S) integer actions or (T, S, A) row-stochastic tables.
-    Returns (J_risk, V) with V of shape (T+1, S).
-    """
-    risk = _as_risk(lam)
-    S, A, T = mdp.state_count, mdp.action_count, mdp.horizon
-    psi = np.asarray(psi)
-    if psi.shape == (T, S):
-        tables = np.zeros((T, S, A))
-        tables[np.arange(T)[:, None], np.arange(S)[None, :], psi] = 1.0
-    elif psi.shape == (T, S, A):
-        tables = psi.astype(np.float64)
-        if np.any(np.abs(tables.sum(axis=2) - 1.0) > 1e-9):
-            raise ValueError("policy rows must be normalized")
-    else:
-        raise ValueError(f"psi has shape {psi.shape}")
-    V = np.zeros((T + 1, S))
-    for t in range(T - 1, -1, -1):
-        for s in range(S):
-            q_row = np.array([
-                mdp.r[s, a] + _risk_expectation(mdp.P[s, a], V[t + 1], risk)
-                for a in range(A)
-            ])
-            V[t, s] = weighted_logmeanexp(tables[t, s], q_row, risk)
-    J = weighted_logmeanexp(mdp.zeta1, V[0], risk)
-    return float(J), V
-
-
-def _risk_expectation(p_row, v_next, risk: RiskParameter) -> float:
-    # (1/lam) log sum_s' P(s') exp(lam V(s')), or the plain mean at lam ~ 0.
-    if risk.is_neutral:
-        return float(p_row @ v_next)
-    support = p_row > 0
-    vv = v_next[support]
-    m = vv.max() if risk.lam > 0 else vv.min()
-    return float(
-        m + np.log(np.sum(p_row[support] * np.exp(risk.lam * (vv - m)))) / risk.lam
-    )
+        return abs(self.lam) < ZERO_THRESHOLD

@@ -14,8 +14,8 @@ a leading restart axis, and each restart's rows come out bit for bit as if
 swept alone. A restart that has converged is masked, not dropped: its rows
 are no longer written, so it stays frozen while the others go on.
 
-Memory accounting: a solve registers exactly the marginal trajectory and the
-two alternating value tensors, one of each per restart:
+Memory accounting: `peak_floats` is the size of the marginal trajectory and
+the two alternating value tensors, one of each per restart:
 R * (T*S*Y*Z + 2*S*Y*Z) floats. Everything else is transient scratch.
 """
 
@@ -145,50 +145,29 @@ class SolveResult:
     seed: int
 
 
-class FloatCounter:
-    """Tracks live registered float64 counts and their peak."""
-
-    def __init__(self):
-        self._live = {}
-        self.current = 0
-        self.peak = 0
-
-    def register(self, name: str, count: int):
-        if name in self._live:
-            raise KeyError(f"buffer {name!r} already registered")
-        self._live[name] = int(count)
-        self.current += int(count)
-        self.peak = max(self.peak, self.current)
-
-    def release(self, name: str):
-        self.current -= self._live.pop(name)
-
-
 class SolveWorkspace:
-    """Registered work tensors plus unregistered scratch for one model/|Z|.
+    """The work tensors of a sweep for one model/|Z|.
 
     Every tensor has a leading axis of `restarts`: the marginal trajectory
-    (R, T, S, Y, Z) and the two value tensors (R, S, Y, Z) are registered,
-    R * (T*S*Y*Z + 2*S*Y*Z) floats; q_red (R, S, A, Z) is scratch.
+    (R, T, S, Y, Z), the two alternating value tensors (R, S, Y, Z) and
+    q_red (R, S, A, Z), which is scratch. `peak_floats` counts the first
+    three, R * (T*S*Y*Z + 2*S*Y*Z) floats.
     """
 
-    def __init__(self, model: DecPomdpModel, z_sizes,
-                 counter: FloatCounter = None, restarts: int = 1):
+    def __init__(self, model: DecPomdpModel, z_sizes, restarts: int = 1):
         self.model = model
         self.z_sizes = tuple(int(z) for z in z_sizes)
         self.restarts = int(restarts)
-        self.counter = counter or FloatCounter()
         S, Y = model.state_count, model.joint_obs_count
         A = model.joint_action_count
         Z = int(np.prod(self.z_sizes))
         T = model.horizon
         R = self.restarts
-        self.counter.register("marginals", R * T * S * Y * Z)
         self.zeta = np.zeros((R, T, S, Y, Z))
-        self.counter.register("values", R * 2 * S * Y * Z)
         self.l_a = np.zeros((R, S, Y, Z))
         self.l_b = np.zeros((R, S, Y, Z))
         self.q_red = np.zeros((R, S, A, Z))
+        self.peak_floats = self.zeta.size + self.l_a.size + self.l_b.size
 
 
 def averaged_local_q(model: DecPomdpModel, zeta_t: np.ndarray,
@@ -437,4 +416,4 @@ def rscpi(model: DecPomdpModel, config: SolverConfig,
                        j_exact=trace[-1][2], j_risk_final=trace[-1][1],
                        trace=trace, sweeps=len(trace),
                        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-                       peak_floats=ws.counter.peak, seed=config.seed + best)
+                       peak_floats=ws.peak_floats, seed=config.seed + best)

@@ -9,6 +9,8 @@ of the tests that import them.
 import itertools
 import math
 
+NEG_INF = -math.inf
+
 
 def logmeanexp_direct(weights, values, lam):
     """(1/lam) log sum (w_k / W) exp(lam v_k) by direct summation."""
@@ -17,6 +19,35 @@ def logmeanexp_direct(weights, values, lam):
         return sum(w * v for w, v in zip(weights, values)) / total
     acc = sum(w * math.exp(lam * v) for w, v in zip(weights, values))
     return math.log(acc / total) / lam
+
+
+def weighted_logmeanexp(weights, values, lam):
+    """(1/lam) * log sum_k (w_k / sum w) * exp(lam * v_k), max-shift stabilized.
+
+    Only entries with positive weight participate; for |lam| below 1e-9, the
+    package's risk-neutral threshold, this is the plain weighted mean (the
+    exact algebraic limit).
+    """
+    import numpy as np
+
+    w = np.asarray(weights, dtype=np.float64)
+    v = np.asarray(values, dtype=np.float64)
+    if w.shape != v.shape:
+        raise ValueError("weights and values must have the same shape")
+    if np.any(w < 0):
+        raise ValueError("weights must be nonnegative")
+    total = w.sum()
+    if total <= 0.0:
+        raise ValueError("all-zero weights: conditional expectation undefined")
+    support = w > 0
+    wv = w[support] / total
+    vv = v[support]
+    if abs(lam) < 1e-9:
+        return float(wv @ vv)
+    # Shift by the extreme value in the direction of lam so every exponent is
+    # nonpositive (max for lam > 0, min for the risk-averse lam < 0 case).
+    m = vv.max() if lam > 0 else vv.min()
+    return float(m + np.log(np.sum(wv * np.exp(lam * (vv - m)))) / lam)
 
 
 def _flat(parts, sizes):
@@ -193,23 +224,6 @@ def risk_vi_reference(P, r, T, lam):
             psi[t][s] = best
             V[t][s] = Q[t][s][best]
     return V, Q, psi
-
-
-def risk_policy_eval_reference(P, r, T, lam, psi):
-    """Plain-python risk policy evaluation for a deterministic psi[t][s]."""
-    S = len(P)
-    V = [[0.0] * S for _ in range(T + 1)]
-    for t in range(T - 1, -1, -1):
-        for s in range(S):
-            a = psi[t][s]
-            if lam == 0.0:
-                V[t][s] = r[s][a] + sum(P[s][a][sp] * V[t + 1][sp]
-                                        for sp in range(S))
-            else:
-                acc = sum(P[s][a][sp] * math.exp(lam * V[t + 1][sp])
-                          for sp in range(S))
-                V[t][s] = r[s][a] + math.log(acc) / lam
-    return V
 
 
 def expand_joint_policy_gather(policy, t, skip_agent=None):
@@ -447,6 +461,63 @@ def fold_policy_log_states(log_m, q_red, out):
         safe = np.where(np.isfinite(m), m, 0.0)
         acc = np.exp(vals - safe[:, :, None]).sum(axis=2)
         out[s] = np.where(np.isfinite(m), m + np.log(acc), -np.inf)
+    return out
+
+
+def tilted_q_log_loops(indptr, sp_idx, yp_idx, logp, lam_r, L_next, out):
+    """kernels.tilted_q_log as scalar loops over the CSR rows, one restart.
+
+    out[s, a, z] = lam_r[s, a] + LSE_k( logp[k] + L_next[sp[k], yp[k], z] )
+    """
+    import numpy as np
+
+    S, A, Z = out.shape
+    for s in range(S):
+        for a in range(A):
+            lo = indptr[s * A + a]
+            hi = indptr[s * A + a + 1]
+            for z in range(Z):
+                m = NEG_INF
+                for k in range(lo, hi):
+                    v = logp[k] + L_next[sp_idx[k], yp_idx[k], z]
+                    if v > m:
+                        m = v
+                if m == NEG_INF:
+                    out[s, a, z] = NEG_INF
+                    continue
+                acc = 0.0
+                for k in range(lo, hi):
+                    acc += np.exp(logp[k] + L_next[sp_idx[k], yp_idx[k], z] - m)
+                out[s, a, z] = lam_r[s, a] + m + np.log(acc)
+    return out
+
+
+def fold_policy_log_loops(log_m, q_red, out):
+    """kernels.fold_policy_log as scalar loops, one restart.
+
+    out[s, y, w] = LSE_{a,z}( log_m[y, w, a, z] + q_red[s, a, z] )
+    """
+    import numpy as np
+
+    S, Y, W = out.shape
+    A, Z = q_red.shape[1], q_red.shape[2]
+    for s in range(S):
+        for y in range(Y):
+            for w in range(W):
+                m = NEG_INF
+                for a in range(A):
+                    for z in range(Z):
+                        v = log_m[y, w, a, z] + q_red[s, a, z]
+                        if v > m:
+                            m = v
+                if m == NEG_INF:
+                    out[s, y, w] = NEG_INF
+                    continue
+                acc = 0.0
+                for a in range(A):
+                    for z in range(Z):
+                        acc += np.exp(log_m[y, w, a, z] + q_red[s, a, z] - m)
+                out[s, y, w] = m + np.log(acc)
     return out
 
 

@@ -18,7 +18,7 @@ from _benchmarks import (
     random_policy_for,
     recycling_model,
 )
-from oracles import forward_sum_eval
+from oracles import forward_sum_eval, risk_vi_reference, weighted_logmeanexp
 from rscpi.evaluation import (
     backward,
     evaluate_exact,
@@ -27,12 +27,7 @@ from rscpi.evaluation import (
 )
 from rscpi.model import matrix_game_model
 from rscpi.policy import JointPolicy, mix_policies, point_mass_phi
-from rscpi.risk import (
-    FiniteMdp,
-    RiskParameter,
-    risk_value_iteration,
-    weighted_logmeanexp,
-)
+from rscpi.risk import RiskParameter
 from rscpi.solver import (
     SolverConfig,
     averaged_local_q,
@@ -357,11 +352,10 @@ def test_09_fully_observed_sweep_matches_value_iteration():
         r = rng.uniform(-1.0, 1.0, size=(S, A))
         start = rng.dirichlet(np.ones(S))
         model = fully_observed_model(P, r, start, T)
-        mdp = FiniteMdp(P=P, r=r, zeta1=start, horizon=T)
         for lam in (0.0, 0.5, 1.0):
             policy = random_policy_for(model, (1,), seed=7 + trial)
             j = sweep(model, policy, lam, 1.0)
-            values, _, _ = risk_value_iteration(mdp, lam)
+            values, _, _ = risk_vi_reference(P.tolist(), r.tolist(), T, lam)
             ref = weighted_logmeanexp(start, values[0], lam)
             assert j == pytest.approx(ref, abs=1e-9), (trial, lam)
 

@@ -9,7 +9,8 @@ from _benchmarks import (dectiger_block_policy, dectiger_model,
                          recycling_reactive_policy)
 from oracles import (evaluate_enum, evaluate_risk_enum,
                      expand_joint_policy_gather, forward_sum_eval,
-                     marginal_enum, rollout_monte_carlo_rows)
+                     marginal_enum, rollout_monte_carlo_rows,
+                     weighted_logmeanexp)
 from rscpi import evaluation
 from rscpi.bench_cli import load_model
 from rscpi.evaluation import (NumericError, evaluate_exact, evaluate_risk,
@@ -17,7 +18,6 @@ from rscpi.evaluation import (NumericError, evaluate_exact, evaluate_risk,
                               joint_phi, rollout_monte_carlo)
 from rscpi.model import matrix_game_model
 from rscpi.policy import ROW_ATOL, JointPolicy, random_policy
-from rscpi.risk import certainty_equivalent
 from test_cli import HUGE_REWARD_MODEL
 
 MATRIX_PAYOFFS = [[2.0, -10.0], [-10.0, 6.0]]
@@ -44,11 +44,10 @@ class TestExpandJointPolicy:
             z_sizes = tuple(int(v) for v in rng.integers(1, 3, size=n))
             policy = random_policy(a_sizes, y_sizes, z_sizes, 2, seed=k)
             for t in range(2):
-                for skip in [None] + list(range(n)):
-                    got = expand_joint_policy(policy, t, skip_agent=skip)
-                    want = expand_joint_policy_gather(policy, t, skip)
-                    assert got.shape == want.shape
-                    assert np.array_equal(got, want), (k, t, skip)
+                got = expand_joint_policy(policy, t)
+                want = expand_joint_policy_gather(policy, t)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want), (k, t)
 
 
 class TestForwardMarginals:
@@ -170,7 +169,7 @@ class TestEvaluateRisk:
     def test_matrix_game_uniform_tilt(self):
         model = matrix_game_model(MATRIX_PAYOFFS)
         got = evaluate_risk(model, uniform_matrix_policy(), 1.0)
-        want = certainty_equivalent([0.25] * 4, [2.0, -10.0, -10.0, 6.0], 1.0)
+        want = weighted_logmeanexp([0.25] * 4, [2.0, -10.0, -10.0, 6.0], 1.0)
         assert got == pytest.approx(want, abs=1e-12)
         assert got == pytest.approx(4.6319, abs=1e-4)
 

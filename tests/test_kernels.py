@@ -1,11 +1,7 @@
-"""Backend agreement: loop (numba-compiled) kernels vs the numpy fallback,
-the whole-array numpy kernels vs their per-row forms, and the averaged local
-value's per-agent reduction vs its loop reference."""
+"""The log-domain kernels against their scalar-loop and per-row forms in
+oracles, batched against per-restart calls, and the averaged local value's
+per-agent reduction against its loop reference."""
 
-import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +9,8 @@ import pytest
 
 from _benchmarks import random_model, random_policy_for
 from oracles import (averaged_local_q_loops, expand_joint_policy_gather,
-                     fold_policy_log_states, tilted_q_log_rows)
+                     fold_policy_log_loops, fold_policy_log_states,
+                     tilted_q_log_loops, tilted_q_log_rows)
 from rscpi import kernels
 from rscpi.bench_cli import load_model
 from rscpi.evaluation import (dynamics_support, expand_joint_policy,
@@ -72,9 +69,9 @@ class TestBackendAgreement:
         lam_r = b["lam"] * b["model"].r
         out_a = np.zeros((b["S"], b["A"], b["Z"]))
         out_b = np.zeros_like(out_a)
-        kernels.LOOP_IMPLS["tilted_q_log"](
+        tilted_q_log_loops(
             b["indptr"], b["sp"], b["yp"], b["logp"], lam_r, b["l_next"], out_a)
-        kernels.NUMPY_IMPLS["tilted_q_log"](
+        kernels.tilted_q_log(
             b["indptr"], b["sp"], b["yp"], b["logp"], lam_r, b["l_next"], out_b)
         np.testing.assert_allclose(out_a, out_b, rtol=0, atol=1e-12)
 
@@ -83,11 +80,11 @@ class TestBackendAgreement:
         b = kernel_inputs(seed)
         out_a = np.zeros((b["S"], b["Y"], b["Z"]))
         out_b = np.zeros_like(out_a)
-        kernels.LOOP_IMPLS["fold_policy_log"](log_of(b["m"]), b["q_red"], out_a)
-        kernels.NUMPY_IMPLS["fold_policy_log"](log_of(b["m"]), b["q_red"], out_b)
+        fold_policy_log_loops(log_of(b["m"]), b["q_red"], out_a)
+        kernels.fold_policy_log(log_of(b["m"]), b["q_red"], out_b)
         np.testing.assert_allclose(out_a, out_b, rtol=0, atol=1e-12)
 
-    # The averaged local value is one numpy reduction on both backends;
+    # The averaged local value is one numpy reduction;
     # these pin it to the loop form in oracles, at lam = 0 and lam > 0.
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_local_weights_log(self, seed):
@@ -115,18 +112,6 @@ class TestBackendAgreement:
         for agent in (0, 1, 2):
             assert_matches_loops(b, lam, agent)
 
-    def test_active_backend_matches_numpy(self):
-        # whatever is bound at module level must agree with the fallback
-        b = kernel_inputs(7)
-        lam_r = b["lam"] * b["model"].r
-        out_a = np.zeros((b["S"], b["A"], b["Z"]))
-        out_b = np.zeros_like(out_a)
-        kernels.tilted_q_log(b["indptr"], b["sp"], b["yp"], b["logp"],
-                             lam_r, b["l_next"], out_a)
-        kernels.NUMPY_IMPLS["tilted_q_log"](
-            b["indptr"], b["sp"], b["yp"], b["logp"], lam_r, b["l_next"], out_b)
-        np.testing.assert_allclose(out_a, out_b, rtol=0, atol=1e-12)
-
     def test_empty_support_row_gives_neg_inf(self):
         # a row with no successors must produce -inf, not garbage
         indptr = np.array([0, 0], dtype=np.int64)
@@ -136,9 +121,9 @@ class TestBackendAgreement:
         out_b = np.zeros((1, 1, 2))
         lam_r = np.zeros((1, 1))
         l_next = np.zeros((1, 1, 2))
-        kernels.LOOP_IMPLS["tilted_q_log"](
+        tilted_q_log_loops(
             indptr, empty_i, empty_i, empty_f, lam_r, l_next, out_a)
-        kernels.NUMPY_IMPLS["tilted_q_log"](
+        kernels.tilted_q_log(
             indptr, empty_i, empty_i, empty_f, lam_r, l_next, out_b)
         assert np.all(out_a == -np.inf)
         assert np.all(out_b == -np.inf)
@@ -171,11 +156,11 @@ def run_numpy_and_oracle(b):
     """Both numpy kernels and their per-row oracles on one bundle."""
     S, A, Y, Z = b["S"], b["A"], b["Y"], b["Z"]
     got_q, want_q = np.empty((S, A, Z)), np.empty((S, A, Z))
-    kernels.NUMPY_IMPLS["tilted_q_log"](*tilted_args(b), got_q)
+    kernels.tilted_q_log(*tilted_args(b), got_q)
     tilted_q_log_rows(*tilted_args(b), want_q)
     log_m = log_policy(b["m"])
     got_l, want_l = np.empty((S, Y, Z)), np.empty((S, Y, Z))
-    kernels.NUMPY_IMPLS["fold_policy_log"](log_m, b["q_red"], got_l)
+    kernels.fold_policy_log(log_m, b["q_red"], got_l)
     fold_policy_log_states(log_m, b["q_red"], want_l)
     return (got_q, want_q), (got_l, want_l)
 
@@ -207,8 +192,8 @@ class TestNumpyKernels:
         l1 = l2[:, :, :1].copy()
         out1 = np.empty((b["S"], b["A"], 1))
         out2 = np.empty((b["S"], b["A"], 2))
-        kernels.NUMPY_IMPLS["tilted_q_log"](*tilted_args(b, l1), out1)
-        kernels.NUMPY_IMPLS["tilted_q_log"](*tilted_args(b, l2), out2)
+        kernels.tilted_q_log(*tilted_args(b, l1), out1)
+        kernels.tilted_q_log(*tilted_args(b, l2), out2)
         assert np.array_equal(out1[:, :, 0], out2[:, :, 0])
 
     def test_padding_with_empty_rows(self):
@@ -225,8 +210,8 @@ class TestNumpyKernels:
         l_next = rng.uniform(-5.0, 5.0, size=(2, 3, 2))
         args = (indptr, sp, yp, logp, lam_r, l_next)
         got, loop, rows = (np.empty((2, 3, 2)) for _ in range(3))
-        kernels.NUMPY_IMPLS["tilted_q_log"](*args, got)
-        kernels.LOOP_IMPLS["tilted_q_log"](*args, loop)
+        kernels.tilted_q_log(*args, got)
+        tilted_q_log_loops(*args, loop)
         tilted_q_log_rows(*args, rows)
         empty = (lengths == 0).reshape(2, 3)
         assert np.all(got[empty] == -np.inf)
@@ -244,15 +229,15 @@ class TestNumpyKernels:
         b = kernel_inputs(0)
         S, A, Y, Z = b["S"], b["A"], b["Y"], b["Z"]
         dense = np.empty((S, A, Z))
-        kernels.NUMPY_IMPLS["tilted_q_log"](*tilted_args(b), dense)
+        kernels.tilted_q_log(*tilted_args(b), dense)
         for out in views((S, A, Z)):
-            kernels.NUMPY_IMPLS["tilted_q_log"](*tilted_args(b), out)
+            kernels.tilted_q_log(*tilted_args(b), out)
             assert np.array_equal(out, dense)
         log_m = log_policy(b["m"])
         dense = np.empty((S, Y, Z))
-        kernels.NUMPY_IMPLS["fold_policy_log"](log_m, b["q_red"], dense)
+        kernels.fold_policy_log(log_m, b["q_red"], dense)
         for out in views((S, Y, Z)):
-            kernels.NUMPY_IMPLS["fold_policy_log"](log_m, b["q_red"], out)
+            kernels.fold_policy_log(log_m, b["q_red"], out)
             assert np.array_equal(out, dense)
 
 
@@ -269,69 +254,30 @@ class TestBatchedKernels:
                                     .reshape(R, Y, Z, A, Z)),
                        q_red=rng.uniform(-3.0, 3.0, size=(R, S, A, Z)))
 
+    # "numpy": each restart's slice equals the kernel's own one-restart
+    # call bit for bit; "loop": it agrees with the scalar loops in oracles
     @pytest.mark.parametrize("impls", ["numpy", "loop"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_equal_to_per_restart_calls(self, impls, seed):
         b, x = self.batch(seed)
         if impls == "numpy":
-            tilted = kernels.NUMPY_IMPLS["tilted_q_log"]
-            fold = kernels.NUMPY_IMPLS["fold_policy_log"]
-        else:   # the per-restart loop the numba backend runs batches with
-            tilted = kernels._per_restart(kernels.LOOP_IMPLS["tilted_q_log"], 2)
-            fold = kernels._per_restart(kernels.LOOP_IMPLS["fold_policy_log"],
-                                        3)
+            tilted, fold = kernels.tilted_q_log, kernels.fold_policy_log
+            same = np.array_equal
+        else:
+            tilted, fold = tilted_q_log_loops, fold_policy_log_loops
+
+            def same(got, want):
+                return np.allclose(got, want, rtol=0, atol=1e-12)
         R, S, A, Y, Z = 3, b["S"], b["A"], b["Y"], b["Z"]
         lam_r = b["lam"] * b["model"].r
         csr = (b["indptr"], b["sp"], b["yp"], b["logp"])
         got_q, got_l = np.empty((R, S, A, Z)), np.empty((R, S, Y, Z))
-        tilted(*csr, lam_r, x["l_next"], got_q,
-               pad=kernels.pad_support(*csr))
-        fold(x["log_m"], x["q_red"], got_l)
+        kernels.tilted_q_log(*csr, lam_r, x["l_next"], got_q,
+                             pad=kernels.pad_support(*csr))
+        kernels.fold_policy_log(x["log_m"], x["q_red"], got_l)
         for r in range(R):
             want_q, want_l = np.empty((S, A, Z)), np.empty((S, Y, Z))
             tilted(*csr, lam_r, x["l_next"][r], want_q)
             fold(x["log_m"][r], x["q_red"][r], want_l)
-            assert np.array_equal(got_q[r], want_q)
-            assert np.array_equal(got_l[r], want_l)
-
-
-def src_env(**extra):
-    """os.environ with this checkout's src/ first on PYTHONPATH, so that a
-    child interpreter imports the rscpi under test."""
-    path = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=path, **extra)
-
-
-class TestBackendSelection:
-    def test_backend_name_is_known(self):
-        assert kernels.BACKEND in ("numba", "numpy")
-
-    def test_env_forces_numpy(self):
-        env = src_env(RSCPI_BACKEND="numpy")
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import rscpi.kernels as k; print(k.BACKEND)"],
-            capture_output=True, text=True, env=env)
-        assert out.returncode == 0
-        assert out.stdout.strip() == "numpy"
-
-    def test_env_rejects_unknown_value(self):
-        env = src_env(RSCPI_BACKEND="cuda")
-        out = subprocess.run(
-            [sys.executable, "-c", "import rscpi.kernels"],
-            capture_output=True, text=True, env=env)
-        assert out.returncode != 0
-        assert "RSCPI_BACKEND" in out.stderr
-
-
-class TestBenchScript:
-    def test_numpy_small_smoke(self):
-        # every kernel and sweep row of scripts/bench_backends.py still runs
-        out = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "bench_backends.py"),
-             "--backends", "numpy", "--sizes", "small", "--repeats", "1",
-             "--json"],
-            capture_output=True, text=True, env=src_env(), timeout=300)
-        assert out.returncode == 0, out.stderr
-        assert "numpy" in json.loads(out.stdout)
+            assert same(got_q[r], want_q)
+            assert same(got_l[r], want_l)

@@ -1,4 +1,5 @@
-"""Entropic-risk kernel and risk-aware MDP recursion tests."""
+"""The risk parameter's neutral threshold, and the weighted logmeanexp that
+the tail-objective and fully observed checks aggregate with."""
 
 import math
 
@@ -7,29 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (logmeanexp_direct, risk_policy_eval_reference,
-                     risk_vi_reference)
-from rscpi.risk import (FiniteMdp, RiskParameter, certainty_equivalent,
-                        risk_policy_evaluation_mdp, risk_value_iteration,
-                        weighted_logmeanexp)
-
-
-def random_mdp(rng, n_states=3, n_actions=2, horizon=4, reward_scale=1.0):
-    P = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
-    r = reward_scale * rng.uniform(-1.0, 1.0, size=(n_states, n_actions))
-    zeta1 = rng.dirichlet(np.ones(n_states))
-    return FiniteMdp(P=P, r=r, zeta1=zeta1, horizon=horizon)
-
-
-def constant_chain(c, n_states=3, n_actions=2, horizon=5):
-    """Deterministic cyclic chain paying c per step under every action."""
-    P = np.zeros((n_states, n_actions, n_states))
-    for s in range(n_states):
-        P[s, :, (s + 1) % n_states] = 1.0
-    r = np.full((n_states, n_actions), float(c))
-    zeta1 = np.zeros(n_states)
-    zeta1[0] = 1.0
-    return FiniteMdp(P=P, r=r, zeta1=zeta1, horizon=horizon)
+from oracles import logmeanexp_direct, weighted_logmeanexp
+from rscpi.risk import RiskParameter
 
 
 class TestRiskParameter:
@@ -41,9 +21,6 @@ class TestRiskParameter:
     def test_above_threshold_is_tilted(self):
         assert not RiskParameter(1e-8).is_neutral
         assert not RiskParameter(1.0).is_neutral
-
-    def test_custom_threshold(self):
-        assert RiskParameter(1e-3, zero_threshold=1e-2).is_neutral
 
 
 class TestWeightedLogmeanexp:
@@ -162,163 +139,3 @@ class TestWeightedLogmeanexp:
             assert math.isfinite(out)
             # the max dominates the tilt at these scales
             assert out <= 1e4 + 1e-9
-
-
-class TestCertaintyEquivalent:
-    def test_degenerate_distribution(self):
-        assert certainty_equivalent([0.0, 1.0], [99.0, -4.5], 2.0) == -4.5
-
-    def test_matrix_payoff_tilt(self):
-        got = certainty_equivalent([0.25] * 4, [2.0, -10.0, -10.0, 6.0], 1.0)
-        want = math.log(0.25 * (math.e ** 2 + 2 * math.e ** -10 + math.e ** 6))
-        assert got == pytest.approx(want, abs=1e-12)
-        assert got == pytest.approx(4.6319, abs=1e-4)
-
-    def test_jensen_direction(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            p = rng.dirichlet(np.ones(4))
-            v = rng.uniform(-5.0, 5.0, size=4)
-            mean = float(p @ v)
-            assert certainty_equivalent(p, v, 1.0) >= mean - 1e-12
-
-
-class TestFiniteMdp:
-    def test_rejects_unnormalized_rows(self):
-        P = np.zeros((2, 1, 2))
-        P[:, :, 0] = 0.9
-        with pytest.raises(ValueError, match="normalized"):
-            FiniteMdp(P=P, r=np.zeros((2, 1)), zeta1=[0.5, 0.5], horizon=2)
-
-    def test_rejects_unnormalized_start(self):
-        P = np.ones((2, 1, 2)) * 0.5
-        with pytest.raises(ValueError, match="zeta1"):
-            FiniteMdp(P=P, r=np.zeros((2, 1)), zeta1=[0.5, 0.6], horizon=2)
-
-    def test_rejects_inconsistent_shapes(self):
-        with pytest.raises(ValueError, match="shapes"):
-            FiniteMdp(P=np.ones((2, 1, 2)) * 0.5, r=np.zeros((3, 1)),
-                      zeta1=[0.5, 0.5], horizon=2)
-
-
-class TestRiskValueIteration:
-    def test_terminal_values_zero(self):
-        mdp = random_mdp(np.random.default_rng(0))
-        V, Q, psi = risk_value_iteration(mdp, 1.0)
-        assert V.shape == (mdp.horizon + 1, mdp.state_count)
-        np.testing.assert_array_equal(V[mdp.horizon], 0.0)
-
-    def test_constant_chain_translation(self):
-        for lam in (0.0, 0.5, 1.0, 5.0):
-            mdp = constant_chain(-1.7, horizon=6)
-            V, _, _ = risk_value_iteration(mdp, lam)
-            np.testing.assert_allclose(V[0], 6 * -1.7, atol=1e-9)
-
-    def test_neutral_matches_plain_vi(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            mdp = random_mdp(rng, n_states=3, n_actions=2, horizon=5)
-            V_ref, Q_ref, psi_ref = risk_vi_reference(
-                mdp.P.tolist(), mdp.r.tolist(), mdp.horizon, 0.0)
-            for lam in (0.0, 1e-12):
-                V, Q, psi = risk_value_iteration(mdp, lam)
-                np.testing.assert_allclose(V[0], V_ref[0], atol=1e-8)
-                np.testing.assert_allclose(Q[0], Q_ref[0], atol=1e-8)
-
-    def test_tilted_matches_reference(self):
-        rng = np.random.default_rng(6)
-        for lam in (0.1, 1.0):
-            mdp = random_mdp(rng, horizon=4)
-            V, Q, psi = risk_value_iteration(mdp, lam)
-            V_ref, Q_ref, psi_ref = risk_vi_reference(
-                mdp.P.tolist(), mdp.r.tolist(), mdp.horizon, lam)
-            np.testing.assert_allclose(V, np.asarray(V_ref), atol=1e-10)
-            np.testing.assert_array_equal(psi, np.asarray(psi_ref))
-
-    def test_lottery_choice_equals_larger_certainty_equivalent(self):
-        # from s0: a0 gambles 50/50 on terminal payoffs +/-10, a1 locks in 5
-        P = np.zeros((4, 2, 4))
-        P[0, 0] = [0.0, 0.5, 0.5, 0.0]
-        P[0, 1] = [0.0, 0.0, 0.0, 1.0]
-        for s in (1, 2, 3):
-            P[s, :, s] = 1.0
-        r = np.zeros((4, 2))
-        r[1], r[2], r[3] = 10.0, -10.0, 5.0
-        mdp = FiniteMdp(P=P, r=r, zeta1=[1.0, 0.0, 0.0, 0.0], horizon=2)
-        for lam in (0.0, 0.3, 1.0):
-            _, _, psi = risk_value_iteration(mdp, lam)
-            ce_gamble = certainty_equivalent([0.5, 0.5], [10.0, -10.0], lam)
-            want = 0 if ce_gamble > 5.0 else 1
-            assert psi[0, 0] == want
-        # sanity: the endpoints pick opposite arms
-        assert certainty_equivalent([0.5, 0.5], [10.0, -10.0], 0.0) < 5.0
-        assert certainty_equivalent([0.5, 0.5], [10.0, -10.0], 1.0) > 5.0
-
-    def test_duplicate_actions_tie_to_smallest(self):
-        rng = np.random.default_rng(8)
-        base = random_mdp(rng, n_states=3, n_actions=1, horizon=3)
-        P = np.repeat(base.P, 2, axis=1)
-        r = np.repeat(base.r, 2, axis=1)
-        mdp = FiniteMdp(P=P, r=r, zeta1=base.zeta1, horizon=3)
-        for lam in (0.0, 1.0):
-            _, _, psi = risk_value_iteration(mdp, lam)
-            np.testing.assert_array_equal(psi, 0)
-
-    def test_monotone_in_lambda(self):
-        rng = np.random.default_rng(9)
-        lams = [0.0, 0.1, 0.5, 1.0, 2.0]
-        for _ in range(10):
-            mdp = random_mdp(rng, horizon=4)
-            values = [risk_value_iteration(mdp, lam)[0][0] for lam in lams]
-            for lo, hi in zip(values, values[1:]):
-                assert np.all(hi >= lo - 1e-10)
-
-
-class TestRiskPolicyEvaluation:
-    def test_optimal_policy_consistency(self):
-        rng = np.random.default_rng(12)
-        for lam in (0.0, 0.5, 1.0):
-            mdp = random_mdp(rng, horizon=4)
-            V_star, _, psi_star = risk_value_iteration(mdp, lam)
-            J, V = risk_policy_evaluation_mdp(mdp, psi_star, lam)
-            np.testing.assert_allclose(V[0], V_star[0], atol=1e-10)
-            want = weighted_logmeanexp(mdp.zeta1, V_star[0], lam)
-            assert J == pytest.approx(want, abs=1e-10)
-
-    def test_neutral_matches_linear_algebra(self):
-        rng = np.random.default_rng(13)
-        mdp = random_mdp(rng, n_states=4, n_actions=3, horizon=5)
-        psi = rng.integers(0, 3, size=(5, 4))
-        J, V = risk_policy_evaluation_mdp(mdp, psi, 0.0)
-        v = np.zeros(4)
-        for t in range(4, -1, -1):
-            a = psi[t]
-            v = mdp.r[np.arange(4), a] + mdp.P[np.arange(4), a] @ v
-        np.testing.assert_allclose(V[0], v, atol=1e-10)
-        assert J == pytest.approx(float(mdp.zeta1 @ v), abs=1e-10)
-
-    def test_stochastic_policy_tilted_matches_reference(self):
-        rng = np.random.default_rng(14)
-        mdp = random_mdp(rng, n_states=3, n_actions=2, horizon=3)
-        psi_det = rng.integers(0, 2, size=(3, 3))
-        for lam in (0.0, 0.7):
-            J, V = risk_policy_evaluation_mdp(mdp, psi_det, lam)
-            V_ref = risk_policy_eval_reference(
-                mdp.P.tolist(), mdp.r.tolist(), 3, lam, psi_det.tolist())
-            np.testing.assert_allclose(V[0], V_ref[0], atol=1e-10)
-
-    def test_constant_chain_any_policy(self):
-        rng = np.random.default_rng(15)
-        mdp = constant_chain(2.5, horizon=7)
-        tables = rng.dirichlet(np.ones(2), size=(7, 3))
-        for lam in (0.0, 1.0, 4.0):
-            J, _ = risk_policy_evaluation_mdp(mdp, tables, lam)
-            assert J == pytest.approx(7 * 2.5, abs=1e-9)
-
-    def test_rejects_bad_policy_shapes(self):
-        mdp = constant_chain(1.0, horizon=2)
-        with pytest.raises(ValueError, match="shape"):
-            risk_policy_evaluation_mdp(mdp, np.zeros((2, 3, 2, 1)), 0.0)
-        bad = np.full((2, 3, 2), 0.4)
-        with pytest.raises(ValueError, match="normalized"):
-            risk_policy_evaluation_mdp(mdp, bad, 0.0)

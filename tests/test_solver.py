@@ -8,7 +8,8 @@ import pytest
 
 from _benchmarks import (dectiger_model, deterministic_policy,
                          fully_observed_model, random_model, random_policy_for)
-from oracles import averaged_local_q_flat, logmeanexp_direct
+from oracles import (averaged_local_q_flat, logmeanexp_direct,
+                     risk_vi_reference, weighted_logmeanexp)
 from rscpi import kernels, solver
 from rscpi.evaluation import (NumericError, aggregate_initial, backward,
                               evaluate_exact, evaluate_risk,
@@ -16,8 +17,7 @@ from rscpi.evaluation import (NumericError, aggregate_initial, backward,
                               stage_backup)
 from rscpi.model import matrix_game_model
 from rscpi.policy import JointPolicy, PolicyBatch, mix_policies, random_policy
-from rscpi.risk import (RiskParameter, risk_value_iteration,
-                        weighted_logmeanexp)
+from rscpi.risk import RiskParameter
 from rscpi.solver import (AveragedLocalQ, SolverConfig, SolveWorkspace,
                           averaged_local_q, greedy_agent_update, rscpi, sweep)
 
@@ -810,10 +810,8 @@ class TestRscpi:
         r = rng.uniform(-1, 1, size=(3, 2))
         start = rng.dirichlet(np.ones(3))
         model = fully_observed_model(P, r, start, horizon=3)
-        from rscpi.risk import FiniteMdp
-        mdp = FiniteMdp(P=P, r=r, zeta1=start, horizon=3)
         lam = 1.0
-        V, _, _ = risk_value_iteration(mdp, lam)
+        V, _, _ = risk_vi_reference(P.tolist(), r.tolist(), 3, lam)
         want = weighted_logmeanexp(start, V[0], lam)
         policy = random_policy_for(model, (1,), seed=19)
         j = sweep(model, policy, lam, 1.0)
