@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DecPomdpModel, make_initial_distribution, pad_dynamics_for_dummy
+from .model import (DecPomdpModel, JointIndexer, make_initial_distribution,
+                    pad_dynamics_for_dummy)
 
 ROW_EXACT = 1e-12      # keep row bits as parsed below this deviation
 ROW_SILENT = 1e-6      # renormalize silently up to here
@@ -629,8 +630,8 @@ def serialize_canonical(raw: RawDpomdpFile) -> str:
     if any(d.severity == "error" for d in diags):
         raise ValueError("cannot serialize a file with table errors")
     n = raw.agent_count
-    obs_sizes = [len(x) for x in raw.observation_names]
-    act_sizes = [len(x) for x in raw.action_names]
+    obs = JointIndexer(len(x) for x in raw.observation_names)
+    act = JointIndexer(len(x) for x in raw.action_names)
     out = [f"agents: {n}", f"discount: {raw.discount!r}", "values: reward",
            "states: " + " ".join(raw.state_names), "actions:"]
     out += [" ".join(names) for names in raw.action_names]
@@ -643,25 +644,17 @@ def serialize_canonical(raw: RawDpomdpFile) -> str:
         start /= total
     out.append(" ".join(repr(float(v)) for v in start))
     for (s, a, sp) in zip(*np.nonzero(T)):
-        ja = " ".join(str(c) for c in _decode(a, act_sizes))
+        ja = " ".join(str(c) for c in act.decode(a))
         out.append(f"T: {ja} : {s} : {sp} : {float(T[s, a, sp])!r}")
     for (a, sp, y) in zip(*np.nonzero(O)):
-        ja = " ".join(str(c) for c in _decode(a, act_sizes))
-        jo = " ".join(str(c) for c in _decode(y, obs_sizes))
+        ja = " ".join(str(c) for c in act.decode(a))
+        jo = " ".join(str(c) for c in obs.decode(y))
         out.append(f"O: {ja} : {sp} : {jo} : {float(O[a, sp, y])!r}")
     for (a, s, sp, y) in zip(*np.nonzero(R)):
-        ja = " ".join(str(c) for c in _decode(a, act_sizes))
-        jo = " ".join(str(c) for c in _decode(y, obs_sizes))
+        ja = " ".join(str(c) for c in act.decode(a))
+        jo = " ".join(str(c) for c in obs.decode(y))
         out.append(f"R: {ja} : {s} : {sp} : {jo} : {float(R[a, s, sp, y])!r}")
     return "\n".join(out) + "\n"
-
-
-def _decode(flat: int, sizes) -> list:
-    parts = []
-    for size in reversed(sizes):
-        parts.append(flat % size)
-        flat //= size
-    return list(reversed(parts))
 
 
 def render_diagnostics(diags, filename: str) -> str:

@@ -4,14 +4,18 @@ Monte-Carlo rollout cross-check.
 The backward recursion walks t = T..1 over the chain on (state, joint
 observation, joint agent state). Each stage is one `stage_backup`, which
 reduces L_{t+1} to q_red[s, a, z], and one `fold_stage`, which folds the
-stage's joint policy row into L_t. Values are carried in the log domain as
+stage's policy rows into L_t. Values are carried in the log domain as
 L_t = lam * V_t for lam > 0 and as plain V_t at lam = 0. Exact evaluation,
 risk-seeking evaluation and the solver's sweep all run on these two steps.
 
-The forward marginals, both steps, `backward`, `evaluate_exact`,
-`evaluate_risk` and `expand_joint_policy` also take a `PolicyBatch`: its
-leading restart axis leads every tensor they read and write, and each
-restart's slice gets the bits it would get alone.
+The fold and the forward marginals never form the joint policy table
+M_t = prod_i pi^i_t, of prod_i |Y^i| |Z^i|^2 |A^i| floats: they contract one
+agent at a time, by a batched matmul at lam = 0 and a logsumexp at lam > 0.
+
+The forward marginals, both steps, `backward`, `evaluate_exact` and
+`evaluate_risk` also take a `PolicyBatch`: its leading restart axis leads
+every tensor they read and write, and each restart's slice gets the bits
+it would get alone.
 
 The Monte-Carlo rollout builds the CDF of every distribution it draws from
 once per call and samples chunks of episodes from them; its results are
@@ -20,8 +24,9 @@ reproducible per (seed, chunk).
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,43 +57,6 @@ def joint_components(sizes):
     """Per-agent component lookup arrays for a flat joint index."""
     idx = JointIndexer(sizes)
     return [idx.component(i) for i in range(len(idx.sizes))]
-
-
-def expand_joint_policy(policy: JointPolicy, t: int) -> np.ndarray:
-    """Joint policy table M[y, w, a, z] = prod_i pi^i_t(a^i, z^i | y^i, w^i).
-
-    Flat joint axes in row-major agent order. The agents' rows are
-    multiplied into ones as outer products in agent order, each row's
-    (y^i, w^i, a^i, z^i) cells contiguous, then one gather moves every
-    product to its flat joint cell. A batch's restart axis leads the result.
-    """
-    y_sizes, a_sizes = policy.obs_counts(), policy.action_counts()
-    w_sizes = policy.agent_state_sizes
-    lead = policy.tables[0].shape[:-5]
-    prod = np.ones(lead + (1,))
-    for tab in policy.tables:
-        row = tab[..., t, :, :, :, :].reshape(lead + (-1,))
-        prod = (prod[..., :, None] * row[..., None, :]).reshape(lead + (-1,))
-    m = np.take(prod, _joint_cells(y_sizes, w_sizes, a_sizes), axis=-1)
-    nw = math.prod(w_sizes)
-    return m.reshape(lead + (math.prod(y_sizes), nw, math.prod(a_sizes), nw))
-
-
-@functools.lru_cache(maxsize=64)
-def _joint_cells(y_sizes, w_sizes, a_sizes) -> np.ndarray:
-    """For each flat joint (y, w, a, z) cell, the flat index of its factor
-    in the outer product of the agents' rows."""
-    n = len(y_sizes)
-    axes = y_sizes + w_sizes + a_sizes + w_sizes
-    comp = np.indices(axes, sparse=True)
-    idx = np.zeros((1,) * len(axes), dtype=np.intp)
-    for i in range(n):
-        cell = comp[i]
-        for k, size in ((n + i, w_sizes[i]), (2 * n + i, a_sizes[i]),
-                        (3 * n + i, w_sizes[i])):
-            cell = cell * size + comp[k]
-        idx = idx * (y_sizes[i] * w_sizes[i] * a_sizes[i] * w_sizes[i]) + cell
-    return np.ascontiguousarray(np.broadcast_to(idx, axes)).reshape(-1)
 
 
 @dataclass
@@ -122,12 +90,65 @@ def _check_dims(model: DecPomdpModel, policy: JointPolicy):
         raise ValueError("observation space mismatch")
 
 
+def _agent_rows(policy: JointPolicy, t: int) -> list:
+    """Each agent's stage-t (0-based) table as a (Y_i W_i, A_i Z_i) matrix,
+    behind a batch's restart axis."""
+    return [tab[..., t, :, :, :, :].reshape(*tab.shape[:-5], -1,
+                                            math.prod(tab.shape[-2:]))
+            for tab in policy.tables]
+
+
+def _pair_axes(x: np.ndarray, firsts, seconds) -> np.ndarray:
+    """lead + (S, F, G), F and G flat over the agents' F_i and G_i, as
+    lead + (S, F_1 G_1, ..., F_N G_N); `_unpair_axes` inverts it."""
+    n, k = len(firsts), x.ndim - 2
+    x = x.reshape(x.shape[:k] + (*firsts, *seconds))
+    x = x.transpose(*range(k), *(k + j for i in range(n) for j in (i, n + i)))
+    return x.reshape(x.shape[:k] + tuple(map(operator.mul, firsts, seconds)))
+
+
+def _unpair_axes(x: np.ndarray, firsts, seconds) -> np.ndarray:
+    n, k = len(firsts), x.ndim - len(firsts)
+    x = x.reshape(x.shape[:k] + tuple(itertools.chain(*zip(firsts, seconds))))
+    x = x.transpose(*range(k), *range(k, k + 2 * n, 2),
+                    *range(k + 1, k + 2 * n, 2))
+    return x.reshape(x.shape[:k] + (math.prod(firsts), math.prod(seconds)))
+
+
+def _contract_agents(x: np.ndarray, mats: list, logs: bool) -> np.ndarray:
+    """x of shape lead + (S, K_1, ..., K_N) contracted with mats[i] of
+    shape lead + (J_i, K_i), agent N first, into lead + (S, J_1, ..., J_N).
+
+    Step i is sum_k mats[i][j, k] x[..., k, ...], one batched matmul, or
+    with logs=True the logsumexp over k of mats[i][j, k] + x[..., k, ...].
+    Its terms put k right behind the lead axes, so that a restart's cells
+    reduce alike whatever the batch size.
+    """
+    lead = mats[0].shape[:-2]
+    sizes = list(x.shape[len(lead) + 1:])
+    for i in reversed(range(len(mats))):
+        m = mats[i]
+        k, post = sizes[i], math.prod(sizes[i + 1:])
+        x = x.reshape(lead + (-1, k, post))
+        if logs:
+            terms = np.add(np.swapaxes(m, -1, -2)[..., :, None, :, None],
+                           np.swapaxes(x, -2, -3)[..., None, :], order="C")
+            x = logsumexp(terms, axis=-4)
+        elif post == 1:
+            x = x[..., 0] @ np.swapaxes(m, -1, -2)
+        else:
+            x = m[..., None, :, :] @ x
+        sizes[i] = m.shape[-2]
+    return x.reshape(x.shape[:len(lead)] + (-1,) + tuple(sizes))
+
+
 def forward_marginals(model: DecPomdpModel, policy: JointPolicy,
                       out=None) -> MarginalTrajectory:
     """Forward recursion for zeta_t(s, y, z_), t = 1..T.
 
-    zeta_1 = zeta1 (x) phi; each later step folds the previous policy row into
-    the occupancy and pushes it through the joint dynamics. Each tensor is
+    zeta_1 = zeta1 (x) phi; each later step trades each agent's (y^i, w^i)
+    axes of the occupancy for its (a^i, z^i) under the previous policy rows
+    and pushes the result through the joint dynamics. Each tensor is
     renormalized when its mass drifts within 1e-8 of 1, and errors beyond.
     """
     _check_dims(model, policy)
@@ -141,9 +162,11 @@ def forward_marginals(model: DecPomdpModel, policy: JointPolicy,
     zetas[..., 0, :, :, :] = model.zeta1[:, :, None] * phi[..., None, None, :]
     p_flat = model.P.reshape(S * A, S * Y)
     for t in range(1, T):
-        m = expand_joint_policy(policy, t - 1)
-        occ = (zetas[..., t - 1, :, :, :].reshape(lead + (S, Y * Z))
-               @ m.reshape(lead + (Y * Z, A * Z)))
+        rows = [np.swapaxes(m, -1, -2) for m in _agent_rows(policy, t - 1)]
+        occ = _pair_axes(zetas[..., t - 1, :, :, :], model.obs_counts,
+                         policy.agent_state_sizes)
+        occ = _unpair_axes(_contract_agents(occ, rows, logs=False),
+                           model.action_counts, policy.agent_state_sizes)
         nxt = np.swapaxes(occ.reshape(lead + (S * A, Z)), -1, -2) @ p_flat
         cur = zetas[..., t, :, :, :]
         cur[...] = np.swapaxes(nxt, -1, -2).reshape(lead + (S, Y, Z))
@@ -193,9 +216,16 @@ def _support(model: DecPomdpModel):
     return model._support
 
 
-def log_policy(m: np.ndarray) -> np.ndarray:
-    """Elementwise log of a policy table, -inf where it is 0."""
-    return np.log(m, where=m > 0, out=np.full_like(m, -np.inf))
+def logsumexp(vals: np.ndarray, axis: int) -> np.ndarray:
+    """log sum exp of vals along axis, overwriting vals. Each output cell is
+    shifted by its own max. A -inf max gives -inf (a log of 0); a +inf or
+    nan max stays non-finite through any later sum, for the caller's
+    finiteness check."""
+    top = vals.max(axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    vals -= shift
+    acc = np.exp(vals, out=vals).sum(axis=axis)
+    return shift.reshape(acc.shape) + np.log(acc)
 
 
 def stage_backup(model: DecPomdpModel, l_next: np.ndarray,
@@ -222,22 +252,22 @@ def stage_backup(model: DecPomdpModel, l_next: np.ndarray,
 
 def fold_stage(policy: JointPolicy, t: int, q_red: np.ndarray,
                risk: RiskParameter, out: np.ndarray) -> np.ndarray:
-    """L_t[s, y, w] = the stage-t (1-based) joint policy row folded into q_red.
+    """L_t[s, y, w] = the stage-t (1-based) policy rows folded into q_red.
 
-    lam = 0: sum_{a, z} M_t[y, w, a, z] q_red[s, a, z]; lam > 0: the same sum
-    taken in the log domain. A batch's restart axis leads q_red and out.
-    Raises NumericError at the first non-finite cell.
+    lam = 0: sum_{a, z} prod_i pi^i_t(a^i, z^i | y^i, w^i) q_red[s, a, z],
+    taken one agent at a time; lam > 0: the same sum in the log domain. A
+    batch's restart axis leads q_red and out. Raises NumericError at the
+    first non-finite cell.
     """
-    m = expand_joint_policy(policy, t - 1)
-    S, A, Z = q_red.shape[-3:]
-    lead = q_red.shape[:-3]
-    Y = m.shape[-4]
+    w_sizes = policy.agent_state_sizes
+    rows = _agent_rows(policy, t - 1)
+    x = _pair_axes(q_red, policy.action_counts(), w_sizes)
     if risk.is_neutral:
-        prod = (m.reshape(lead + (Y * Z, A * Z))
-                @ np.swapaxes(q_red.reshape(lead + (S, A * Z)), -1, -2))
-        out[...] = np.swapaxes(prod, -1, -2).reshape(lead + (S, Y, Z))
+        x = _contract_agents(x, rows, logs=False)
     else:
-        kernels.fold_policy_log(log_policy(m), q_red, out)
+        with np.errstate(divide="ignore"):
+            x = _contract_agents(x, [np.log(m) for m in rows], logs=True)
+    out[...] = _unpair_axes(x, policy.obs_counts(), w_sizes)
     if not np.isfinite(out).all():
         *restart, s, y, w = (int(c) for c in np.argwhere(~np.isfinite(out))[0])
         where = f" of restart {restart[0]}" if restart else ""

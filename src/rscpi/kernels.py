@@ -1,16 +1,17 @@
-"""The two log-domain kernels of the tilted (lambda > 0) recursion.
+"""The log-domain kernel of the tilted (lambda > 0) recursion.
 
     tilted_q_log         backward Q backup over the sparse support
-    fold_policy_log      fold a joint policy row into L_t
 
-Both carry lambda-scaled values (L = lambda*V) and use per-output-cell
+It carries lambda-scaled values (L = lambda*V) and uses a per-output-cell
 max-shifted logsumexp; a single global shift is unsafe because lambda*V
 spans far beyond exp()'s range on long horizons. The lambda = 0 stage backup
-and fold (`evaluation.stage_backup`, `evaluation.fold_stage`) are BLAS
-products instead, and the averaged local value (`solver._averaged_local_q`)
-is one numpy reduction at either lambda: it sums the co-agents' (y, w) axes
-out of zeta * copi before the backup is broadcast in, and at lambda > 0 both
-of its sums are logsumexps with the same per-output-cell shift.
+(`evaluation.stage_backup`) is a BLAS product instead. The fold
+(`evaluation.fold_stage`) is a per-agent contraction at either lambda: one
+batched matmul per agent at lambda = 0, one `evaluation.logsumexp` per agent
+at lambda > 0. The averaged local value (`solver._averaged_local_q`) is one
+numpy reduction at either lambda: it sums the co-agents' (y, w) axes out of
+zeta * copi before the backup is broadcast in, and at lambda > 0 both of its
+sums are logsumexps with the same per-output-cell shift.
 
 Dynamics enter as a CSR-style support: for flat row (s, a), the nonzero
 successors (s', y') live at positions indptr[s*A + a] : indptr[s*A + a + 1].
@@ -18,9 +19,8 @@ The backup runs on that support padded to one row length (`pad_support`);
 callers that back up many stages build the padding once and pass it as
 `pad=`.
 
-Both kernels also take a batch: a leading restart axis on L_next and out, or
-on log_m, q_red and out. Each restart's slice comes out bit for bit as it
-would alone.
+The kernel also takes a batch: a leading restart axis on L_next and out.
+Each restart's slice comes out bit for bit as it would alone.
 """
 
 from __future__ import annotations
@@ -83,18 +83,3 @@ def tilted_q_log(indptr, sp_idx, yp_idx, logp, lam_r, L_next, out,
     out[...] = np.moveaxis(res, tuple(range(2, 2 + nb)), batch)
     return out
 
-
-def fold_policy_log(log_m, q_red, out):
-    """out[s, y, w] = LSE_{a,z}(log_m[y, w, a, z] + q_red[s, a, z]), on any
-    leading restart axes in front of (Y, W, A, Z), (S, A, Z) and (S, Y, W)."""
-    S, Y, W = out.shape[-3:]
-    lead = out.shape[:-3]
-    vals = (log_m.reshape(lead + (1, Y, W, -1))
-            + q_red.reshape(lead + (S, 1, 1, -1)))
-    m = vals.max(axis=-1)
-    ok = np.isfinite(m)
-    vals -= np.where(ok, m, 0.0)[..., None]
-    acc = np.exp(vals, out=vals).sum(axis=-1)
-    np.log(acc, out=acc, where=ok)
-    out[...] = np.where(ok, m + acc, NEG_INF)
-    return out

@@ -98,9 +98,6 @@ class DecPomdpModel:
     def joint_obs_count(self) -> int:
         return int(np.prod(self.obs_counts))
 
-    def action_indexer(self) -> JointIndexer:
-        return JointIndexer(self.action_counts)
-
     def validate(self):
         S, A, Y = self.state_count, self.joint_action_count, self.joint_obs_count
         if self.n_agents < 1:

@@ -145,12 +145,6 @@ class PolicyBatch:
                 for r in range(self.size)]
         return self._policies
 
-    def agents(self, keep) -> "PolicyBatch":
-        """The policies of the agents in `keep` alone, in that order, on
-        the same arrays."""
-        return PolicyBatch([self.tables[i] for i in keep],
-                           [self.phi[i] for i in keep])
-
     @property
     def size(self) -> int:
         return self.tables[0].shape[0]
@@ -184,14 +178,6 @@ class DeterministicAgentSlice:
     t: int
     actions: np.ndarray       # (Y_i, Z_i) int, or (R, Y_i, Z_i) for a batch
     next_states: np.ndarray   # same shape as actions
-
-    def as_table(self, action_count: int, z_size: int) -> np.ndarray:
-        """Point-mass policy table of shape (Y_i, Z_i, A_i, Z_i)."""
-        ny, nw = self.actions.shape
-        tab = np.zeros((ny, nw, action_count, z_size))
-        yy, ww = np.meshgrid(np.arange(ny), np.arange(nw), indexing="ij")
-        tab[yy, ww, self.actions, self.next_states] = 1.0
-        return tab
 
 
 def random_policy(action_counts, obs_counts, z_sizes, horizon, seed,

@@ -6,7 +6,8 @@ it runs one `stage_backup`, updates the agents against the averaged local
 value of their stage action, then runs one `fold_stage` on the updated
 policy to get L_t before moving to t-1. Tilted values are carried in the log
 domain as L_t = lam * V_t for lam > 0 and as plain V_t at lam = 0, so the
-same tensors stay finite for any reward scale.
+same tensors stay finite for any reward scale. No step forms the joint
+policy table: the averaged local value takes only the co-agents' rows.
 
 `rscpi` runs its R restarts in lockstep: one `sweep` call per sweep index
 advances all of them on a `PolicyBatch`, every tensor of the sweep carrying
@@ -28,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .evaluation import (aggregate_initial, evaluate_exact,
-                         expand_joint_policy, finite_risk, fold_stage,
-                         forward_marginals, log_policy, stage_backup)
+from .evaluation import (aggregate_initial, evaluate_exact, finite_risk,
+                         fold_stage, forward_marginals, logsumexp,
+                         stage_backup)
 from .model import DecPomdpModel, is_int
 from .policy import (PHI_MODES, DeterministicAgentSlice, JointPolicy,
                      PolicyBatch, mix_policies, random_policy)
@@ -213,6 +214,23 @@ def _agent_last(x: np.ndarray, agent: int, n: int) -> np.ndarray:
         x.transpose([1] + co + [0] + [g + agent for g in groups]))
 
 
+def _co_policy(batch: PolicyBatch, t: int, agent: int) -> np.ndarray:
+    """The co-agents' stage-t rows as one (R, co Y, co W, co A, co Z) table.
+
+    Each co-agent's table is broadcast on its own axes and the factors are
+    multiplied in agent order, so every cell is the product that the flat
+    joint table holds. With one co-agent that is its own table, as a view.
+    """
+    co = [tab[:, t - 1] for j, tab in enumerate(batch.tables) if j != agent]
+    copi = np.ones((batch.size, 1))
+    for pos, tab in enumerate(co):
+        shape = np.ones((4, len(co)), dtype=int)
+        shape[:, pos] = tab.shape[1:]
+        factor = tab.reshape(len(tab), *shape.flat)
+        copi = factor if pos == 0 else copi * factor
+    return copi
+
+
 def _averaged_local_q(model, zeta_t, batch, t, q_red, risk, agent):
     """averaged_local_q of a batch on the stage's backed-up q_red.
 
@@ -237,9 +255,7 @@ def _averaged_local_q(model, zeta_t, batch, t, q_red, risk, agent):
     co_az = q_red.shape[2] * q_red.shape[3] // az
     zeta = _agent_last(zeta_t.reshape(R, S, *y_sizes, *w_sizes), agent, n)
     zeta = zeta.reshape(S, co_yw, 1, R, yw)
-    co = [j for j in range(n) if j != agent]
-    copi = (expand_joint_policy(batch.agents(co), t - 1) if co
-            else np.ones((R, 1, 1, 1, 1)))
+    copi = _co_policy(batch, t, agent)
     copi = copi.reshape(R, co_yw, co_az).transpose(1, 2, 0)[..., None]
     q = _agent_last(q_red.reshape(R, S, *a_sizes, *w_sizes), agent, n)
     q = q.reshape(S, co_az, R, 1, az)
@@ -249,26 +265,15 @@ def _averaged_local_q(model, zeta_t, batch, t, q_red, risk, agent):
         table = np.multiply(b[..., None], q).reshape(-1, cells).sum(axis=0)
     else:
         with np.errstate(divide="ignore"):
-            b = _logsumexp(np.add(np.log(zeta), log_policy(copi)), axis=1)
-        vals = np.add(b[..., None], q).reshape(-1, cells)
-        table = _logsumexp(vals, axis=0)
+            b = logsumexp(np.add(np.log(zeta), np.log(copi)), axis=1)
+            vals = np.add(b[..., None], q).reshape(-1, cells)
+            table = logsumexp(vals, axis=0)
     mass = zeta.reshape(S, co_yw, R * yw).sum(axis=0).sum(axis=0)
     shape = (R, y_sizes[agent], w_sizes[agent], a_sizes[agent],
              w_sizes[agent])
     return AveragedLocalQ(agent=agent, t=t, table=table.reshape(shape),
                           mass=mass.reshape(shape[:3]),
                           lam=risk.lam, is_plain=risk.is_neutral)
-
-
-def _logsumexp(vals: np.ndarray, axis: int) -> np.ndarray:
-    """log sum exp of vals along axis, overwriting vals. Each output cell is
-    shifted by its own max; a cell whose max is not finite comes out -inf."""
-    top = vals.max(axis=axis)
-    ok = np.isfinite(top)
-    vals -= np.expand_dims(np.where(ok, top, 0.0), axis)
-    acc = np.exp(vals, out=vals).sum(axis=axis)
-    np.log(acc, out=acc, where=ok)
-    return np.where(ok, top + acc, -np.inf)
 
 
 def greedy_agent_update(qbar: AveragedLocalQ,

@@ -181,13 +181,12 @@ def marginal_enum(model, policy, t):
 def forward_sum_eval(model, policy):
     """J as sum over t of E_{zeta_t, pi_t}[r], with its own forward recursion."""
     import numpy as np
-    from rscpi.evaluation import expand_joint_policy, joint_phi
+    from rscpi.evaluation import joint_phi
 
-    S, Y = model.state_count, model.joint_obs_count
     zeta = np.einsum("sy,z->syz", model.zeta1, joint_phi(policy))
     total = 0.0
     for t in range(1, model.horizon + 1):
-        m = expand_joint_policy(policy, t - 1)
+        m = expand_joint_policy_gather(policy, t - 1)
         occ = np.einsum("syw,ywaz->saz", zeta, m)
         total += float(np.einsum("saz,sa->", occ, model.r))
         if t < model.horizon:
@@ -252,6 +251,76 @@ def expand_joint_policy_gather(policy, t, skip_agent=None):
             w_c[i][None, None, None, :],
         ]
     return out
+
+
+def co_policy_gather(batch, t, agent):
+    """The co-agents' joint table of a batch at stage t (1-based), as
+    (R, co_yw, co_az) in the co-agents' flat joint order.
+
+    `expand_joint_policy_gather` with agent's factor skipped, at agent's
+    component 0 of every axis, for each restart.
+    """
+    import numpy as np
+
+    n = batch.n_agents
+    tabs = []
+    for policy in batch.policies:
+        full = expand_joint_policy_gather(policy, t - 1, skip_agent=agent)
+        sizes = [tab.shape[k] for k in (1, 2, 3, 4) for tab in policy.tables]
+        full = full.reshape(sizes)
+        keep = tuple(0 if i % n == agent else slice(None)
+                     for i in range(4 * n))
+        tabs.append(full[keep])
+    co_yw = math.prod(t.shape[1] * t.shape[2] for j, t in
+                      enumerate(batch.policies[0].tables) if j != agent)
+    return np.stack(tabs).reshape(batch.size, co_yw, -1)
+
+
+def fold_stage_joint(policy, t, q_red, lam):
+    """L_t[s, y, w] of one policy by the dense joint table: the plain sum
+    over (a, z) at lam = 0, `fold_policy_log_states` at lam > 0."""
+    import numpy as np
+
+    m = expand_joint_policy_gather(policy, t - 1)
+    if lam == 0.0:
+        return np.einsum("ywaz,saz->syw", m, q_red)
+    out = np.empty((q_red.shape[0],) + m.shape[:2])
+    with np.errstate(divide="ignore"):
+        return fold_policy_log_states(np.log(m), q_red, out)
+
+
+def forward_marginals_joint(model, policy):
+    """zeta_t for t = 1..T of one policy as a (T, S, Y, Z) array, each step
+    through the dense joint table and P without renormalizing."""
+    import numpy as np
+    from rscpi.evaluation import joint_phi
+
+    zeta = np.einsum("sy,z->syz", model.zeta1, joint_phi(policy))
+    out = [zeta]
+    for t in range(1, model.horizon):
+        occ = np.einsum("syw,ywaz->saz", out[-1],
+                        expand_joint_policy_gather(policy, t - 1))
+        out.append(np.einsum("saz,sapq->pqz", occ, model.P))
+    return np.stack(out)
+
+
+def as_table(det, action_count, z_size):
+    """Point-mass policy table (Y_i, Z_i, A_i, Z_i) of a
+    DeterministicAgentSlice."""
+    import numpy as np
+
+    ny, nw = det.actions.shape
+    tab = np.zeros((ny, nw, action_count, z_size))
+    yy, ww = np.meshgrid(np.arange(ny), np.arange(nw), indexing="ij")
+    tab[yy, ww, det.actions, det.next_states] = 1.0
+    return tab
+
+
+def action_indexer(model):
+    """The mixed-radix indexer of a model's flat joint actions."""
+    from rscpi.model import JointIndexer
+
+    return JointIndexer(model.action_counts)
 
 
 def agent_components(sizes):
@@ -381,7 +450,6 @@ def averaged_local_q_flat(model, zeta_t, batch, t, q_red, risk, agent):
     """
     import numpy as np
 
-    from rscpi.evaluation import expand_joint_policy, log_policy
     from rscpi.solver import AveragedLocalQ, _agent_last
 
     n = model.n_agents
@@ -394,9 +462,7 @@ def averaged_local_q_flat(model, zeta_t, batch, t, q_red, risk, agent):
     co_az = q_red.shape[2] * q_red.shape[3] // az
     zeta = _agent_last(zeta_t.reshape(R, S, *y_sizes, *w_sizes), agent, n)
     zeta = zeta.reshape(S, co_yw, 1, R, yw, 1)
-    co = [j for j in range(n) if j != agent]
-    copi = (expand_joint_policy(batch.agents(co), t - 1) if co
-            else np.ones((R, 1, 1, 1, 1)))
+    copi = co_policy_gather(batch, t, agent)
     copi = copi.reshape(R, co_yw, co_az).transpose(1, 2, 0)[..., None, None]
     q = _agent_last(q_red.reshape(R, S, *a_sizes, *w_sizes), agent, n)
     q = q.reshape(S, 1, co_az, R, 1, az)
@@ -406,7 +472,7 @@ def averaged_local_q_flat(model, zeta_t, batch, t, q_red, risk, agent):
         table = vals.sum(axis=0)
     else:
         with np.errstate(divide="ignore"):
-            vals = np.add(np.log(zeta) + log_policy(copi), q)
+            vals = np.add(np.log(zeta) + np.log(copi), q)
         vals = vals.reshape(-1, cells)
         top = vals.max(axis=0)
         ok = np.isfinite(top)
@@ -449,7 +515,8 @@ def tilted_q_log_rows(indptr, sp_idx, yp_idx, logp, lam_r, L_next, out):
 
 
 def fold_policy_log_states(log_m, q_red, out):
-    """kernels.fold_policy_log one state s at a time."""
+    """`fold_policy_log_loops` one state s at a time, vectorized over the
+    joint (a, z) cells."""
     import numpy as np
 
     S = q_red.shape[0]
@@ -493,7 +560,8 @@ def tilted_q_log_loops(indptr, sp_idx, yp_idx, logp, lam_r, L_next, out):
 
 
 def fold_policy_log_loops(log_m, q_red, out):
-    """kernels.fold_policy_log as scalar loops, one restart.
+    """The log-domain fold of a dense joint table as scalar loops, one
+    restart.
 
     out[s, y, w] = LSE_{a,z}( log_m[y, w, a, z] + q_red[s, a, z] )
     """

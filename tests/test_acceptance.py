@@ -371,3 +371,25 @@ def test_10_memory_claim_linear_in_horizon():
         peaks[T] = res.peak_floats
     # affine in T: the slope over 10->20 matches the slope over 20->40
     assert 2 * (peaks[20] - peaks[10]) == peaks[40] - peaks[20]
+
+
+# Dec-Tiger rungs whose agent states can hold every observation history
+# (|Z^i| >= |Y^i|^(T-2)), with the published optima of MAA* (Szer, Charpillet
+# & Zilberstein, UAI 2005) and GMAA*-ICE (Oliehoek et al., JAIR 2013)
+MEMORY_LADDER = [(3, (2, 2), 5.19), (4, (4, 4), 4.80)]
+
+
+@pytest.mark.parametrize("horizon,z_sizes,band", MEMORY_LADDER)
+def test_11_memory_ladder_reaches_published_optimum(horizon, z_sizes, band):
+    """The best of seeds 0, 100, 200 and 300, 5 restarts each, untilted at
+    alpha = 0.1, reaches the published optimum; it stops at the first seed
+    that does."""
+    model = dectiger_model(horizon)
+    best = -np.inf
+    for seed in (0, 100, 200, 300):
+        cfg = SolverConfig(lambda0=0.0, alpha=0.1, max_sweeps=500,
+                           restarts=5, seed=seed, z_sizes=z_sizes)
+        best = max(best, rscpi(model, cfg).j_exact)
+        if best >= band:
+            break
+    assert best >= band, best

@@ -1,4 +1,7 @@
-"""Forward marginals, exact/risk evaluation, and Monte-Carlo cross-checks."""
+"""Forward marginals, the per-agent fold, exact/risk evaluation, and
+Monte-Carlo cross-checks."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,17 +10,18 @@ from _benchmarks import (dectiger_block_policy, dectiger_model,
                          deterministic_policy, fully_observed_model,
                          random_model, random_policy_for, recycling_model,
                          recycling_reactive_policy)
-from oracles import (evaluate_enum, evaluate_risk_enum,
-                     expand_joint_policy_gather, forward_sum_eval,
+from oracles import (evaluate_enum, evaluate_risk_enum, fold_stage_joint,
+                     forward_marginals_joint, forward_sum_eval,
                      marginal_enum, rollout_monte_carlo_rows,
                      weighted_logmeanexp)
-from rscpi import evaluation
+from rscpi import evaluation, kernels
 from rscpi.bench_cli import load_model
 from rscpi.evaluation import (NumericError, evaluate_exact, evaluate_risk,
-                              expand_joint_policy, forward_marginals,
-                              joint_phi, rollout_monte_carlo)
+                              fold_stage, forward_marginals, joint_phi,
+                              rollout_monte_carlo)
 from rscpi.model import matrix_game_model
-from rscpi.policy import ROW_ATOL, JointPolicy, random_policy
+from rscpi.policy import ROW_ATOL, JointPolicy, PolicyBatch, random_policy
+from rscpi.risk import RiskParameter
 from test_cli import HUGE_REWARD_MODEL
 
 MATRIX_PAYOFFS = [[2.0, -10.0], [-10.0, 6.0]]
@@ -34,20 +38,123 @@ def pick_policy(model, a1, a2):
                                 lambda i, t, y, w: ((a1, a2)[i], 0))
 
 
-class TestExpandJointPolicy:
-    def test_matches_gather_form_bitwise(self):
-        rng = np.random.default_rng(21)
-        for k in range(12):
-            n = int(rng.integers(1, 4))
-            a_sizes = tuple(int(v) for v in rng.integers(1, 4, size=n))
-            y_sizes = tuple(int(v) for v in rng.integers(1, 4, size=n))
-            z_sizes = tuple(int(v) for v in rng.integers(1, 3, size=n))
-            policy = random_policy(a_sizes, y_sizes, z_sizes, 2, seed=k)
-            for t in range(2):
-                got = expand_joint_policy(policy, t)
-                want = expand_joint_policy_gather(policy, t)
-                assert got.shape == want.shape
-                assert np.array_equal(got, want), (k, t)
+CONTRACTION_SIZES = {2: dict(action_counts=(2, 3), obs_counts=(3, 2)),
+                     3: dict(action_counts=(2, 3, 2), obs_counts=(3, 2, 2))}
+CONTRACTION_Z_SIZES = {2: (2, 3), 3: (2, 1, 3)}
+
+
+def sparse_policy(model, z_sizes, seed):
+    """A random policy whose rows hold zeros: every cell under half its
+    row's largest is cut, so its log is -inf."""
+    policy = random_policy_for(model, z_sizes, seed)
+    tables = []
+    for tab in policy.tables:
+        top = tab.max(axis=(-2, -1), keepdims=True)
+        tab = np.where(tab < 0.5 * top, 0.0, tab)
+        tables.append(tab / tab.sum(axis=(-2, -1), keepdims=True))
+    assert any(np.any(tab == 0.0) for tab in tables)
+    return JointPolicy(horizon=policy.horizon, agent_state_sizes=z_sizes,
+                       tables=tables)
+
+
+def contraction_case(agents, restarts=3):
+    """A model with unequal per-agent sizes, `restarts` sparse policies of
+    it, and a batch of them."""
+    model = random_model(np.random.default_rng(60 + agents), n_states=3,
+                         horizon=3, **CONTRACTION_SIZES[agents])
+    singles = [sparse_policy(model, CONTRACTION_Z_SIZES[agents], 70 + r)
+               for r in range(restarts)]
+    return model, singles, PolicyBatch.stack(singles, restarts)
+
+
+def q_red_for(model, policy, restarts=(), seed=0):
+    Z = int(np.prod(policy.agent_state_sizes))
+    return np.random.default_rng(seed).uniform(
+        -3.0, 3.0, size=restarts + (model.state_count,
+                                    model.joint_action_count, Z))
+
+
+class TestPerAgentContraction:
+    """fold_stage and forward_marginals contract the policy one agent at a
+    time; the references in oracles form the dense joint table."""
+
+    @pytest.mark.parametrize("agents", [2, 3])
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_fold_matches_joint_table(self, agents, lam):
+        model, singles, _ = contraction_case(agents)
+        for policy in singles:
+            q_red = q_red_for(model, policy)
+            for t in range(1, model.horizon + 1):
+                got = np.empty((model.state_count, model.joint_obs_count,
+                                q_red.shape[-1]))
+                fold_stage(policy, t, q_red, RiskParameter(lam), got)
+                want = fold_stage_joint(policy, t, q_red, lam)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("agents", [2, 3])
+    def test_forward_matches_joint_table(self, agents):
+        model, singles, _ = contraction_case(agents)
+        for policy in singles:
+            got = forward_marginals(model, policy).values
+            want = forward_marginals_joint(model, policy)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("agents", [2, 3])
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_batch_equals_each_restart_alone(self, agents, lam):
+        model, singles, batch = contraction_case(agents)
+        q_red = q_red_for(model, singles[0], restarts=(batch.size,))
+        risk = RiskParameter(lam)
+        got = np.empty(q_red.shape[:2] + (model.joint_obs_count,
+                                          q_red.shape[-1]))
+        zetas = forward_marginals(model, batch).values
+        for t in range(1, model.horizon + 1):
+            fold_stage(batch, t, q_red, risk, got)
+            for r, policy in enumerate(singles):
+                alone = np.empty(got.shape[1:])
+                fold_stage(policy, t, q_red[r], risk, alone)
+                assert np.array_equal(got[r], alone)
+        for r, policy in enumerate(singles):
+            assert np.array_equal(zetas[r],
+                                  forward_marginals(model, policy).values)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_overflowing_cell_is_reported(self, lam):
+        # one +inf cell of q_red, which some rows weigh with 0: every sum
+        # it enters overflows or is nan, never a finite value
+        model, singles, _ = contraction_case(2, restarts=1)
+        q_red = q_red_for(model, singles[0])
+        q_red[1, 2, 3] = np.inf
+        out = np.empty((model.state_count, model.joint_obs_count,
+                        q_red.shape[-1]))
+        with pytest.raises(NumericError, match="nonfinite tilted value"):
+            with kernels.quiet_overflow():
+                fold_stage(singles[0], 2, q_red, RiskParameter(lam), out)
+
+    def test_no_joint_table_is_formed(self):
+        """Each step peaks below one dense joint table, Y*W*A*W floats,
+        on Dec-Tiger T=3 with 8 agent states per agent."""
+        model = dectiger_model(horizon=3)
+        policy = random_policy_for(model, (8, 8), seed=0)
+        Y, A, W = model.joint_obs_count, model.joint_action_count, 64
+        joint_mb = Y * W * A * W * 8 / 1e6
+        q_red = q_red_for(model, policy)
+        out = np.empty((model.state_count, Y, W))
+
+        def peak_mb(step):
+            step()
+            tracemalloc.start()
+            try:
+                step()
+                return tracemalloc.get_traced_memory()[1] / 1e6
+            finally:
+                tracemalloc.stop()
+
+        peaks = [peak_mb(lambda: fold_stage(policy, 2, q_red,
+                                            RiskParameter(lam), out))
+                 for lam in (0.0, 0.5)]
+        peaks.append(peak_mb(lambda: forward_marginals(model, policy)))
+        assert max(peaks) < joint_mb, (peaks, joint_mb)
 
 
 class TestForwardMarginals:

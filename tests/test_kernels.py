@@ -1,6 +1,7 @@
-"""The log-domain kernels against their scalar-loop and per-row forms in
-oracles, batched against per-restart calls, and the averaged local value's
-per-agent reduction against its loop reference."""
+"""The log-domain backup kernel against its scalar-loop and per-row forms
+in oracles, the per-agent log-domain fold against the fold of the dense
+joint table, both batched against per-restart calls, and the averaged local
+value's per-agent reduction against its loop reference."""
 
 from pathlib import Path
 
@@ -13,8 +14,10 @@ from oracles import (averaged_local_q_loops, expand_joint_policy_gather,
                      tilted_q_log_loops, tilted_q_log_rows)
 from rscpi import kernels
 from rscpi.bench_cli import load_model
-from rscpi.evaluation import (dynamics_support, expand_joint_policy,
-                              finite_risk, log_policy, stage_backup)
+from rscpi.evaluation import (dynamics_support, finite_risk, fold_stage,
+                              stage_backup)
+from rscpi.policy import PolicyBatch
+from rscpi.risk import RiskParameter
 from rscpi.solver import averaged_local_q
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,7 +35,7 @@ def kernel_inputs(seed, n_states=3, action_counts=(2, 2), obs_counts=(2, 2),
     Y, Z = model.joint_obs_count, int(np.prod(z_sizes))
     indptr, sp, yp, logp = dynamics_support(model)
     l_next = rng.uniform(-2.0, 2.0, size=(S, Y, Z))
-    m = expand_joint_policy(policy, 0)
+    m = expand_joint_policy_gather(policy, 0)
     zeta = rng.dirichlet(np.ones(S * Y * Z)).reshape(S, Y, Z)
     zeta[zeta < 0.002] = 0.0  # genuine zero-mass cells
     zeta /= zeta.sum()
@@ -81,7 +84,8 @@ class TestBackendAgreement:
         out_a = np.zeros((b["S"], b["Y"], b["Z"]))
         out_b = np.zeros_like(out_a)
         fold_policy_log_loops(log_of(b["m"]), b["q_red"], out_a)
-        kernels.fold_policy_log(log_of(b["m"]), b["q_red"], out_b)
+        fold_stage(b["policy"], 1, b["q_red"], RiskParameter(b["lam"]),
+                   out_b)
         np.testing.assert_allclose(out_a, out_b, rtol=0, atol=1e-12)
 
     # The averaged local value is one numpy reduction;
@@ -145,34 +149,35 @@ def bench_file_inputs(name, horizon, seed=0, z_sizes=(2, 2)):
     Z = int(np.prod(z_sizes))
     indptr, sp, yp, logp = dynamics_support(model)
     policy = random_policy_for(model, z_sizes, seed + 1)
-    return dict(model=model, indptr=indptr, sp=sp, yp=yp, logp=logp,
-                l_next=rng.uniform(-20.0, 20.0, size=(S, Y, Z)),
-                m=expand_joint_policy(policy, 0),
+    return dict(model=model, policy=policy, indptr=indptr, sp=sp, yp=yp,
+                logp=logp, l_next=rng.uniform(-20.0, 20.0, size=(S, Y, Z)),
+                m=expand_joint_policy_gather(policy, 0),
                 q_red=rng.uniform(-20.0, 20.0, size=(S, A, Z)),
                 lam=0.5, S=S, A=A, Y=Y, Z=Z)
 
 
-def run_numpy_and_oracle(b):
-    """Both numpy kernels and their per-row oracles on one bundle."""
+def assert_matches_oracles(b):
+    """tilted_q_log equals its per-row oracle bit for bit; the log-domain
+    fold_stage agrees with the per-state fold of the dense joint table to
+    1e-12."""
     S, A, Y, Z = b["S"], b["A"], b["Y"], b["Z"]
     got_q, want_q = np.empty((S, A, Z)), np.empty((S, A, Z))
     kernels.tilted_q_log(*tilted_args(b), got_q)
     tilted_q_log_rows(*tilted_args(b), want_q)
-    log_m = log_policy(b["m"])
+    assert np.array_equal(got_q, want_q)
     got_l, want_l = np.empty((S, Y, Z)), np.empty((S, Y, Z))
-    kernels.fold_policy_log(log_m, b["q_red"], got_l)
-    fold_policy_log_states(log_m, b["q_red"], want_l)
-    return (got_q, want_q), (got_l, want_l)
+    fold_stage(b["policy"], 1, b["q_red"], RiskParameter(b["lam"]), got_l)
+    fold_policy_log_states(log_of(b["m"]), b["q_red"], want_l)
+    np.testing.assert_allclose(got_l, want_l, rtol=0, atol=1e-12)
 
 
 class TestNumpyKernels:
-    """The whole-array numpy kernels add each cell's terms in the order of
-    their per-row forms in oracles, so they agree bit for bit."""
+    """The whole-array backup kernel adds each cell's terms in the order of
+    its per-row form in oracles, so the two agree bit for bit."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_equal_to_per_row_forms(self, seed):
-        for got, want in run_numpy_and_oracle(kernel_inputs(seed)):
-            assert np.array_equal(got, want)
+        assert_matches_oracles(kernel_inputs(seed))
 
     @pytest.mark.parametrize("name,horizon", [("dectiger.dpomdp", 6),
                                               ("recycling.dpomdp", 100)])
@@ -180,8 +185,7 @@ class TestNumpyKernels:
         b = bench_file_inputs(name, horizon)
         lengths = np.diff(b["indptr"])
         assert lengths.min() < lengths.max()  # rows are padded
-        for got, want in run_numpy_and_oracle(b):
-            assert np.array_equal(got, want)
+        assert_matches_oracles(b)
 
     def test_sum_order_does_not_depend_on_z(self):
         # successors are added one at a time for every Z; summing along a
@@ -233,11 +237,11 @@ class TestNumpyKernels:
         for out in views((S, A, Z)):
             kernels.tilted_q_log(*tilted_args(b), out)
             assert np.array_equal(out, dense)
-        log_m = log_policy(b["m"])
+        risk = RiskParameter(b["lam"])
         dense = np.empty((S, Y, Z))
-        kernels.fold_policy_log(log_m, b["q_red"], dense)
+        fold_stage(b["policy"], 1, b["q_red"], risk, dense)
         for out in views((S, Y, Z)):
-            kernels.fold_policy_log(log_m, b["q_red"], out)
+            fold_stage(b["policy"], 1, b["q_red"], risk, out)
             assert np.array_equal(out, dense)
 
 
@@ -248,23 +252,34 @@ class TestBatchedKernels:
         b = kernel_inputs(seed)
         rng = np.random.default_rng(seed + 100)
         S, A, Y, Z = b["S"], b["A"], b["Y"], b["Z"]
+        policies = [random_policy_for(b["model"], (2, 2), seed + 200 + r)
+                    for r in range(R)]
         return b, dict(l_next=rng.uniform(-2.0, 2.0, size=(R, S, Y, Z)),
-                       log_m=log_of(rng.dirichlet(np.ones(A * Z),
-                                                  size=(R, Y, Z))
-                                    .reshape(R, Y, Z, A, Z)),
+                       policies=policies,
+                       batch=PolicyBatch.stack(policies, R),
                        q_red=rng.uniform(-3.0, 3.0, size=(R, S, A, Z)))
 
-    # "numpy": each restart's slice equals the kernel's own one-restart
-    # call bit for bit; "loop": it agrees with the scalar loops in oracles
+    # "numpy": each restart's slice equals the one-restart call bit for
+    # bit; "loop": it agrees with the scalar loops in oracles, the fold's
+    # on the dense joint table
     @pytest.mark.parametrize("impls", ["numpy", "loop"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_equal_to_per_restart_calls(self, impls, seed):
         b, x = self.batch(seed)
+        risk = RiskParameter(b["lam"])
         if impls == "numpy":
-            tilted, fold = kernels.tilted_q_log, kernels.fold_policy_log
+            tilted = kernels.tilted_q_log
             same = np.array_equal
+
+            def fold(r, out):
+                fold_stage(x["policies"][r], 1, x["q_red"][r], risk, out)
         else:
-            tilted, fold = tilted_q_log_loops, fold_policy_log_loops
+            tilted = tilted_q_log_loops
+
+            def fold(r, out):
+                log_m = log_of(expand_joint_policy_gather(x["policies"][r],
+                                                          0))
+                fold_policy_log_loops(log_m, x["q_red"][r], out)
 
             def same(got, want):
                 return np.allclose(got, want, rtol=0, atol=1e-12)
@@ -274,10 +289,10 @@ class TestBatchedKernels:
         got_q, got_l = np.empty((R, S, A, Z)), np.empty((R, S, Y, Z))
         kernels.tilted_q_log(*csr, lam_r, x["l_next"], got_q,
                              pad=kernels.pad_support(*csr))
-        kernels.fold_policy_log(x["log_m"], x["q_red"], got_l)
+        fold_stage(x["batch"], 1, x["q_red"], risk, got_l)
         for r in range(R):
             want_q, want_l = np.empty((S, A, Z)), np.empty((S, Y, Z))
             tilted(*csr, lam_r, x["l_next"][r], want_q)
-            fold(x["log_m"][r], x["q_red"][r], want_l)
+            fold(r, want_l)
             assert same(got_q[r], want_q)
             assert same(got_l[r], want_l)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from _benchmarks import dectiger_model, deterministic_policy, random_model
+from oracles import action_indexer
 from rscpi.model import (DecPomdpModel, JointIndexer, is_int,
                          make_initial_distribution, matrix_game_model,
                          pad_dynamics_for_dummy)
@@ -187,7 +188,7 @@ class TestMatrixGame:
         assert model.state_count == 1
         assert model.action_counts == (2, 2)
         assert model.obs_counts == (1, 1)
-        ix = model.action_indexer()
+        ix = action_indexer(model)
         assert model.r[0, ix.encode((0, 0))] == 2.0
         assert model.r[0, ix.encode((0, 1))] == -10.0
         assert model.r[0, ix.encode((1, 0))] == -10.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _benchmarks import dectiger_model, deterministic_policy
+from oracles import as_table
 from rscpi.model import matrix_game_model
 from rscpi.policy import (DeterministicAgentSlice, JointPolicy, dump_policy,
                           mix_policies, point_mass_phi, policy_from_json,
@@ -168,7 +169,7 @@ class TestMixPolicies:
                 actions=rng.integers(0, na, size=(ny, nw)),
                 next_states=rng.integers(0, nz, size=(ny, nw)))
             for alpha in (0.1, 0.3, float(rng.uniform()), 1.0):
-                want = (1.0 - alpha) * old + alpha * det.as_table(na, nz)
+                want = (1.0 - alpha) * old + alpha * as_table(det, na, nz)
                 want = want / want.sum(axis=(2, 3), keepdims=True)
                 assert np.array_equal(mix_policies(old, det, alpha), want)
 
@@ -178,7 +179,7 @@ class TestDeterministicSlice:
         det = DeterministicAgentSlice(
             agent=0, t=2, actions=np.array([[2, 0], [1, 1]]),
             next_states=np.array([[0, 1], [1, 0]]))
-        tab = det.as_table(3, 2)
+        tab = as_table(det, 3, 2)
         assert tab.shape == (2, 2, 3, 2)
         np.testing.assert_allclose(tab.sum(axis=(2, 3)), 1.0)
         assert tab[0, 0, 2, 0] == 1.0

@@ -374,7 +374,7 @@ class TestFactoredLocalQ:
 
         def peak_mb(local_q):
             args = (model, zeta_t, batch, 2, q_red, risk)
-            local_q(*args, 0)   # fills the joint-cell index cache
+            local_q(*args, 0)   # warm-up outside the measurement
             tracemalloc.start()
             try:
                 for agent in (0, 1):
