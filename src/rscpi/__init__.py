@@ -11,9 +11,8 @@ from .evaluation import (NumericError, backward, evaluate_exact,
                          evaluate_risk, forward_marginals, rollout_monte_carlo)
 from .model import (DecPomdpModel, JointIndexer, make_initial_distribution,
                     matrix_game_model)
-from .policy import (DeterministicAgentSlice, JointPolicy, dump_policy,
-                     mix_policies, policy_from_json, policy_to_json,
-                     random_policy)
+from .policy import (JointPolicy, dump_policy, mix_policies,
+                     policy_from_json, policy_to_json, random_policy)
 from .risk import RiskParameter
 from .solver import (AveragedLocalQ, SolveResult, SolverConfig,
                      averaged_local_q, greedy_agent_update, rscpi, sweep)
@@ -21,8 +20,8 @@ from .solver import (AveragedLocalQ, SolveResult, SolverConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AveragedLocalQ", "DecPomdpModel", "DeterministicAgentSlice",
-    "JointIndexer", "JointPolicy", "NumericError",
+    "AveragedLocalQ", "DecPomdpModel", "JointIndexer", "JointPolicy",
+    "NumericError",
     "ParseDiagnostic", "RawDpomdpFile", "RiskParameter", "SolveResult",
     "SolverConfig", "averaged_local_q", "backward",
     "compile_model", "dump_policy", "evaluate_exact", "evaluate_risk",

@@ -98,12 +98,21 @@ def _agent_rows(policy: JointPolicy, t: int) -> list:
             for tab in policy.tables]
 
 
-def _pair_axes(x: np.ndarray, firsts, seconds) -> np.ndarray:
-    """lead + (S, F, G), F and G flat over the agents' F_i and G_i, as
-    lead + (S, F_1 G_1, ..., F_N G_N); `_unpair_axes` inverts it."""
+def _paired_view(x: np.ndarray, firsts, seconds) -> np.ndarray:
+    """lead + (S, F, G), F and G flat over the agents' F_i and G_i, viewed as
+    lead + (S, F_1, G_1, ..., F_N, G_N). Only splits and permutes axes, so
+    it views any strided x; the reshape raises rather than copy."""
     n, k = len(firsts), x.ndim - 2
-    x = x.reshape(x.shape[:k] + (*firsts, *seconds))
-    x = x.transpose(*range(k), *(k + j for i in range(n) for j in (i, n + i)))
+    x = x.reshape(x.shape[:k] + (*firsts, *seconds), copy=False)
+    return x.transpose(*range(k),
+                       *(k + j for i in range(n) for j in (i, n + i)))
+
+
+def _pair_axes(x: np.ndarray, firsts, seconds) -> np.ndarray:
+    """lead + (S, F, G) as lead + (S, F_1 G_1, ..., F_N G_N), a copy;
+    `_unpair_axes` inverts it."""
+    x = _paired_view(x, firsts, seconds)
+    k = x.ndim - 2 * len(firsts)
     return x.reshape(x.shape[:k] + tuple(map(operator.mul, firsts, seconds)))
 
 
@@ -158,6 +167,9 @@ def forward_marginals(model: DecPomdpModel, policy: JointPolicy,
     T = model.horizon
     phi = joint_phi(policy)
     lead = phi.shape[:-1]
+    if out is not None and out.shape != lead + (T, S, Y, Z):
+        raise ValueError(f"out has shape {out.shape}, expected "
+                         f"{lead + (T, S, Y, Z)}")
     zetas = out if out is not None else np.zeros(lead + (T, S, Y, Z))
     zetas[..., 0, :, :, :] = model.zeta1[:, :, None] * phi[..., None, None, :]
     p_flat = model.P.reshape(S * A, S * Y)
@@ -256,7 +268,9 @@ def fold_stage(policy: JointPolicy, t: int, q_red: np.ndarray,
 
     lam = 0: sum_{a, z} prod_i pi^i_t(a^i, z^i | y^i, w^i) q_red[s, a, z],
     taken one agent at a time; lam > 0: the same sum in the log domain. A
-    batch's restart axis leads q_red and out. Raises NumericError at the
+    batch's restart axis leads q_red and out. The contraction leaves the
+    agents' (y^i, w^i) axes paired; it is copied once into out through a
+    paired view of out, which may be strided. Raises NumericError at the
     first non-finite cell.
     """
     w_sizes = policy.agent_state_sizes
@@ -267,7 +281,8 @@ def fold_stage(policy: JointPolicy, t: int, q_red: np.ndarray,
     else:
         with np.errstate(divide="ignore"):
             x = _contract_agents(x, [np.log(m) for m in rows], logs=True)
-    out[...] = _unpair_axes(x, policy.obs_counts(), w_sizes)
+    paired = _paired_view(out, policy.obs_counts(), w_sizes)
+    paired[...] = x.reshape(paired.shape)
     if not np.isfinite(out).all():
         *restart, s, y, w = (int(c) for c in np.argwhere(~np.isfinite(out))[0])
         where = f" of restart {restart[0]}" if restart else ""
@@ -331,17 +346,21 @@ def aggregate_initial(model: DecPomdpModel, policy: JointPolicy,
                       l1: np.ndarray, risk: RiskParameter):
     """Fold L_1 with zeta1 (x) phi into the scalar objective.
 
-    A PolicyBatch folds each restart alone on its slice of L_1, into an
-    array with one value per restart.
+    A PolicyBatch folds each restart alone on its slice of L_1 and its row
+    of the batch's joint phi, into an array with one value per restart.
     """
-    if isinstance(policy, PolicyBatch):
-        return np.array([aggregate_initial(model, p, l, risk)
-                         for p, l in zip(policy.policies, l1)])
     phi = joint_phi(policy)
+    if isinstance(policy, PolicyBatch):
+        return np.array([_aggregate(model.zeta1, p, l, risk)
+                         for p, l in zip(phi, l1)])
+    return _aggregate(model.zeta1, phi, l1, risk)
+
+
+def _aggregate(zeta1, phi, l1, risk: RiskParameter) -> float:
     if risk.is_neutral:
-        return float(np.einsum("sy,z,syz->", model.zeta1, phi, l1))
+        return float(np.einsum("sy,z,syz->", zeta1, phi, l1))
     with np.errstate(divide="ignore"):
-        logw = np.log(model.zeta1)[:, :, None] + np.log(phi)[None, None, :]
+        logw = np.log(zeta1)[:, :, None] + np.log(phi)[None, None, :]
     x = logw + l1
     m = x.max()
     return float((m + np.log(np.exp(x - m).sum())) / risk.lam)

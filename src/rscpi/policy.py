@@ -170,16 +170,6 @@ def uniform_phi(z_size: int) -> np.ndarray:
     return np.full(int(z_size), 1.0 / int(z_size))
 
 
-@dataclass
-class DeterministicAgentSlice:
-    """Greedy decision rule for one (agent, time): (y, w) -> (action, next state)."""
-
-    agent: int
-    t: int
-    actions: np.ndarray       # (Y_i, Z_i) int, or (R, Y_i, Z_i) for a batch
-    next_states: np.ndarray   # same shape as actions
-
-
 def random_policy(action_counts, obs_counts, z_sizes, horizon, seed,
                   phi_mode="point_mass") -> JointPolicy:
     """Independent flat-Dirichlet rows; bitwise deterministic per (dims, seed).
@@ -203,24 +193,27 @@ def random_policy(action_counts, obs_counts, z_sizes, horizon, seed,
                        tables=tables, phi=phi)
 
 
-def mix_policies(old_slice: np.ndarray, new: DeterministicAgentSlice,
+def mix_policies(old_slice: np.ndarray, picks: np.ndarray,
                  alpha: float) -> np.ndarray:
-    """Conservative update (1 - alpha) * old + alpha * point_mass(new), rowwise.
+    """Conservative update (1 - alpha) * old + alpha * point_mass(picks).
 
-    alpha = 0 returns the old slice unchanged (bitwise); otherwise alpha is
-    added in place at each row's greedy cell, and rows are renormalized after
-    mixing to absorb floating-point drift. Leading axes in front of
-    (Y_i, Z_i, A_i, Z_i), such as a restart axis, are mixed row by row.
+    old_slice is (..., Y_i, Z_i, A_i, Z_i) and picks (..., Y_i, Z_i): each
+    row's greedy cell as the flat index a * Z_i + z' of its (A_i, Z_i) axes.
+    alpha = 0 returns the old slice unchanged (bitwise); otherwise
+    (1 - alpha) * old is built C-ordered, alpha is added at each row's pick
+    in one scatter on its (rows, A_i Z_i) view, and the rows are
+    renormalized in place to absorb floating-point drift. Leading axes, such
+    as a restart axis, are mixed row by row; old_slice is never written.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if alpha == 0.0:
         return old_slice
-    mixed = (1.0 - alpha) * old_slice
-    rows = np.indices(new.actions.shape, sparse=True)
-    mixed[(*rows, new.actions, new.next_states)] += alpha
-    sums = mixed.sum(axis=(-2, -1), keepdims=True)
-    return mixed / sums
+    mixed = np.multiply(1.0 - alpha, old_slice, order="C")
+    rows = mixed.reshape(-1, mixed.shape[-2] * mixed.shape[-1], copy=False)
+    rows[np.arange(len(rows)), picks.reshape(-1)] += alpha
+    mixed /= mixed.sum(axis=(-2, -1), keepdims=True)
+    return mixed
 
 
 def policy_to_json(policy: JointPolicy) -> str:

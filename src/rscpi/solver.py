@@ -33,8 +33,8 @@ from .evaluation import (aggregate_initial, evaluate_exact, finite_risk,
                          fold_stage, forward_marginals, logsumexp,
                          stage_backup)
 from .model import DecPomdpModel, is_int
-from .policy import (PHI_MODES, DeterministicAgentSlice, JointPolicy,
-                     PolicyBatch, mix_policies, random_policy)
+from .policy import (PHI_MODES, JointPolicy, PolicyBatch, mix_policies,
+                     random_policy)
 
 
 @dataclass
@@ -222,12 +222,14 @@ def _co_policy(batch: PolicyBatch, t: int, agent: int) -> np.ndarray:
     joint table holds. With one co-agent that is its own table, as a view.
     """
     co = [tab[:, t - 1] for j, tab in enumerate(batch.tables) if j != agent]
-    copi = np.ones((batch.size, 1))
+    if not co:
+        return np.ones((batch.size, 1))
+    copi = None
     for pos, tab in enumerate(co):
-        shape = np.ones((4, len(co)), dtype=int)
-        shape[:, pos] = tab.shape[1:]
-        factor = tab.reshape(len(tab), *shape.flat)
-        copi = factor if pos == 0 else copi * factor
+        shape = [1] * (4 * len(co))
+        shape[pos::len(co)] = tab.shape[1:]
+        factor = tab.reshape(len(tab), *shape)
+        copi = factor if copi is None else copi * factor
     return copi
 
 
@@ -276,21 +278,16 @@ def _averaged_local_q(model, zeta_t, batch, t, q_red, risk, agent):
                           lam=risk.lam, is_plain=risk.is_neutral)
 
 
-def greedy_agent_update(qbar: AveragedLocalQ,
-                        incumbent: np.ndarray) -> DeterministicAgentSlice:
-    """Argmax of the averaged weights per reachable (y^i, z^i_-) cell.
+def greedy_agent_update(qbar: AveragedLocalQ) -> np.ndarray:
+    """Argmax of the averaged weights per (y^i, z^i_-) cell, as the flat
+    index a^i * Z_i + z'^i of its (A_i, Z_i) axes.
 
-    Ties break to the smallest flat (a^i, z'^i) index. Unreachable cells copy
-    the incumbent row's argmax so the mixed update leaves them unchanged.
-    A leading restart axis of the table and the incumbent carries through.
+    Ties break to the smallest flat index. An unreachable cell's pick means
+    nothing: the sweep writes only reachable rows. A leading restart axis of
+    the table carries through.
     """
     *lead, yi, wi, ai, zi = qbar.table.shape
-    best = np.argmax(qbar.table.reshape(*lead, yi, wi, ai * zi), axis=-1)
-    fallback = np.argmax(incumbent.reshape(*lead, yi, wi, ai * zi), axis=-1)
-    best = np.where(qbar.reachable, best, fallback)
-    return DeterministicAgentSlice(agent=qbar.agent, t=qbar.t,
-                                   actions=(best // zi).astype(np.int64),
-                                   next_states=(best % zi).astype(np.int64))
+    return np.argmax(qbar.table.reshape(*lead, yi, wi, ai * zi), axis=-1)
 
 
 def _update_agent_at(model, batch, t, zeta_t, q_red, risk, alpha, agent,
@@ -299,7 +296,7 @@ def _update_agent_at(model, batch, t, zeta_t, q_red, risk, alpha, agent,
     of reachable cells; every other row keeps its bytes."""
     qbar = _averaged_local_q(model, zeta_t, batch, t, q_red, risk, agent)
     tab = batch.tables[agent][:, t - 1]
-    mixed = mix_policies(tab, greedy_agent_update(qbar, tab), alpha)
+    mixed = mix_policies(tab, greedy_agent_update(qbar), alpha)
     if mixed is not tab:
         write = qbar.reachable & live[:, None, None]
         np.copyto(tab, mixed, where=write[..., None, None])
@@ -336,6 +333,9 @@ def sweep(model: DecPomdpModel, policy, lam, alpha: float,
                          f"{batch.size} of {batch.agent_state_sizes}")
     live = (np.ones(batch.size, dtype=bool) if live is None
             else np.asarray(live, dtype=bool))
+    if live.shape != (batch.size,):
+        raise ValueError(f"live has shape {live.shape}, expected "
+                         f"({batch.size},), one flag per restart")
     with kernels.quiet_overflow():
         for group in groups:
             forward_marginals(model, batch, out=ws.zeta)

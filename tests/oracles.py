@@ -6,8 +6,11 @@ package; agreement between these and the fast implementations is the point
 of the tests that import them.
 """
 
+from __future__ import annotations
+
 import itertools
 import math
+from dataclasses import dataclass
 
 NEG_INF = -math.inf
 
@@ -304,16 +307,84 @@ def forward_marginals_joint(model, policy):
     return np.stack(out)
 
 
-def as_table(det, action_count, z_size):
-    """Point-mass policy table (Y_i, Z_i, A_i, Z_i) of a
-    DeterministicAgentSlice."""
+def as_table(picks, action_count, z_size):
+    """Point-mass policy table (Y_i, Z_i, A_i, Z_i) of (Y_i, Z_i) flat
+    greedy picks a * Z_i + z'."""
     import numpy as np
 
-    ny, nw = det.actions.shape
-    tab = np.zeros((ny, nw, action_count, z_size))
+    ny, nw = picks.shape
+    tab = np.zeros((ny, nw, action_count * z_size))
     yy, ww = np.meshgrid(np.arange(ny), np.arange(nw), indexing="ij")
-    tab[yy, ww, det.actions, det.next_states] = 1.0
-    return tab
+    tab[yy, ww, picks] = 1.0
+    return tab.reshape(ny, nw, action_count, z_size)
+
+
+@dataclass
+class DeterministicAgentSlice:
+    """Greedy decision rule for one (agent, time): (y, w) -> (action, next state)."""
+
+    agent: int
+    t: int
+    actions: np.ndarray       # (Y_i, Z_i) int, or (R, Y_i, Z_i) for a batch
+    next_states: np.ndarray   # same shape as actions
+
+
+def greedy_agent_update(qbar, incumbent) -> DeterministicAgentSlice:
+    """Argmax of the averaged weights per reachable (y^i, z^i_-) cell.
+
+    Ties break to the smallest flat (a^i, z'^i) index. Unreachable cells copy
+    the incumbent row's argmax so the mixed update leaves them unchanged.
+    A leading restart axis of the table and the incumbent carries through.
+    """
+    import numpy as np
+
+    *lead, yi, wi, ai, zi = qbar.table.shape
+    best = np.argmax(qbar.table.reshape(*lead, yi, wi, ai * zi), axis=-1)
+    fallback = np.argmax(incumbent.reshape(*lead, yi, wi, ai * zi), axis=-1)
+    best = np.where(qbar.reachable, best, fallback)
+    return DeterministicAgentSlice(agent=qbar.agent, t=qbar.t,
+                                   actions=(best // zi).astype(np.int64),
+                                   next_states=(best % zi).astype(np.int64))
+
+
+def mix_policies(old_slice, new: DeterministicAgentSlice,
+                 alpha: float):
+    """Conservative update (1 - alpha) * old + alpha * point_mass(new), rowwise.
+
+    alpha = 0 returns the old slice unchanged (bitwise); otherwise alpha is
+    added in place at each row's greedy cell, and rows are renormalized after
+    mixing to absorb floating-point drift. Leading axes in front of
+    (Y_i, Z_i, A_i, Z_i), such as a restart axis, are mixed row by row.
+    """
+    import numpy as np
+
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    if alpha == 0.0:
+        return old_slice
+    mixed = (1.0 - alpha) * old_slice
+    rows = np.indices(new.actions.shape, sparse=True)
+    mixed[(*rows, new.actions, new.next_states)] += alpha
+    sums = mixed.sum(axis=(-2, -1), keepdims=True)
+    return mixed / sums
+
+
+def update_agent_at_incumbent(model, batch, t, zeta_t, q_red, risk, alpha,
+                              agent, live):
+    """The solver's `_update_agent_at` on the (incumbent-fallback greedy,
+    DeterministicAgentSlice mix) pair above; returns the averaged local
+    value it updated against."""
+    import numpy as np
+    from rscpi import solver
+
+    qbar = solver._averaged_local_q(model, zeta_t, batch, t, q_red, risk,
+                                    agent)
+    tab = batch.tables[agent][:, t - 1]
+    mixed = mix_policies(tab, greedy_agent_update(qbar, tab), alpha)
+    if mixed is not tab:
+        write = qbar.reachable & live[:, None, None]
+        np.copyto(tab, mixed, where=write[..., None, None])
+    return qbar
 
 
 def action_indexer(model):

@@ -87,9 +87,9 @@ def test_01_matrix_game_best_response_paths():
 
     def step(policy, lam, agent):
         qbar = averaged_local_q(model, zeta1, policy, 1, l_next, lam, agent)
-        det = greedy_agent_update(qbar, policy.tables[agent][0])
+        picks = greedy_agent_update(qbar)
         policy.tables[agent][0] = mix_policies(policy.tables[agent][0],
-                                               det, 1.0)
+                                               picks, 1.0)
 
     # (lam, start atoms, atoms after each agent's alpha=1 step, final value)
     paths = [
@@ -265,7 +265,7 @@ def test_06_conservative_update_never_degrades_tail():
         qbar = averaged_local_q(model, zeta_t, policy, t, l_next, risk,
                                 agent)
         tab = policy.tables[agent][t - 1]
-        mixed = mix_policies(tab, greedy_agent_update(qbar, tab), alpha)
+        mixed = mix_policies(tab, greedy_agent_update(qbar), alpha)
         keep = ~qbar.reachable
         if keep.any():
             mixed[keep] = tab[keep]
@@ -316,8 +316,7 @@ def test_07_greedy_fixpoint_is_a_no_op():
                 qbar = averaged_local_q(model, traj.at(t), policy, t,
                                         l_next, lam, agent)
                 tab = policy.tables[agent][t - 1]
-                mixed = mix_policies(tab, greedy_agent_update(qbar, tab),
-                                     1.0)
+                mixed = mix_policies(tab, greedy_agent_update(qbar), 1.0)
                 ok = qbar.reachable
                 assert np.array_equal(mixed[ok], tab[ok]), (k, t, agent)
     assert time.perf_counter() - t0 < 60.0

@@ -16,8 +16,13 @@ from _benchmarks import dectiger_model, random_policy_for
 from rscpi import kernels
 
 ROOT = Path(__file__).resolve().parents[1]
-REMOVED = ["FiniteMdp", "certainty_equivalent", "risk_policy_evaluation_mdp",
-           "risk_value_iteration", "weighted_logmeanexp"]
+REMOVED = ["DeterministicAgentSlice", "FiniteMdp", "certainty_equivalent",
+           "risk_policy_evaluation_mdp", "risk_value_iteration",
+           "weighted_logmeanexp"]
+# per-layer rows of the benchmark that a solve must keep reaching
+SOLVE_LAYERS = ["solver.sweep", "solver.greedy_agent_update",
+                "policy.mix_policies", "evaluation.forward_marginals",
+                "evaluation.evaluate_exact", "kernels.tilted_q_log"]
 
 
 def load_tracer():
@@ -81,6 +86,23 @@ class TestBenchmarkContract:
         steps, (first, second) = step_counts("eval", eval_op)
         assert set(first) == {name for name, _ in steps}
         assert first == second
+
+    def test_span_tracer_sees_every_solve_layer(self):
+        """A rename or a changed lookup site would silently zero one of the
+        benchmark's per-layer rows."""
+        tracer = load_tracer().SpanTracer()
+        tracer.install(rscpi)
+        try:
+            # lam 0.5, then 0: one tilted sweep and one plain one
+            config = rscpi.SolverConfig(lambda0=0.5, anneal_sweeps=1,
+                                        alpha=0.3, max_sweeps=2, restarts=2,
+                                        seed=0, z_sizes=(2, 2))
+            rscpi.rscpi(dectiger_model(horizon=3), config)
+        finally:
+            tracer.uninstall()
+        summary = tracer.summary()
+        for name in SOLVE_LAYERS:
+            assert summary[f"{name}.calls"] > 0, name
 
     def test_public_names(self):
         for name in rscpi.__all__:

@@ -201,6 +201,18 @@ class TestForwardMarginals:
         with pytest.raises(ValueError):
             forward_marginals(model, policy)
 
+    @pytest.mark.parametrize("shape", [(4, 2, 9, 4), (2, 2, 9, 4),
+                                       (1, 3, 2, 9, 4), (3, 2, 9, 2)])
+    def test_out_shape_checked(self, shape):
+        """An out with a longer horizon would come back with an all-zero
+        last stage; every wrong shape is refused, naming the right one."""
+        model = dectiger_model(horizon=3)
+        policy = random_policy_for(model, (2, 2), seed=0)
+        out = np.zeros(shape)
+        with pytest.raises(ValueError, match=r"expected \(3, 2, 9, 4\)"):
+            forward_marginals(model, policy, out=out)
+        assert not out.any()
+
 
 class TestEvaluateExact:
     def test_matrix_game_corner_points(self):

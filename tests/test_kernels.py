@@ -14,8 +14,8 @@ from oracles import (averaged_local_q_loops, expand_joint_policy_gather,
                      tilted_q_log_loops, tilted_q_log_rows)
 from rscpi import kernels
 from rscpi.bench_cli import load_model
-from rscpi.evaluation import (dynamics_support, finite_risk, fold_stage,
-                              stage_backup)
+from rscpi.evaluation import (backward, dynamics_support, finite_risk,
+                              fold_stage, stage_backup)
 from rscpi.policy import PolicyBatch
 from rscpi.risk import RiskParameter
 from rscpi.solver import averaged_local_q
@@ -242,6 +242,23 @@ class TestNumpyKernels:
         fold_stage(b["policy"], 1, b["q_red"], risk, dense)
         for out in views((S, Y, Z)):
             fold_stage(b["policy"], 1, b["q_red"], risk, out)
+            assert np.array_equal(out, dense)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_strided_backward_out(self, lam):
+        """backward(batch, out=) hands fold_stage strided (R, S, Y, Z)
+        slices of out; every L_t lands as it does in a contiguous out."""
+        b = kernel_inputs(0)
+        model, R = b["model"], 3
+        batch = PolicyBatch.stack(
+            [random_policy_for(model, (2, 2), 300 + r) for r in range(R)], R)
+        shape = (R, model.horizon, b["S"], b["Y"], b["Z"])
+        dense = np.full(shape, np.nan)
+        l1 = backward(model, batch, lam, out=dense)
+        wide = np.full(shape[:-1] + (2 * b["Z"],), np.nan)
+        for out in (wide[..., ::2], np.full(shape[::-1], np.nan).T):
+            assert not out.flags.c_contiguous
+            assert np.array_equal(backward(model, batch, lam, out=out), l1)
             assert np.array_equal(out, dense)
 
 

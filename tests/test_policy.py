@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from _benchmarks import dectiger_model, deterministic_policy
+import oracles
 from oracles import as_table
 from rscpi.model import matrix_game_model
-from rscpi.policy import (DeterministicAgentSlice, JointPolicy, dump_policy,
-                          mix_policies, point_mass_phi, policy_from_json,
-                          policy_to_json, random_policy, uniform_phi)
+from rscpi.policy import (JointPolicy, PolicyBatch, dump_policy, mix_policies,
+                          point_mass_phi, policy_from_json, policy_to_json,
+                          random_policy, uniform_phi)
 
 DECTIGER_DIMS = dict(action_counts=(3, 3), obs_counts=(3, 3),
                      z_sizes=(2, 2), horizon=3)
@@ -122,10 +123,9 @@ class TestRandomPolicy:
 
 class TestMixPolicies:
     def setup_method(self):
-        # one-row slice over 2 actions, |Z|=1
+        # one-row slice over 2 actions, |Z|=1; the pick is action 1
         self.old = np.array([0.9, 0.1]).reshape(1, 1, 2, 1)
-        self.pick1 = DeterministicAgentSlice(
-            agent=0, t=1, actions=np.array([[1]]), next_states=np.array([[0]]))
+        self.pick1 = np.array([[1]])
 
     def test_alpha_zero_returns_old_bitwise(self):
         out = mix_policies(self.old, self.pick1, 0.0)
@@ -147,15 +147,14 @@ class TestMixPolicies:
     def test_rows_stay_normalized_for_all_alpha(self):
         rng = np.random.default_rng(5)
         old = rng.dirichlet(np.ones(6), size=(3, 2)).reshape(3, 2, 3, 2)
-        det = DeterministicAgentSlice(
-            agent=0, t=1,
-            actions=rng.integers(0, 3, size=(3, 2)),
-            next_states=rng.integers(0, 2, size=(3, 2)))
+        picks = rng.integers(0, 6, size=(3, 2))
         for alpha in np.linspace(0.0, 1.0, 21):
-            out = mix_policies(old, det, float(alpha))
+            out = mix_policies(old, picks, float(alpha))
             np.testing.assert_allclose(out.sum(axis=(2, 3)), 1.0, atol=1e-12)
 
     def test_matches_point_mass_table_mix_bitwise(self):
+        """Against the mix with a point-mass table and against the
+        (actions, next states) scatter it replaced."""
         rng = np.random.default_rng(6)
         for k in range(20):
             ny, nw, na, nz = (int(v) for v in rng.integers(1, 5, size=4))
@@ -164,22 +163,41 @@ class TestMixPolicies:
             if k % 2:
                 old[old < 0.1] = 0.0  # zero cells, as after a full greedy step
                 old /= old.sum(axis=(2, 3), keepdims=True)
-            det = DeterministicAgentSlice(
-                agent=0, t=1,
-                actions=rng.integers(0, na, size=(ny, nw)),
-                next_states=rng.integers(0, nz, size=(ny, nw)))
+            picks = rng.integers(0, na * nz, size=(ny, nw))
+            det = oracles.DeterministicAgentSlice(
+                agent=0, t=1, actions=picks // nz, next_states=picks % nz)
             for alpha in (0.1, 0.3, float(rng.uniform()), 1.0):
-                want = (1.0 - alpha) * old + alpha * as_table(det, na, nz)
+                want = (1.0 - alpha) * old + alpha * as_table(picks, na, nz)
                 want = want / want.sum(axis=(2, 3), keepdims=True)
-                assert np.array_equal(mix_policies(old, det, alpha), want)
+                got = mix_policies(old, picks, alpha)
+                assert np.array_equal(got, want)
+                assert np.array_equal(got, oracles.mix_policies(old, det,
+                                                                alpha))
+
+    @pytest.mark.parametrize("alpha", [0.1, 1.0])
+    def test_strided_slice_mixes_as_its_contiguous_copy(self, alpha):
+        """A batch's stage slice tables[i][:, t] is not contiguous, and a
+        Fortran-ordered copy of it not C-ordered; each mixes to the bytes
+        of its contiguous copy and is not written."""
+        batch = PolicyBatch.stack(
+            (dectiger_random(seed) for seed in range(3)), 3)
+        rng = np.random.default_rng(7)
+        for tab in batch.tables:
+            for old in (tab[:, 1], np.asfortranarray(tab[:, 1])):
+                assert not old.flags.c_contiguous
+                before = np.ascontiguousarray(old)
+                picks = rng.integers(0, 6, size=old.shape[:3])
+                got = mix_policies(old, picks, alpha)
+                assert got.flags.c_contiguous
+                assert np.array_equal(got, mix_policies(before, picks, alpha))
+                assert old.tobytes() == before.tobytes()
 
 
 class TestDeterministicSlice:
     def test_as_table_point_masses(self):
-        det = DeterministicAgentSlice(
-            agent=0, t=2, actions=np.array([[2, 0], [1, 1]]),
-            next_states=np.array([[0, 1], [1, 0]]))
-        tab = as_table(det, 3, 2)
+        # flat picks a * Z + z' over 3 actions and 2 agent states
+        picks = np.array([[2 * 2 + 0, 0 * 2 + 1], [1 * 2 + 1, 1 * 2 + 0]])
+        tab = as_table(picks, 3, 2)
         assert tab.shape == (2, 2, 3, 2)
         np.testing.assert_allclose(tab.sum(axis=(2, 3)), 1.0)
         assert tab[0, 0, 2, 0] == 1.0

@@ -9,7 +9,8 @@ import pytest
 from _benchmarks import (dectiger_model, deterministic_policy,
                          fully_observed_model, random_model, random_policy_for)
 from oracles import (averaged_local_q_flat, logmeanexp_direct,
-                     risk_vi_reference, weighted_logmeanexp)
+                     risk_vi_reference, update_agent_at_incumbent,
+                     weighted_logmeanexp)
 from rscpi import kernels, solver
 from rscpi.evaluation import (NumericError, aggregate_initial, backward,
                               evaluate_exact, evaluate_risk,
@@ -269,10 +270,8 @@ class TestAveragedLocalQ:
                     qbar = averaged_local_q(model, zeta_t, policy,
                                             model.horizon, l_next, lam, agent)
                     assert np.all(qbar.table == qbar.table[..., :1])
-                    incumbent = policy.tables[agent][..., model.horizon - 1,
-                                                     :, :, :, :]
-                    det = greedy_agent_update(qbar, incumbent)
-                    assert np.all(det.next_states[qbar.reachable] == 0)
+                    picks = greedy_agent_update(qbar)
+                    assert np.all(picks[qbar.reachable] % 3 == 0)
 
     @pytest.mark.parametrize("lam", [0.0, 0.7])
     def test_batch_equals_each_restart(self, lam):
@@ -323,11 +322,9 @@ class TestFactoredLocalQ:
             top2 = np.sort(want.table.reshape(*lead, ai * zi))[..., -2:]
             with np.errstate(invalid="ignore"):
                 clear = want.reachable & (top2[..., 1] - top2[..., 0] > 1e-9)
-            incumbent = batch.tables[agent][:, t - 1]
-            picks = [greedy_agent_update(x, incumbent) for x in (got, want)]
-            for name in ("actions", "next_states"):
-                mine, theirs = (getattr(p, name)[clear] for p in picks)
-                assert np.array_equal(mine, theirs)
+            mine, theirs = (greedy_agent_update(x)[clear]
+                            for x in (got, want))
+            assert np.array_equal(mine, theirs)
             clear_cells.append(int(clear.sum()))
             return got
 
@@ -389,37 +386,44 @@ class TestFactoredLocalQ:
 
 class TestGreedyAgentUpdate:
     def test_neutral_picks_safe_action(self):
-        qbar = matrix_qbar(p2=0.9, lam=0.0)
-        det = greedy_agent_update(qbar, interior_matrix_policy(
-            0.9, 0.9).tables[0][0])
-        assert det.actions[0, 0] == 0
-        assert det.next_states[0, 0] == 0
+        picks = greedy_agent_update(matrix_qbar(p2=0.9, lam=0.0))
+        assert picks[0, 0] == 0     # a = 0, z' = 0
 
     def test_tilted_picks_risky_action(self):
-        qbar = matrix_qbar(p2=0.9, lam=1.0)
-        det = greedy_agent_update(qbar, interior_matrix_policy(
-            0.9, 0.9).tables[0][0])
-        assert det.actions[0, 0] == 1
+        picks = greedy_agent_update(matrix_qbar(p2=0.9, lam=1.0))
+        assert picks[0, 0] == 1     # a = 1 of Z = 1
 
     def test_all_equal_ties_to_first_cell(self):
         qbar = AveragedLocalQ(agent=0, t=1, table=np.zeros((2, 2, 3, 2)),
                               mass=np.ones((2, 2)), lam=0.0, is_plain=True)
-        det = greedy_agent_update(qbar, np.full((2, 2, 3, 2), 1.0 / 6))
-        np.testing.assert_array_equal(det.actions, 0)
-        np.testing.assert_array_equal(det.next_states, 0)
+        np.testing.assert_array_equal(greedy_agent_update(qbar), 0)
 
-    def test_unreachable_copies_incumbent(self):
-        table = np.zeros((1, 2, 2, 1))
-        table[0, 0, 1, 0] = 5.0
-        mass = np.array([[1.0, 0.0]])
-        qbar = AveragedLocalQ(agent=0, t=1, table=table, mass=mass,
-                              lam=0.0, is_plain=True)
-        incumbent = np.zeros((1, 2, 2, 1))
-        incumbent[0, 0, 0, 0] = 1.0
-        incumbent[0, 1, 1, 0] = 1.0  # unreachable cell currently picks a=1
-        det = greedy_agent_update(qbar, incumbent)
-        assert det.actions[0, 0] == 1  # reachable: argmax of weights
-        assert det.actions[0, 1] == 1  # unreachable: incumbent's argmax
+    def test_flat_index_is_action_times_z_plus_next_state(self):
+        table = np.zeros((2, 1, 3, 2))
+        table[0, 0, 2, 1] = 1.0
+        table[1, 0, 1, 0] = 1.0
+        qbar = AveragedLocalQ(agent=0, t=1, table=table,
+                              mass=np.ones((2, 1)), lam=0.0, is_plain=True)
+        np.testing.assert_array_equal(greedy_agent_update(qbar),
+                                      [[2 * 2 + 1], [1 * 2 + 0]])
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_sweep_leaves_unreachable_rows_unchanged(self, lam):
+        """With a point-mass phi, w^i = 1 is unreachable at t = 1: its rows
+        keep their bytes while an alpha = 1 sweep makes every reachable row
+        of that stage a point mass."""
+        model = dectiger_model(horizon=3)
+        policy = random_policy_for(model, (2, 2), seed=3)
+        before = [tab[0].copy() for tab in policy.tables]
+        zeta_1 = forward_marginals(model, policy).at(1)
+        l_next = np.zeros((model.state_count, model.joint_obs_count, 4))
+        sweep(model, policy, lam, 1.0)
+        for agent, tab in enumerate(policy.tables):
+            reach = averaged_local_q(model, zeta_1, policy, 1, l_next, lam,
+                                     agent).reachable
+            assert reach.any() and not reach.all()
+            assert tab[0][~reach].tobytes() == before[agent][~reach].tobytes()
+            assert np.all(tab[0][reach].max(axis=(-2, -1)) == 1.0)
 
     def test_argmax_consistent_across_lambda_forms(self):
         rng = np.random.default_rng(11)
@@ -564,6 +568,18 @@ class TestBatchedSweep:
         # the batch views the policy's own arrays
         assert tables_bytes(policy) == tables_bytes(twin)
 
+    @pytest.mark.parametrize("live", [[False], [True, False], True,
+                                      [[True, False, True]]])
+    def test_live_must_hold_one_flag_per_restart(self, live):
+        model = random_model(np.random.default_rng(8), horizon=2)
+        batch = PolicyBatch.stack(
+            [random_policy_for(model, (2, 2), seed=9 + r) for r in range(3)],
+            3)
+        before = [t.tobytes() for t in batch.tables]
+        with pytest.raises(ValueError, match=r"live has shape .*\(3,\)"):
+            sweep(model, batch, 0.0, 0.5, live=live)
+        assert [t.tobytes() for t in batch.tables] == before
+
     def test_workspace_must_match_the_batch(self):
         model = random_model(np.random.default_rng(8), horizon=2)
         policy = random_policy_for(model, (2, 2), seed=9)
@@ -571,6 +587,46 @@ class TestBatchedSweep:
             ws = SolveWorkspace(model, z_sizes, restarts=restarts)
             with pytest.raises(ValueError, match="workspace holds"):
                 sweep(model, policy, 0.0, 0.5, workspace=ws)
+
+
+class TestFlatUpdate:
+    """The greedy pick as one flat (a, z') index, mixed in one scatter,
+    writes the bytes of the (actions, next states) pair with its incumbent
+    fallback for unreachable cells, kept in oracles."""
+
+    @pytest.mark.parametrize("alpha", [0.1, 1.0])
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    @pytest.mark.parametrize("agents", [2, 3])
+    def test_sweeps_match_the_incumbent_pair(self, monkeypatch, agents, lam,
+                                             alpha):
+        """Two sweeps of a batch of three with the middle restart masked;
+        point-mass phi leaves w^i != 0 unreachable at t = 1."""
+        z_sizes = BATCH_Z_SIZES[agents]
+        model = random_model(np.random.default_rng(40 + agents), n_states=3,
+                             horizon=3, **BATCH_SIZES[agents])
+        start = [random_policy_for(model, z_sizes, seed=130 + r)
+                 for r in range(3)]
+        live = np.array([True, False, True])
+        unreachable = []
+
+        def run():
+            batch = PolicyBatch.stack(start, 3)
+            js = [sweep(model, batch, lam, alpha, live=live)
+                  for _ in range(2)]
+            return js, [t.tobytes() for t in batch.tables]
+
+        def oracle(*args):
+            qbar = update_agent_at_incumbent(*args)
+            unreachable.append(int((~qbar.reachable).sum()))
+
+        got_j, got = run()
+        monkeypatch.setattr(solver, "_update_agent_at", oracle)
+        want_j, want = run()
+        assert got == want
+        assert all(np.array_equal(a, b) for a, b in zip(got_j, want_j))
+        initial = PolicyBatch.stack(start, 3)
+        assert got != [t.tobytes() for t in initial.tables]
+        assert sum(unreachable) > 0
 
 
 class TestFixpoints:
