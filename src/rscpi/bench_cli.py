@@ -30,7 +30,13 @@ CSV_COLUMNS = ["env", "T", "z_sizes", "lambda0", "alpha", "anneal_sweeps",
                "seed", "ablation", "sweeps", "J_exact", "J_risk_final",
                "wall_time_ms", "peak_floats", "init_obs_mode"]
 
-ABLATION_ORDER = ["cpi-only", "rs-only", "none", "rs-cpi"]
+# name -> (disable_rs, disable_cpi), in report-column order
+ABLATIONS = {"cpi-only": (True, False), "rs-only": (False, True),
+             "none": (True, True), "rs-cpi": (False, False)}
+
+# --init-obs / config "init_obs" name -> make_initial_distribution mode
+INIT_OBS_MODES = {"dummy": "dummy_observation",
+                  "uniform": "uniform_observation"}
 
 MATRIX_GAME_PAYOFFS = [[2.0, -10.0], [-10.0, 6.0]]
 
@@ -110,11 +116,12 @@ class RunConfigFile:
                 if not ok(getattr(cfg, name)):
                     raise ValueError(f"config field '{name}' must be {what}")
         for ab in cfg.ablations:
-            if ab not in ABLATION_ORDER:
+            if ab not in ABLATIONS:
                 raise ValueError(f"unknown ablation '{ab}'; "
-                                 f"choose from {ABLATION_ORDER}")
-        if cfg.init_obs not in ("dummy", "uniform"):
-            raise ValueError("init_obs must be 'dummy' or 'uniform'")
+                                 f"choose from {list(ABLATIONS)}")
+        if cfg.init_obs not in INIT_OBS_MODES:
+            raise ValueError("init_obs must be "
+                             + " or ".join(f"'{k}'" for k in INIT_OBS_MODES))
         return cfg
 
 
@@ -125,16 +132,6 @@ def _is_finite(value) -> bool:
         return math.isfinite(value)
     except OverflowError:   # an int beyond float range
         return False
-
-
-def _init_obs_mode(flag: str) -> str:
-    return {"dummy": "dummy_observation",
-            "uniform": "uniform_observation"}[flag]
-
-
-def _ablation_flags(name: str):
-    return {"rs-cpi": (False, False), "cpi-only": (True, False),
-            "rs-only": (False, True), "none": (True, True)}[name]
 
 
 def load_model(path: str, horizon: int, init_obs: str = "dummy"):
@@ -156,7 +153,7 @@ def load_model(path: str, horizon: int, init_obs: str = "dummy"):
     raw, diags = parse_dpomdp(text)
     if raw is None:
         raise ValueError(render_diagnostics(diags, path))
-    model, cdiags = compile_model(raw, horizon, _init_obs_mode(init_obs))
+    model, cdiags = compile_model(raw, horizon, INIT_OBS_MODES[init_obs])
     diags = diags + cdiags
     warnings = [d for d in diags if d.severity == "warning"]
     if warnings:
@@ -194,7 +191,7 @@ def run_single(model, env: str, z_sizes, lambda0, alpha, anneal_sweeps,
                seed, ablation, max_sweeps=200, restarts=1,
                init_obs="dummy"):
     """One rscpi solve wrapped into a RunRecord (plus the SolveResult)."""
-    disable_rs, disable_cpi = _ablation_flags(ablation)
+    disable_rs, disable_cpi = ABLATIONS[ablation]
     config = SolverConfig(
         lambda0=float(lambda0), anneal_sweeps=int(anneal_sweeps),
         alpha=float(alpha), max_sweeps=int(max_sweeps),
@@ -209,7 +206,7 @@ def run_single(model, env: str, z_sizes, lambda0, alpha, anneal_sweeps,
         sweeps=result.sweeps, j_exact=result.j_exact,
         j_risk_final=result.j_risk_final, wall_time_ms=result.wall_time_ms,
         peak_floats=result.peak_floats,
-        init_obs_mode=_init_obs_mode(init_obs) if env != "matrix-game"
+        init_obs_mode=INIT_OBS_MODES[init_obs] if env != "matrix-game"
         else model.init_obs_mode,
     )
     return record, result
@@ -219,10 +216,11 @@ def cmd_solve(args) -> int:
     try:
         model, env = load_model(args.model, args.horizon, args.init_obs)
         z_sizes = _parse_z_sizes(args.agent_states, model.n_agents)
+        flags = (args.no_rs, args.no_cpi)
         record, result = run_single(
             model, env, z_sizes, args.lambda0, args.alpha,
             args.anneal_sweeps, args.seed,
-            _ablation_name(args.no_rs, args.no_cpi),
+            next(name for name, f in ABLATIONS.items() if f == flags),
             max_sweeps=args.max_sweeps, restarts=args.restarts,
             init_obs=args.init_obs)
         line = _json_line({
@@ -255,11 +253,6 @@ def _json_line(doc: dict) -> str:
         return json.dumps(doc, allow_nan=False)
     except ValueError:
         raise NumericError(f"non-finite result {doc!r}") from None
-
-
-def _ablation_name(no_rs: bool, no_cpi: bool) -> str:
-    return {(False, False): "rs-cpi", (True, False): "cpi-only",
-            (False, True): "rs-only", (True, True): "none"}[(no_rs, no_cpi)]
 
 
 def _sweep_task(task: dict):
@@ -364,6 +357,7 @@ def render_report(csv_path: str) -> str:
     for r in rows:
         by_env.setdefault(r["env"], []).append(r)
     lines = ["# Benchmark report", ""]
+    order = list(ABLATIONS)
     for env in sorted(by_env):
         body = by_env[env]
         lines.append(f"## {env}")
@@ -371,8 +365,7 @@ def render_report(csv_path: str) -> str:
         horizons = sorted({int(r["T"]) for r in body})
         combos = sorted(
             {(r["ablation"], r["z_sizes"]) for r in body},
-            key=lambda c: (ABLATION_ORDER.index(c[0])
-                           if c[0] in ABLATION_ORDER else 99, c[1]))
+            key=lambda c: (order.index(c[0]) if c[0] in order else 99, c[1]))
         header = ["T"] + [f"{ab} |Z|={z}" for ab, z in combos]
         lines.append("| " + " | ".join(header) + " |")
         lines.append("|" + "---|" * len(header))
@@ -421,7 +414,7 @@ def _add_model_flags(p, with_horizon_default=None):
                    help=".dpomdp path or the 'matrix-game' fixture")
     p.add_argument("--horizon", type=int, required=with_horizon_default is None,
                    default=with_horizon_default)
-    p.add_argument("--init-obs", choices=["dummy", "uniform"],
+    p.add_argument("--init-obs", choices=list(INIT_OBS_MODES),
                    default="dummy")
 
 

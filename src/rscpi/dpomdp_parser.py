@@ -8,14 +8,17 @@ line). `O:` takes the same shapes with a joint observation written as N
 whitespace-separated tokens (or a single `*`). `R:` lines are single-valued
 only: `R: ja : s : s' : y' : value`.
 
-Pattern slots accept declared names, integer indices, and `*`. Entries apply
-in strict file order with last-write-wins. `values: cost` negates rewards.
-Comments start at `#`.
+Pattern slots accept declared names, integer indices, and `*`. The parser
+resolves and range-checks each pattern once and stores it as an index array
+(joint actions and joint observations as flat mixed-radix indices, agent 1
+the most significant digit); `compile_tables` only writes those cells.
+Entries apply in strict file order with last-write-wins. `values: cost`
+negates rewards. Comments start at `#`. The start distribution is
+renormalized at parse time when it sums to within `START_ATOL` of 1.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,24 +44,29 @@ class ParseDiagnostic:
 
 @dataclass
 class KernelEntry:
-    """One T: or O: statement, wildcards and keywords kept symbolic."""
+    """One T: or O: statement, its patterns resolved to index arrays.
+
+    Both kernels read as (joint action, row, column) tables: rows are s for
+    T and s' for O, columns s' for T and the joint observation for O.
+    """
 
     line: int
-    ja: tuple                # ("*",) or one token per agent
+    ja: np.ndarray           # joint actions
     kind: str                # single | row | matrix | uniform | identity
-    row_key: str = None      # s for T, s' for O
-    col_key: str = None      # s' for T (single form)
-    obs: tuple = None        # joint observation tokens for O (single form)
+    rows: np.ndarray         # rows set (every row for matrix and keywords)
+    cols: np.ndarray = None  # columns set by the single form
     values: object = None    # float, (k,) row, or (rows, k) matrix
 
 
 @dataclass
 class RewardEntry:
+    """One R: statement, its patterns resolved to index arrays."""
+
     line: int
-    ja: tuple
-    s: str
-    sp: str
-    obs: tuple
+    ja: np.ndarray
+    s: np.ndarray
+    sp: np.ndarray
+    obs: np.ndarray
     value: float
 
 
@@ -70,14 +78,15 @@ class RawDpomdpFile:
     state_names: list
     action_names: list       # per agent
     observation_names: list  # per agent
-    start_distribution: np.ndarray
+    start_distribution: np.ndarray   # renormalized
     transition_entries: list = field(default_factory=list)
     observation_entries: list = field(default_factory=list)
     reward_entries: list = field(default_factory=list)
 
 
 def parse_dpomdp(text: str):
-    """Tokenize and validate; returns (RawDpomdpFile or None, diagnostics)."""
+    """Tokenize, validate and resolve every pattern to indices; returns
+    (RawDpomdpFile or None, diagnostics)."""
     parser = _Parser(text)
     raw = parser.run()
     if any(d.severity == "error" for d in parser.diags):
@@ -159,7 +168,7 @@ class _Parser:
             self.agent_count = None
 
     def _on_discount(self, lineno, rest):
-        val = self._float(lineno, rest.strip())
+        val = self._float(lineno, rest.strip(), "discount")
         if val is None:
             return
         if not 0.0 <= val <= 1.0:
@@ -263,43 +272,46 @@ class _Parser:
         return True
 
     def _joint_tokens(self, lineno, part, names_per_agent, what):
+        """Resolve a joint pattern to flat joint indices, or None on error."""
         toks = part.split()
         if toks == ["*"]:
-            return ("*",)
+            return np.arange(int(np.prod([len(x) for x in names_per_agent])))
         if len(toks) != self.agent_count:
             self.error(lineno, f"{what} pattern has {len(toks)} tokens, "
                                f"expected {self.agent_count}")
             return None
+        flat = np.zeros(1, dtype=np.int64)
         for tok, names in zip(toks, names_per_agent):
-            if self._slot(lineno, tok, names, what) is None:
+            idx = self._slot(lineno, tok, names, what)
+            if idx is None:
                 return None
-        return tuple(toks)
+            flat = (flat[:, None] * len(names) + idx).reshape(-1)
+        return flat
 
     def _slot(self, lineno, tok, names, what):
-        """Resolve one pattern token to candidate indices, or None on error."""
+        """Resolve one pattern token to an index array, or None on error."""
         if tok == "*":
-            return list(range(len(names)))
+            return np.arange(len(names))
         if _is_int(tok):
             idx = int(tok)
             if not 0 <= idx < len(names):
                 self.error(lineno, f"{what} index {idx} out of range "
                                    f"[0, {len(names)})")
                 return None
-            return [idx]
+            return np.array([idx])
         try:
-            return [names.index(tok)]
+            return np.array([names.index(tok)])
         except ValueError:
             self.error(lineno, f"undeclared name '{tok}'")
             return None
 
-    def _float(self, lineno, tok):
+    def _float(self, lineno, tok, what="probability"):
         try:
             val = float(tok)
         except ValueError:
-            self.error(lineno, f"malformed probability '{tok}'")
-            return None
+            val = np.nan
         if not np.isfinite(val):
-            self.error(lineno, f"malformed probability '{tok}'")
+            self.error(lineno, f"malformed {what} '{tok}'")
             return None
         return val
 
@@ -326,39 +338,37 @@ class _Parser:
             out[k] = row
         return out
 
-    def _kernel_entry(self, lineno, rest, names_mid, what, cols, obs_form):
-        """Shared T:/O: statement parser; names_mid resolves the middle slot."""
+    def _kernel_entry(self, lineno, rest, cols, obs_form):
+        """Shared T:/O: statement parser; the row slot is a state."""
         parts = [p.strip() for p in rest.split(":")]
         ja = self._joint_tokens(lineno, parts[0], self.actions, "joint action")
         if ja is None:
             return None
         n_parts = len(parts)
         if n_parts >= 4:
-            if obs_form:
-                obs = self._joint_tokens(lineno, parts[2], self.observations,
-                                         "joint observation")
-                if obs is None or n_parts != 4:
-                    if n_parts != 4:
-                        self.error(lineno, "malformed entry")
-                    return None
-                p = self._float(lineno, parts[3])
-                if p is None or self._slot(lineno, parts[1], names_mid, what) is None:
-                    return None
-                return KernelEntry(lineno, ja, "single", row_key=parts[1],
-                                   obs=obs, values=p)
+            # O resolves its joint observation before the arity check
+            col = self._joint_tokens(lineno, parts[2], self.observations,
+                                     "joint observation") if obs_form else None
             if n_parts != 4:
                 self.error(lineno, "malformed entry")
                 return None
-            if (self._slot(lineno, parts[1], names_mid, what) is None or
-                    self._slot(lineno, parts[2], self.states, "state") is None):
+            if obs_form:
+                if col is None:
+                    return None
+                p = self._float(lineno, parts[3])
+                row = None if p is None else self._slot(
+                    lineno, parts[1], self.states, "state")
+            else:
+                row = self._slot(lineno, parts[1], self.states, "state")
+                col = None if row is None else self._slot(
+                    lineno, parts[2], self.states, "state")
+                p = None if col is None else self._float(lineno, parts[3])
+            if row is None or p is None:
                 return None
-            p = self._float(lineno, parts[3])
-            if p is None:
-                return None
-            return KernelEntry(lineno, ja, "single", row_key=parts[1],
-                               col_key=parts[2], values=p)
+            return KernelEntry(lineno, ja, "single", row, col, p)
         if n_parts == 3:
-            if self._slot(lineno, parts[1], names_mid, what) is None:
+            rows = self._slot(lineno, parts[1], self.states, "state")
+            if rows is None:
                 return None
             if parts[2]:
                 row = self._float_row(lineno, parts[2].split(), cols)
@@ -371,8 +381,9 @@ class _Parser:
                 row = self._float_row(ln, body.split(), cols)
             if row is None:
                 return None
-            return KernelEntry(lineno, ja, "row", row_key=parts[1], values=row)
+            return KernelEntry(lineno, ja, "row", rows, values=row)
         # matrix or keyword: `T: ja : kw`, `T: ja :` + lines, `T: ja` + lines
+        every_row = np.arange(len(self.states))
         kw = parts[1] if n_parts == 2 and parts[1] else None
         if kw is None:
             item = self.peek()
@@ -382,17 +393,17 @@ class _Parser:
             if kw not in ("uniform", "identity"):
                 self.error(lineno, f"malformed entry '{kw}'")
                 return None
-            return KernelEntry(lineno, ja, kw)
-        mat = self._take_matrix(lineno, len(names_mid), cols)
+            return KernelEntry(lineno, ja, kw, every_row)
+        mat = self._take_matrix(lineno, len(self.states), cols)
         if mat is None:
             return None
-        return KernelEntry(lineno, ja, "matrix", values=mat)
+        return KernelEntry(lineno, ja, "matrix", every_row, values=mat)
 
     def _on_t(self, lineno, rest):
         if not self._ready_for_entries(lineno, "T"):
             return
-        entry = self._kernel_entry(lineno, rest, self.states, "state",
-                                   len(self.states), obs_form=False)
+        entry = self._kernel_entry(lineno, rest, len(self.states),
+                                   obs_form=False)
         if entry is not None:
             self.t_entries.append(entry)
 
@@ -400,8 +411,7 @@ class _Parser:
         if not self._ready_for_entries(lineno, "O"):
             return
         cols = int(np.prod([len(x) for x in self.observations]))
-        entry = self._kernel_entry(lineno, rest, self.states, "state",
-                                   cols, obs_form=True)
+        entry = self._kernel_entry(lineno, rest, cols, obs_form=True)
         if entry is not None:
             self.o_entries.append(entry)
 
@@ -418,14 +428,15 @@ class _Parser:
                                  "joint observation")
         if ja is None or obs is None:
             return
-        if (self._slot(lineno, parts[1], self.states, "state") is None or
-                self._slot(lineno, parts[2], self.states, "state") is None):
+        s = self._slot(lineno, parts[1], self.states, "state")
+        sp = None if s is None else self._slot(lineno, parts[2], self.states,
+                                               "state")
+        if sp is None:
             return
-        val = self._float(lineno, parts[4])
+        val = self._float(lineno, parts[4], "reward")
         if val is None:
             return
-        self.r_entries.append(RewardEntry(lineno, ja, parts[1], parts[2],
-                                          obs, val))
+        self.r_entries.append(RewardEntry(lineno, ja, s, sp, obs, val))
 
     def _finish(self):
         for key, val in (("agents", self.agent_count), ("states", self.states),
@@ -435,13 +446,17 @@ class _Parser:
                 self.error(0, f"missing '{key}' declaration")
         if any(d.severity == "error" for d in self.diags):
             return None
-        if self.start is None:
-            self.start = np.full(len(self.states), 1.0 / len(self.states))
+        start = self.start
+        if start is None:
+            start = np.full(len(self.states), 1.0 / len(self.states))
+        total = start.sum()
+        if abs(total - 1.0) > ROW_EXACT:
+            start = start / total
         return RawDpomdpFile(
             agent_count=self.agent_count, discount=self.discount,
             value_kind=self.value_kind, state_names=self.states,
             action_names=self.actions, observation_names=self.observations,
-            start_distribution=self.start,
+            start_distribution=start,
             transition_entries=self.t_entries,
             observation_entries=self.o_entries,
             reward_entries=self.r_entries,
@@ -460,28 +475,9 @@ def _is_number(tok: str) -> bool:
         return False
 
 
-def _slot_indices(tok, names):
-    if tok == "*":
-        return np.arange(len(names))
-    if _is_int(tok):
-        return np.array([int(tok)])
-    return np.array([names.index(tok)])
-
-
-def _joint_indices(tokens, names_per_agent):
-    sizes = [len(x) for x in names_per_agent]
-    total = int(np.prod(sizes))
-    if tokens == ("*",):
-        return np.arange(total)
-    flats = np.zeros(1, dtype=np.int64)
-    for tok, names, n in zip(tokens, names_per_agent, sizes):
-        cand = _slot_indices(tok, names)
-        flats = (flats[:, None] * n + cand[None, :]).reshape(-1)
-    return flats
-
-
 def compile_tables(raw: RawDpomdpFile):
-    """Expand entries into dense T (S,A,S'), O (A,S',Y), R (A,S,S',Y).
+    """Write the entries, in file order, into dense T (S,A,S'), O (A,S',Y)
+    and R (A,S,S',Y).
 
     Returns (T, O, R, diagnostics); rows are renormalized per the tolerance
     ladder, errors leave the tables unusable (caller checks diagnostics).
@@ -495,64 +491,40 @@ def compile_tables(raw: RawDpomdpFile):
     R = np.zeros((A, S, S, Y))
     t_line = np.zeros((S, A), dtype=np.int64)
     o_line = np.zeros((A, S), dtype=np.int64)
-    all_s = np.arange(S)
+    # T filled through its (A, S, S') view, so both are (ja, row, col) tables
     for e in raw.transition_entries:
-        ja = _joint_indices(e.ja, raw.action_names)
-        if e.kind == "single":
-            s = _slot_indices(e.row_key, raw.state_names)
-            sp = _slot_indices(e.col_key, raw.state_names)
-            T[np.ix_(s, ja, sp)] = e.values
-            t_line[np.ix_(s, ja)] = e.line
-        elif e.kind == "row":
-            s = _slot_indices(e.row_key, raw.state_names)
-            T[np.ix_(s, ja, all_s)] = e.values[None, None, :]
-            t_line[np.ix_(s, ja)] = e.line
-        elif e.kind == "matrix":
-            T[np.ix_(all_s, ja, all_s)] = e.values[:, None, :]
-            t_line[:, ja] = e.line
-        elif e.kind == "uniform":
-            T[np.ix_(all_s, ja, all_s)] = 1.0 / S
-            t_line[:, ja] = e.line
-        else:  # identity
-            T[np.ix_(all_s, ja, all_s)] = np.eye(S)[:, None, :]
-            t_line[:, ja] = e.line
-    all_y = np.arange(Y)
+        _fill(T.transpose(1, 0, 2), t_line.T, e, diags)
     for e in raw.observation_entries:
-        ja = _joint_indices(e.ja, raw.action_names)
-        if e.kind == "single":
-            sp = _slot_indices(e.row_key, raw.state_names)
-            y = _joint_indices(e.obs, raw.observation_names)
-            O[np.ix_(ja, sp, y)] = e.values
-            o_line[np.ix_(ja, sp)] = e.line
-        elif e.kind == "row":
-            sp = _slot_indices(e.row_key, raw.state_names)
-            O[np.ix_(ja, sp, all_y)] = e.values[None, None, :]
-            o_line[np.ix_(ja, sp)] = e.line
-        elif e.kind == "matrix":
-            O[np.ix_(ja, all_s, all_y)] = e.values[None, :, :]
-            o_line[ja, :] = e.line
-        elif e.kind == "uniform":
-            O[np.ix_(ja, all_s, all_y)] = 1.0 / Y
-            o_line[ja, :] = e.line
-        else:  # identity
-            if Y != S:
-                diags.append(ParseDiagnostic(
-                    e.line, "error",
-                    f"identity observation kernel needs |Y|={Y} equal to |S|={S}"))
-                continue
-            O[np.ix_(ja, all_s, all_y)] = np.eye(S)[None, :, :]
-            o_line[ja, :] = e.line
+        _fill(O, o_line, e, diags)
     for e in raw.reward_entries:
-        ja = _joint_indices(e.ja, raw.action_names)
-        s = _slot_indices(e.s, raw.state_names)
-        sp = _slot_indices(e.sp, raw.state_names)
-        y = _joint_indices(e.obs, raw.observation_names)
-        R[np.ix_(ja, s, sp, y)] = e.value
+        R[np.ix_(e.ja, e.s, e.sp, e.obs)] = e.value
     if raw.value_kind == "cost":
         R = -R
     _normalize_rows(T, t_line, "T", lambda i, j: f"(s={i}, a={j})", diags)
     _normalize_rows(O, o_line, "O", lambda i, j: f"(a={i}, s'={j})", diags)
     return T, O, R, diags
+
+
+def _fill(table, lines, e, diags):
+    """Write one T:/O: entry into a (joint action, row, column) table and
+    stamp its line on every row it sets."""
+    rows, cols = table.shape[1:]
+    if e.kind == "identity" and rows != cols:   # only O can be non-square
+        diags.append(ParseDiagnostic(
+            e.line, "error",
+            f"identity observation kernel needs |Y|={cols} equal to |S|={rows}"))
+        return
+    if e.kind == "uniform":
+        values = 1.0 / cols
+    elif e.kind == "identity":
+        values = np.eye(rows)
+    else:
+        values = e.values
+    cells = np.ix_(e.ja, e.rows)
+    lines[cells] = e.line
+    if e.cols is not None:
+        cells = np.ix_(e.ja, e.rows, e.cols)
+    table[cells] = values
 
 
 def _normalize_rows(table, lines, label, describe, diags):
@@ -594,13 +566,9 @@ def compile_model(raw: RawDpomdpFile, horizon: int,
             "the objective is undiscounted"))
     r = np.einsum("sap,apy,aspy->sa", T, O, R)
     P = np.einsum("sap,apy->sapy", T, O)
-    start = raw.start_distribution.copy()
-    total = start.sum()
-    if abs(total - 1.0) > ROW_EXACT:
-        start /= total
     obs_counts = tuple(len(x) for x in raw.observation_names)
-    zeta1, aug_counts = make_initial_distribution(start, obs_counts,
-                                                  init_obs_mode)
+    zeta1, aug_counts = make_initial_distribution(
+        raw.start_distribution, obs_counts, init_obs_mode)
     obs_names = [list(x) for x in raw.observation_names]
     if init_obs_mode == "dummy_observation":
         P = pad_dynamics_for_dummy(P, obs_counts)
@@ -638,11 +606,7 @@ def serialize_canonical(raw: RawDpomdpFile) -> str:
     out.append("observations:")
     out += [" ".join(names) for names in raw.observation_names]
     out.append("start:")
-    start = raw.start_distribution.copy()
-    total = start.sum()
-    if abs(total - 1.0) > ROW_EXACT:
-        start /= total
-    out.append(" ".join(repr(float(v)) for v in start))
+    out.append(" ".join(repr(float(v)) for v in raw.start_distribution))
     for (s, a, sp) in zip(*np.nonzero(T)):
         ja = " ".join(str(c) for c in act.decode(a))
         out.append(f"T: {ja} : {s} : {sp} : {float(T[s, a, sp])!r}")

@@ -151,6 +151,18 @@ def _contract_agents(x: np.ndarray, mats: list, logs: bool) -> np.ndarray:
     return x.reshape(x.shape[:len(lead)] + (-1,) + tuple(sizes))
 
 
+def _check_out(out, shape):
+    """Refuse an `out` of another shape or dtype before anything is
+    written: a float32 one would round every stage, an integer one would
+    truncate it."""
+    if out is None:
+        return
+    if out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, expected {shape}")
+    if out.dtype != np.float64:
+        raise ValueError(f"out has dtype {out.dtype}, expected float64")
+
+
 def forward_marginals(model: DecPomdpModel, policy: JointPolicy,
                       out=None) -> MarginalTrajectory:
     """Forward recursion for zeta_t(s, y, z_), t = 1..T.
@@ -167,9 +179,7 @@ def forward_marginals(model: DecPomdpModel, policy: JointPolicy,
     T = model.horizon
     phi = joint_phi(policy)
     lead = phi.shape[:-1]
-    if out is not None and out.shape != lead + (T, S, Y, Z):
-        raise ValueError(f"out has shape {out.shape}, expected "
-                         f"{lead + (T, S, Y, Z)}")
+    _check_out(out, lead + (T, S, Y, Z))
     zetas = out if out is not None else np.zeros(lead + (T, S, Y, Z))
     zetas[..., 0, :, :, :] = model.zeta1[:, :, None] * phi[..., None, None, :]
     p_flat = model.P.reshape(S * A, S * Y)
@@ -306,9 +316,7 @@ def backward(model: DecPomdpModel, policy: JointPolicy, lam,
     A = model.joint_action_count
     Z = int(np.prod(policy.agent_state_sizes))
     lead = (policy.size,) if isinstance(policy, PolicyBatch) else ()
-    if out is not None and out.shape != lead + (model.horizon, S, Y, Z):
-        raise ValueError(f"out has shape {out.shape}, expected "
-                         f"{lead + (model.horizon, S, Y, Z)}")
+    _check_out(out, lead + (model.horizon, S, Y, Z))
     q_red = np.empty(lead + (S, A, Z))
     l_next, l_cur = np.zeros(lead + (S, Y, Z)), np.empty(lead + (S, Y, Z))
     with kernels.quiet_overflow():

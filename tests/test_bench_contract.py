@@ -12,6 +12,7 @@ from collections import Counter
 from pathlib import Path
 
 import rscpi
+import rscpi.bench_cli
 from _benchmarks import dectiger_model, random_policy_for
 from rscpi import kernels
 
@@ -23,6 +24,9 @@ REMOVED = ["DeterministicAgentSlice", "FiniteMdp", "certainty_equivalent",
 SOLVE_LAYERS = ["solver.sweep", "solver.greedy_agent_update",
                 "policy.mix_policies", "evaluation.forward_marginals",
                 "evaluation.evaluate_exact", "kernels.tilted_q_log"]
+# per-layer rows of the benchmark's set-up, which loads the bundled files
+SETUP_LAYERS = ["bench_cli.load_model", "dpomdp_parser.parse_dpomdp",
+                "dpomdp_parser.compile_model"]
 
 
 def load_tracer():
@@ -102,6 +106,21 @@ class TestBenchmarkContract:
             tracer.uninstall()
         summary = tracer.summary()
         for name in SOLVE_LAYERS:
+            assert summary[f"{name}.calls"] > 0, name
+
+    def test_span_tracer_sees_every_setup_layer(self):
+        """The set-up loads each model as the benchmark does, through
+        `rscpi.bench_cli.load_model`; a front-end rename would zero its
+        per-layer rows."""
+        tracer = load_tracer().SpanTracer()
+        tracer.install(rscpi)
+        try:
+            rscpi.bench_cli.load_model(
+                str(ROOT / "benchmarks" / "dectiger.dpomdp"), 3)
+        finally:
+            tracer.uninstall()
+        summary = tracer.summary()
+        for name in SETUP_LAYERS:
             assert summary[f"{name}.calls"] > 0, name
 
     def test_public_names(self):

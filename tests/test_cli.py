@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from _benchmarks import dectiger_block_policy, dectiger_text
 from rscpi import bench_cli
-from rscpi.bench_cli import (ABLATION_ORDER, CSV_COLUMNS, RunRecord,
-                             load_model, main, render_report)
+from rscpi.bench_cli import (CSV_COLUMNS, RunRecord, load_model, main,
+                             render_report)
 from rscpi.policy import JointPolicy, policy_to_json
 
 MATRIX_UNIFORM = JointPolicy(

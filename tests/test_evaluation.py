@@ -213,6 +213,18 @@ class TestForwardMarginals:
             forward_marginals(model, policy, out=out)
         assert not out.any()
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_out_dtype_checked(self, dtype):
+        """An integer out would truncate every zeta_t and a float32 one
+        round it; either is refused, naming both dtypes, before a write."""
+        model = dectiger_model(horizon=3)
+        policy = random_policy_for(model, (2, 2), seed=0)
+        out = np.zeros((3, 2, 9, 4), dtype=dtype)
+        with pytest.raises(ValueError, match=rf"dtype {np.dtype(dtype)}, "
+                                             r"expected float64"):
+            forward_marginals(model, policy, out=out)
+        assert not out.any()
+
 
 class TestEvaluateExact:
     def test_matrix_game_corner_points(self):

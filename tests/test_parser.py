@@ -88,8 +88,11 @@ class TestPreamble:
         assert raw is None
         assert "start distribution sums to 0.98" in messages(diags, "error")
 
-    def test_start_small_deviation_renormalized_at_compile(self):
+    def test_start_small_deviation_renormalized_at_parse(self):
         raw = parse_ok(full_file(start="0.5 0.5000001"))
+        given = np.array([0.5, 0.5000001])
+        np.testing.assert_array_equal(raw.start_distribution,
+                                      given / given.sum())
         model, _ = compile_model(raw, horizon=2)
         assert model.zeta1.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -194,6 +197,37 @@ class TestEntryForms:
         np.testing.assert_array_equal(O[1, 0], [0.25, 0.75])
         np.testing.assert_array_equal(O[0, 0], 0.5)
 
+    def test_three_agent_wildcards_hit_mixed_radix_cells(self):
+        """Per-agent `*` in T:, O: and R: patterns, with agent 1 the most
+        significant digit of every joint index."""
+        text = "\n".join([
+            "agents: 3", "discount: 1.0", "values: reward", "states: 2",
+            "actions:", "2", "3", "2", "observations:", "1", "2", "3",
+            "start: uniform", "T: * : uniform", "O: * : uniform",
+            "T: 1 * 0 : 0 : 0.25 0.75",
+            "O: * 2 1 : 1 : * * * : 0", "O: * 2 1 : 1 : 0 * 2 : 0.5",
+            "R: 0 * 1 : * : 1 : 0 1 * : 7.5",
+        ]) + "\n"
+        T, O, R = tables_ok(text)
+        act = JointIndexer((2, 3, 2))
+        obs = JointIndexer((1, 2, 3))
+        want_T = np.full((2, 12, 2), 0.5)
+        want_O = np.full((12, 2, 6), 1.0 / 6.0)
+        want_R = np.zeros((12, 2, 2, 6))
+        for k in range(3):
+            want_T[0, act.encode((1, k, 0))] = [0.25, 0.75]
+            for m in range(3):
+                want_R[act.encode((0, k, 1)), :, 1,
+                       obs.encode((0, 1, m))] = 7.5
+        for j in range(2):
+            a = act.encode((j, 2, 1))
+            want_O[a, 1] = 0.0
+            for k in range(2):
+                want_O[a, 1, obs.encode((0, k, 2))] = 0.5
+        np.testing.assert_array_equal(T, want_T)
+        np.testing.assert_array_equal(O, want_O)
+        np.testing.assert_array_equal(R, want_R)
+
     def test_comments_and_blank_lines_ignored(self):
         text = full_file("# trailing comment block",
                          "T: 0 0 : 0 : 0.3 0.7  # explain",
@@ -222,6 +256,14 @@ class TestEntryErrors:
         _, diags = parse_dpomdp(full_file("T: 0 0 : 0 : 1 : 0.5x"))
         assert any("malformed probability '0.5x'" in m
                    for m in messages(diags, "error"))
+
+    def test_malformed_reward(self):
+        _, diags = parse_dpomdp(full_file("R: 0 0 : 0 : 1 : 0 0 : nan"))
+        assert "malformed reward 'nan'" in messages(diags, "error")
+
+    def test_malformed_discount(self):
+        _, diags = parse_dpomdp(full_file(discount="abc"))
+        assert "malformed discount 'abc'" in messages(diags, "error")
 
     def test_reward_requires_single_value_form(self):
         _, diags = parse_dpomdp(full_file("R: 0 0 : 0 : 0.5 0.5"))
@@ -494,7 +536,8 @@ def mutated_bundled_file(draw):
 
 
 class TestMutatedFilesFuzz:
-    """Malformed model text yields diagnostics, never an exception."""
+    """Malformed model text yields diagnostics, never an exception; a file
+    that parses and serializes round-trips bitwise."""
 
     @given(text=mutated_bundled_file())
     @example(text=BUNDLED["dectiger.dpomdp"].replace("agents: 2",
@@ -514,6 +557,16 @@ class TestMutatedFilesFuzz:
                 assert all(isinstance(d, ParseDiagnostic) for d in cdiags)
                 if model is None:
                     assert any(d.severity == "error" for d in cdiags)
+            try:
+                canon = serialize_canonical(raw)
+            except ValueError:
+                canon = None
+            if canon is not None:
+                raw2 = parse_ok(canon)
+                for a, b in zip(compile_tables(raw)[:3],
+                                compile_tables(raw2)[:3]):
+                    assert np.array_equal(a, b)
+                assert serialize_canonical(raw2) == canon
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "fuzz.dpomdp")
             with open(path, "w", encoding="utf-8") as fh:

@@ -165,6 +165,18 @@ class TestBatchedEvaluation:
         assert str(lone.shape) in str(err.value)
         assert want in str(err.value)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_out_of_wrong_dtype_names_both_dtypes(self, dtype):
+        """An integer out truncated every L_t and a float32 one rounded it,
+        each without an error; both are refused before a write."""
+        model = dectiger_model(horizon=3)
+        policy = random_policy_for(model, (2, 2), seed=0)
+        out = np.zeros((3, 2, 9, 4), dtype=dtype)
+        with pytest.raises(ValueError) as err:
+            backward(model, policy, 0.0, out=out)
+        assert f"dtype {np.dtype(dtype)}, expected float64" in str(err.value)
+        assert not out.any()
+
     def test_overflow_names_the_restart(self):
         # joint action 0 pays 9e307 a stage: restart 1 takes it at every
         # stage and overflows at t=2, restart 0 never takes it
