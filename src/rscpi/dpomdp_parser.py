@@ -499,7 +499,7 @@ def compile_tables(raw: RawDpomdpFile):
     for e in raw.reward_entries:
         R[np.ix_(e.ja, e.s, e.sp, e.obs)] = e.value
     if raw.value_kind == "cost":
-        R = -R
+        R = 0.0 - R     # unset cells stay +0.0, as a re-parse holds them
     _normalize_rows(T, t_line, "T", lambda i, j: f"(s={i}, a={j})", diags)
     _normalize_rows(O, o_line, "O", lambda i, j: f"(a={i}, s'={j})", diags)
     return T, O, R, diags

@@ -203,6 +203,13 @@ def forward_marginals(model: DecPomdpModel, policy: JointPolicy,
     return MarginalTrajectory(values=zetas)
 
 
+def check_stage(t: int, horizon: int):
+    """Refuse a 1-based stage index outside 1..horizon: t = 0 would index
+    the last stage's rows through t - 1 = -1."""
+    if not 1 <= t <= horizon:
+        raise ValueError(f"t={t} outside 1..{horizon}")
+
+
 def finite_risk(lam, what: str) -> RiskParameter:
     """lam as a RiskParameter; `what` names the caller in the error."""
     risk = lam if isinstance(lam, RiskParameter) else RiskParameter(float(lam))
@@ -281,8 +288,9 @@ def fold_stage(policy: JointPolicy, t: int, q_red: np.ndarray,
     batch's restart axis leads q_red and out. The contraction leaves the
     agents' (y^i, w^i) axes paired; it is copied once into out through a
     paired view of out, which may be strided. Raises NumericError at the
-    first non-finite cell.
+    first non-finite cell, and ValueError when t is outside 1..T.
     """
+    check_stage(t, policy.horizon)
     w_sizes = policy.agent_state_sizes
     rows = _agent_rows(policy, t - 1)
     x = _pair_axes(q_red, policy.action_counts(), w_sizes)

@@ -10,8 +10,9 @@ spans far beyond exp()'s range on long horizons. The lambda = 0 stage backup
 batched matmul per agent at lambda = 0, one `evaluation.logsumexp` per agent
 at lambda > 0. The averaged local value (`solver._averaged_local_q`) is one
 numpy reduction at either lambda: it sums the co-agents' (y, w) axes out of
-zeta * copi before the backup is broadcast in, and at lambda > 0 both of its
-sums are logsumexps with the same per-output-cell shift.
+zeta * copi before the backup is broadcast in. That first sum adds plain
+probabilities at either lambda; at lambda > 0 only the second, over the
+backed-up values, is a logsumexp with the per-output-cell shift.
 
 Dynamics enter as a CSR-style support: for flat row (s, a), the nonzero
 successors (s', y') live at positions indptr[s*A + a] : indptr[s*A + a + 1].
@@ -68,8 +69,10 @@ def tilted_q_log(indptr, sp_idx, yp_idx, logp, lam_r, L_next, out,
     """
     sp, yp, lp, padded = pad or pad_support(indptr, sp_idx, yp_idx, logp)
     nb = L_next.ndim - 3
-    batch = tuple(range(nb))
-    vals = np.moveaxis(L_next, batch, tuple(range(2, 2 + nb)))[sp, yp]
+    # (R.., S, Y, Z) -> (S, Y, R.., Z), then (S, A, R.., Z) -> (R.., S, A, Z)
+    restarts_in = (nb, nb + 1) + tuple(range(nb)) + (nb + 2,)
+    restarts_out = tuple(range(2, 2 + nb)) + (0, 1, 2 + nb)
+    vals = L_next.transpose(restarts_in)[sp, yp]
     vals += lp.reshape(lp.shape + (1,) * (nb + 1))
     vals[padded] = NEG_INF
     m = vals.max(axis=0, initial=NEG_INF)
@@ -80,6 +83,6 @@ def tilted_q_log(indptr, sp_idx, yp_idx, logp, lam_r, L_next, out,
     res = np.where(ok, lam_r.reshape((-1,) + (1,) * (nb + 1)) + m + acc,
                    NEG_INF)
     res = res.reshape(lam_r.shape + res.shape[1:])
-    out[...] = np.moveaxis(res, tuple(range(2, 2 + nb)), batch)
+    out[...] = res.transpose(restarts_out)
     return out
 

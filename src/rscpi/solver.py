@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .evaluation import (aggregate_initial, evaluate_exact, finite_risk,
-                         fold_stage, forward_marginals, logsumexp,
-                         stage_backup)
+from .evaluation import (aggregate_initial, check_stage, evaluate_exact,
+                         finite_risk, fold_stage, forward_marginals,
+                         logsumexp, stage_backup)
 from .model import DecPomdpModel, is_int
 from .policy import (PHI_MODES, JointPolicy, PolicyBatch, mix_policies,
                      random_policy)
@@ -179,9 +179,13 @@ def averaged_local_q(model: DecPomdpModel, zeta_t: np.ndarray,
     t is 1-based. l_next holds L_{t+1}; the stage is backed up into its
     reduced (s, a, z) form, which is broadcast over (y, z_). For a
     PolicyBatch, zeta_t and l_next carry its leading restart axis, and so
-    does the result.
+    does the result. Raises ValueError when t is outside 1..T or agent
+    outside 0..N-1.
     """
     risk = finite_risk(lam, "averaged_local_q")
+    check_stage(t, policy.horizon)
+    if not 0 <= agent < model.n_agents:
+        raise ValueError(f"agent={agent} outside 0..{model.n_agents - 1}")
     batch = _as_batch(policy)
     if batch is not policy:
         zeta_t, l_next = zeta_t[None], l_next[None]
@@ -244,8 +248,12 @@ def _averaged_local_q(model, zeta_t, batch, t, q_red, risk, agent):
     (s, co (a, z)) rows. Both are elementwise products and axis sums, which
     add one row at a time whatever R is, so a batch gives each restart its
     lone bits, and columns that differ only in z'^i get the same operations.
-    lam > 0 adds logs instead and takes each sum as a logsumexp, every
-    output cell shifted by its own max before the exp.
+    b adds probabilities only, so it is summed in the plain domain at every
+    lam; lam > 0 takes the second sum over log b + q as a logsumexp, every
+    output cell shifted by its own max before the exp. A product
+    zeta * copi below the smallest subnormal (~5e-324) drops out of b, as
+    it already does inside zeta_{t+1}, which the forward step also forms
+    in the plain domain.
     """
     n = model.n_agents
     R, S = zeta_t.shape[:2]
@@ -262,13 +270,12 @@ def _averaged_local_q(model, zeta_t, batch, t, q_red, risk, agent):
     q = _agent_last(q_red.reshape(R, S, *a_sizes, *w_sizes), agent, n)
     q = q.reshape(S, co_az, R, 1, az)
     cells = R * yw * az
+    b = np.multiply(zeta, copi).sum(axis=1)
     if risk.is_neutral:
-        b = np.multiply(zeta, copi).sum(axis=1)
         table = np.multiply(b[..., None], q).reshape(-1, cells).sum(axis=0)
     else:
         with np.errstate(divide="ignore"):
-            b = logsumexp(np.add(np.log(zeta), np.log(copi)), axis=1)
-            vals = np.add(b[..., None], q).reshape(-1, cells)
+            vals = np.add(np.log(b)[..., None], q).reshape(-1, cells)
             table = logsumexp(vals, axis=0)
     mass = zeta.reshape(S, co_yw, R * yw).sum(axis=0).sum(axis=0)
     shape = (R, y_sizes[agent], w_sizes[agent], a_sizes[agent],

@@ -8,8 +8,11 @@ breaks either fails here first.
 """
 
 import importlib.util
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import rscpi
 import rscpi.bench_cli
@@ -35,6 +38,19 @@ def load_tracer():
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     return tracer
+
+
+def load_bench(monkeypatch):
+    """perfbench/run.py as a module, its `from tracer import ...` served by
+    the tracer loaded above, so that nothing is added to sys.path. Both are
+    registered only for the test: its dataclasses look their module up."""
+    monkeypatch.setitem(sys.modules, "tracer", load_tracer())
+    path = ROOT / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)
+    spec.loader.exec_module(bench)
+    return bench
 
 
 def solve_op():
@@ -122,6 +138,19 @@ class TestBenchmarkContract:
         summary = tracer.summary()
         for name in SETUP_LAYERS:
             assert summary[f"{name}.calls"] > 0, name
+
+    @pytest.mark.parametrize("workload", ["dectiger-t6", "recycling-t100",
+                                          "synthetic-large", "policy-eval"])
+    def test_seed_zero_passes_the_reference_gate(self, monkeypatch,
+                                                 workload):
+        """The benchmark refuses a run whose seed-0 J leaves its reference
+        by more than 1e-9 or whose sweep count moves at all; a change to
+        the numerics that would be refused fails here first."""
+        bench = load_bench(monkeypatch)
+        inputs = bench.build_inputs(rscpi, workload, 0)
+        out = bench.run_op(rscpi, workload, inputs, 0)
+        assert bench.check(rscpi, workload, inputs, out,
+                           use_reference=True) == []
 
     def test_public_names(self):
         for name in rscpi.__all__:

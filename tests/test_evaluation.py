@@ -131,6 +131,18 @@ class TestPerAgentContraction:
             with kernels.quiet_overflow():
                 fold_stage(singles[0], 2, q_red, RiskParameter(lam), out)
 
+    @pytest.mark.parametrize("t", [0, -1, 4])
+    def test_stage_outside_horizon_is_refused(self, t):
+        """t = 0 would fold the last stage's rows through t - 1 = -1; out
+        is left unwritten."""
+        model = dectiger_model(horizon=3)
+        policy = random_policy_for(model, (2, 2), seed=0)
+        q_red = q_red_for(model, policy)
+        out = np.full((model.state_count, model.joint_obs_count, 4), np.nan)
+        with pytest.raises(ValueError, match=rf"t={t} outside 1\.\.3"):
+            fold_stage(policy, t, q_red, RiskParameter(0.0), out)
+        assert np.all(np.isnan(out))
+
     def test_no_joint_table_is_formed(self):
         """Each step peaks below one dense joint table, Y*W*A*W floats,
         on Dec-Tiger T=3 with 8 agent states per agent."""

@@ -450,6 +450,18 @@ class TestSerializeCanonical:
             assert np.array_equal(a, b)
         assert serialize_canonical(raw2) == canon
 
+    def test_cost_round_trip_is_equal_byte_for_byte(self):
+        """Negating a cost file must leave its unset reward cells +0.0, as
+        the canonical text, which writes only nonzero cells, parses them."""
+        text = full_file(values="cost").replace(
+            "R: * : * : * : * : 1.0", "R: 0 1 : * : 1 : * : 2.5")
+        raw1 = parse_ok(text)
+        raw2 = parse_ok(serialize_canonical(raw1))
+        R1, R2 = compile_tables(raw1)[2], compile_tables(raw2)[2]
+        assert np.count_nonzero(R1) == 4   # one joint action, s and y free
+        assert R1.tobytes() == R2.tobytes()
+        assert not np.signbit(R1[R1 == 0.0]).any()
+
     def test_start_preserved(self):
         raw1 = parse_ok(full_file(start="0.25 0.75"))
         raw2 = parse_ok(serialize_canonical(raw1))

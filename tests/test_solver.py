@@ -1,6 +1,7 @@
 """Tilted backward values, averaged local Q, greedy sweeps, and rscpi."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -253,6 +254,38 @@ class TestAveragedLocalQ:
             for w in range(4):
                 want[y_comp[y], w_comp[w]] += flat[y, w]
         np.testing.assert_allclose(qbar.mass, want, atol=1e-12)
+
+    def test_plain_domain_weights_keep_a_far_tail(self):
+        """The co-agents' weights zeta * copi are summed in the plain domain
+        at every lam. A co-agent action of probability 1e-200 whose payoff
+        is 600 higher still wins at lam = 1, as 1e-200 * e^600 ~ 4e60."""
+        model = matrix_game_model([[1.0, 1.0], [0.0, 600.0]])
+        tabs = [np.array([0.5, 0.5]).reshape(1, 1, 1, 2, 1),
+                np.array([1.0, 1e-200]).reshape(1, 1, 1, 2, 1)]
+        policy = JointPolicy(horizon=1, agent_state_sizes=(1, 1), tables=tabs)
+        qbar = averaged_local_q(model, np.ones((1, 1, 1)), policy, 1,
+                                np.zeros((1, 1, 1)), 1.0, 0)
+        q = qbar.q_values()[0, 0, :, 0]
+        want = [logmeanexp_direct([1.0, 1e-200], row, 1.0)
+                for row in ([1.0, 1.0], [0.0, 600.0])]
+        np.testing.assert_allclose(q, want, rtol=0, atol=1e-12)
+        assert q[1] > q[0] + 100.0
+        assert greedy_agent_update(qbar)[0, 0] == 1
+
+    @pytest.mark.parametrize("t, agent, match", [
+        (0, 0, "t=0 outside 1..3"), (4, 1, "t=4 outside 1..3"),
+        (1, 2, "agent=2 outside 0..1"), (1, -1, "agent=-1 outside 0..1")],
+        ids=["t=0", "t=T+1", "agent=N", "agent=-1"])
+    def test_stage_and_agent_outside_range_are_refused(self, t, agent,
+                                                        match):
+        """t = 0 would average the last stage's rows through t - 1 = -1;
+        a bad agent would fail deep inside with an IndexError."""
+        model = dectiger_model(horizon=3)
+        policy = random_policy_for(model, (2, 2), seed=9)
+        zeta_t = forward_marginals(model, policy).at(1)
+        with pytest.raises(ValueError, match=re.escape(match)):
+            averaged_local_q(model, zeta_t, policy, t, np.zeros((2, 9, 4)),
+                             0.0, agent)
 
     @pytest.mark.parametrize("lam", [0.0, 0.7])
     def test_last_stage_ties_stay_exact(self, lam):
