@@ -497,7 +497,7 @@ def compile_tables(raw: RawDpomdpFile):
     for e in raw.observation_entries:
         _fill(O, o_line, e, diags)
     for e in raw.reward_entries:
-        R[np.ix_(e.ja, e.s, e.sp, e.obs)] = e.value
+        R[np.ix_(e.ja, e.s, e.sp, e.obs)] = e.value + 0.0   # -0.0 as +0.0
     if raw.value_kind == "cost":
         R = 0.0 - R     # unset cells stay +0.0, as a re-parse holds them
     _normalize_rows(T, t_line, "T", lambda i, j: f"(s={i}, a={j})", diags)

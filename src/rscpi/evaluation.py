@@ -12,10 +12,22 @@ The fold and the forward marginals never form the joint policy table
 M_t = prod_i pi^i_t, of prod_i |Y^i| |Z^i|^2 |A^i| floats: they contract one
 agent at a time, by a batched matmul at lam = 0 and a logsumexp at lam > 0.
 
+Every layout of a stage depends only on the model's sizes, the agent-state
+sizes, the restart count and the agent: its pair and unpair permutations,
+its reshape targets and its matmul operands. So `forward_marginals` and
+`backward` lay their stages out once per call, the fold in a `StagePlan`:
+`_scratch` cuts one flat float64 arena into the buffers the stages write,
+phases that never run at once sharing its memory, and the strided views of
+those buffers and of the tensors the recursion reads and writes are formed
+with it. A stage forms only the views of its policy rows (stage t - 1 of a
+table) and runs `np.copyto`, `np.matmul(out=)` and ufuncs with `out=` on the
+prepared operands. The arena is transient scratch of a size that does not
+depend on T; `solver.SolveWorkspace.peak_floats` does not count it.
+
 The forward marginals, both steps, `backward`, `evaluate_exact` and
 `evaluate_risk` also take a `PolicyBatch`: its leading restart axis leads
 every tensor they read and write, and each restart's slice gets the bits
-it would get alone.
+it would get alone. A `JointPolicy` runs as a batch of one.
 
 The Monte-Carlo rollout builds the CDF of every distribution it draws from
 once per call and samples chunks of episodes from them; its results are
@@ -24,9 +36,7 @@ reproducible per (seed, chunk).
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,12 +100,60 @@ def _check_dims(model: DecPomdpModel, policy: JointPolicy):
         raise ValueError("observation space mismatch")
 
 
-def _agent_rows(policy: JointPolicy, t: int) -> list:
-    """Each agent's stage-t (0-based) table as a (Y_i W_i, A_i Z_i) matrix,
-    behind a batch's restart axis."""
-    return [tab[..., t, :, :, :, :].reshape(*tab.shape[:-5], -1,
-                                            math.prod(tab.shape[-2:]))
-            for tab in policy.tables]
+def _as_batch(policy) -> PolicyBatch:
+    """policy itself if a PolicyBatch, else a batch of one viewing it."""
+    if isinstance(policy, PolicyBatch):
+        return policy
+    return PolicyBatch.of(policy)
+
+
+def _scratch(*phases):
+    """C-ordered float64 buffers of the given shapes, cut from one flat
+    arena.
+
+    Each phase lists the buffers in use together: a shape, a list of shapes
+    that view one region in turn, or None for no buffer. Every phase starts
+    at the arena's start, so phases that never run at once share its memory
+    and the arena is as large as the largest phase; equal phases share their
+    buffers too. Each buffer starts on a 16-byte boundary of the arena, as
+    numpy's own allocations do. Returns one list of buffers per phase, a
+    list of views for each list of shapes.
+    """
+    specs, top = [], 0
+    for k, phase in enumerate(phases):
+        if phase in phases[:k]:
+            specs.append(None)
+            continue
+        at, spec = 0, []
+        for entry in phase:
+            if entry is None:
+                spec.append(None)
+                continue
+            shapes = entry if type(entry) is list else [entry]
+            sizes = list(map(math.prod, shapes))
+            n = max(sizes)
+            spec.append((at, n, shapes, sizes))
+            at += n + (n & 1)
+        specs.append(spec)
+        top = max(top, at)
+    arena = np.empty(top)
+    out = []
+    for phase, spec in zip(phases, specs):
+        if spec is None:
+            out.append(out[phases.index(phase)])
+            continue
+        bufs = []
+        for item, entry in zip(spec, phase):
+            if item is None:
+                bufs.append(None)
+                continue
+            at, n, shapes, sizes = item
+            region = arena[at:at + n]
+            views = [(region if size == n else region[:size]).reshape(shape)
+                     for shape, size in zip(shapes, sizes)]
+            bufs.append(views if type(entry) is list else views[0])
+        out.append(bufs)
+    return out
 
 
 def _paired_view(x: np.ndarray, firsts, seconds) -> np.ndarray:
@@ -108,47 +166,80 @@ def _paired_view(x: np.ndarray, firsts, seconds) -> np.ndarray:
                        *(k + j for i in range(n) for j in (i, n + i)))
 
 
-def _pair_axes(x: np.ndarray, firsts, seconds) -> np.ndarray:
-    """lead + (S, F, G) as lead + (S, F_1 G_1, ..., F_N G_N), a copy;
-    `_unpair_axes` inverts it."""
-    x = _paired_view(x, firsts, seconds)
-    k = x.ndim - 2 * len(firsts)
-    return x.reshape(x.shape[:k] + tuple(map(operator.mul, firsts, seconds)))
+def _stage_rows(batch: PolicyBatch) -> list:
+    """Each agent's table as (T, R, Y_i W_i, A_i Z_i): indexing stage t - 1
+    views the stage's rows as one matrix per restart."""
+    return [tab.reshape(tab.shape[:2] + (-1, math.prod(tab.shape[-2:])),
+                        copy=False).swapaxes(0, 1)
+            for tab in batch.tables]
 
 
-def _unpair_axes(x: np.ndarray, firsts, seconds) -> np.ndarray:
-    n, k = len(firsts), x.ndim - len(firsts)
-    x = x.reshape(x.shape[:k] + tuple(itertools.chain(*zip(firsts, seconds))))
-    x = x.transpose(*range(k), *range(k, k + 2 * n, 2),
-                    *range(k + 1, k + 2 * n, 2))
-    return x.reshape(x.shape[:k] + (math.prod(firsts), math.prod(seconds)))
+class _Contraction:
+    """One stage's agent-by-agent contraction, its operands laid out once.
 
-
-def _contract_agents(x: np.ndarray, mats: list, logs: bool) -> np.ndarray:
-    """x of shape lead + (S, K_1, ..., K_N) contracted with mats[i] of
-    shape lead + (J_i, K_i), agent N first, into lead + (S, J_1, ..., J_N).
-
-    Step i is sum_k mats[i][j, k] x[..., k, ...], one batched matmul, or
-    with logs=True the logsumexp over k of mats[i][j, k] + x[..., k, ...].
-    Its terms put k right behind the lead axes, so that a restart's cells
-    reduce alike whatever the batch size.
+    The first of its buffers, x (R, S, K_1, ..., K_N), is contracted with
+    each agent's stage-t rows m_i (R, J_i, K_i), agent N first, into the
+    last, out (R, S, J_1 ... J_N).
+    Step i is sum_k m_i[j, k] x[..., k, ...], one batched matmul, or with
+    logs=True the logsumexp over k of log m_i[j, k] + x[..., k, ...], whose
+    terms put k right behind the restart axis, so that a restart's cells
+    reduce alike whatever R is. The fold takes m_i as the rows (A_i Z_i into
+    Y_i W_i); the forward step (forward=True) takes them transposed.
     """
-    lead = mats[0].shape[:-2]
-    sizes = list(x.shape[len(lead) + 1:])
-    for i in reversed(range(len(mats))):
-        m = mats[i]
-        k, post = sizes[i], math.prod(sizes[i + 1:])
-        x = x.reshape(lead + (-1, k, post))
-        if logs:
-            terms = np.add(np.swapaxes(m, -1, -2)[..., :, None, :, None],
-                           np.swapaxes(x, -2, -3)[..., None, :], order="C")
-            x = logsumexp(terms, axis=-4)
-        elif post == 1:
-            x = x[..., 0] @ np.swapaxes(m, -1, -2)
-        else:
-            x = m[..., None, :, :] @ x
-        sizes[i] = m.shape[-2]
-    return x.reshape(x.shape[:len(lead)] + (-1,) + tuple(sizes))
+
+    __slots__ = ("steps", "logs")
+
+    @staticmethod
+    def shapes(R, S, ks, js, logs):
+        """The scratch buffers the constructor takes, in order: x, then
+        each step's buffers, the last one `out`."""
+        shapes = [(R, S) + tuple(ks)]
+        for i in reversed(range(len(ks))):
+            pre, post = S * math.prod(ks[:i]), math.prod(js[i + 1:])
+            if logs:
+                shapes += [(R, js[i], ks[i]), (R, ks[i], pre, js[i], post)]
+            shapes.append((R, pre, js[i], post))
+        return shapes
+
+    def __init__(self, batch, ks, js, logs, bufs, forward=False):
+        x = bufs[0]
+        bufs = iter(bufs[1:])
+        self.logs = logs
+        self.steps = []
+        R, S = x.shape[:2]
+        for i, rows in reversed(list(enumerate(_stage_rows(batch)))):
+            k, j = ks[i], js[i]
+            pre, post = S * math.prod(ks[:i]), math.prod(js[i + 1:])
+            x4 = x.reshape(R, pre, k, post)
+            if logs:
+                log_m, terms, x = next(bufs), next(bufs), next(bufs)
+                self.steps.append((rows, log_m, terms, x, (
+                    log_m.swapaxes(-1, -2)[..., :, None, :, None],
+                    x4.swapaxes(-2, -3)[..., None, :])))
+                continue
+            x = next(bufs)
+            m = rows if forward else rows.swapaxes(-1, -2)  # (T, R, k, j)
+            if post == 1:
+                self.steps.append((None, m, x4[..., 0], x[..., 0]))
+            else:
+                self.steps.append((m.swapaxes(-1, -2)[:, :, None], None,
+                                   x4, x))
+
+    def __call__(self, t: int):
+        """Contract x with the stage-t (1-based) rows into out."""
+        if self.logs:
+            with np.errstate(divide="ignore"):
+                for rows, log_m, terms, out, (m_terms, x_terms) in self.steps:
+                    np.log(rows[t - 1], out=log_m)
+                    np.copyto(terms, m_terms)   # see _averaged_local_q
+                    np.add(terms, x_terms, out=terms)
+                    logsumexp(terms, axis=1, out=out)
+            return
+        for left, right, x, out in self.steps:
+            if right is None:
+                np.matmul(left[t - 1], x, out=out)
+            else:
+                np.matmul(x, right[t - 1], out=out)
 
 
 def _check_out(out, shape):
@@ -171,35 +262,54 @@ def forward_marginals(model: DecPomdpModel, policy: JointPolicy,
     axes of the occupancy for its (a^i, z^i) under the previous policy rows
     and pushes the result through the joint dynamics. Each tensor is
     renormalized when its mass drifts within 1e-8 of 1, and errors beyond.
+    The step's operands are laid out once per call in one scratch arena.
     """
     _check_dims(model, policy)
     S, Y = model.state_count, model.joint_obs_count
     A = model.joint_action_count
-    Z = int(np.prod(policy.agent_state_sizes))
+    y_sizes, a_sizes = model.obs_counts, model.action_counts
+    w_sizes = policy.agent_state_sizes
+    Z = math.prod(w_sizes)
     T = model.horizon
     phi = joint_phi(policy)
-    lead = phi.shape[:-1]
-    _check_out(out, lead + (T, S, Y, Z))
-    zetas = out if out is not None else np.zeros(lead + (T, S, Y, Z))
+    _check_out(out, phi.shape[:-1] + (T, S, Y, Z))
+    zetas = out if out is not None else np.zeros(phi.shape[:-1] + (T, S, Y, Z))
     zetas[..., 0, :, :, :] = model.zeta1[:, :, None] * phi[..., None, None, :]
+    batch = _as_batch(policy)
+    R = batch.size
+    by_stage = (zetas if batch is policy else zetas[None]).swapaxes(0, 1)
+    ks = [y * w for y, w in zip(y_sizes, w_sizes)]
+    js = [a * w for a, w in zip(a_sizes, w_sizes)]
+    bufs, = _scratch(_Contraction.shapes(R, S, ks, js, False)
+                     + [(R, S, A, Z), (R, Z, S * Y), (R,)])
+    *steps, occ, nxt, total = bufs
+    contract = _Contraction(batch, ks, js, False, steps, forward=True)
+    pair_in = _paired_view(by_stage, y_sizes, w_sizes)
+    pair_out = steps[0].reshape((R, S) + sum(zip(y_sizes, w_sizes), ()))
+    n = len(w_sizes)
+    unpair_in = steps[-1].reshape((R, S) + sum(zip(a_sizes, w_sizes), ()))
+    unpair_in = unpair_in.transpose(0, 1, *range(2, 2 + 2 * n, 2),
+                                    *range(3, 2 + 2 * n, 2))
+    unpair_out = occ.reshape((R, S) + a_sizes + w_sizes)
+    occ_t = occ.reshape(R, S * A, Z).swapaxes(-1, -2)
     p_flat = model.P.reshape(S * A, S * Y)
+    nxt_t = nxt.swapaxes(-1, -2).reshape(R, S, Y, Z)
+    total_b = total[:, None, None, None]
     for t in range(1, T):
-        rows = [np.swapaxes(m, -1, -2) for m in _agent_rows(policy, t - 1)]
-        occ = _pair_axes(zetas[..., t - 1, :, :, :], model.obs_counts,
-                         policy.agent_state_sizes)
-        occ = _unpair_axes(_contract_agents(occ, rows, logs=False),
-                           model.action_counts, policy.agent_state_sizes)
-        nxt = np.swapaxes(occ.reshape(lead + (S * A, Z)), -1, -2) @ p_flat
-        cur = zetas[..., t, :, :, :]
-        cur[...] = np.swapaxes(nxt, -1, -2).reshape(lead + (S, Y, Z))
-        total = cur.sum(axis=(-3, -2, -1))
+        np.copyto(pair_out, pair_in[t - 1])
+        contract(t)
+        np.copyto(unpair_out, unpair_in)
+        np.matmul(occ_t, p_flat, out=nxt)
+        cur = by_stage[t]
+        np.copyto(cur, nxt_t)
+        np.add.reduce(cur, axis=(1, 2, 3), out=total)
         off = np.abs(total - 1.0) > MARGINAL_ATOL
         if off.any():
             raise ValueError(
                 f"marginal at t={t + 1} sums to {total[off].flat[0]:.12g}; "
                 "dynamics or policy rows are not normalized"
             )
-        cur /= total[..., None, None, None]
+        np.divide(cur, total_b, out=cur)
     return MarginalTrajectory(values=zetas)
 
 
@@ -241,42 +351,113 @@ def _support(model: DecPomdpModel):
     np.cumsum(indptr, out=indptr)
     support = (indptr, (cols // Y).astype(np.int64),
                (cols % Y).astype(np.int64), np.log(flat[rows, cols]))
-    model._support = (support, kernels.pad_support(*support))
+    model._support = (support, kernels.pad_support(*support, Y))
     return model._support
 
 
-def logsumexp(vals: np.ndarray, axis: int) -> np.ndarray:
-    """log sum exp of vals along axis, overwriting vals. Each output cell is
-    shifted by its own max. A -inf max gives -inf (a log of 0); a +inf or
-    nan max stays non-finite through any later sum, for the caller's
-    finiteness check."""
+def logsumexp(vals: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """log sum exp of vals along axis, overwriting vals, into out (a new
+    array when None). Each output cell is shifted by its own max. A -inf
+    max gives -inf (a log of 0); a +inf or nan max stays non-finite through
+    any later sum, for the caller's finiteness check."""
     top = vals.max(axis=axis, keepdims=True)
     shift = np.where(np.isfinite(top), top, 0.0)
     vals -= shift
     acc = np.exp(vals, out=vals).sum(axis=axis)
-    return shift.reshape(acc.shape) + np.log(acc)
+    return np.add(shift.reshape(acc.shape), np.log(acc), out=out)
+
+
+def _backup_scratch(model: DecPomdpModel, R: int, Z: int,
+                    risk: RiskParameter) -> tuple:
+    """Shape of `stage_backup`'s scratch for R restarts: the expectation
+    (R, S*A, Z) at lam = 0, the gathered successors (W, S*A, R, Z) of the
+    padded support at lam > 0."""
+    SA = model.state_count * model.joint_action_count
+    if risk.is_neutral:
+        return (R, SA, Z)
+    return (_support(model)[1][0].shape[0], SA, R, Z)
 
 
 def stage_backup(model: DecPomdpModel, l_next: np.ndarray,
-                 risk: RiskParameter, out: np.ndarray) -> np.ndarray:
+                 risk: RiskParameter, out: np.ndarray,
+                 scratch: np.ndarray = None) -> np.ndarray:
     """Reduced local value q_red[s, a, z] of a stage under L_{t+1}.
 
     lam = 0: r(s, a) + sum_{s', y'} P(s', y' | s, a) V_{t+1}(s', y', z).
     lam > 0: lam r(s, a) + log sum_{s', y'} P(s', y' | s, a) exp L_{t+1}.
-    A leading restart axis of l_next leads out too.
+    A leading restart axis of l_next leads out too. `scratch`, of the shape
+    `_backup_scratch` gives, holds the intermediate; None allocates it.
     """
     S, Y, Z = l_next.shape[-3:]
     lead = l_next.shape[:-3]
     A = model.r.shape[1]
     if risk.is_neutral:
         p_flat = model.P.reshape(S * A, S * Y)
-        ev = (p_flat @ l_next.reshape(lead + (S * Y, Z)))
+        ev = np.matmul(p_flat, l_next.reshape(lead + (S * Y, Z)), out=scratch)
         np.add(model.r[:, :, None], ev.reshape(lead + (S, A, Z)), out=out)
     else:
         support, padded = _support(model)
         kernels.tilted_q_log(*support, risk.lam * model.r, l_next, out,
-                             pad=padded)
+                             pad=padded, scratch=scratch)
     return out
+
+
+class StagePlan:
+    """The operands of one backward recursion's folds, laid out once.
+
+    A plan serves one call of `backward`, `fold_stage` or `solver.sweep`:
+    one policy batch, one lam, the q_red tensor (R, S, A, Z) that
+    `stage_backup` fills and a stack `targets` (K, R, S, Y, Z) of the value
+    tensors L_t is folded into. It cuts one scratch arena into the fold's
+    buffers and the buffers of `phases`, which it leaves in `extra` (see
+    `_scratch`). The plan holds views of its arrays and of the policy's
+    tables, none per stage, so its size does not depend on T; a stage forms
+    only its rows' views. `batched=False` names a caller without a restart
+    axis in its errors.
+    """
+
+    __slots__ = ("contract", "q_in", "q_out", "folded", "targets", "paired",
+                 "batch", "risk", "q_red", "batched", "extra")
+
+    def __init__(self, batch: PolicyBatch, risk: RiskParameter,
+                 q_red: np.ndarray, targets: np.ndarray, *phases,
+                 batched: bool = True):
+        R, S = q_red.shape[:2]
+        sizes = [tab.shape[2:] for tab in batch.tables]   # (Y, W, A, Z)
+        a_w = tuple(d for _, w, a, _ in sizes for d in (a, w))
+        y_w = tuple(d for y, w, _, _ in sizes for d in (y, w))
+        ks = [a * w for _, w, a, _ in sizes]
+        js = [y * w for y, w, _, _ in sizes]
+        logs = not risk.is_neutral
+        fold, *self.extra = _scratch(
+            _Contraction.shapes(R, S, ks, js, logs), *phases)
+        self.contract = _Contraction(batch, ks, js, logs, fold)
+        self.q_in = _paired_view(q_red, a_w[::2], a_w[1::2])
+        self.q_out = fold[0].reshape((R, S) + a_w)
+        self.folded = fold[-1].reshape((R, S) + y_w)
+        self.targets = targets
+        self.paired = _paired_view(targets, y_w[::2], y_w[1::2])
+        self.batch, self.risk, self.q_red = batch, risk, q_red
+        self.batched = batched
+
+    def fold(self, t: int, k: int) -> np.ndarray:
+        """`fold_stage` of stage t (1-based) from q_red into targets[k].
+
+        The contraction leaves the agents' (y^i, w^i) axes paired; they are
+        copied once into a paired view of the target, which may be strided.
+        Raises NumericError at the first non-finite cell.
+        """
+        np.copyto(self.q_out, self.q_in)
+        self.contract(t)
+        np.copyto(self.paired[k], self.folded)
+        out = self.targets[k]
+        if not np.isfinite(out).all():
+            r, s, y, w = (int(c) for c in np.argwhere(~np.isfinite(out))[0])
+            where = f" of restart {r}" if self.batched else ""
+            raise NumericError(
+                f"nonfinite tilted value at t={t}, cell={(s, y, w)}{where}"
+            )
+        return out
 
 
 def fold_stage(policy: JointPolicy, t: int, q_red: np.ndarray,
@@ -285,29 +466,17 @@ def fold_stage(policy: JointPolicy, t: int, q_red: np.ndarray,
 
     lam = 0: sum_{a, z} prod_i pi^i_t(a^i, z^i | y^i, w^i) q_red[s, a, z],
     taken one agent at a time; lam > 0: the same sum in the log domain. A
-    batch's restart axis leads q_red and out. The contraction leaves the
-    agents' (y^i, w^i) axes paired; it is copied once into out through a
-    paired view of out, which may be strided. Raises NumericError at the
+    batch's restart axis leads q_red and out, which may be strided. One
+    `StagePlan.fold` on a plan of this call; raises NumericError at the
     first non-finite cell, and ValueError when t is outside 1..T.
     """
     check_stage(t, policy.horizon)
-    w_sizes = policy.agent_state_sizes
-    rows = _agent_rows(policy, t - 1)
-    x = _pair_axes(q_red, policy.action_counts(), w_sizes)
-    if risk.is_neutral:
-        x = _contract_agents(x, rows, logs=False)
-    else:
-        with np.errstate(divide="ignore"):
-            x = _contract_agents(x, [np.log(m) for m in rows], logs=True)
-    paired = _paired_view(out, policy.obs_counts(), w_sizes)
-    paired[...] = x.reshape(paired.shape)
-    if not np.isfinite(out).all():
-        *restart, s, y, w = (int(c) for c in np.argwhere(~np.isfinite(out))[0])
-        where = f" of restart {restart[0]}" if restart else ""
-        raise NumericError(
-            f"nonfinite tilted value at t={t}, cell={(s, y, w)}{where}"
-        )
-    return out
+    batch = _as_batch(policy)
+    if batch is not policy:
+        q_red, out = q_red[None], out[None]
+    plan = StagePlan(batch, risk, q_red, out[None], batched=batch is policy)
+    plan.fold(t, 0)
+    return out if batch is policy else out[0]
 
 
 def backward(model: DecPomdpModel, policy: JointPolicy, lam,
@@ -316,25 +485,34 @@ def backward(model: DecPomdpModel, policy: JointPolicy, lam,
 
     With a (T, S, Y, Z) `out`, L_t is kept in out[t - 1] for every t. For a
     PolicyBatch of R restarts, L_1 and `out` carry a leading restart axis:
-    (R, S, Y, Z) and (R, T, S, Y, Z).
+    (R, S, Y, Z) and (R, T, S, Y, Z). The stages run on one `StagePlan`.
     """
     risk = finite_risk(lam, "tilted recursion")
     _check_dims(model, policy)
     S, Y = model.state_count, model.joint_obs_count
-    A = model.joint_action_count
-    Z = int(np.prod(policy.agent_state_sizes))
-    lead = (policy.size,) if isinstance(policy, PolicyBatch) else ()
-    _check_out(out, lead + (model.horizon, S, Y, Z))
-    q_red = np.empty(lead + (S, A, Z))
-    l_next, l_cur = np.zeros(lead + (S, Y, Z)), np.empty(lead + (S, Y, Z))
+    A, T = model.joint_action_count, model.horizon
+    Z = math.prod(policy.agent_state_sizes)
+    batch = _as_batch(policy)
+    lead = () if batch is not policy else (batch.size,)
+    _check_out(out, lead + (T, S, Y, Z))
+    R = batch.size
+    q_red = np.empty((R, S, A, Z))
+    if out is None:
+        # L_t alternates between two tensors, L_{T+1} = 0 in the first
+        targets = np.zeros((2, R, S, Y, Z))
+        l_next = targets[0]
+    else:
+        targets = (out if batch is policy else out[None]).swapaxes(0, 1)
+        l_next = np.zeros((R, S, Y, Z))
+    plan = StagePlan(batch, risk, q_red, targets,
+                     [_backup_scratch(model, R, Z, risk)],
+                     batched=batch is policy)
+    (scratch,), = plan.extra
     with kernels.quiet_overflow():
-        for t in range(model.horizon, 0, -1):
-            stage_backup(model, l_next, risk, q_red)
-            if out is not None:
-                l_cur = out[..., t - 1, :, :, :]
-            fold_stage(policy, t, q_red, risk, l_cur)
-            l_next, l_cur = l_cur, l_next
-    return l_next
+        for t in range(T, 0, -1):
+            stage_backup(model, l_next, risk, q_red, scratch=scratch)
+            l_next = plan.fold(t, t % 2 if out is None else t - 1)
+    return l_next if batch is policy else l_next[0]
 
 
 def evaluate_exact(model: DecPomdpModel, policy: JointPolicy):

@@ -13,6 +13,7 @@ between joint tuples and flat indices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,11 +93,11 @@ class DecPomdpModel:
 
     @property
     def joint_action_count(self) -> int:
-        return int(np.prod(self.action_counts))
+        return math.prod(self.action_counts)
 
     @property
     def joint_obs_count(self) -> int:
-        return int(np.prod(self.obs_counts))
+        return math.prod(self.obs_counts)
 
     def validate(self):
         S, A, Y = self.state_count, self.joint_action_count, self.joint_obs_count

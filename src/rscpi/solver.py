@@ -3,8 +3,8 @@
 A sweep is the evaluation's backward recursion with agent updates spliced
 in. It walks t = T..1, holding the forward marginals zeta_t fixed; per stage
 it runs one `stage_backup`, updates the agents against the averaged local
-value of their stage action, then runs one `fold_stage` on the updated
-policy to get L_t before moving to t-1. Tilted values are carried in the log
+value of their stage action, then folds the updated policy's stage rows
+into L_t before moving to t-1. Tilted values are carried in the log
 domain as L_t = lam * V_t for lam > 0 and as plain V_t at lam = 0, so the
 same tensors stay finite for any reward scale. No step forms the joint
 policy table: the averaged local value takes only the co-agents' rows.
@@ -15,9 +15,18 @@ a leading restart axis, and each restart's rows come out bit for bit as if
 swept alone. A restart that has converged is masked, not dropped: its rows
 are no longer written, so it stays frozen while the others go on.
 
+Each pass of a sweep lays its stages out once, in a `SweepPlan`: one flat
+float64 scratch arena holds the stage backup's intermediate, the fold's
+buffers and each agent's `_LocalQLayout`, phases that never run at once
+sharing its memory, and the plan holds the strided views of the arena and
+of the workspace's zeta, q_red and value tensors that every stage runs on.
+A stage forms only the views of its policy rows; nothing of the plan
+depends on T, and the plan is dropped when the call returns.
+
 Memory accounting: `peak_floats` is the size of the marginal trajectory and
 the two alternating value tensors, one of each per restart:
-R * (T*S*Y*Z + 2*S*Y*Z) floats. Everything else is transient scratch.
+R * (T*S*Y*Z + 2*S*Y*Z) floats. Everything else is transient scratch, the
+plans' arenas included.
 """
 
 from __future__ import annotations
@@ -29,12 +38,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .evaluation import (aggregate_initial, check_stage, evaluate_exact,
-                         finite_risk, fold_stage, forward_marginals,
-                         logsumexp, stage_backup)
+from .evaluation import (StagePlan, _as_batch, _backup_scratch,
+                         aggregate_initial, check_stage, evaluate_exact,
+                         finite_risk, forward_marginals, logsumexp,
+                         stage_backup)
 from .model import DecPomdpModel, is_int
 from .policy import (PHI_MODES, JointPolicy, PolicyBatch, mix_policies,
                      random_policy)
+from .risk import RiskParameter
 
 
 @dataclass
@@ -57,17 +68,6 @@ class AveragedLocalQ:
     @property
     def reachable(self) -> np.ndarray:
         return self.mass > 0.0
-
-    def q_values(self) -> np.ndarray:
-        """Normalized Q-bar with unreachable cells set to nan."""
-        out = np.full(self.table.shape, np.nan)
-        ok = self.reachable
-        if self.is_plain:
-            out[ok] = self.table[ok] / self.mass[ok][:, None, None]
-        else:
-            out[ok] = (self.table[ok]
-                       - np.log(self.mass[ok])[:, None, None]) / self.lam
-        return out
 
 
 @dataclass
@@ -147,12 +147,14 @@ class SolveResult:
 
 
 class SolveWorkspace:
-    """The work tensors of a sweep for one model/|Z|.
+    """The work tensors of a sweep for one model/|Z|, kept across sweeps.
 
-    Every tensor has a leading axis of `restarts`: the marginal trajectory
-    (R, T, S, Y, Z), the two alternating value tensors (R, S, Y, Z) and
-    q_red (R, S, A, Z), which is scratch. `peak_floats` counts the first
-    three, R * (T*S*Y*Z + 2*S*Y*Z) floats.
+    Every tensor has a restart axis of `restarts`: the marginal trajectory
+    `zeta` (R, T, S, Y, Z), the two alternating value tensors stacked in
+    `l` (2, R, S, Y, Z) and `q_red` (R, S, A, Z), which is scratch.
+    `peak_floats` counts the first two, R * (T*S*Y*Z + 2*S*Y*Z) floats.
+    Each sweep pass lays its stages out over these tensors in a transient
+    `SweepPlan`, whose scratch arena `peak_floats` does not count.
     """
 
     def __init__(self, model: DecPomdpModel, z_sizes, restarts: int = 1):
@@ -161,14 +163,13 @@ class SolveWorkspace:
         self.restarts = int(restarts)
         S, Y = model.state_count, model.joint_obs_count
         A = model.joint_action_count
-        Z = int(np.prod(self.z_sizes))
+        Z = math.prod(self.z_sizes)
         T = model.horizon
         R = self.restarts
         self.zeta = np.zeros((R, T, S, Y, Z))
-        self.l_a = np.zeros((R, S, Y, Z))
-        self.l_b = np.zeros((R, S, Y, Z))
+        self.l = np.zeros((2, R, S, Y, Z))
         self.q_red = np.zeros((R, S, A, Z))
-        self.peak_floats = self.zeta.size + self.l_a.size + self.l_b.size
+        self.peak_floats = self.zeta.size + self.l.size
 
 
 def averaged_local_q(model: DecPomdpModel, zeta_t: np.ndarray,
@@ -189,56 +190,122 @@ def averaged_local_q(model: DecPomdpModel, zeta_t: np.ndarray,
     batch = _as_batch(policy)
     if batch is not policy:
         zeta_t, l_next = zeta_t[None], l_next[None]
-    S, A = model.state_count, model.joint_action_count
-    q_red = np.empty((batch.size, S, A, l_next.shape[-1]))
+    ws = SolveWorkspace(model, batch.agent_state_sizes, restarts=batch.size)
+    ws.zeta[:, t - 1] = zeta_t
+    plan = SweepPlan(model, batch, risk, ws, [agent])
     with kernels.quiet_overflow():
-        stage_backup(model, l_next, risk, q_red)
-        qbar = _averaged_local_q(model, zeta_t, batch, t, q_red, risk, agent)
+        stage_backup(model, l_next, risk, ws.q_red, scratch=plan.scratch)
+        qbar = _averaged_local_q(plan, t, agent)
     if batch is not policy:
         qbar.table, qbar.mass = qbar.table[0], qbar.mass[0]
     return qbar
 
 
-def _as_batch(policy) -> PolicyBatch:
-    return policy if isinstance(policy, PolicyBatch) else PolicyBatch.of(policy)
+class _LocalQLayout:
+    """`_averaged_local_q`'s operands for one agent, laid out once.
 
-
-def _agent_last(x: np.ndarray, agent: int, n: int) -> np.ndarray:
-    """x with its restart axis and agent's axis of every group moved last.
-
-    x has a leading restart axis, one more leading axis, then groups of n
-    per-agent axes (Y_1..Y_N, W_1..W_N, ...). The result is a contiguous
-    copy holding the second leading axis, the co-agents' axes in their
-    order, the restart axis, then agent's axes: the axes in front of the
-    restart axis flatten in the row-major order of the flat joint cells.
+    zeta_t and q_red are copied with the restart axis and the agent's axes
+    of every group moved last, (S, co-agents' axes, R, agent's axes), so
+    that the axes in front of the restart axis flatten in the row-major
+    order of the flat joint cells. The co-agents' stage rows form one
+    (co Y, co W, co A, co Z, R) table: with one co-agent its own rows as a
+    view, with more their product in agent order, every cell the product
+    that the flat joint table holds. `spec` lists the scratch buffers that
+    `bind` takes.
     """
-    groups = range(2, x.ndim, n)
-    co = [g + j for g in groups for j in range(n) if j != agent]
-    return np.ascontiguousarray(
-        x.transpose([1] + co + [0] + [g + agent for g in groups]))
+
+    __slots__ = ("spec", "zeta_in", "q_in", "co_rows", "zeta", "q",
+                 "product", "copi", "work", "part", "b", "table", "mass")
+
+    def __init__(self, model, batch, ws, agent):
+        n, R, T = model.n_agents, batch.size, model.horizon
+        S = model.state_count
+        y_sizes, a_sizes = model.obs_counts, model.action_counts
+        w_sizes = batch.agent_state_sizes
+        co = [j for j in range(n) if j != agent]
+        co_y = tuple(y_sizes[j] for j in co)
+        co_w = tuple(w_sizes[j] for j in co)
+        co_a = tuple(a_sizes[j] for j in co)
+        own, az = (R, y_sizes[agent], w_sizes[agent]), (a_sizes[agent],
+                                                       w_sizes[agent])
+        co_yw, co_az = math.prod(co_y + co_w), math.prod(co_a + co_w)
+        b = (S, co_az) + own + (1, 1)
+        # buffers that never live at once share one region: zeta_t's copy
+        # is spread over the first product before q_red is copied in; the
+        # partial mass is summed into the mass before b is summed out of
+        # the first product, and the table after b has entered the second
+        # product, which reuses the first's region
+        self.spec = [
+            [(S,) + co_y + co_w + own, (S, co_yw, 1) + own + (1, 1),
+             (S,) + co_a + co_w + (R,) + az, (S, co_az, R, 1, 1) + az],
+            [co_y + co_w + co_a + co_w + (R,), (co_yw, co_az, R, 1, 1, 1, 1)]
+            if len(co) > 1 else None,
+            [(S, co_yw) + b[1:], (S, co_az) + own + az],
+            [(co_yw, 1) + own + (1, 1), b, own + az], own]
+        # (R, T, S, Y.., W..) -> (T, S, co Y.., co W.., R, y^i, w^i)
+        self.zeta_in = ws.zeta.reshape(
+            (R, T, S) + y_sizes + w_sizes, copy=False).transpose(
+            1, 2, *[3 + j for j in co], *[3 + n + j for j in co], 0,
+            3 + agent, 3 + n + agent)
+        # (R, S, A.., Z..) -> (S, co A.., co Z.., R, a^i, z^i)
+        self.q_in = ws.q_red.reshape(
+            (R, S) + a_sizes + w_sizes, copy=False).transpose(
+            1, *[2 + j for j in co], *[2 + n + j for j in co], 0, 2 + agent,
+            2 + n + agent)
+        if len(co) == 1:
+            rows = batch.tables[co[0]].reshape(R, T, co_yw, co_az,
+                                               copy=False)
+            self.co_rows = (rows.transpose(1, 2, 3, 0)[..., None, None,
+                                                       None, None],)
+        elif not co:
+            self.co_rows = (np.broadcast_to(1.0, (T, 1, 1, R, 1, 1, 1, 1)),)
+        else:
+            # each co-agent's rows on its own axes of the product
+            m, co_rows = len(co), []
+            for pos, j in enumerate(co):
+                shape = [1] * (4 * m)
+                shape[pos::m] = batch.tables[j].shape[2:]
+                rows = batch.tables[j].reshape((R, T, *shape), copy=False)
+                co_rows.append(rows.transpose(1, *range(2, 2 + 4 * m), 0))
+            self.co_rows = tuple(co_rows)
+
+    def bind(self, bufs):
+        """Take the buffers cut from the plan's arena, as `spec` lists."""
+        ((zeta, zeta_factor, q, q_factor), copi, self.work,
+         (self.part, self.b, self.table), self.mass) = bufs
+        self.zeta, self.q = (zeta, zeta_factor), (q, q_factor)
+        self.product, self.copi = copi or (None, None)
+        self.spec = None
 
 
-def _co_policy(batch: PolicyBatch, t: int, agent: int) -> np.ndarray:
-    """The co-agents' stage-t rows as one (R, co Y, co W, co A, co Z) table.
+class SweepPlan(StagePlan):
+    """A `StagePlan` for one pass of a sweep over `agents`, on the
+    workspace's tensors: q_red, the two alternating value tensors as its
+    targets, and zeta for the averaged local value. Its arena holds the
+    stage backup's `scratch`, the fold's buffers and each agent's
+    `_LocalQLayout` in `local`, none of them in use at once. A pass lays
+    its plan out after its forward step, whose own arena is gone by then."""
 
-    Each co-agent's table is broadcast on its own axes and the factors are
-    multiplied in agent order, so every cell is the product that the flat
-    joint table holds. With one co-agent that is its own table, as a view.
-    """
-    co = [tab[:, t - 1] for j, tab in enumerate(batch.tables) if j != agent]
-    if not co:
-        return np.ones((batch.size, 1))
-    copi = None
-    for pos, tab in enumerate(co):
-        shape = [1] * (4 * len(co))
-        shape[pos::len(co)] = tab.shape[1:]
-        factor = tab.reshape(len(tab), *shape)
-        copi = factor if copi is None else copi * factor
-    return copi
+    __slots__ = ("scratch", "local", "model", "zeta")
+
+    def __init__(self, model: DecPomdpModel, batch: PolicyBatch,
+                 risk: RiskParameter, ws: SolveWorkspace, agents):
+        local = [_LocalQLayout(model, batch, ws, i) for i in agents]
+        super().__init__(batch, risk, ws.q_red, ws.l, [_backup_scratch(
+            model, batch.size, math.prod(batch.agent_state_sizes), risk)],
+            *(lay.spec for lay in local))
+        (self.scratch,), *bufs = self.extra
+        self.extra = None
+        self.local = [None] * model.n_agents
+        for i, lay, lay_bufs in zip(agents, local, bufs):
+            lay.bind(lay_bufs)
+            self.local[i] = lay
+        self.model, self.zeta = model, ws.zeta
 
 
-def _averaged_local_q(model, zeta_t, batch, t, q_red, risk, agent):
-    """averaged_local_q of a batch on the stage's backed-up q_red.
+def _averaged_local_q(plan: SweepPlan, t: int, agent: int) -> AveragedLocalQ:
+    """averaged_local_q of the plan's batch at stage t, on the workspace's
+    zeta_t and backed-up q_red.
 
     zeta_t (R, S, Y, Z) varies along (s, y, w), the co-agents' policy along
     their own (y, w, a, z) axes, q_red (R, S, A, Z) along (s, a, z). The
@@ -255,33 +322,38 @@ def _averaged_local_q(model, zeta_t, batch, t, q_red, risk, agent):
     it already does inside zeta_{t+1}, which the forward step also forms
     in the plain domain.
     """
-    n = model.n_agents
-    R, S = zeta_t.shape[:2]
-    y_sizes, a_sizes = model.obs_counts, model.action_counts
-    w_sizes = batch.agent_state_sizes
-    yw = y_sizes[agent] * w_sizes[agent]
-    az = a_sizes[agent] * w_sizes[agent]
-    co_yw = zeta_t.shape[2] * zeta_t.shape[3] // yw
-    co_az = q_red.shape[2] * q_red.shape[3] // az
-    zeta = _agent_last(zeta_t.reshape(R, S, *y_sizes, *w_sizes), agent, n)
-    zeta = zeta.reshape(S, co_yw, 1, R, yw)
-    copi = _co_policy(batch, t, agent)
-    copi = copi.reshape(R, co_yw, co_az).transpose(1, 2, 0)[..., None]
-    q = _agent_last(q_red.reshape(R, S, *a_sizes, *w_sizes), agent, n)
-    q = q.reshape(S, co_az, R, 1, az)
-    cells = R * yw * az
-    b = np.multiply(zeta, copi).sum(axis=1)
+    lay, risk = plan.local[agent], plan.risk
+    zeta, zeta_factor = lay.zeta
+    q, q_factor = lay.q
+    first, second = lay.work
+    np.copyto(zeta, lay.zeta_in[t - 1])
+    np.add.reduce(zeta_factor, axis=0, out=lay.part)
+    np.add.reduce(lay.part, axis=(0, 1, 5, 6), out=lay.mass)
+    rows = lay.co_rows
+    if len(rows) == 1:
+        copi = rows[0][t - 1]
+    else:
+        np.multiply(rows[0][t - 1], rows[1][t - 1], out=lay.product)
+        for factor in rows[2:]:
+            np.multiply(lay.product, factor[t - 1], out=lay.product)
+        copi = lay.copi
+    # each product starts as a broadcast copy of one factor: a ufunc
+    # buffers every broadcast operand, a copy buffers none (products and
+    # sums commute, so the bits are those of zeta * copi and log b + q)
+    np.copyto(first, copi)
+    np.multiply(first, zeta_factor, out=first)
+    np.add.reduce(first, axis=1, out=lay.b)
+    np.copyto(q, lay.q_in)
+    np.copyto(second, q_factor)
     if risk.is_neutral:
-        table = np.multiply(b[..., None], q).reshape(-1, cells).sum(axis=0)
+        np.multiply(second, lay.b, out=second)
+        np.add.reduce(second, axis=(0, 1), out=lay.table)
     else:
         with np.errstate(divide="ignore"):
-            vals = np.add(np.log(b)[..., None], q).reshape(-1, cells)
-            table = logsumexp(vals, axis=0)
-    mass = zeta.reshape(S, co_yw, R * yw).sum(axis=0).sum(axis=0)
-    shape = (R, y_sizes[agent], w_sizes[agent], a_sizes[agent],
-             w_sizes[agent])
-    return AveragedLocalQ(agent=agent, t=t, table=table.reshape(shape),
-                          mass=mass.reshape(shape[:3]),
+            np.log(lay.b, out=lay.b)
+            np.add(second, lay.b, out=second)
+            logsumexp(second, axis=(0, 1), out=lay.table)
+    return AveragedLocalQ(agent=agent, t=t, table=lay.table, mass=lay.mass,
                           lam=risk.lam, is_plain=risk.is_neutral)
 
 
@@ -294,15 +366,15 @@ def greedy_agent_update(qbar: AveragedLocalQ) -> np.ndarray:
     the table carries through.
     """
     *lead, yi, wi, ai, zi = qbar.table.shape
-    return np.argmax(qbar.table.reshape(*lead, yi, wi, ai * zi), axis=-1)
+    return qbar.table.reshape(*lead, yi, wi, ai * zi).argmax(axis=-1)
 
 
-def _update_agent_at(model, batch, t, zeta_t, q_red, risk, alpha, agent,
-                     live):
+def _update_agent_at(plan: SweepPlan, t: int, agent: int, alpha: float,
+                     live: np.ndarray):
     """Mix the greedy rows of agent at stage t into the live restarts' rows
     of reachable cells; every other row keeps its bytes."""
-    qbar = _averaged_local_q(model, zeta_t, batch, t, q_red, risk, agent)
-    tab = batch.tables[agent][:, t - 1]
+    qbar = _averaged_local_q(plan, t, agent)
+    tab = plan.batch.tables[agent][:, t - 1]
     mixed = mix_policies(tab, greedy_agent_update(qbar), alpha)
     if mixed is not tab:
         write = qbar.reachable & live[:, None, None]
@@ -320,9 +392,10 @@ def sweep(model: DecPomdpModel, policy, lam, alpha: float,
     stage in one pass; `per_agent` runs one pass per agent. Each pass
     recomputes the forward marginals from the incumbent policy before any
     stage is touched: zeta_t only depends on the rows at stages before t,
-    which the T..t walk has not yet modified. Returns the risk objective
-    read off the last pass's L_1: a float for a JointPolicy, an array with
-    one entry per restart for a PolicyBatch.
+    which the T..t walk has not yet modified. Each pass then lays its stages
+    out once, in a `SweepPlan`. Returns the risk objective read off the last
+    pass's L_1: a float for a JointPolicy, an array with one entry per
+    restart for a PolicyBatch.
     """
     risk = finite_risk(lam, "sweep")
     if ordering == "sequential":
@@ -345,18 +418,28 @@ def sweep(model: DecPomdpModel, policy, lam, alpha: float,
                          f"({batch.size},), one flag per restart")
     with kernels.quiet_overflow():
         for group in groups:
-            forward_marginals(model, batch, out=ws.zeta)
-            l_next, l_cur = ws.l_a, ws.l_b
-            l_next[:] = 0.0
-            for t in range(model.horizon, 0, -1):
-                stage_backup(model, l_next, risk, ws.q_red)
-                for i in group:
-                    _update_agent_at(model, batch, t, ws.zeta[:, t - 1],
-                                     ws.q_red, risk, alpha, i, live)
-                fold_stage(batch, t, ws.q_red, risk, l_cur)
-                l_next, l_cur = l_cur, l_next
+            l_next = _sweep_pass(model, batch, risk, ws, group, alpha, live)
     return aggregate_initial(model, policy,
                              l_next if batch is policy else l_next[0], risk)
+
+
+def _sweep_pass(model, batch, risk, ws, agents, alpha, live) -> np.ndarray:
+    """One T..1 pass updating `agents` at every stage; returns L_1.
+
+    The pass's plan is laid out after its forward step and dropped on
+    return, so neither's scratch outlives its step.
+    """
+    forward_marginals(model, batch, out=ws.zeta)
+    plan = SweepPlan(model, batch, risk, ws, agents)
+    l_next = ws.l[0]
+    l_next[...] = 0.0
+    for t in range(model.horizon, 0, -1):
+        stage_backup(model, l_next, risk, ws.q_red, scratch=plan.scratch)
+        for i in agents:
+            _update_agent_at(plan, t, i, alpha, live)
+        # L_{T+1} = 0 sits in l[0], so L_t lands there for even t
+        l_next = plan.fold(t, t % 2)
+    return l_next
 
 
 def _check_initial_policy(model: DecPomdpModel, z_sizes, policy: JointPolicy):
@@ -383,7 +466,8 @@ def rscpi(model: DecPomdpModel, config: SolverConfig,
     by one `sweep` under the annealed tilt, then one `evaluate_exact` of the
     whole batch values each exactly; a masked restart's rows are unchanged,
     so its value is only read while it runs.
-    Convergence is only checked once the tilt has reached zero: a restart
+    Convergence is only checked once the tilt counts as zero, by the rule
+    `RiskParameter.is_neutral` under which a sweep runs untilted: a restart
     stops when its sweep's risk objective improves by less than tol, and is
     masked out of the sweeps that follow. The best restart is chosen by
     exact value, ties keeping the earliest (lowest) seed.
@@ -408,19 +492,24 @@ def rscpi(model: DecPomdpModel, config: SolverConfig,
     batch = PolicyBatch.stack((draw(r) for r in range(R)), R)
     alpha = 1.0 if config.disable_cpi else config.alpha
     live = np.ones(R, dtype=bool)
+    running = list(range(R))
     traces = [[] for _ in range(R)]
     prev = [None] * R
     for k in range(1, config.max_sweeps + 1):
         lam_k = config.lam_at(k)
+        untilted = RiskParameter(lam_k).is_neutral
         j_risk = sweep(model, batch, lam_k, alpha, config.ordering, ws, live)
         j_exact = evaluate_exact(model, batch)
-        for r in np.flatnonzero(live):
-            traces[r].append((lam_k, float(j_risk[r]), float(j_exact[r])))
-            if lam_k == 0.0:
+        # Python floats and lists keep the bookkeeping between steps cheap
+        j_risk, j_exact = j_risk.tolist(), j_exact.tolist()
+        for r in running:
+            traces[r].append((lam_k, j_risk[r], j_exact[r]))
+            if untilted:
                 if prev[r] is not None and j_risk[r] - prev[r] < config.tol:
                     live[r] = False
                 prev[r] = j_risk[r]
-        if not live.any():
+        running = [r for r in running if live[r]]
+        if not running:
             break
     best = max(range(R), key=lambda r: traces[r][-1][2])   # earliest of ties
     trace = traces[best]

@@ -369,17 +369,15 @@ def mix_policies(old_slice, new: DeterministicAgentSlice,
     return mixed / sums
 
 
-def update_agent_at_incumbent(model, batch, t, zeta_t, q_red, risk, alpha,
-                              agent, live):
+def update_agent_at_incumbent(plan, t, agent, alpha, live):
     """The solver's `_update_agent_at` on the (incumbent-fallback greedy,
     DeterministicAgentSlice mix) pair above; returns the averaged local
     value it updated against."""
     import numpy as np
     from rscpi import solver
 
-    qbar = solver._averaged_local_q(model, zeta_t, batch, t, q_red, risk,
-                                    agent)
-    tab = batch.tables[agent][:, t - 1]
+    qbar = solver._averaged_local_q(plan, t, agent)
+    tab = plan.batch.tables[agent][:, t - 1]
     mixed = mix_policies(tab, greedy_agent_update(qbar, tab), alpha)
     if mixed is not tab:
         write = qbar.reachable & live[:, None, None]
@@ -508,6 +506,37 @@ def averaged_local_q_loops(zeta, copi, q_red, y_sizes, w_sizes, a_sizes,
     return table, mass
 
 
+def agent_last(x, agent, n):
+    """x with its restart axis and agent's axis of every group moved last.
+
+    x has a leading restart axis, one more leading axis, then groups of n
+    per-agent axes (Y_1..Y_N, W_1..W_N, ...). The result is a contiguous
+    copy holding the second leading axis, the co-agents' axes in their
+    order, the restart axis, then agent's axes.
+    """
+    import numpy as np
+
+    groups = range(2, x.ndim, n)
+    co = [g + j for g in groups for j in range(n) if j != agent]
+    return np.ascontiguousarray(
+        x.transpose([1] + co + [0] + [g + agent for g in groups]))
+
+
+def q_values(qbar):
+    """An AveragedLocalQ's normalized Q-bar, unreachable cells set to nan:
+    table / mass at lam = 0, (table - log mass) / lam at lam > 0."""
+    import numpy as np
+
+    out = np.full(qbar.table.shape, np.nan)
+    ok = qbar.reachable
+    if qbar.is_plain:
+        out[ok] = qbar.table[ok] / qbar.mass[ok][:, None, None]
+    else:
+        out[ok] = (qbar.table[ok]
+                   - np.log(qbar.mass[ok])[:, None, None]) / qbar.lam
+    return out
+
+
 def averaged_local_q_flat(model, zeta_t, batch, t, q_red, risk, agent):
     """solver._averaged_local_q by the full product, a drop-in replacement.
 
@@ -521,7 +550,7 @@ def averaged_local_q_flat(model, zeta_t, batch, t, q_red, risk, agent):
     """
     import numpy as np
 
-    from rscpi.solver import AveragedLocalQ, _agent_last
+    from rscpi.solver import AveragedLocalQ
 
     n = model.n_agents
     R, S = zeta_t.shape[:2]
@@ -531,11 +560,11 @@ def averaged_local_q_flat(model, zeta_t, batch, t, q_red, risk, agent):
     az = a_sizes[agent] * w_sizes[agent]
     co_yw = zeta_t.shape[2] * zeta_t.shape[3] // yw
     co_az = q_red.shape[2] * q_red.shape[3] // az
-    zeta = _agent_last(zeta_t.reshape(R, S, *y_sizes, *w_sizes), agent, n)
+    zeta = agent_last(zeta_t.reshape(R, S, *y_sizes, *w_sizes), agent, n)
     zeta = zeta.reshape(S, co_yw, 1, R, yw, 1)
     copi = co_policy_gather(batch, t, agent)
     copi = copi.reshape(R, co_yw, co_az).transpose(1, 2, 0)[..., None, None]
-    q = _agent_last(q_red.reshape(R, S, *a_sizes, *w_sizes), agent, n)
+    q = agent_last(q_red.reshape(R, S, *a_sizes, *w_sizes), agent, n)
     q = q.reshape(S, 1, co_az, R, 1, az)
     cells = R * yw * az
     if risk.is_neutral:

@@ -152,6 +152,25 @@ class TestBenchmarkContract:
         assert bench.check(rscpi, workload, inputs, out,
                            use_reference=True) == []
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_synthetic_large_off_the_reference_seed(self, monkeypatch, seed):
+        """synthetic-large is the only workload with one restart, agent-state
+        sizes (3, 3) and four actions and observations per agent, and seeds
+        other than 0 run without the reference gate. Two operations under
+        the StepTimer make equal steps of every kind and pass the gate's
+        invariants, or the benchmark would stop the run with exit code 2."""
+        bench = load_bench(monkeypatch)
+        inputs = bench.build_inputs(rscpi, "synthetic-large", seed)
+        outs = []
+        steps, (first, second) = step_counts("solve", lambda: outs.append(
+            bench.run_op(rscpi, "synthetic-large", inputs, seed)))
+        assert first == second
+        for name, _ in steps:
+            assert any(label.split("[")[0] == name for label in first), name
+        for out in outs:
+            assert bench.check(rscpi, "synthetic-large", inputs, out,
+                               use_reference=False) == []
+
     def test_public_names(self):
         for name in rscpi.__all__:
             assert getattr(rscpi, name) is not None, name

@@ -305,7 +305,7 @@ class TestBatchedKernels:
         csr = (b["indptr"], b["sp"], b["yp"], b["logp"])
         got_q, got_l = np.empty((R, S, A, Z)), np.empty((R, S, Y, Z))
         kernels.tilted_q_log(*csr, lam_r, x["l_next"], got_q,
-                             pad=kernels.pad_support(*csr))
+                             pad=kernels.pad_support(*csr, b["Y"]))
         fold_stage(x["batch"], 1, x["q_red"], risk, got_l)
         for r in range(R):
             want_q, want_l = np.empty((S, A, Z)), np.empty((S, Y, Z))

@@ -439,15 +439,18 @@ class TestSerializeCanonical:
     @pytest.mark.parametrize("text", [
         dectiger_text(), recycling_text(), full_file(),
         full_file(values="cost"),
-    ], ids=["dectiger", "recycling", "small", "cost"])
+        full_file("R: 0 1 : 0 : 1 : 0 0 : -0.0"),
+    ], ids=["dectiger", "recycling", "small", "cost", "negative-zero"])
     def test_round_trip_is_bitwise_and_a_fixpoint(self, text):
+        """An explicit -0.0 reward is stored as +0.0: the canonical text
+        writes only nonzero cells, so a re-parse holds +0.0 there."""
         raw1 = parse_ok(text)
         canon = serialize_canonical(raw1)
         raw2 = parse_ok(canon)
         t1 = compile_tables(raw1)[:3]
         t2 = compile_tables(raw2)[:3]
         for a, b in zip(t1, t2):
-            assert np.array_equal(a, b)
+            assert a.tobytes() == b.tobytes()
         assert serialize_canonical(raw2) == canon
 
     def test_cost_round_trip_is_equal_byte_for_byte(self):

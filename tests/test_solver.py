@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from _benchmarks import (dectiger_model, deterministic_policy,
-                         fully_observed_model, random_model, random_policy_for)
-from oracles import (averaged_local_q_flat, logmeanexp_direct,
+                         fully_observed_model, random_model, random_policy_for,
+                         recycling_model)
+from oracles import (averaged_local_q_flat, logmeanexp_direct, q_values,
                      risk_vi_reference, update_agent_at_incumbent,
                      weighted_logmeanexp)
 from rscpi import kernels, solver
@@ -47,6 +48,12 @@ def matrix_qbar(p2, lam):
     zeta1 = np.ones((1, 1, 1))
     l_next = np.zeros((1, 1, 1))
     return averaged_local_q(model, zeta1, policy, 1, l_next, lam, 0)
+
+
+def flat_local_q(plan, t, agent):
+    """`averaged_local_q_flat` on the operands of a sweep's plan."""
+    return averaged_local_q_flat(plan.model, plan.zeta[:, t - 1], plan.batch,
+                                 t, plan.q_red, plan.risk, agent)
 
 
 def value_stack(model, policy):
@@ -199,17 +206,17 @@ class TestAveragedLocalQ:
         qbar = matrix_qbar(p2=0.9, lam=0.0)
         assert qbar.is_plain
         assert np.all(qbar.reachable)
-        q = qbar.q_values()[0, 0, :, 0]
+        q = q_values(qbar)[0, 0, :, 0]
         np.testing.assert_allclose(q, [0.8, -8.4], atol=1e-12)
 
     def test_matrix_game_tilted_ordering_flips(self):
         qbar = matrix_qbar(p2=0.9, lam=1.0)
-        q = qbar.q_values()[0, 0, :, 0]
+        q = q_values(qbar)[0, 0, :, 0]
         want_a = logmeanexp_direct([0.9, 0.1], [2.0, -10.0], 1.0)
         want_b = logmeanexp_direct([0.9, 0.1], [-10.0, 6.0], 1.0)
         np.testing.assert_allclose(q, [want_a, want_b], atol=1e-12)
         assert q[1] > q[0]  # the 0.1 e^6 tail wins under the tilt
-        neutral = matrix_qbar(p2=0.9, lam=0.0).q_values()[0, 0, :, 0]
+        neutral = q_values(matrix_qbar(p2=0.9, lam=0.0))[0, 0, :, 0]
         assert neutral[0] > neutral[1]
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
@@ -224,7 +231,7 @@ class TestAveragedLocalQ:
         l_next = np.zeros((3, 3, 1))
         qbar = averaged_local_q(model, zeta1, policy, 1, l_next, lam, 0)
         assert np.all(qbar.reachable)
-        q = qbar.q_values()[:, 0, :, 0]
+        q = q_values(qbar)[:, 0, :, 0]
         np.testing.assert_allclose(q, r, atol=1e-12)
 
     def test_unreachable_cells_flagged(self):
@@ -238,7 +245,7 @@ class TestAveragedLocalQ:
                                 np.zeros((3, 3, 1)), 0.0, 0)
         np.testing.assert_array_equal(qbar.reachable[:, 0],
                                       [True, True, False])
-        assert np.all(np.isnan(qbar.q_values()[2]))
+        assert np.all(np.isnan(q_values(qbar)[2]))
 
     def test_mass_is_cell_marginal(self):
         model = dectiger_model(horizon=3)
@@ -265,7 +272,7 @@ class TestAveragedLocalQ:
         policy = JointPolicy(horizon=1, agent_state_sizes=(1, 1), tables=tabs)
         qbar = averaged_local_q(model, np.ones((1, 1, 1)), policy, 1,
                                 np.zeros((1, 1, 1)), 1.0, 0)
-        q = qbar.q_values()[0, 0, :, 0]
+        q = q_values(qbar)[0, 0, :, 0]
         want = [logmeanexp_direct([1.0, 1e-200], row, 1.0)
                 for row in ([1.0, 1.0], [0.0, 600.0])]
         np.testing.assert_allclose(q, want, rtol=0, atol=1e-12)
@@ -356,10 +363,9 @@ class TestFactoredLocalQ:
         factored = solver._averaged_local_q
         clear_cells = []
 
-        def checked(model, zeta_t, batch, t, q_red, risk, agent):
-            got = factored(model, zeta_t, batch, t, q_red, risk, agent)
-            want = averaged_local_q_flat(model, zeta_t, batch, t, q_red,
-                                         risk, agent)
+        def checked(plan, t, agent):
+            got = factored(plan, t, agent)
+            want = flat_local_q(plan, t, agent)
             np.testing.assert_allclose(got.table, want.table, rtol=0,
                                        atol=1e-12)
             assert np.array_equal(got.mass, want.mass)
@@ -393,40 +399,78 @@ class TestFactoredLocalQ:
                               max_sweeps=8, restarts=2, seed=0,
                               z_sizes=(2, 2))
         got = rscpi(model, config)
-        monkeypatch.setattr(solver, "_averaged_local_q",
-                            averaged_local_q_flat)
+        monkeypatch.setattr(solver, "_averaged_local_q", flat_local_q)
         want = rscpi(model, config)
         assert got.trace == want.trace
         assert got.sweeps == want.sweeps == 8
 
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     def test_peak_memory_on_the_large_synthetic_shape(self, lam):
-        """One call at S=8, A^i=Y^i=4, Z^i=3 and one restart peaks under
-        0.6 MB; the full product, S*co_yw*co_az*yw*az = 165,888 floats,
-        peaks above it."""
+        """One call at S=8, A^i=Y^i=4, Z^i=3 and one restart, with its
+        buffers in the plan's arena, holds under 0.6 MB; the full product,
+        S*co_yw*co_az*yw*az = 165,888 floats, peaks above it."""
         model = random_model(np.random.default_rng(0), n_states=8,
                              action_counts=(4, 4), obs_counts=(4, 4),
                              horizon=2, init_obs_mode="uniform_observation")
         batch = PolicyBatch.of(random_policy_for(model, (3, 3), seed=1))
-        zeta_t = forward_marginals(model, batch).at(2)
         risk = RiskParameter(lam)
-        q_red = np.empty((1, 8, 16, 9))
+        ws = SolveWorkspace(model, (3, 3))
+        forward_marginals(model, batch, out=ws.zeta)
         with kernels.quiet_overflow():
-            stage_backup(model, np.zeros((1, 8, 16, 9)), risk, q_red)
+            stage_backup(model, np.zeros((1, 8, 16, 9)), risk, ws.q_red)
 
         def peak_mb(local_q):
-            args = (model, zeta_t, batch, 2, q_red, risk)
-            local_q(*args, 0)   # warm-up outside the measurement
+            local_q(0)   # warm-up outside the measurement
             tracemalloc.start()
             try:
                 for agent in (0, 1):
-                    local_q(*args, agent)
+                    local_q(agent)
                 return tracemalloc.get_traced_memory()[1] / 1e6
             finally:
                 tracemalloc.stop()
 
-        assert peak_mb(solver._averaged_local_q) < 0.6
-        assert peak_mb(averaged_local_q_flat) > 0.6
+        # the plan's arena holds each agent's buffers in one phase; a call
+        # may allocate more on top of the largest
+        plan = solver.SweepPlan(model, batch, risk, ws, [0, 1])
+        held = max(8 * sum(max(map(math.prod, entry))
+                           if isinstance(entry, list) else math.prod(entry)
+                           for entry in solver._LocalQLayout(
+                               model, batch, ws, agent).spec
+                           if entry is not None)
+                   for agent in (0, 1)) / 1e6
+        assert held + peak_mb(lambda agent: solver._averaged_local_q(
+            plan, 2, agent)) < 0.6
+        assert peak_mb(lambda agent: flat_local_q(plan, 2, agent)) > 0.6
+
+
+class TestStagePlanScratch:
+    """A sweep or an exact evaluation lays its stages out once per call,
+    in scratch whose size does not depend on T: a per-stage list of views
+    held for the call would add hundreds of KB at T = 400."""
+
+    @staticmethod
+    def warm_peak_kb(step):
+        step()   # warm-up outside the measurement
+        tracemalloc.start()
+        try:
+            step()
+            return tracemalloc.get_traced_memory()[1] / 1e3
+        finally:
+            tracemalloc.stop()
+
+    def peaks_kb(self, horizon):
+        model = recycling_model(horizon=horizon)
+        batch = PolicyBatch.stack(
+            [random_policy_for(model, (2, 2), seed=r) for r in range(3)], 3)
+        ws = SolveWorkspace(model, (2, 2), restarts=3)
+        return (self.warm_peak_kb(lambda: evaluate_exact(model, batch)),
+                self.warm_peak_kb(lambda: sweep(model, batch, 0.0, 0.3,
+                                                workspace=ws)))
+
+    def test_peaks_do_not_grow_with_the_horizon(self):
+        short, long = self.peaks_kb(10), self.peaks_kb(400)
+        for what, a, b in zip(("evaluate_exact", "sweep"), short, long):
+            assert b - a <= 48.0, (what, a, b)
 
 
 class TestGreedyAgentUpdate:
@@ -483,7 +527,7 @@ class TestGreedyAgentUpdate:
                                         tilted[2], lam, agent)
                 yi, wi, ai, zi = qbar.table.shape
                 flat_w = qbar.table.reshape(yi, wi, ai * zi)
-                flat_q = qbar.q_values().reshape(yi, wi, ai * zi)
+                flat_q = q_values(qbar).reshape(yi, wi, ai * zi)
                 for y in range(yi):
                     for w in range(wi):
                         if qbar.mass[y, w] > 0:
@@ -556,9 +600,9 @@ class TestStageBackups:
         calls = []
         backup = solver.stage_backup
 
-        def counted(model, l_next, risk, out):
+        def counted(model, l_next, risk, out, **scratch):
             calls.append(risk.lam)
-            return backup(model, l_next, risk, out)
+            return backup(model, l_next, risk, out, **scratch)
 
         monkeypatch.setattr(solver, "stage_backup", counted)
         model = random_model(np.random.default_rng(19), horizon=4)
@@ -816,6 +860,18 @@ class TestRscpi:
                               z_sizes=(1, 1))
         result = rscpi(model, config)
         assert result.sweeps >= 4  # 3 annealed + at least one at zero
+
+    def test_convergence_counts_below_the_neutral_threshold(self):
+        """A tilt below RiskParameter's 1e-9 threshold runs untilted, so it
+        is checked for convergence too: at lambda0 = 1e-10 each restart
+        stops while the schedule is still above 0."""
+        model = matrix_game_model(MATRIX_PAYOFFS)
+        config = SolverConfig(lambda0=1e-10, anneal_sweeps=10, alpha=1.0,
+                              max_sweeps=30, restarts=2, seed=2,
+                              z_sizes=(1, 1))
+        result = rscpi(model, config)
+        assert result.sweeps < config.anneal_sweeps
+        assert all(0.0 < lam < 1e-9 for lam, _, _ in result.trace)
 
     def test_restarts_return_best_exact_value(self):
         model = dectiger_model(horizon=2)
