@@ -14,15 +14,17 @@ agent at a time, by a batched matmul at lam = 0 and a logsumexp at lam > 0.
 
 Every layout of a stage depends only on the model's sizes, the agent-state
 sizes, the restart count and the agent: its pair and unpair permutations,
-its reshape targets and its matmul operands. So `forward_marginals` and
-`backward` lay their stages out once per call, the fold in a `StagePlan`:
-`_scratch` cuts one flat float64 arena into the buffers the stages write,
-phases that never run at once sharing its memory, and the strided views of
-those buffers and of the tensors the recursion reads and writes are formed
-with it. A stage forms only the views of its policy rows (stage t - 1 of a
-table) and runs `np.copyto`, `np.matmul(out=)` and ufuncs with `out=` on the
-prepared operands. The arena is transient scratch of a size that does not
-depend on T; `solver.SolveWorkspace.peak_floats` does not count it.
+its reshape targets and its matmul operands. So the stages are laid out
+once, the fold in a `StagePlan`: `_scratch` cuts one flat float64 arena
+into the buffers the stages write, phases that never run at once sharing
+its memory, and the strided views of those buffers and of the tensors the
+recursion reads and writes are formed with it. A stage forms only the views
+of its policy rows (stage t - 1 of a table) and runs `np.copyto`,
+`np.matmul(out=)` and ufuncs with `out=` on the prepared operands. The
+arena's size does not depend on T; `solver.SolveWorkspace.peak_floats` does
+not count it. A lone `forward_marginals` or `backward` call lays its stages
+out for itself; a solve keeps one layout on its `solver.SolveWorkspace`,
+which its forward steps (`scratch=`) and exact evaluations share.
 
 The forward marginals, both steps, `backward`, `evaluate_exact` and
 `evaluate_risk` also take a `PolicyBatch`: its leading restart axis leads
@@ -107,9 +109,9 @@ def _as_batch(policy) -> PolicyBatch:
     return PolicyBatch.of(policy)
 
 
-def _scratch(*phases):
+def _scratch(*phases, arena=None):
     """C-ordered float64 buffers of the given shapes, cut from one flat
-    arena.
+    arena: `arena` when given, else a new one.
 
     Each phase lists the buffers in use together: a shape, a list of shapes
     that view one region in turn, or None for no buffer. Every phase starts
@@ -136,7 +138,9 @@ def _scratch(*phases):
             at += n + (n & 1)
         specs.append(spec)
         top = max(top, at)
-    arena = np.empty(top)
+    arena = np.empty(top) if arena is None else arena
+    if arena.size < top:
+        raise ValueError(f"scratch holds {arena.size} floats, needs {top}")
     out = []
     for phase, spec in zip(phases, specs):
         if spec is None:
@@ -154,6 +158,12 @@ def _scratch(*phases):
             bufs.append(views if type(entry) is list else views[0])
         out.append(bufs)
     return out
+
+
+def _reserve(shapes) -> tuple:
+    """The shape of one flat buffer as long as `_scratch` lays `shapes` out
+    in one phase: a phase of it reserves their room without their views."""
+    return (sum(n + (n & 1) for n in map(math.prod, shapes)),)
 
 
 def _paired_view(x: np.ndarray, firsts, seconds) -> np.ndarray:
@@ -254,15 +264,27 @@ def _check_out(out, shape):
         raise ValueError(f"out has dtype {out.dtype}, expected float64")
 
 
+def _forward_shapes(model: DecPomdpModel, R: int, w_sizes) -> list:
+    """The buffers `forward_marginals` cuts for R restarts of agent-state
+    sizes w_sizes: the contraction's, occupancy, next marginal, mass."""
+    S, Y = model.state_count, model.joint_obs_count
+    A, Z = model.joint_action_count, math.prod(w_sizes)
+    ks = [y * w for y, w in zip(model.obs_counts, w_sizes)]
+    js = [a * w for a, w in zip(model.action_counts, w_sizes)]
+    return (_Contraction.shapes(R, S, ks, js, False)
+            + [(R, S, A, Z), (R, Z, S * Y), (R,)])
+
+
 def forward_marginals(model: DecPomdpModel, policy: JointPolicy,
-                      out=None) -> MarginalTrajectory:
+                      out=None, scratch=None) -> MarginalTrajectory:
     """Forward recursion for zeta_t(s, y, z_), t = 1..T.
 
     zeta_1 = zeta1 (x) phi; each later step trades each agent's (y^i, w^i)
     axes of the occupancy for its (a^i, z^i) under the previous policy rows
     and pushes the result through the joint dynamics. Each tensor is
     renormalized when its mass drifts within 1e-8 of 1, and errors beyond.
-    The step's operands are laid out once per call in one scratch arena.
+    The step's operands are laid out once per call, in `_forward_shapes`
+    buffers cut from `scratch`, a flat float64 arena, or a new arena.
     """
     _check_dims(model, policy)
     S, Y = model.state_count, model.joint_obs_count
@@ -273,15 +295,14 @@ def forward_marginals(model: DecPomdpModel, policy: JointPolicy,
     T = model.horizon
     phi = joint_phi(policy)
     _check_out(out, phi.shape[:-1] + (T, S, Y, Z))
-    zetas = out if out is not None else np.zeros(phi.shape[:-1] + (T, S, Y, Z))
-    zetas[..., 0, :, :, :] = model.zeta1[:, :, None] * phi[..., None, None, :]
     batch = _as_batch(policy)
     R = batch.size
+    bufs, = _scratch(_forward_shapes(model, R, w_sizes), arena=scratch)
+    zetas = out if out is not None else np.zeros(phi.shape[:-1] + (T, S, Y, Z))
+    zetas[..., 0, :, :, :] = model.zeta1[:, :, None] * phi[..., None, None, :]
     by_stage = (zetas if batch is policy else zetas[None]).swapaxes(0, 1)
     ks = [y * w for y, w in zip(y_sizes, w_sizes)]
     js = [a * w for a, w in zip(a_sizes, w_sizes)]
-    bufs, = _scratch(_Contraction.shapes(R, S, ks, js, False)
-                     + [(R, S, A, Z), (R, Z, S * Y), (R,)])
     *steps, occ, nxt, total = bufs
     contract = _Contraction(batch, ks, js, False, steps, forward=True)
     pair_in = _paired_view(by_stage, y_sizes, w_sizes)
@@ -403,34 +424,39 @@ def stage_backup(model: DecPomdpModel, l_next: np.ndarray,
 
 
 class StagePlan:
-    """The operands of one backward recursion's folds, laid out once.
+    """The operands of a backward recursion's folds, laid out once.
 
-    A plan serves one call of `backward`, `fold_stage` or `solver.sweep`:
-    one policy batch, one lam, the q_red tensor (R, S, A, Z) that
-    `stage_backup` fills and a stack `targets` (K, R, S, Y, Z) of the value
-    tensors L_t is folded into. It cuts one scratch arena into the fold's
-    buffers and the buffers of `phases`, which it leaves in `extra` (see
-    `_scratch`). The plan holds views of its arrays and of the policy's
-    tables, none per stage, so its size does not depend on T; a stage forms
-    only its rows' views. `batched=False` names a caller without a restart
-    axis in its errors.
+    A plan serves one policy batch, one regime of `risk` (tilted or not),
+    the q_red tensor (R, S, A, Z) that `stage_backup` fills and a stack
+    `targets` (K, R, S, Y, Z) of the value tensors L_t is folded into. It
+    cuts one scratch `arena` into the fold's buffers, the stage backup's
+    `scratch` when it is given the `model` whose stages it backs up, and
+    the buffers of `phases`, which it leaves in `extra` (see `_scratch`).
+    The plan holds views of its arrays and of the policy's tables, none per
+    stage, so its size does not depend on T; a stage forms only its rows'
+    views. `batched=False` names a caller without a restart axis in its
+    errors.
     """
 
     __slots__ = ("contract", "q_in", "q_out", "folded", "targets", "paired",
-                 "batch", "risk", "q_red", "batched", "extra")
+                 "batch", "risk", "q_red", "batched", "extra", "scratch",
+                 "arena")
 
     def __init__(self, batch: PolicyBatch, risk: RiskParameter,
                  q_red: np.ndarray, targets: np.ndarray, *phases,
-                 batched: bool = True):
-        R, S = q_red.shape[:2]
+                 model: DecPomdpModel = None, batched: bool = True):
+        R, S, _, Z = q_red.shape
         sizes = [tab.shape[2:] for tab in batch.tables]   # (Y, W, A, Z)
         a_w = tuple(d for _, w, a, _ in sizes for d in (a, w))
         y_w = tuple(d for y, w, _, _ in sizes for d in (y, w))
         ks = [a * w for _, w, a, _ in sizes]
         js = [y * w for y, w, _, _ in sizes]
         logs = not risk.is_neutral
-        fold, *self.extra = _scratch(
-            _Contraction.shapes(R, S, ks, js, logs), *phases)
+        backup = [None if model is None
+                  else _backup_scratch(model, R, Z, risk)]
+        fold, (self.scratch,), *self.extra = _scratch(
+            _Contraction.shapes(R, S, ks, js, logs), backup, *phases)
+        self.arena = fold[0].base   # every buffer views the one arena
         self.contract = _Contraction(batch, ks, js, logs, fold)
         self.q_in = _paired_view(q_red, a_w[::2], a_w[1::2])
         self.q_out = fold[0].reshape((R, S) + a_w)
@@ -504,24 +530,43 @@ def backward(model: DecPomdpModel, policy: JointPolicy, lam,
     else:
         targets = (out if batch is policy else out[None]).swapaxes(0, 1)
         l_next = np.zeros((R, S, Y, Z))
-    plan = StagePlan(batch, risk, q_red, targets,
-                     [_backup_scratch(model, R, Z, risk)],
+    plan = StagePlan(batch, risk, q_red, targets, model=model,
                      batched=batch is policy)
-    (scratch,), = plan.extra
-    with kernels.quiet_overflow():
-        for t in range(T, 0, -1):
-            stage_backup(model, l_next, risk, q_red, scratch=scratch)
-            l_next = plan.fold(t, t % 2 if out is None else t - 1)
+    l_next = _recurse(model, plan, l_next, alternate=out is None)
     return l_next if batch is policy else l_next[0]
 
 
-def evaluate_exact(model: DecPomdpModel, policy: JointPolicy):
+def _recurse(model: DecPomdpModel, plan: StagePlan, l_next: np.ndarray,
+            alternate: bool = True) -> np.ndarray:
+    """Stages t = T..1 on the plan from L_{T+1} = l_next; returns L_1, L_t
+    folded into targets[t % 2] if `alternate`, else into targets[t - 1]."""
+    with kernels.quiet_overflow():
+        for t in range(model.horizon, 0, -1):
+            stage_backup(model, l_next, plan.risk, plan.q_red,
+                         scratch=plan.scratch)
+            l_next = plan.fold(t, t % 2 if alternate else t - 1)
+    return l_next
+
+
+def evaluate_exact(model: DecPomdpModel, policy: JointPolicy,
+                   workspace=None):
     """Risk-neutral J: the lam = 0 backward recursion, then the expectation
     over zeta1 (x) phi. A float for a JointPolicy, one value per restart for
-    a PolicyBatch. Raises NumericError when a value overflows."""
+    a PolicyBatch. Raises NumericError when a value overflows. With a
+    `solver.SolveWorkspace`, it recurses on the workspace's layout.
+    """
     risk = RiskParameter(0.0)
-    return aggregate_initial(model, policy, backward(model, policy, risk),
-                             risk)
+    if workspace is None:
+        l1 = backward(model, policy, risk)
+    else:
+        batch = _as_batch(policy)
+        plan = workspace.layout(model, batch, risk)
+        l_next = plan.targets[0]
+        l_next[...] = 0.0
+        l1 = _recurse(model, plan, l_next)
+        if batch is not policy:
+            l1 = l1[0]
+    return aggregate_initial(model, policy, l1, risk)
 
 
 def evaluate_risk(model: DecPomdpModel, policy: JointPolicy, lam):
@@ -540,24 +585,34 @@ def aggregate_initial(model: DecPomdpModel, policy: JointPolicy,
                       l1: np.ndarray, risk: RiskParameter):
     """Fold L_1 with zeta1 (x) phi into the scalar objective.
 
-    A PolicyBatch folds each restart alone on its slice of L_1 and its row
-    of the batch's joint phi, into an array with one value per restart.
+    A PolicyBatch folds all restarts in one call, into an array with one
+    value per restart, each restart getting the bits it gets alone; a
+    JointPolicy is the batch of one, its value a float.
     """
     phi = joint_phi(policy)
     if isinstance(policy, PolicyBatch):
-        return np.array([_aggregate(model.zeta1, p, l, risk)
-                         for p, l in zip(phi, l1)])
-    return _aggregate(model.zeta1, phi, l1, risk)
+        return _aggregate(model.zeta1, phi, l1, risk)
+    return float(_aggregate(model.zeta1, phi[None], l1[None], risk)[0])
 
 
-def _aggregate(zeta1, phi, l1, risk: RiskParameter) -> float:
+def _aggregate(zeta1, phi, l1, risk: RiskParameter) -> np.ndarray:
+    """The objective of each restart from its joint phi (R, Z) and L_1
+    (R, S, Y, Z)."""
     if risk.is_neutral:
-        return float(np.einsum("sy,z,syz->", zeta1, phi, l1))
+        if zeta1.size == 2 and len(phi) > 1:
+            # numpy's einsum sums a batch of two-cell zeta1 in another order
+            # than it sums one restart's
+            return np.concatenate([_aggregate(zeta1, p[None], x[None], risk)
+                                   for p, x in zip(phi, l1)])
+        return np.einsum("sy,rz,rsyz->r", zeta1, phi, l1)
     with np.errstate(divide="ignore"):
-        logw = np.log(zeta1)[:, :, None] + np.log(phi)[None, None, :]
-    x = logw + l1
-    m = x.max()
-    return float((m + np.log(np.exp(x - m).sum())) / risk.lam)
+        x = np.log(zeta1)[None, :, :, None] + np.log(phi)[:, None, None, :]
+    x += l1
+    x = x.reshape(len(x), -1)
+    m = x.max(axis=1, keepdims=True)
+    x -= m
+    acc = np.exp(x, out=x).sum(axis=1)
+    return (m[:, 0] + np.log(acc)) / risk.lam
 
 
 def rollout_monte_carlo(model: DecPomdpModel, policy: JointPolicy,

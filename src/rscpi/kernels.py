@@ -13,7 +13,7 @@ is one numpy reduction at either lambda: it sums the co-agents' (y, w) axes
 out of zeta * copi before the backup is broadcast in. That first sum adds
 plain probabilities at either lambda; at lambda > 0 only the second, over
 the backed-up values, is a logsumexp with the per-output-cell shift. The
-recursions lay those steps out once per call (see `evaluation`); the
+recursions lay those steps out once (see `evaluation`); the
 backup's largest intermediate, the gathered successors, lands in the
 `scratch=` buffer they cut from their arena.
 

@@ -15,18 +15,20 @@ a leading restart axis, and each restart's rows come out bit for bit as if
 swept alone. A restart that has converged is masked, not dropped: its rows
 are no longer written, so it stays frozen while the others go on.
 
-Each pass of a sweep lays its stages out once, in a `SweepPlan`: one flat
-float64 scratch arena holds the stage backup's intermediate, the fold's
-buffers and each agent's `_LocalQLayout`, phases that never run at once
-sharing its memory, and the plan holds the strided views of the arena and
-of the workspace's zeta, q_red and value tensors that every stage runs on.
-A stage forms only the views of its policy rows; nothing of the plan
-depends on T, and the plan is dropped when the call returns.
+A solve lays its stages out once, in a `SweepPlan` its workspace keeps
+(`SolveWorkspace.layout`): one flat float64 scratch arena holds the forward
+step's buffers, the stage backup's intermediate, the fold's buffers and
+each agent's `_LocalQLayout`, phases that never run at once sharing its
+memory, and the plan holds the strided views of the arena and of the
+workspace's zeta, q_red and value tensors. The solve's sweeps and exact
+evaluations share the plan while the regime (tilted or not) holds; a stage
+forms only the views of its policy rows, the forward step its own views,
+and nothing of the plan depends on T.
 
 Memory accounting: `peak_floats` is the size of the marginal trajectory and
 the two alternating value tensors, one of each per restart:
-R * (T*S*Y*Z + 2*S*Y*Z) floats. Everything else is transient scratch, the
-plans' arenas included.
+R * (T*S*Y*Z + 2*S*Y*Z) floats. Everything else is scratch, the plan's
+arena included.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .evaluation import (StagePlan, _as_batch, _backup_scratch,
-                         aggregate_initial, check_stage, evaluate_exact,
-                         finite_risk, forward_marginals, logsumexp,
-                         stage_backup)
+from .evaluation import (StagePlan, _as_batch, _check_dims,
+                         _forward_shapes, _reserve, aggregate_initial,
+                         check_stage, evaluate_exact, finite_risk,
+                         forward_marginals, logsumexp, stage_backup)
 from .model import DecPomdpModel, is_int
 from .policy import (PHI_MODES, JointPolicy, PolicyBatch, mix_policies,
                      random_policy)
@@ -147,14 +149,14 @@ class SolveResult:
 
 
 class SolveWorkspace:
-    """The work tensors of a sweep for one model/|Z|, kept across sweeps.
+    """The work tensors of a solve for one model/|Z|, kept across its steps.
 
     Every tensor has a restart axis of `restarts`: the marginal trajectory
     `zeta` (R, T, S, Y, Z), the two alternating value tensors stacked in
     `l` (2, R, S, Y, Z) and `q_red` (R, S, A, Z), which is scratch.
     `peak_floats` counts the first two, R * (T*S*Y*Z + 2*S*Y*Z) floats.
-    Each sweep pass lays its stages out over these tensors in a transient
-    `SweepPlan`, whose scratch arena `peak_floats` does not count.
+    Sweeps and exact evaluations on the workspace share the stage layout
+    `layout` keeps in `plan`, whose arena `peak_floats` does not count.
     """
 
     def __init__(self, model: DecPomdpModel, z_sizes, restarts: int = 1):
@@ -170,6 +172,33 @@ class SolveWorkspace:
         self.l = np.zeros((2, R, S, Y, Z))
         self.q_red = np.zeros((R, S, A, Z))
         self.peak_floats = self.zeta.size + self.l.size
+        self.plan = None
+
+    def layout(self, model: DecPomdpModel, batch: PolicyBatch,
+               risk: RiskParameter) -> "SweepPlan":
+        """The `SweepPlan` of `batch` here, its `risk` bound to risk.
+
+        The kept plan is reused while it serves this batch in risk's regime
+        (`RiskParameter.is_neutral`), else dropped before the next one is
+        laid out, so that one arena lives at a time. Raises ValueError for
+        a workspace of another model or one that does not fit the batch.
+        """
+        if model is not self.model:
+            raise ValueError("workspace was built for another model")
+        plan = self.plan
+        if (plan is None or plan.batch is not batch
+                or plan.risk.is_neutral != risk.is_neutral):
+            plan = self.plan = None   # free the old arena first
+            if (self.restarts, self.z_sizes) != (batch.size,
+                                                 batch.agent_state_sizes):
+                raise ValueError(
+                    f"workspace holds {self.restarts} restarts of "
+                    f"agent-state sizes {self.z_sizes}, the batch "
+                    f"{batch.size} of {batch.agent_state_sizes}")
+            _check_dims(model, batch)
+            plan = self.plan = SweepPlan(model, batch, risk, self)
+        plan.risk = risk
+        return plan
 
 
 def averaged_local_q(model: DecPomdpModel, zeta_t: np.ndarray,
@@ -192,7 +221,7 @@ def averaged_local_q(model: DecPomdpModel, zeta_t: np.ndarray,
         zeta_t, l_next = zeta_t[None], l_next[None]
     ws = SolveWorkspace(model, batch.agent_state_sizes, restarts=batch.size)
     ws.zeta[:, t - 1] = zeta_t
-    plan = SweepPlan(model, batch, risk, ws, [agent])
+    plan = ws.layout(model, batch, risk)
     with kernels.quiet_overflow():
         stage_backup(model, l_next, risk, ws.q_red, scratch=plan.scratch)
         qbar = _averaged_local_q(plan, t, agent)
@@ -279,27 +308,29 @@ class _LocalQLayout:
 
 
 class SweepPlan(StagePlan):
-    """A `StagePlan` for one pass of a sweep over `agents`, on the
-    workspace's tensors: q_red, the two alternating value tensors as its
-    targets, and zeta for the averaged local value. Its arena holds the
-    stage backup's `scratch`, the fold's buffers and each agent's
-    `_LocalQLayout` in `local`, none of them in use at once. A pass lays
-    its plan out after its forward step, whose own arena is gone by then."""
+    """A solve's `StagePlan` on its workspace's tensors: q_red, the two
+    alternating value tensors as its targets, and zeta for the averaged
+    local value. Its `arena` holds the stage backup's `scratch`, the fold's
+    buffers, each agent's `_LocalQLayout` in `local` and room for the
+    buffers `forward_marginals` cuts from it per call, none of them in use
+    at once."""
 
-    __slots__ = ("scratch", "local", "model", "zeta")
+    __slots__ = ("local", "model", "zeta")
 
     def __init__(self, model: DecPomdpModel, batch: PolicyBatch,
-                 risk: RiskParameter, ws: SolveWorkspace, agents):
-        local = [_LocalQLayout(model, batch, ws, i) for i in agents]
-        super().__init__(batch, risk, ws.q_red, ws.l, [_backup_scratch(
-            model, batch.size, math.prod(batch.agent_state_sizes), risk)],
-            *(lay.spec for lay in local))
-        (self.scratch,), *bufs = self.extra
+                 risk: RiskParameter, ws: SolveWorkspace):
+        local = [_LocalQLayout(model, batch, ws, i)
+                 for i in range(model.n_agents)]
+        super().__init__(batch, risk, ws.q_red, ws.l,
+                         *(lay.spec for lay in local),
+                         [_reserve(_forward_shapes(model, batch.size,
+                                                   batch.agent_state_sizes))],
+                         model=model)
+        # the last phase only reserves the forward step's room
+        for lay, bufs in zip(local, self.extra):
+            lay.bind(bufs)
         self.extra = None
-        self.local = [None] * model.n_agents
-        for i, lay, lay_bufs in zip(agents, local, bufs):
-            lay.bind(lay_bufs)
-            self.local[i] = lay
+        self.local = local
         self.model, self.zeta = model, ws.zeta
 
 
@@ -392,10 +423,9 @@ def sweep(model: DecPomdpModel, policy, lam, alpha: float,
     stage in one pass; `per_agent` runs one pass per agent. Each pass
     recomputes the forward marginals from the incumbent policy before any
     stage is touched: zeta_t only depends on the rows at stages before t,
-    which the T..t walk has not yet modified. Each pass then lays its stages
-    out once, in a `SweepPlan`. Returns the risk objective read off the last
-    pass's L_1: a float for a JointPolicy, an array with one entry per
-    restart for a PolicyBatch.
+    which the T..t walk has not yet modified. The passes run on the
+    workspace's `layout`. Returns the risk objective read off the last
+    pass's L_1: a float for a JointPolicy, one per restart for a batch.
     """
     risk = finite_risk(lam, "sweep")
     if ordering == "sequential":
@@ -407,10 +437,7 @@ def sweep(model: DecPomdpModel, policy, lam, alpha: float,
     batch = _as_batch(policy)
     ws = workspace or SolveWorkspace(model, batch.agent_state_sizes,
                                      restarts=batch.size)
-    if (ws.restarts, ws.z_sizes) != (batch.size, batch.agent_state_sizes):
-        raise ValueError(f"workspace holds {ws.restarts} restarts of "
-                         f"agent-state sizes {ws.z_sizes}, the batch "
-                         f"{batch.size} of {batch.agent_state_sizes}")
+    plan = ws.layout(model, batch, risk)
     live = (np.ones(batch.size, dtype=bool) if live is None
             else np.asarray(live, dtype=bool))
     if live.shape != (batch.size,):
@@ -418,23 +445,22 @@ def sweep(model: DecPomdpModel, policy, lam, alpha: float,
                          f"({batch.size},), one flag per restart")
     with kernels.quiet_overflow():
         for group in groups:
-            l_next = _sweep_pass(model, batch, risk, ws, group, alpha, live)
+            l_next = _sweep_pass(plan, group, alpha, live)
     return aggregate_initial(model, policy,
                              l_next if batch is policy else l_next[0], risk)
 
 
-def _sweep_pass(model, batch, risk, ws, agents, alpha, live) -> np.ndarray:
-    """One T..1 pass updating `agents` at every stage; returns L_1.
-
-    The pass's plan is laid out after its forward step and dropped on
-    return, so neither's scratch outlives its step.
-    """
-    forward_marginals(model, batch, out=ws.zeta)
-    plan = SweepPlan(model, batch, risk, ws, agents)
-    l_next = ws.l[0]
+def _sweep_pass(plan: SweepPlan, agents, alpha, live) -> np.ndarray:
+    """One T..1 pass updating `agents` at every stage; returns L_1. The
+    forward step cuts its buffers from the plan's arena, in a phase of
+    their own: it returns before any stage writes."""
+    model = plan.model
+    forward_marginals(model, plan.batch, out=plan.zeta, scratch=plan.arena)
+    l_next = plan.targets[0]
     l_next[...] = 0.0
     for t in range(model.horizon, 0, -1):
-        stage_backup(model, l_next, risk, ws.q_red, scratch=plan.scratch)
+        stage_backup(model, l_next, plan.risk, plan.q_red,
+                     scratch=plan.scratch)
         for i in agents:
             _update_agent_at(plan, t, i, alpha, live)
         # L_{T+1} = 0 sits in l[0], so L_t lands there for even t
@@ -465,7 +491,8 @@ def rscpi(model: DecPomdpModel, config: SolverConfig,
     overridden with initial_policy). Sweep k advances every running restart
     by one `sweep` under the annealed tilt, then one `evaluate_exact` of the
     whole batch values each exactly; a masked restart's rows are unchanged,
-    so its value is only read while it runs.
+    so its value is only read while it runs. Both steps run on the solve's
+    workspace and share its stage layout (`SolveWorkspace.layout`).
     Convergence is only checked once the tilt counts as zero, by the rule
     `RiskParameter.is_neutral` under which a sweep runs untilted: a restart
     stops when its sweep's risk objective improves by less than tol, and is
@@ -499,7 +526,7 @@ def rscpi(model: DecPomdpModel, config: SolverConfig,
         lam_k = config.lam_at(k)
         untilted = RiskParameter(lam_k).is_neutral
         j_risk = sweep(model, batch, lam_k, alpha, config.ordering, ws, live)
-        j_exact = evaluate_exact(model, batch)
+        j_exact = evaluate_exact(model, batch, workspace=ws)
         # Python floats and lists keep the bookkeeping between steps cheap
         j_risk, j_exact = j_risk.tolist(), j_exact.tolist()
         for r in running:
@@ -511,6 +538,7 @@ def rscpi(model: DecPomdpModel, config: SolverConfig,
         running = [r for r in running if live[r]]
         if not running:
             break
+    ws.plan = None   # free the layout before the best policy is copied
     best = max(range(R), key=lambda r: traces[r][-1][2])   # earliest of ties
     trace = traces[best]
     return SolveResult(policy=batch.policies[best].copy(),

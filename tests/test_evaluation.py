@@ -16,8 +16,9 @@ from oracles import (evaluate_enum, evaluate_risk_enum, fold_stage_joint,
                      weighted_logmeanexp)
 from rscpi import evaluation, kernels
 from rscpi.bench_cli import load_model
-from rscpi.evaluation import (NumericError, evaluate_exact, evaluate_risk,
-                              fold_stage, forward_marginals, joint_phi,
+from rscpi.evaluation import (NumericError, _forward_shapes, _reserve,
+                              evaluate_exact, evaluate_risk, fold_stage,
+                              forward_marginals, joint_phi,
                               rollout_monte_carlo)
 from rscpi.model import matrix_game_model
 from rscpi.policy import ROW_ATOL, JointPolicy, PolicyBatch, random_policy
@@ -237,6 +238,21 @@ class TestForwardMarginals:
             forward_marginals(model, policy, out=out)
         assert not out.any()
 
+
+    def test_scratch_too_small_is_refused(self):
+        """A solve's layout reserves the step's room as one buffer of
+        `_reserve`'s length; one float less is refused before a write."""
+        model = dectiger_model(horizon=3)
+        policy = random_policy_for(model, (2, 2), seed=0)
+        room, = _reserve(_forward_shapes(model, 1, (2, 2)))
+        want = forward_marginals(model, policy).values
+        out = np.zeros((3, 2, 9, 4))
+        with pytest.raises(ValueError, match=f"scratch holds {room - 1} "):
+            forward_marginals(model, policy, out=out,
+                              scratch=np.empty(room - 1))
+        assert not out.any()
+        forward_marginals(model, policy, out=out, scratch=np.empty(room))
+        assert np.array_equal(out, want)
 
 class TestEvaluateExact:
     def test_matrix_game_corner_points(self):

@@ -151,6 +151,29 @@ class TestBatchedEvaluation:
             assert j[r] == evaluate_exact(model, policy)
             assert j_risk[r] == evaluate_risk(model, policy, 0.5)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("n_states,obs_counts", [(3, (3, 2)), (2, (1, 1)),
+                                                     (1, (2, 1))])
+    def test_aggregate_gives_each_restart_its_lone_bits(self, lam, n_states,
+                                                        obs_counts):
+        """One call folds the whole batch. numpy's einsum sums a batch of
+        two-cell zeta1 (S*Y = 2, the last two cases) in another order than
+        a lone restart's."""
+        rng = np.random.default_rng(50)
+        model = random_model(rng, n_states=n_states, obs_counts=obs_counts,
+                             horizon=2, init_obs_mode="uniform_observation")
+        singles = [random_policy_for(model, (2, 3), seed=120 + r)
+                   for r in range(3)]
+        for policy in singles:
+            policy.phi = [rng.dirichlet(np.ones(z)) for z in (2, 3)]
+        batch = PolicyBatch.stack(singles, 3)
+        l1 = 10.0 * rng.normal(size=(3, n_states, model.joint_obs_count, 6))
+        risk = RiskParameter(lam)
+        got = aggregate_initial(model, batch, l1, risk)
+        for r, policy in enumerate(singles):
+            want = aggregate_initial(model, policy, l1[r].copy(), risk)
+            assert float(got[r]).hex() == want.hex()
+
     @pytest.mark.parametrize("agents", [2, 3])
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     def test_out_keeps_each_restarts_stages(self, agents, lam):
@@ -431,7 +454,7 @@ class TestFactoredLocalQ:
 
         # the plan's arena holds each agent's buffers in one phase; a call
         # may allocate more on top of the largest
-        plan = solver.SweepPlan(model, batch, risk, ws, [0, 1])
+        plan = solver.SweepPlan(model, batch, risk, ws)
         held = max(8 * sum(max(map(math.prod, entry))
                            if isinstance(entry, list) else math.prod(entry)
                            for entry in solver._LocalQLayout(
@@ -471,6 +494,79 @@ class TestStagePlanScratch:
         short, long = self.peaks_kb(10), self.peaks_kb(400)
         for what, a, b in zip(("evaluate_exact", "sweep"), short, long):
             assert b - a <= 48.0, (what, a, b)
+
+
+class TestSolveLayout:
+    """A solve lays its stages out once per regime: its sweeps and exact
+    evaluations share the one `SweepPlan` its workspace keeps."""
+
+    @staticmethod
+    def count_plans(monkeypatch):
+        built = []
+
+        class Counted(solver.SweepPlan):
+            __slots__ = ()
+
+            def __init__(self, model, batch, risk, ws):
+                built.append(risk.lam)
+                super().__init__(model, batch, risk, ws)
+
+        monkeypatch.setattr(solver, "SweepPlan", Counted)
+        return built
+
+    def test_an_untilted_solve_lays_its_stages_out_once(self, monkeypatch):
+        built = self.count_plans(monkeypatch)
+        config = SolverConfig(lambda0=0.0, alpha=0.1, max_sweeps=30,
+                              restarts=3, seed=0, z_sizes=(2, 2))
+        result = rscpi(dectiger_model(horizon=4), config)
+        assert result.sweeps > 2
+        assert built == [0.0]
+
+    def test_a_change_of_regime_swaps_the_layout(self, monkeypatch):
+        built = self.count_plans(monkeypatch)
+        config = SolverConfig(lambda0=0.5, anneal_sweeps=2, alpha=0.1,
+                              max_sweeps=6, restarts=2, seed=0,
+                              z_sizes=(2, 2))
+        assert rscpi(dectiger_model(horizon=3), config).sweeps > 3
+        # each tilted sweep is followed by an untilted evaluation
+        assert built == [0.5, 0.0, 0.25, 0.0]
+
+    @pytest.mark.parametrize("ordering", ["sequential", "per_agent"])
+    def test_evaluation_on_the_workspace_is_a_lone_one(self, ordering):
+        model = random_model(np.random.default_rng(21), n_states=3,
+                             horizon=3, **BATCH_SIZES[2])
+        batch = PolicyBatch.stack([random_policy_for(model, (2, 3),
+                                                     seed=140 + r)
+                                   for r in range(3)], 3)
+        ws = SolveWorkspace(model, (2, 3), restarts=3)
+        for lam in (0.7, 0.0, 0.0):
+            sweep(model, batch, lam, 0.4, ordering, ws)
+            got = evaluate_exact(model, batch, workspace=ws)
+            assert got.tobytes() == evaluate_exact(model, batch).tobytes()
+
+    def test_a_change_of_regime_drops_the_old_layout_first(self):
+        """On the benchmark's synthetic-large shape the tilted arena holds
+        the gathered successors, ~1.2 MB; an untilted evaluation after a
+        tilted sweep must free it before it cuts its own, ~0.13 MB."""
+        model = random_model(np.random.default_rng(0), n_states=8,
+                             action_counts=(4, 4), obs_counts=(4, 4),
+                             horizon=10, init_obs_mode="uniform_observation")
+        policy = random_policy_for(model, (3, 3), seed=1)
+
+        def peak_kb(evaluate):
+            batch = PolicyBatch.of(policy.copy())
+            ws = SolveWorkspace(model, (3, 3))
+            tracemalloc.start()
+            try:
+                sweep(model, batch, 1.0, 0.3, workspace=ws)
+                if evaluate:
+                    evaluate_exact(model, batch, workspace=ws)
+                return tracemalloc.get_traced_memory()[1] / 1e3
+            finally:
+                tracemalloc.stop()
+
+        peak_kb(True)   # warm-up: the model caches its support on first use
+        assert peak_kb(True) <= peak_kb(False) + 16.0
 
 
 class TestGreedyAgentUpdate:
@@ -678,6 +774,28 @@ class TestBatchedSweep:
                 sweep(model, policy, 0.0, 0.5, workspace=ws)
 
 
+    @pytest.mark.parametrize("obs_counts", [(2, 2), (3, 2)])
+    def test_workspace_of_another_model_is_refused(self, obs_counts):
+        """A model of the workspace's shape passed the size check, and the
+        kept layout would back its stages up with the first model's P; one
+        of another shape failed on an `out has shape` message."""
+        model = random_model(np.random.default_rng(8), horizon=2)
+        other = random_model(np.random.default_rng(9), horizon=2,
+                             obs_counts=obs_counts)
+        policy = random_policy_for(model, (2, 2), seed=9)
+        ws = SolveWorkspace(model, (2, 2))
+        batch = PolicyBatch.of(policy)
+        sweep(model, batch, 0.0, 0.5, workspace=ws)
+        before = tables_bytes(policy)
+        with pytest.raises(ValueError, match="workspace was built for "
+                                             "another model"):
+            sweep(other, batch, 0.0, 0.5, workspace=ws)
+        with pytest.raises(ValueError, match="workspace was built for "
+                                             "another model"):
+            evaluate_exact(other, batch, workspace=ws)
+        assert tables_bytes(policy) == before
+
+
 class TestFlatUpdate:
     """The greedy pick as one flat (a, z') index, mixed in one scatter,
     writes the bytes of the (actions, next states) pair with its incumbent
@@ -816,9 +934,9 @@ class TestRscpi:
             calls.append("sweep")
             return run_sweep(model, policy, *args)
 
-        def counted_eval(model, policy):
+        def counted_eval(model, policy, **workspace):
             calls.append(("evaluate_exact", policy.size))
-            return run_eval(model, policy)
+            return run_eval(model, policy, **workspace)
 
         monkeypatch.setattr(solver, "sweep", counted_sweep)
         monkeypatch.setattr(solver, "evaluate_exact", counted_eval)
