@@ -33,7 +33,10 @@ it would get alone. A `JointPolicy` runs as a batch of one.
 
 The Monte-Carlo rollout builds the CDF of every distribution it draws from
 once per call and samples chunks of episodes from them; its results are
-reproducible per (seed, chunk).
+reproducible per (seed, chunk). It draws each successor from the W cells of
+P's padded support (`_support`), not from all S * Y, and reads each index
+a step needs, the next state's row and the agents' columns, from tables
+built once per call. A draw never lands on a zero-probability category.
 """
 
 from __future__ import annotations
@@ -622,8 +625,15 @@ def rollout_monte_carlo(model: DecPomdpModel, policy: JointPolicy,
     Every draw is from a row of zeta1, a phi^i, an agent's table at
     (t, y^i, w^i) or P at (s, a). Their CDFs are built once per call with
     the category axis leading, and each step gathers one column per episode.
-    The draws depend on the seed and on the chunk size.
+    P is drawn on its padded support (`_support`), W successors a row, and
+    the positions drawn, like every other index a step needs, are read from
+    tables built once per call. The draws depend on the seed and on the
+    chunk size. A PolicyBatch is refused: its phi would be read as one
+    distribution.
     """
+    if isinstance(policy, PolicyBatch):
+        raise ValueError("rollout_monte_carlo simulates one JointPolicy, "
+                         "not a PolicyBatch; roll out each of its policies")
     _check_dims(model, policy)
     for name, value, low in (("episodes", episodes, 1), ("chunk", chunk, 1),
                              ("seed", seed, 0)):
@@ -631,34 +641,52 @@ def rollout_monte_carlo(model: DecPomdpModel, policy: JointPolicy,
             raise ValueError(f"{name} must be an integer >= {low}, "
                              f"got {value!r}")
     rng = np.random.default_rng(int(seed))
-    Y, A = model.joint_obs_count, model.joint_action_count
+    S, Y = model.state_count, model.joint_obs_count
+    A, T = model.joint_action_count, model.horizon
+    SA = S * A
     y_comps = joint_components(model.obs_counts)
-    y_sizes, a_sizes = model.obs_counts, model.action_counts
-    z_sizes = policy.agent_state_sizes
+    a_sizes, z_sizes = model.action_counts, policy.agent_state_sizes
     zeta_cdf = _cdf_columns(model.zeta1.reshape(1, -1))
     phi_cdfs = [_cdf_columns(p.reshape(1, -1)) for p in policy.phi]
-    tab_cdfs = [_cdf_columns(tab.reshape(-1, a * z))
+    # stage t's (A_i Z_i, Y_i Z_i) CDF, its columns at y^i Z_i + w^i
+    tab_cdfs = [np.ascontiguousarray(_cdf_columns(tab.reshape(-1, a * z))
+                                     .reshape(a * z, T, -1).swapaxes(0, 1))
                 for tab, a, z in zip(policy.tables, a_sizes, z_sizes)]
-    p_cdf = _cdf_columns(model.P.reshape(model.state_count * A, -1))
+    # a pick's share of the flat joint action, and its next agent state
+    a_share = [np.arange(a * z) // z * math.prod(a_sizes[i + 1:])
+               for i, (a, z) in enumerate(zip(a_sizes, z_sizes))]
+    w_next = [np.arange(a * z) % z for a, z in zip(a_sizes, z_sizes)]
+    # P on its support, pad cells 0.0: the running sums equal P's own at
+    # every successor, so the count below u picks the same successor
+    succ, _, pad = _support(model)[1]
+    probs = model.P.reshape(SA, S * Y)[np.arange(SA)[:, None], succ.T]
+    probs[pad.T] = 0.0
+    p_cdf = _cdf_columns(probs)
+    # s A and each agent's y^i Z_i at a flat (s, y), then at a support cell
+    # k SA + row, k the drawn position
+    sy0, sy1 = np.arange(S * Y), succ.reshape(-1)
+    s_a0, s_a1 = sy0 // Y * A, sy1 // Y * A
+    y_z0 = [c[sy0 % Y] * z for c, z in zip(y_comps, z_sizes)]
+    y_z1 = [c[sy1 % Y] * z for c, z in zip(y_comps, z_sizes)]
+    r_flat = model.r.reshape(-1)
     totals = np.zeros(episodes)
     done = 0
     while done < episodes:
         e = min(chunk, episodes - done)
         sy = _draw(rng, zeta_cdf, e)
-        s, y = sy // Y, sy % Y
+        s_a, y_z = s_a0[sy], [tab[sy] for tab in y_z0]
         w = [_draw(rng, cdf, e) for cdf in phi_cdfs]
         reward = np.zeros(e)
-        for t in range(model.horizon):
-            a = np.zeros(e, dtype=np.int64)
+        for t in range(T):
+            row = s_a
             for i, cdf in enumerate(tab_cdfs):
-                row = (t * y_sizes[i] + y_comps[i][y]) * z_sizes[i] + w[i]
-                pick = _draw(rng, np.take(cdf, row, axis=1), e)
-                a = a * a_sizes[i] + pick // z_sizes[i]
-                w[i] = pick % z_sizes[i]
-            reward += model.r[s, a]
-            if t + 1 < model.horizon:
-                nxt = _draw(rng, np.take(p_cdf, s * A + a, axis=1), e)
-                s, y = nxt // Y, nxt % Y
+                pick = _draw(rng, np.take(cdf[t], y_z[i] + w[i], axis=1), e)
+                row = row + a_share[i][pick]
+                w[i] = w_next[i][pick]
+            reward += r_flat[row]
+            if t + 1 < T:
+                cell = _draw(rng, np.take(p_cdf, row, axis=1), e) * SA + row
+                s_a, y_z = s_a1[cell], [tab[cell] for tab in y_z1]
         totals[done:done + e] = reward
         done += e
     mean = float(totals.mean())
@@ -672,19 +700,28 @@ def _cdf_columns(rows) -> np.ndarray:
     """(K, n) running sums of the n rows of a (n, K) probability matrix.
 
     cumsum adds left to right, so a column equals the cumsum of its row
-    taken on its own, bit for bit.
+    taken on its own, bit for bit. The zero sums ahead of a row's first
+    positive cell, its last cell aside, are stored as -1.0, below every u
+    that `_draw` scales, so that u = 0.0 lands on that first positive cell.
     """
-    return np.ascontiguousarray(np.cumsum(rows, axis=1).T)
+    cdf = np.cumsum(rows, axis=1)
+    head = cdf[:, :-1]
+    head[head == 0.0] = -1.0
+    return np.ascontiguousarray(cdf.T)
 
 
 def _draw(rng, cdf, n) -> np.ndarray:
     """One categorical draw per column of a (K, n) CDF; a (K, 1) CDF is
     shared by all n draws.
 
-    The draw is the number of CDF entries below u, counted in the smallest
-    integer type that holds K, whose column sum numpy vectorizes.
+    The draw is the number of CDF entries below u = rng.random(n) times the
+    column's last entry, counted in the smallest integer type that holds K,
+    whose column sum numpy vectorizes: category k takes u in
+    (cdf[k - 1], cdf[k]], and a zero-probability category none, as
+    `_cdf_columns` stores the zero sums ahead of a column's first positive
+    entry below 0. As rng.random(n) < 1, u never exceeds the last entry, so
+    the count is at most K - 1.
     """
     u = rng.random(n) * cdf[-1]
-    k = cdf.shape[0]
-    below = (u > cdf).sum(axis=0, dtype=np.min_scalar_type(k))
-    return np.minimum(below, k - 1).astype(np.intp)
+    below = (u > cdf).sum(axis=0, dtype=np.min_scalar_type(cdf.shape[0]))
+    return below.astype(np.intp)

@@ -742,9 +742,14 @@ def rollout_monte_carlo_rows(model, policy, episodes, seed, chunk=4096):
 
 
 def _sample_rows(rng, rows):
-    """One categorical draw per row of a (n, k) probability matrix."""
+    """One categorical draw per row of a (n, k) probability matrix: the
+    first category whose running sum reaches u = rng.random(n) times the
+    row sum and whose own probability is positive."""
     import numpy as np
 
     cdf = np.cumsum(rows, axis=1)
     u = rng.random(rows.shape[0]) * cdf[:, -1]
-    return np.minimum((u[:, None] > cdf).sum(axis=1), rows.shape[1] - 1)
+    # argmin: the first category neither below u nor of probability 0
+    below = (u[:, None] > cdf) | (rows == 0.0)
+    return np.where(below.all(axis=1), rows.shape[1] - 1,
+                    np.argmin(below, axis=1))

@@ -171,6 +171,26 @@ class TestBenchmarkContract:
             assert bench.check(rscpi, "synthetic-large", inputs, out,
                                use_reference=False) == []
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_policy_eval_off_the_reference_seed(self, monkeypatch, seed):
+        """Seeds other than 0 evaluate another random policy and roll it
+        out from seed + 1, without the reference gate. Two operations under
+        the StepTimer make equal steps, one of each eval kind but eight
+        evaluate_risk, and each passes the gate's invariants: the
+        Monte-Carlo mean within 4 stderr of J_exact and J_risk nondecreasing
+        in lambda. Otherwise the benchmark would stop with exit code 2."""
+        bench = load_bench(monkeypatch)
+        inputs = bench.build_inputs(rscpi, "policy-eval", seed)
+        outs = []
+        steps, (first, second) = step_counts("eval", lambda: outs.append(
+            bench.run_op(rscpi, "policy-eval", inputs, seed)))
+        assert first == second
+        assert first == {name: 1 for name, _ in steps} | {
+            "evaluation.evaluate_risk": len(bench.RISK_LAMBDAS)}
+        for out in outs:
+            assert bench.check(rscpi, "policy-eval", inputs, out,
+                               use_reference=False) == []
+
     def test_public_names(self):
         for name in rscpi.__all__:
             assert getattr(rscpi, name) is not None, name

@@ -13,7 +13,7 @@ from _benchmarks import (dectiger_block_policy, dectiger_model,
 from oracles import (evaluate_enum, evaluate_risk_enum, fold_stage_joint,
                      forward_marginals_joint, forward_sum_eval,
                      marginal_enum, rollout_monte_carlo_rows,
-                     weighted_logmeanexp)
+                     _sample_rows, weighted_logmeanexp)
 from rscpi import evaluation, kernels
 from rscpi.bench_cli import load_model
 from rscpi.evaluation import (NumericError, _forward_shapes, _reserve,
@@ -396,6 +396,31 @@ class TestMonteCarlo:
         mean, stderr = rollout_monte_carlo(model, policy, 20_000, seed=2)
         assert abs(mean - 5.1908125) <= 4.0 * stderr
 
+    def test_policy_batch_refused(self):
+        """A batch's (R, Z_i) phi would be read as one distribution and its
+        tables as one policy's; the error names the batch."""
+        model = dectiger_model(horizon=3)
+        batch = PolicyBatch.stack(
+            (random_policy_for(model, (2, 2), seed=s) for s in range(2)), 2)
+        with pytest.raises(ValueError, match="PolicyBatch"):
+            rollout_monte_carlo(model, batch, 100, seed=0)
+
+    def test_one_chunk_peak_below_the_dense_successor_gather(self):
+        """Successors are drawn on P's support, so one chunk of 4096
+        episodes on Recycling T=100 peaks below the (S Y, 4096) float64
+        gather that a draw over every (s', y') would take on its own."""
+        model = recycling_model(horizon=100)
+        policy = random_policy_for(model, (2, 2), seed=0)
+        dense_mb = model.state_count * model.joint_obs_count * 4096 * 8 / 1e6
+        rollout_monte_carlo(model, policy, 4096, seed=1)   # caches the support
+        tracemalloc.start()
+        try:
+            rollout_monte_carlo(model, policy, 4096, seed=1)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < dense_mb, (peak_mb, dense_mb)
+
     def test_same_seed_reproduces(self):
         model = dectiger_model(horizon=3)
         policy = random_policy_for(model, (2, 2), seed=3)
@@ -491,3 +516,23 @@ class TestDrawConvention:
         assert cdf[1, 0] == 0.5
         got = evaluation._draw(FixedUniforms([0.5 + 1.25e-10]), cdf, 1)
         assert got.tolist() == [1]
+
+    @pytest.mark.parametrize("row, u, want", [
+        ([0.0, 0.5, 0.5], [0.0], [1]),
+        ([0.0, 0.0, 0.0, 1.0], [0.0], [3]),
+        ([0.0, 0.0, 0.25, 0.0, 0.75], [0.0, 0.25, np.nextafter(0.25, 1.0)],
+         [2, 2, 4]),
+    ])
+    def test_zero_probability_category_never_drawn(self, row, u, want):
+        """u = 0.0 lands on the first positive category, not on category 0,
+        in the package's draw and in the oracle's alike."""
+        cdf = evaluation._cdf_columns(np.array([row]))
+        assert evaluation._draw(FixedUniforms(u), cdf, len(u)).tolist() == want
+        rows = np.array([row] * len(u))
+        assert _sample_rows(FixedUniforms(u), rows).tolist() == want
+
+    def test_leading_zeros_per_column(self):
+        rows = np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        cdf = evaluation._cdf_columns(rows)
+        got = evaluation._draw(FixedUniforms([0.0] * 3), cdf, 3)
+        assert got.tolist() == [1, 2, 0]
