@@ -7,15 +7,15 @@ harness. See the README for the CLI and file conventions.
 
 from .dpomdp_parser import (ParseDiagnostic, RawDpomdpFile, compile_model,
                             parse_dpomdp, serialize_canonical)
-from .evaluation import (NumericError, backward, evaluate_exact,
+from .evaluation import (AveragedLocalQ, NumericError, RiskParameter,
+                         averaged_local_q, backward, evaluate_exact,
                          evaluate_risk, forward_marginals, rollout_monte_carlo)
 from .model import (DecPomdpModel, JointIndexer, make_initial_distribution,
                     matrix_game_model)
 from .policy import (JointPolicy, dump_policy, mix_policies,
                      policy_from_json, policy_to_json, random_policy)
-from .risk import RiskParameter
-from .solver import (AveragedLocalQ, SolveResult, SolverConfig,
-                     averaged_local_q, greedy_agent_update, rscpi, sweep)
+from .solver import (SolveResult, SolverConfig, greedy_agent_update, rscpi,
+                     sweep)
 
 __version__ = "0.1.0"
 

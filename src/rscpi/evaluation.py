@@ -1,30 +1,36 @@
-"""Policy evaluation: forward marginals, the backward recursion, and a seeded
-Monte-Carlo rollout cross-check.
+"""Policy evaluation: forward marginals, the backward recursion, the
+averaged local value, and a seeded Monte-Carlo rollout cross-check.
 
 The backward recursion walks t = T..1 over the chain on (state, joint
 observation, joint agent state). Each stage is one `stage_backup`, which
 reduces L_{t+1} to q_red[s, a, z], and one `fold_stage`, which folds the
 stage's policy rows into L_t. Values are carried in the log domain as
-L_t = lam * V_t for lam > 0 and as plain V_t at lam = 0. Exact evaluation,
-risk-seeking evaluation and the solver's sweep all run on these two steps.
+L_t = lam * V_t for lam > 0 and as plain V_t at lam = 0, so the same tensors
+stay finite for any reward scale. `backward` is the one recursion: exact
+evaluation and risk-seeking evaluation read its L_1. A sweep of policy
+iteration runs the same two steps with its agent updates between them.
 
 The fold and the forward marginals never form the joint policy table
 M_t = prod_i pi^i_t, of prod_i |Y^i| |Z^i|^2 |A^i| floats: they contract one
 agent at a time, by a batched matmul at lam = 0 and a logsumexp at lam > 0.
+The averaged local value takes only the co-agents' rows.
 
-Every layout of a stage depends only on the model's sizes, the agent-state
-sizes, the restart count and the agent: its pair and unpair permutations,
-its reshape targets and its matmul operands. So the stages are laid out
-once, the fold in a `StagePlan`: `_scratch` cuts one flat float64 arena
-into the buffers the stages write, phases that never run at once sharing
-its memory, and the strided views of those buffers and of the tensors the
-recursion reads and writes are formed with it. A stage forms only the views
-of its policy rows (stage t - 1 of a table) and runs `np.copyto`,
-`np.matmul(out=)` and ufuncs with `out=` on the prepared operands. The
-arena's size does not depend on T; `solver.SolveWorkspace.peak_floats` does
-not count it. A lone `forward_marginals` or `backward` call lays its stages
-out for itself; a solve keeps one layout on its `solver.SolveWorkspace`,
-which its forward steps (`scratch=`) and exact evaluations share.
+Stage layout. Every layout of a stage depends only on the model's sizes,
+the agent-state sizes, the restart count and the agent: its pair and unpair
+permutations, its reshape targets and its matmul operands. So a recursion
+lays its stages out once, in a `StagePlan`: `_scratch` cuts one flat
+float64 arena into the buffers the stages write, phases that never run at
+once sharing its memory, and the plan holds the strided views of those
+buffers and of the tensors the recursion reads and writes. The arena holds
+the fold's buffers and the stage backup's intermediate; a plan given the
+marginals `zeta` also holds each agent's averaged local value
+(`_LocalQLayout`) and reserves the forward step's room. A stage forms only
+the views of its policy rows (stage t - 1 of a table) and runs `np.copyto`,
+`np.matmul(out=)` and ufuncs with `out=` on the prepared operands. Nothing
+of a plan depends on T. A lone `forward_marginals` or `backward` call lays
+its stages out for itself; a solve keeps one plan on its `SolveWorkspace`
+(`SolveWorkspace.layout`), which its forward steps, sweeps and exact
+evaluations share while the regime (tilted or not) holds.
 
 The forward marginals, both steps, `backward`, `evaluate_exact` and
 `evaluate_risk` also take a `PolicyBatch`: its leading restart axis leads
@@ -49,9 +55,26 @@ import numpy as np
 from . import kernels
 from .model import DecPomdpModel, JointIndexer, is_int
 from .policy import JointPolicy, PolicyBatch
-from .risk import RiskParameter
 
+ZERO_THRESHOLD = 1e-9
 MARGINAL_ATOL = 1e-8
+
+
+@dataclass(frozen=True)
+class RiskParameter:
+    """The entropic-risk parameter of the tilted recursions.
+
+    The certainty equivalent of a random return X under lam is
+    (1/lam) * log E[exp(lam X)]; lam > 0 weights high outcomes (risk
+    seeking), and lam -> 0 recovers the plain expectation. Below
+    ZERO_THRESHOLD every recursion takes the plain expectation.
+    """
+
+    lam: float
+
+    @property
+    def is_neutral(self) -> bool:
+        return abs(self.lam) < ZERO_THRESHOLD
 
 
 class NumericError(RuntimeError):
@@ -74,24 +97,6 @@ def joint_components(sizes):
     return [idx.component(i) for i in range(len(idx.sizes))]
 
 
-@dataclass
-class MarginalTrajectory:
-    """zeta_t(s, y, z_) for t = 1..T, stored as one (T, S, Y, Z) tensor
-    ((R, T, S, Y, Z) for a batch of R restarts)."""
-
-    values: np.ndarray
-
-    @property
-    def horizon(self) -> int:
-        return self.values.shape[-4]
-
-    def at(self, t: int) -> np.ndarray:
-        """1-based time index, matching the recursion's t = 1..T."""
-        if not 1 <= t <= self.horizon:
-            raise IndexError(f"t={t} outside 1..{self.horizon}")
-        return self.values[..., t - 1, :, :, :]
-
-
 def _check_dims(model: DecPomdpModel, policy: JointPolicy):
     if policy.horizon != model.horizon:
         raise ValueError(
@@ -103,13 +108,6 @@ def _check_dims(model: DecPomdpModel, policy: JointPolicy):
         raise ValueError("action space mismatch")
     if policy.obs_counts() != model.obs_counts:
         raise ValueError("observation space mismatch")
-
-
-def _as_batch(policy) -> PolicyBatch:
-    """policy itself if a PolicyBatch, else a batch of one viewing it."""
-    if isinstance(policy, PolicyBatch):
-        return policy
-    return PolicyBatch.of(policy)
 
 
 def _scratch(*phases, arena=None):
@@ -244,7 +242,7 @@ class _Contraction:
             with np.errstate(divide="ignore"):
                 for rows, log_m, terms, out, (m_terms, x_terms) in self.steps:
                     np.log(rows[t - 1], out=log_m)
-                    np.copyto(terms, m_terms)   # see _averaged_local_q
+                    np.copyto(terms, m_terms)   # see StagePlan.local_q
                     np.add(terms, x_terms, out=terms)
                     logsumexp(terms, axis=1, out=out)
             return
@@ -279,8 +277,10 @@ def _forward_shapes(model: DecPomdpModel, R: int, w_sizes) -> list:
 
 
 def forward_marginals(model: DecPomdpModel, policy: JointPolicy,
-                      out=None, scratch=None) -> MarginalTrajectory:
-    """Forward recursion for zeta_t(s, y, z_), t = 1..T.
+                      out=None, scratch=None) -> np.ndarray:
+    """Forward recursion for zeta_t(s, y, z_), t = 1..T, returned as one
+    (T, S, Y, Z) tensor ((R, T, S, Y, Z) for a batch of R restarts) whose
+    index t - 1 holds zeta_t: `out` when given.
 
     zeta_1 = zeta1 (x) phi; each later step trades each agent's (y^i, w^i)
     axes of the occupancy for its (a^i, z^i) under the previous policy rows
@@ -298,7 +298,7 @@ def forward_marginals(model: DecPomdpModel, policy: JointPolicy,
     T = model.horizon
     phi = joint_phi(policy)
     _check_out(out, phi.shape[:-1] + (T, S, Y, Z))
-    batch = _as_batch(policy)
+    batch = PolicyBatch.of(policy)
     R = batch.size
     bufs, = _scratch(_forward_shapes(model, R, w_sizes), arena=scratch)
     zetas = out if out is not None else np.zeros(phi.shape[:-1] + (T, S, Y, Z))
@@ -334,7 +334,7 @@ def forward_marginals(model: DecPomdpModel, policy: JointPolicy,
                 "dynamics or policy rows are not normalized"
             )
         np.divide(cur, total_b, out=cur)
-    return MarginalTrajectory(values=zetas)
+    return zetas
 
 
 def check_stage(t: int, horizon: int):
@@ -426,28 +426,126 @@ def stage_backup(model: DecPomdpModel, l_next: np.ndarray,
     return out
 
 
+@dataclass
+class AveragedLocalQ:
+    """Averaged stage value of one agent's (a^i, z^i) choice at (y^i, z^i_-).
+
+    For lam > 0 `table` holds log sum_cells zeta * copi * exp(lam Q); at
+    lam = 0 the plain weighted sum. `mass` is the marginal probability of
+    each (y^i, z^i_-) cell; cells with zero mass are unreachable and carry
+    no information. For a batch both carry a leading restart axis.
+    """
+
+    table: np.ndarray       # (Y_i, Z_i, A_i, Z_i) weights, log or plain
+    mass: np.ndarray        # (Y_i, Z_i)
+
+    @property
+    def reachable(self) -> np.ndarray:
+        return self.mass > 0.0
+
+
+class _LocalQLayout:
+    """`StagePlan.local_q`'s operands for one agent, laid out once.
+
+    zeta_t and q_red are copied with the restart axis and the agent's axes
+    of every group moved last, (S, co-agents' axes, R, agent's axes), so
+    that the axes in front of the restart axis flatten in the row-major
+    order of the flat joint cells. The co-agents' stage rows form one
+    (co Y, co W, co A, co Z, R) table: with one co-agent its own rows as a
+    view, with more their product in agent order, every cell the product
+    that the flat joint table holds. `spec` lists the scratch buffers that
+    `bind` takes.
+    """
+
+    __slots__ = ("spec", "zeta_in", "q_in", "co_rows", "zeta", "q",
+                 "product", "copi", "work", "part", "b", "table", "mass")
+
+    def __init__(self, model, batch, zeta, q_red, agent):
+        n, R, T = model.n_agents, batch.size, model.horizon
+        S = model.state_count
+        y_sizes, a_sizes = model.obs_counts, model.action_counts
+        w_sizes = batch.agent_state_sizes
+        co = [j for j in range(n) if j != agent]
+        co_y = tuple(y_sizes[j] for j in co)
+        co_w = tuple(w_sizes[j] for j in co)
+        co_a = tuple(a_sizes[j] for j in co)
+        own, az = (R, y_sizes[agent], w_sizes[agent]), (a_sizes[agent],
+                                                       w_sizes[agent])
+        co_yw, co_az = math.prod(co_y + co_w), math.prod(co_a + co_w)
+        b = (S, co_az) + own + (1, 1)
+        # buffers that never live at once share one region: zeta_t's copy
+        # is spread over the first product before q_red is copied in; the
+        # partial mass is summed into the mass before b is summed out of
+        # the first product, and the table after b has entered the second
+        # product, which reuses the first's region
+        self.spec = [
+            [(S,) + co_y + co_w + own, (S, co_yw, 1) + own + (1, 1),
+             (S,) + co_a + co_w + (R,) + az, (S, co_az, R, 1, 1) + az],
+            [co_y + co_w + co_a + co_w + (R,), (co_yw, co_az, R, 1, 1, 1, 1)]
+            if len(co) > 1 else None,
+            [(S, co_yw) + b[1:], (S, co_az) + own + az],
+            [(co_yw, 1) + own + (1, 1), b, own + az], own]
+        # (R, T, S, Y.., W..) -> (T, S, co Y.., co W.., R, y^i, w^i)
+        self.zeta_in = zeta.reshape(
+            (R, T, S) + y_sizes + w_sizes, copy=False).transpose(
+            1, 2, *[3 + j for j in co], *[3 + n + j for j in co], 0,
+            3 + agent, 3 + n + agent)
+        # (R, S, A.., Z..) -> (S, co A.., co Z.., R, a^i, z^i)
+        self.q_in = q_red.reshape(
+            (R, S) + a_sizes + w_sizes, copy=False).transpose(
+            1, *[2 + j for j in co], *[2 + n + j for j in co], 0, 2 + agent,
+            2 + n + agent)
+        if len(co) == 1:
+            rows = batch.tables[co[0]].reshape(R, T, co_yw, co_az,
+                                               copy=False)
+            self.co_rows = (rows.transpose(1, 2, 3, 0)[..., None, None,
+                                                       None, None],)
+        elif not co:
+            self.co_rows = (np.broadcast_to(1.0, (T, 1, 1, R, 1, 1, 1, 1)),)
+        else:
+            # each co-agent's rows on its own axes of the product
+            m, co_rows = len(co), []
+            for pos, j in enumerate(co):
+                shape = [1] * (4 * m)
+                shape[pos::m] = batch.tables[j].shape[2:]
+                rows = batch.tables[j].reshape((R, T, *shape), copy=False)
+                co_rows.append(rows.transpose(1, *range(2, 2 + 4 * m), 0))
+            self.co_rows = tuple(co_rows)
+
+    def bind(self, bufs):
+        """Take the buffers cut from the plan's arena, as `spec` lists."""
+        ((zeta, zeta_factor, q, q_factor), copi, self.work,
+         (self.part, self.b, self.table), self.mass) = bufs
+        self.zeta, self.q = (zeta, zeta_factor), (q, q_factor)
+        self.product, self.copi = copi or (None, None)
+        self.spec = None
+
+
 class StagePlan:
-    """The operands of a backward recursion's folds, laid out once.
+    """The operands of a backward recursion's stages, laid out once.
 
     A plan serves one policy batch, one regime of `risk` (tilted or not),
     the q_red tensor (R, S, A, Z) that `stage_backup` fills and a stack
     `targets` (K, R, S, Y, Z) of the value tensors L_t is folded into. It
-    cuts one scratch `arena` into the fold's buffers, the stage backup's
-    `scratch` when it is given the `model` whose stages it backs up, and
-    the buffers of `phases`, which it leaves in `extra` (see `_scratch`).
-    The plan holds views of its arrays and of the policy's tables, none per
-    stage, so its size does not depend on T; a stage forms only its rows'
-    views. `batched=False` names a caller without a restart axis in its
-    errors.
+    cuts one scratch `arena` into the fold's buffers and, when it is given
+    the `model` whose stages it backs up, the stage backup's `scratch`.
+    Given also the marginals `zeta` (R, T, S, Y, Z), it lays out each
+    agent's averaged local value in `local` and reserves room for the
+    buffers `forward_marginals` cuts from the arena per call; none of
+    these phases are in use at once. The plan holds views of its arrays
+    and of the policy's tables, none per stage, so its size does not
+    depend on T; a stage forms only its rows' views. `batched=False` names
+    a caller without a restart axis in its errors.
     """
 
     __slots__ = ("contract", "q_in", "q_out", "folded", "targets", "paired",
-                 "batch", "risk", "q_red", "batched", "extra", "scratch",
-                 "arena")
+                 "batch", "risk", "q_red", "batched", "scratch", "arena",
+                 "local", "model", "zeta")
 
     def __init__(self, batch: PolicyBatch, risk: RiskParameter,
-                 q_red: np.ndarray, targets: np.ndarray, *phases,
-                 model: DecPomdpModel = None, batched: bool = True):
+                 q_red: np.ndarray, targets: np.ndarray,
+                 model: DecPomdpModel = None, zeta: np.ndarray = None,
+                 batched: bool = True):
         R, S, _, Z = q_red.shape
         sizes = [tab.shape[2:] for tab in batch.tables]   # (Y, W, A, Z)
         a_w = tuple(d for _, w, a, _ in sizes for d in (a, w))
@@ -457,8 +555,17 @@ class StagePlan:
         logs = not risk.is_neutral
         backup = [None if model is None
                   else _backup_scratch(model, R, Z, risk)]
-        fold, (self.scratch,), *self.extra = _scratch(
+        local, phases = [], []
+        if zeta is not None:
+            local = [_LocalQLayout(model, batch, zeta, q_red, i)
+                     for i in range(model.n_agents)]
+            # the last phase only reserves the forward step's room
+            phases = [lay.spec for lay in local] + [[_reserve(
+                _forward_shapes(model, R, batch.agent_state_sizes))]]
+        fold, (self.scratch,), *bufs = _scratch(
             _Contraction.shapes(R, S, ks, js, logs), backup, *phases)
+        for lay, lay_bufs in zip(local, bufs):
+            lay.bind(lay_bufs)
         self.arena = fold[0].base   # every buffer views the one arena
         self.contract = _Contraction(batch, ks, js, logs, fold)
         self.q_in = _paired_view(q_red, a_w[::2], a_w[1::2])
@@ -468,6 +575,7 @@ class StagePlan:
         self.paired = _paired_view(targets, y_w[::2], y_w[1::2])
         self.batch, self.risk, self.q_red = batch, risk, q_red
         self.batched = batched
+        self.local, self.model, self.zeta = local, model, zeta
 
     def fold(self, t: int, k: int) -> np.ndarray:
         """`fold_stage` of stage t (1-based) from q_red into targets[k].
@@ -488,6 +596,115 @@ class StagePlan:
             )
         return out
 
+    def local_q(self, t: int, agent: int) -> AveragedLocalQ:
+        """`averaged_local_q` of the plan's batch at stage t, on zeta_t and
+        the backed-up q_red.
+
+        zeta_t (R, S, Y, Z) varies along (s, y, w), the co-agents' policy
+        along their own (y, w, a, z) axes, q_red (R, S, A, Z) along
+        (s, a, z). The co-agents' (y, w) axes meet only the first two, so
+        they are summed out first:
+        b[s, co (a, z), restart, y^i w^i] = sum_{co (y, w)} zeta * copi.
+        Then each (restart, y^i, w^i, a^i, z^i) column sums b * q over its
+        (s, co (a, z)) rows. Both are elementwise products and axis sums,
+        which add one row at a time whatever R is, so a batch gives each
+        restart its lone bits, and columns that differ only in z'^i get the
+        same operations. b adds probabilities only, so it is summed in the
+        plain domain at every lam; lam > 0 takes the second sum over
+        log b + q as a logsumexp, every output cell shifted by its own max
+        before the exp. A product zeta * copi below the smallest subnormal
+        (~5e-324) drops out of b, as it already does inside zeta_{t+1},
+        which the forward step also forms in the plain domain.
+        """
+        lay = self.local[agent]
+        zeta, zeta_factor = lay.zeta
+        q, q_factor = lay.q
+        first, second = lay.work
+        np.copyto(zeta, lay.zeta_in[t - 1])
+        np.add.reduce(zeta_factor, axis=0, out=lay.part)
+        np.add.reduce(lay.part, axis=(0, 1, 5, 6), out=lay.mass)
+        rows = lay.co_rows
+        if len(rows) == 1:
+            copi = rows[0][t - 1]
+        else:
+            np.multiply(rows[0][t - 1], rows[1][t - 1], out=lay.product)
+            for factor in rows[2:]:
+                np.multiply(lay.product, factor[t - 1], out=lay.product)
+            copi = lay.copi
+        # each product starts as a broadcast copy of one factor: a ufunc
+        # buffers every broadcast operand, a copy buffers none (products and
+        # sums commute, so the bits are those of zeta * copi and log b + q)
+        np.copyto(first, copi)
+        np.multiply(first, zeta_factor, out=first)
+        np.add.reduce(first, axis=1, out=lay.b)
+        np.copyto(q, lay.q_in)
+        np.copyto(second, q_factor)
+        if self.risk.is_neutral:
+            np.multiply(second, lay.b, out=second)
+            np.add.reduce(second, axis=(0, 1), out=lay.table)
+        else:
+            with np.errstate(divide="ignore"):
+                np.log(lay.b, out=lay.b)
+                np.add(second, lay.b, out=second)
+                logsumexp(second, axis=(0, 1), out=lay.table)
+        return AveragedLocalQ(table=lay.table, mass=lay.mass)
+
+
+class SolveWorkspace:
+    """The work tensors of a solve for one model/|Z|, kept across its steps.
+
+    Every tensor has a restart axis of `restarts`: the marginal trajectory
+    `zeta` (R, T, S, Y, Z), the two alternating value tensors stacked in
+    `l` (2, R, S, Y, Z) and `q_red` (R, S, A, Z), which is scratch.
+    `peak_floats` counts the first two, R * (T*S*Y*Z + 2*S*Y*Z) floats.
+    Forward steps, sweeps and exact evaluations on the workspace share the
+    `StagePlan` that `layout` keeps in `plan`, whose arena `peak_floats`
+    does not count.
+    """
+
+    def __init__(self, model: DecPomdpModel, z_sizes, restarts: int = 1):
+        self.model = model
+        self.z_sizes = tuple(int(z) for z in z_sizes)
+        self.restarts = int(restarts)
+        S, Y = model.state_count, model.joint_obs_count
+        A = model.joint_action_count
+        Z = math.prod(self.z_sizes)
+        T = model.horizon
+        R = self.restarts
+        self.zeta = np.zeros((R, T, S, Y, Z))
+        self.l = np.zeros((2, R, S, Y, Z))
+        self.q_red = np.zeros((R, S, A, Z))
+        self.peak_floats = self.zeta.size + self.l.size
+        self.plan = None
+
+    def layout(self, model: DecPomdpModel, batch: PolicyBatch,
+               risk: RiskParameter) -> StagePlan:
+        """The `StagePlan` of `batch` on these tensors, its `risk` bound to
+        risk.
+
+        The kept plan is reused while it serves this batch in risk's regime
+        (`RiskParameter.is_neutral`), else dropped before the next one is
+        laid out, so that one arena lives at a time. Raises ValueError for
+        a workspace of another model or one that does not fit the batch.
+        """
+        if model is not self.model:
+            raise ValueError("workspace was built for another model")
+        plan = self.plan
+        if (plan is None or plan.batch is not batch
+                or plan.risk.is_neutral != risk.is_neutral):
+            plan = self.plan = None   # free the old arena first
+            if (self.restarts, self.z_sizes) != (batch.size,
+                                                 batch.agent_state_sizes):
+                raise ValueError(
+                    f"workspace holds {self.restarts} restarts of "
+                    f"agent-state sizes {self.z_sizes}, the batch "
+                    f"{batch.size} of {batch.agent_state_sizes}")
+            _check_dims(model, batch)
+            plan = self.plan = StagePlan(batch, risk, self.q_red, self.l,
+                                         model=model, zeta=self.zeta)
+        plan.risk = risk
+        return plan
+
 
 def fold_stage(policy: JointPolicy, t: int, q_red: np.ndarray,
                risk: RiskParameter, out: np.ndarray) -> np.ndarray:
@@ -500,7 +717,7 @@ def fold_stage(policy: JointPolicy, t: int, q_red: np.ndarray,
     first non-finite cell, and ValueError when t is outside 1..T.
     """
     check_stage(t, policy.horizon)
-    batch = _as_batch(policy)
+    batch = PolicyBatch.of(policy)
     if batch is not policy:
         q_red, out = q_red[None], out[None]
     plan = StagePlan(batch, risk, q_red, out[None], batched=batch is policy)
@@ -509,67 +726,46 @@ def fold_stage(policy: JointPolicy, t: int, q_red: np.ndarray,
 
 
 def backward(model: DecPomdpModel, policy: JointPolicy, lam,
-             out: np.ndarray = None) -> np.ndarray:
-    """The backward recursion t = T..1; returns L_1.
+             workspace: SolveWorkspace = None) -> np.ndarray:
+    """The backward recursion t = T..1 from L_{T+1} = 0; returns L_1.
 
-    With a (T, S, Y, Z) `out`, L_t is kept in out[t - 1] for every t. For a
-    PolicyBatch of R restarts, L_1 and `out` carry a leading restart axis:
-    (R, S, Y, Z) and (R, T, S, Y, Z). The stages run on one `StagePlan`.
+    For a PolicyBatch of R restarts, L_1 carries a leading restart axis,
+    (R, S, Y, Z). The stages run on one `StagePlan`: the workspace's
+    `layout` when a `SolveWorkspace` is given, else a plan of this call.
+    L_t alternates between the plan's two targets, L_t in targets[t % 2].
     """
     risk = finite_risk(lam, "tilted recursion")
-    _check_dims(model, policy)
-    S, Y = model.state_count, model.joint_obs_count
-    A, T = model.joint_action_count, model.horizon
-    Z = math.prod(policy.agent_state_sizes)
-    batch = _as_batch(policy)
-    lead = () if batch is not policy else (batch.size,)
-    _check_out(out, lead + (T, S, Y, Z))
-    R = batch.size
-    q_red = np.empty((R, S, A, Z))
-    if out is None:
-        # L_t alternates between two tensors, L_{T+1} = 0 in the first
-        targets = np.zeros((2, R, S, Y, Z))
-        l_next = targets[0]
+    batch = PolicyBatch.of(policy)
+    if workspace is None:
+        _check_dims(model, policy)
+        S, Y = model.state_count, model.joint_obs_count
+        A, R = model.joint_action_count, batch.size
+        Z = math.prod(batch.agent_state_sizes)
+        plan = StagePlan(batch, risk, np.empty((R, S, A, Z)),
+                         np.empty((2, R, S, Y, Z)), model=model,
+                         batched=batch is policy)
     else:
-        targets = (out if batch is policy else out[None]).swapaxes(0, 1)
-        l_next = np.zeros((R, S, Y, Z))
-    plan = StagePlan(batch, risk, q_red, targets, model=model,
-                     batched=batch is policy)
-    l_next = _recurse(model, plan, l_next, alternate=out is None)
+        plan = workspace.layout(model, batch, risk)
+    l_next = plan.targets[0]
+    l_next[...] = 0.0
+    with kernels.quiet_overflow():
+        for t in range(model.horizon, 0, -1):
+            stage_backup(model, l_next, risk, plan.q_red,
+                         scratch=plan.scratch)
+            l_next = plan.fold(t, t % 2)
     return l_next if batch is policy else l_next[0]
 
 
-def _recurse(model: DecPomdpModel, plan: StagePlan, l_next: np.ndarray,
-            alternate: bool = True) -> np.ndarray:
-    """Stages t = T..1 on the plan from L_{T+1} = l_next; returns L_1, L_t
-    folded into targets[t % 2] if `alternate`, else into targets[t - 1]."""
-    with kernels.quiet_overflow():
-        for t in range(model.horizon, 0, -1):
-            stage_backup(model, l_next, plan.risk, plan.q_red,
-                         scratch=plan.scratch)
-            l_next = plan.fold(t, t % 2 if alternate else t - 1)
-    return l_next
-
-
 def evaluate_exact(model: DecPomdpModel, policy: JointPolicy,
-                   workspace=None):
+                   workspace: SolveWorkspace = None):
     """Risk-neutral J: the lam = 0 backward recursion, then the expectation
     over zeta1 (x) phi. A float for a JointPolicy, one value per restart for
     a PolicyBatch. Raises NumericError when a value overflows. With a
-    `solver.SolveWorkspace`, it recurses on the workspace's layout.
+    `SolveWorkspace`, it recurses on the workspace's layout.
     """
     risk = RiskParameter(0.0)
-    if workspace is None:
-        l1 = backward(model, policy, risk)
-    else:
-        batch = _as_batch(policy)
-        plan = workspace.layout(model, batch, risk)
-        l_next = plan.targets[0]
-        l_next[...] = 0.0
-        l1 = _recurse(model, plan, l_next)
-        if batch is not policy:
-            l1 = l1[0]
-    return aggregate_initial(model, policy, l1, risk)
+    return aggregate_initial(model, policy,
+                             backward(model, policy, risk, workspace), risk)
 
 
 def evaluate_risk(model: DecPomdpModel, policy: JointPolicy, lam):
@@ -582,6 +778,35 @@ def evaluate_risk(model: DecPomdpModel, policy: JointPolicy, lam):
     risk = finite_risk(lam, "risk-seeking evaluation")
     return aggregate_initial(model, policy, backward(model, policy, risk),
                              risk)
+
+
+def averaged_local_q(model: DecPomdpModel, zeta_t: np.ndarray,
+                     policy: JointPolicy, t: int, l_next: np.ndarray,
+                     lam, agent: int) -> AveragedLocalQ:
+    """Average the stage's local values over zeta_t and the co-agents' rows.
+
+    t is 1-based. l_next holds L_{t+1}; the stage is backed up into its
+    reduced (s, a, z) form, which is broadcast over (y, z_). For a
+    PolicyBatch, zeta_t and l_next carry its leading restart axis, and so
+    does the result. One `StagePlan.local_q` on a plan of this call; raises
+    ValueError when t is outside 1..T or agent outside 0..N-1.
+    """
+    risk = finite_risk(lam, "averaged_local_q")
+    check_stage(t, policy.horizon)
+    if not 0 <= agent < model.n_agents:
+        raise ValueError(f"agent={agent} outside 0..{model.n_agents - 1}")
+    batch = PolicyBatch.of(policy)
+    if batch is not policy:
+        zeta_t, l_next = zeta_t[None], l_next[None]
+    ws = SolveWorkspace(model, batch.agent_state_sizes, restarts=batch.size)
+    ws.zeta[:, t - 1] = zeta_t
+    plan = ws.layout(model, batch, risk)
+    with kernels.quiet_overflow():
+        stage_backup(model, l_next, risk, ws.q_red, scratch=plan.scratch)
+        qbar = plan.local_q(t, agent)
+    if batch is not policy:
+        qbar.table, qbar.mass = qbar.table[0], qbar.mass[0]
+    return qbar
 
 
 def aggregate_initial(model: DecPomdpModel, policy: JointPolicy,

@@ -4,18 +4,8 @@
 
 It carries lambda-scaled values (L = lambda*V) and uses a per-output-cell
 max-shifted logsumexp; a single global shift is unsafe because lambda*V
-spans far beyond exp()'s range on long horizons. The lambda = 0 stage backup
-(`evaluation.stage_backup`) is a BLAS product instead. The fold
-(`evaluation.StagePlan.fold`) is a per-agent contraction at either lambda:
-one batched matmul per agent at lambda = 0, one `evaluation.logsumexp` per
-agent at lambda > 0. The averaged local value (`solver._averaged_local_q`)
-is one numpy reduction at either lambda: it sums the co-agents' (y, w) axes
-out of zeta * copi before the backup is broadcast in. That first sum adds
-plain probabilities at either lambda; at lambda > 0 only the second, over
-the backed-up values, is a logsumexp with the per-output-cell shift. The
-recursions lay those steps out once (see `evaluation`); the
-backup's largest intermediate, the gathered successors, lands in the
-`scratch=` buffer they cut from their arena.
+spans far beyond exp()'s range on long horizons. Its largest intermediate,
+the gathered successors, lands in a `scratch=` buffer when one is given.
 
 Dynamics enter as a CSR-style support: for flat row (s, a), the nonzero
 successors (s', y') live at positions indptr[s*A + a] : indptr[s*A + a + 1].

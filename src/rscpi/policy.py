@@ -105,8 +105,11 @@ class PolicyBatch:
         self._policies = policies
 
     @classmethod
-    def of(cls, policy: JointPolicy) -> "PolicyBatch":
-        """A batch of one that views policy's arrays; nothing is copied."""
+    def of(cls, policy) -> "PolicyBatch":
+        """policy itself if a PolicyBatch, else a batch of one that views
+        the JointPolicy's arrays; nothing is copied."""
+        if isinstance(policy, PolicyBatch):
+            return policy
         return cls([t[None] for t in policy.tables],
                    [p[None] for p in policy.phi], [policy])
 

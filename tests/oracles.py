@@ -307,6 +307,31 @@ def forward_marginals_joint(model, policy):
     return np.stack(out)
 
 
+def backward_stages(model, policy, lam):
+    """Every L_t of the backward recursion, L_t at index t - 1 of a
+    (T, S, Y, Z) stack ((R, T, S, Y, Z) for a PolicyBatch of R restarts),
+    from one `stage_backup` and one `fold_stage` per stage."""
+    import numpy as np
+
+    from rscpi import kernels
+    from rscpi.evaluation import finite_risk, fold_stage, stage_backup
+
+    risk = finite_risk(lam, "backward_stages")
+    lead = policy.tables[0].shape[:-5]
+    S, Y = model.state_count, model.joint_obs_count
+    A, T = model.joint_action_count, model.horizon
+    Z = math.prod(policy.agent_state_sizes)
+    stack = np.full(lead + (T, S, Y, Z), np.nan)
+    l_next = np.zeros(lead + (S, Y, Z))
+    q_red = np.empty(lead + (S, A, Z))
+    with kernels.quiet_overflow():
+        for t in range(T, 0, -1):
+            stage_backup(model, l_next, risk, q_red)
+            l_next = fold_stage(policy, t, q_red, risk,
+                                stack[..., t - 1, :, :, :])
+    return stack
+
+
 def as_table(picks, action_count, z_size):
     """Point-mass policy table (Y_i, Z_i, A_i, Z_i) of (Y_i, Z_i) flat
     greedy picks a * Z_i + z'."""
@@ -329,8 +354,9 @@ class DeterministicAgentSlice:
     next_states: np.ndarray   # same shape as actions
 
 
-def greedy_agent_update(qbar, incumbent) -> DeterministicAgentSlice:
-    """Argmax of the averaged weights per reachable (y^i, z^i_-) cell.
+def greedy_agent_update(qbar, incumbent, agent, t) -> DeterministicAgentSlice:
+    """Argmax of the averaged weights per reachable (y^i, z^i_-) cell of
+    agent's stage t.
 
     Ties break to the smallest flat (a^i, z'^i) index. Unreachable cells copy
     the incumbent row's argmax so the mixed update leaves them unchanged.
@@ -342,7 +368,7 @@ def greedy_agent_update(qbar, incumbent) -> DeterministicAgentSlice:
     best = np.argmax(qbar.table.reshape(*lead, yi, wi, ai * zi), axis=-1)
     fallback = np.argmax(incumbent.reshape(*lead, yi, wi, ai * zi), axis=-1)
     best = np.where(qbar.reachable, best, fallback)
-    return DeterministicAgentSlice(agent=qbar.agent, t=qbar.t,
+    return DeterministicAgentSlice(agent=agent, t=t,
                                    actions=(best // zi).astype(np.int64),
                                    next_states=(best % zi).astype(np.int64))
 
@@ -374,11 +400,11 @@ def update_agent_at_incumbent(plan, t, agent, alpha, live):
     DeterministicAgentSlice mix) pair above; returns the averaged local
     value it updated against."""
     import numpy as np
-    from rscpi import solver
 
-    qbar = solver._averaged_local_q(plan, t, agent)
+    qbar = plan.local_q(t, agent)
     tab = plan.batch.tables[agent][:, t - 1]
-    mixed = mix_policies(tab, greedy_agent_update(qbar, tab), alpha)
+    mixed = mix_policies(tab, greedy_agent_update(qbar, tab, agent, t),
+                         alpha)
     if mixed is not tab:
         write = qbar.reachable & live[:, None, None]
         np.copyto(tab, mixed, where=write[..., None, None])
@@ -522,23 +548,24 @@ def agent_last(x, agent, n):
         x.transpose([1] + co + [0] + [g + agent for g in groups]))
 
 
-def q_values(qbar):
-    """An AveragedLocalQ's normalized Q-bar, unreachable cells set to nan:
-    table / mass at lam = 0, (table - log mass) / lam at lam > 0."""
+def q_values(qbar, lam):
+    """The normalized Q-bar of an AveragedLocalQ taken at lam, unreachable
+    cells set to nan: table / mass at lam = 0 (below the package's 1e-9
+    neutral threshold), (table - log mass) / lam at lam > 0."""
     import numpy as np
 
     out = np.full(qbar.table.shape, np.nan)
     ok = qbar.reachable
-    if qbar.is_plain:
+    if abs(lam) < 1e-9:
         out[ok] = qbar.table[ok] / qbar.mass[ok][:, None, None]
     else:
         out[ok] = (qbar.table[ok]
-                   - np.log(qbar.mass[ok])[:, None, None]) / qbar.lam
+                   - np.log(qbar.mass[ok])[:, None, None]) / lam
     return out
 
 
 def averaged_local_q_flat(model, zeta_t, batch, t, q_red, risk, agent):
-    """solver._averaged_local_q by the full product, a drop-in replacement.
+    """StagePlan.local_q by the full product, a drop-in replacement.
 
     Every (s, co-agents' y, w, a, z) cell is one row of a (rows, cells)
     product and every (restart, y^i, w^i, a^i, z^i) cell one column; a
@@ -550,7 +577,7 @@ def averaged_local_q_flat(model, zeta_t, batch, t, q_red, risk, agent):
     """
     import numpy as np
 
-    from rscpi.solver import AveragedLocalQ
+    from rscpi.evaluation import AveragedLocalQ
 
     n = model.n_agents
     R, S = zeta_t.shape[:2]
@@ -583,9 +610,8 @@ def averaged_local_q_flat(model, zeta_t, batch, t, q_red, risk, agent):
     mass = zeta.reshape(S, co_yw, R * yw).sum(axis=0).sum(axis=0)
     shape = (R, y_sizes[agent], w_sizes[agent], a_sizes[agent],
              w_sizes[agent])
-    return AveragedLocalQ(agent=agent, t=t, table=table.reshape(shape),
-                          mass=mass.reshape(shape[:3]),
-                          lam=risk.lam, is_plain=risk.is_neutral)
+    return AveragedLocalQ(table=table.reshape(shape),
+                          mass=mass.reshape(shape[:3]))
 
 
 def tilted_q_log_rows(indptr, sp_idx, yp_idx, logp, lam_r, L_next, out):

@@ -18,19 +18,19 @@ from _benchmarks import (
     random_policy_for,
     recycling_model,
 )
-from oracles import forward_sum_eval, risk_vi_reference, weighted_logmeanexp
+from oracles import (backward_stages, forward_sum_eval, risk_vi_reference,
+                     weighted_logmeanexp)
+from rscpi import RiskParameter
 from rscpi.evaluation import (
-    backward,
+    averaged_local_q,
     evaluate_exact,
     forward_marginals,
     rollout_monte_carlo,
 )
 from rscpi.model import matrix_game_model
 from rscpi.policy import JointPolicy, mix_policies, point_mass_phi
-from rscpi.risk import RiskParameter
 from rscpi.solver import (
     SolverConfig,
-    averaged_local_q,
     greedy_agent_update,
     rscpi,
     sweep,
@@ -219,15 +219,6 @@ def test_05_ablations_collapse_to_always_listen(dectiger6):
         assert val < reference, (name, val, reference)
 
 
-def _tilted_stack(model, policy, lam):
-    """Every L_t of the backward recursion; row t - 1 holds L_t."""
-    Z = int(np.prod(policy.agent_state_sizes))
-    stack = np.empty((model.horizon, model.state_count,
-                      model.joint_obs_count, Z))
-    backward(model, policy, lam, out=stack)
-    return stack
-
-
 def _tail_objective(zeta_t, l_t, risk):
     if risk.is_neutral:
         return float(np.sum(zeta_t * l_t))
@@ -254,8 +245,8 @@ def test_06_conservative_update_never_degrades_tail():
         risk = RiskParameter(float(rng.choice([0.0, 0.1, 0.5, 1.0, 2.0])))
         alpha = float(rng.choice([0.1, 0.3, 0.5, 1.0]))
 
-        zeta_t = forward_marginals(model, policy).at(t)
-        tilted = _tilted_stack(model, policy, risk)
+        zeta_t = forward_marginals(model, policy)[t - 1]
+        tilted = backward_stages(model, policy, risk)
         S, Y = model.state_count, model.joint_obs_count
         Z = int(np.prod(z_sizes))
         l_next = (tilted[t] if t < horizon
@@ -271,7 +262,7 @@ def test_06_conservative_update_never_degrades_tail():
             mixed[keep] = tab[keep]
         policy.tables[agent][t - 1] = mixed
 
-        l_after = _tilted_stack(model, policy, risk)[t - 1]
+        l_after = backward_stages(model, policy, risk)[t - 1]
         j_after = _tail_objective(zeta_t, l_after, risk)
         assert j_after >= j_before - 1e-9, (k, j_before, j_after)
     assert time.perf_counter() - t0 < 30.0
@@ -306,14 +297,14 @@ def test_07_greedy_fixpoint_is_a_no_op():
         assert converged, (k, lam)
 
         traj = forward_marginals(model, policy)
-        tilted = _tilted_stack(model, policy, lam)
+        tilted = backward_stages(model, policy, lam)
         S, Y = model.state_count, model.joint_obs_count
         Z = int(np.prod(z_sizes))
         for t in range(1, horizon + 1):
             l_next = (tilted[t] if t < horizon
                       else np.zeros((S, Y, Z)))
             for agent in range(model.n_agents):
-                qbar = averaged_local_q(model, traj.at(t), policy, t,
+                qbar = averaged_local_q(model, traj[t - 1], policy, t,
                                         l_next, lam, agent)
                 tab = policy.tables[agent][t - 1]
                 mixed = mix_policies(tab, greedy_agent_update(qbar), 1.0)

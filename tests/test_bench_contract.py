@@ -197,4 +197,4 @@ class TestBenchmarkContract:
         for name in REMOVED:
             assert name not in rscpi.__all__
             assert not hasattr(rscpi, name)
-            assert not hasattr(rscpi.risk, name)
+            assert not hasattr(rscpi.evaluation, name)

@@ -14,7 +14,7 @@ from oracles import (evaluate_enum, evaluate_risk_enum, fold_stage_joint,
                      forward_marginals_joint, forward_sum_eval,
                      marginal_enum, rollout_monte_carlo_rows,
                      _sample_rows, weighted_logmeanexp)
-from rscpi import evaluation, kernels
+from rscpi import RiskParameter, evaluation, kernels
 from rscpi.bench_cli import load_model
 from rscpi.evaluation import (NumericError, _forward_shapes, _reserve,
                               evaluate_exact, evaluate_risk, fold_stage,
@@ -22,7 +22,6 @@ from rscpi.evaluation import (NumericError, _forward_shapes, _reserve,
                               rollout_monte_carlo)
 from rscpi.model import matrix_game_model
 from rscpi.policy import ROW_ATOL, JointPolicy, PolicyBatch, random_policy
-from rscpi.risk import RiskParameter
 from test_cli import HUGE_REWARD_MODEL
 
 MATRIX_PAYOFFS = [[2.0, -10.0], [-10.0, 6.0]]
@@ -96,7 +95,7 @@ class TestPerAgentContraction:
     def test_forward_matches_joint_table(self, agents):
         model, singles, _ = contraction_case(agents)
         for policy in singles:
-            got = forward_marginals(model, policy).values
+            got = forward_marginals(model, policy)
             want = forward_marginals_joint(model, policy)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -108,7 +107,7 @@ class TestPerAgentContraction:
         risk = RiskParameter(lam)
         got = np.empty(q_red.shape[:2] + (model.joint_obs_count,
                                           q_red.shape[-1]))
-        zetas = forward_marginals(model, batch).values
+        zetas = forward_marginals(model, batch)
         for t in range(1, model.horizon + 1):
             fold_stage(batch, t, q_red, risk, got)
             for r, policy in enumerate(singles):
@@ -117,7 +116,7 @@ class TestPerAgentContraction:
                 assert np.array_equal(got[r], alone)
         for r, policy in enumerate(singles):
             assert np.array_equal(zetas[r],
-                                  forward_marginals(model, policy).values)
+                                  forward_marginals(model, policy))
 
     @pytest.mark.parametrize("lam", [0.0, 0.7])
     def test_overflowing_cell_is_reported(self, lam):
@@ -177,21 +176,20 @@ class TestForwardMarginals:
         traj = forward_marginals(model, policy)
         phi = joint_phi(policy)
         want = model.zeta1[:, :, None] * phi[None, None, :]
-        np.testing.assert_array_equal(traj.at(1), want)
+        np.testing.assert_array_equal(traj[0], want)
 
     def test_matrix_game_single_point_mass(self):
         model = matrix_game_model(MATRIX_PAYOFFS)
         traj = forward_marginals(model, uniform_matrix_policy())
-        assert traj.horizon == 1
-        assert traj.at(1).shape == (1, 1, 1)
-        assert traj.at(1)[0, 0, 0] == 1.0
+        assert traj.shape == (1, 1, 1, 1)
+        assert traj[0, 0, 0, 0] == 1.0
 
     def test_normalized_over_long_horizon(self):
         model = dectiger_model(horizon=20)
         policy = random_policy_for(model, (2, 2), seed=1)
         traj = forward_marginals(model, policy)
         for t in range(1, 21):
-            z = traj.at(t)
+            z = traj[t - 1]
             assert np.all(z >= 0.0)
             assert abs(z.sum() - 1.0) <= 1e-10
 
@@ -200,7 +198,7 @@ class TestForwardMarginals:
         model = random_model(rng, n_states=2, horizon=3)
         policy = random_policy_for(model, (2, 2), seed=3)
         traj = forward_marginals(model, policy)
-        got = traj.at(3)
+        got = traj[2]
         want = marginal_enum(model, policy, 3)
         total = np.zeros_like(got)
         for (s, y, z), p in want.items():
@@ -245,7 +243,7 @@ class TestForwardMarginals:
         model = dectiger_model(horizon=3)
         policy = random_policy_for(model, (2, 2), seed=0)
         room, = _reserve(_forward_shapes(model, 1, (2, 2)))
-        want = forward_marginals(model, policy).values
+        want = forward_marginals(model, policy)
         out = np.zeros((3, 2, 9, 4))
         with pytest.raises(ValueError, match=f"scratch holds {room - 1} "):
             forward_marginals(model, policy, out=out,

@@ -12,13 +12,11 @@ from _benchmarks import random_model, random_policy_for
 from oracles import (averaged_local_q_loops, expand_joint_policy_gather,
                      fold_policy_log_loops, fold_policy_log_states,
                      tilted_q_log_loops, tilted_q_log_rows)
-from rscpi import kernels
+from rscpi import RiskParameter, kernels
 from rscpi.bench_cli import load_model
-from rscpi.evaluation import (backward, dynamics_support, finite_risk,
-                              fold_stage, stage_backup)
+from rscpi.evaluation import (averaged_local_q, dynamics_support,
+                              finite_risk, fold_stage, stage_backup)
 from rscpi.policy import PolicyBatch
-from rscpi.risk import RiskParameter
-from rscpi.solver import averaged_local_q
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -245,20 +243,26 @@ class TestNumpyKernels:
             assert np.array_equal(out, dense)
 
     @pytest.mark.parametrize("lam", [0.0, 0.7])
-    def test_strided_backward_out(self, lam):
-        """backward(batch, out=) hands fold_stage strided (R, S, Y, Z)
-        slices of out; every L_t lands as it does in a contiguous out."""
+    def test_strided_batched_fold_targets(self, lam):
+        """fold_stage of a batch writes strided (R, S, Y, Z) targets, such
+        as one stage of an (R, T, S, Y, Z) stack, as it writes a dense
+        one."""
         b = kernel_inputs(0)
         model, R = b["model"], 3
         batch = PolicyBatch.stack(
             [random_policy_for(model, (2, 2), 300 + r) for r in range(R)], R)
-        shape = (R, model.horizon, b["S"], b["Y"], b["Z"])
+        risk = RiskParameter(lam)
+        q_red = np.random.default_rng(1).uniform(
+            -1.0, 1.0, size=(R, b["S"], b["A"], b["Z"]))
+        shape = (R, b["S"], b["Y"], b["Z"])
         dense = np.full(shape, np.nan)
-        l1 = backward(model, batch, lam, out=dense)
+        fold_stage(batch, 1, q_red, risk, dense)
         wide = np.full(shape[:-1] + (2 * b["Z"],), np.nan)
-        for out in (wide[..., ::2], np.full(shape[::-1], np.nan).T):
+        stack = np.full((R, model.horizon) + shape[1:], np.nan)
+        for out in (wide[..., ::2], np.full(shape[::-1], np.nan).T,
+                    stack[:, 0]):
             assert not out.flags.c_contiguous
-            assert np.array_equal(backward(model, batch, lam, out=out), l1)
+            fold_stage(batch, 1, q_red, risk, out)
             assert np.array_equal(out, dense)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import logmeanexp_direct, weighted_logmeanexp
-from rscpi.risk import RiskParameter
+from rscpi import RiskParameter
 
 
 class TestRiskParameter:

@@ -1,5 +1,6 @@
 """Tilted backward values, averaged local Q, greedy sweeps, and rscpi."""
 
+import inspect
 import math
 import re
 import tracemalloc
@@ -10,19 +11,18 @@ import pytest
 from _benchmarks import (dectiger_model, deterministic_policy,
                          fully_observed_model, random_model, random_policy_for,
                          recycling_model)
-from oracles import (averaged_local_q_flat, logmeanexp_direct, q_values,
-                     risk_vi_reference, update_agent_at_incumbent,
-                     weighted_logmeanexp)
-from rscpi import kernels, solver
-from rscpi.evaluation import (NumericError, aggregate_initial, backward,
-                              evaluate_exact, evaluate_risk,
+from oracles import (averaged_local_q_flat, backward_stages,
+                     logmeanexp_direct, q_values, risk_vi_reference,
+                     update_agent_at_incumbent, weighted_logmeanexp)
+from rscpi import RiskParameter, evaluation, kernels, solver
+from rscpi.evaluation import (AveragedLocalQ, NumericError, SolveWorkspace,
+                              StagePlan, aggregate_initial, averaged_local_q,
+                              backward, evaluate_exact, evaluate_risk,
                               forward_marginals, joint_components,
                               stage_backup)
 from rscpi.model import matrix_game_model
 from rscpi.policy import JointPolicy, PolicyBatch, mix_policies, random_policy
-from rscpi.risk import RiskParameter
-from rscpi.solver import (AveragedLocalQ, SolverConfig, SolveWorkspace,
-                          averaged_local_q, greedy_agent_update, rscpi, sweep)
+from rscpi.solver import SolverConfig, greedy_agent_update, rscpi, sweep
 
 MATRIX_PAYOFFS = [[2.0, -10.0], [-10.0, 6.0]]
 
@@ -51,16 +51,10 @@ def matrix_qbar(p2, lam):
 
 
 def flat_local_q(plan, t, agent):
-    """`averaged_local_q_flat` on the operands of a sweep's plan."""
+    """`averaged_local_q_flat` on the operands of a sweep's plan, in the
+    place of `StagePlan.local_q`."""
     return averaged_local_q_flat(plan.model, plan.zeta[:, t - 1], plan.batch,
                                  t, plan.q_red, plan.risk, agent)
-
-
-def value_stack(model, policy):
-    """A (T, S, Y, Z) tensor for backward(..., out=) to fill with every L_t."""
-    Z = int(np.prod(policy.agent_state_sizes))
-    return np.full((model.horizon, model.state_count, model.joint_obs_count,
-                    Z), np.nan)
 
 
 class TestBackwardTiltedValues:
@@ -68,8 +62,8 @@ class TestBackwardTiltedValues:
         model = matrix_game_model(MATRIX_PAYOFFS)
         policy = interior_matrix_policy(0.9, 0.9)
         lam = 1.0
-        stack = value_stack(model, policy)
-        l1 = backward(model, policy, lam, out=stack)
+        stack = backward_stages(model, policy, lam)
+        l1 = backward(model, policy, lam)
         assert stack.shape == (1, 1, 1, 1)
         assert np.array_equal(l1, stack[0])
         # L_1 = log sum_a pi(a) exp(lam * payoff(a))
@@ -99,11 +93,11 @@ class TestBackwardTiltedValues:
     def test_stage_indexing(self):
         model = dectiger_model(horizon=4)
         policy = random_policy_for(model, (2, 2), seed=0)
-        stack = value_stack(model, policy)
-        l1 = backward(model, policy, 0.5, out=stack)
+        stack = backward_stages(model, policy, 0.5)
+        l1 = backward(model, policy, 0.5)
         assert np.isfinite(stack).all()
         assert np.array_equal(l1, stack[0])
-        # out[t - 1] holds L_t: the last stage is the one-step backup alone
+        # stack[t - 1] holds L_t: the last stage is the one-step backup alone
         last = JointPolicy(horizon=1,
                            agent_state_sizes=policy.agent_state_sizes,
                            tables=[tab[3:] for tab in policy.tables])
@@ -151,6 +145,20 @@ class TestBatchedEvaluation:
             assert j[r] == evaluate_exact(model, policy)
             assert j_risk[r] == evaluate_risk(model, policy, 0.5)
 
+    @pytest.mark.parametrize("agents", [2, 3])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_each_restarts_stages_as_if_alone(self, agents, lam):
+        """Every L_t of a batch, and backward's L_1, carry each restart's
+        lone bits."""
+        model, singles, batch = self.batch_of_three(agents)
+        stacks = backward_stages(model, batch, lam)
+        l1 = backward(model, batch, lam)
+        assert np.array_equal(l1, stacks[:, 0])
+        for r, policy in enumerate(singles):
+            assert np.array_equal(backward(model, policy, lam), l1[r])
+            assert np.array_equal(backward_stages(model, policy, lam),
+                                  stacks[r])
+
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     @pytest.mark.parametrize("n_states,obs_counts", [(3, (3, 2)), (2, (1, 1)),
                                                      (1, (2, 1))])
@@ -174,40 +182,6 @@ class TestBatchedEvaluation:
             want = aggregate_initial(model, policy, l1[r].copy(), risk)
             assert float(got[r]).hex() == want.hex()
 
-    @pytest.mark.parametrize("agents", [2, 3])
-    @pytest.mark.parametrize("lam", [0.0, 0.5])
-    def test_out_keeps_each_restarts_stages(self, agents, lam):
-        model, singles, batch = self.batch_of_three(agents)
-        stack = np.stack([value_stack(model, p) for p in singles])
-        l1 = backward(model, batch, lam, out=stack)
-        assert np.array_equal(l1, stack[:, 0])
-        for r, policy in enumerate(singles):
-            alone = value_stack(model, policy)
-            assert np.array_equal(backward(model, policy, lam, out=alone),
-                                  l1[r])
-            assert np.array_equal(alone, stack[r])
-
-    def test_out_of_wrong_shape_names_both_shapes(self):
-        model, singles, batch = self.batch_of_three(2)
-        lone = value_stack(model, singles[0])
-        want = str((3,) + lone.shape)
-        with pytest.raises(ValueError) as err:
-            backward(model, batch, 0.0, out=lone)
-        assert str(lone.shape) in str(err.value)
-        assert want in str(err.value)
-
-    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
-    def test_out_of_wrong_dtype_names_both_dtypes(self, dtype):
-        """An integer out truncated every L_t and a float32 one rounded it,
-        each without an error; both are refused before a write."""
-        model = dectiger_model(horizon=3)
-        policy = random_policy_for(model, (2, 2), seed=0)
-        out = np.zeros((3, 2, 9, 4), dtype=dtype)
-        with pytest.raises(ValueError) as err:
-            backward(model, policy, 0.0, out=out)
-        assert f"dtype {np.dtype(dtype)}, expected float64" in str(err.value)
-        assert not out.any()
-
     def test_overflow_names_the_restart(self):
         # joint action 0 pays 9e307 a stage: restart 1 takes it at every
         # stage and overflows at t=2, restart 0 never takes it
@@ -227,19 +201,18 @@ class TestBatchedEvaluation:
 class TestAveragedLocalQ:
     def test_matrix_game_neutral_values(self):
         qbar = matrix_qbar(p2=0.9, lam=0.0)
-        assert qbar.is_plain
         assert np.all(qbar.reachable)
-        q = q_values(qbar)[0, 0, :, 0]
+        q = q_values(qbar, 0.0)[0, 0, :, 0]
         np.testing.assert_allclose(q, [0.8, -8.4], atol=1e-12)
 
     def test_matrix_game_tilted_ordering_flips(self):
         qbar = matrix_qbar(p2=0.9, lam=1.0)
-        q = q_values(qbar)[0, 0, :, 0]
+        q = q_values(qbar, 1.0)[0, 0, :, 0]
         want_a = logmeanexp_direct([0.9, 0.1], [2.0, -10.0], 1.0)
         want_b = logmeanexp_direct([0.9, 0.1], [-10.0, 6.0], 1.0)
         np.testing.assert_allclose(q, [want_a, want_b], atol=1e-12)
         assert q[1] > q[0]  # the 0.1 e^6 tail wins under the tilt
-        neutral = q_values(matrix_qbar(p2=0.9, lam=0.0))[0, 0, :, 0]
+        neutral = q_values(matrix_qbar(p2=0.9, lam=0.0), 0.0)[0, 0, :, 0]
         assert neutral[0] > neutral[1]
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
@@ -250,11 +223,11 @@ class TestAveragedLocalQ:
         r = rng.uniform(-1, 1, size=(3, 2))
         model = fully_observed_model(P, r, [0.2, 0.5, 0.3], horizon=1)
         policy = random_policy_for(model, (1,), seed=6)
-        zeta1 = forward_marginals(model, policy).at(1)
+        zeta1 = forward_marginals(model, policy)[0]
         l_next = np.zeros((3, 3, 1))
         qbar = averaged_local_q(model, zeta1, policy, 1, l_next, lam, 0)
         assert np.all(qbar.reachable)
-        q = q_values(qbar)[:, 0, :, 0]
+        q = q_values(qbar, lam)[:, 0, :, 0]
         np.testing.assert_allclose(q, r, atol=1e-12)
 
     def test_unreachable_cells_flagged(self):
@@ -263,23 +236,23 @@ class TestAveragedLocalQ:
         r = rng.uniform(-1, 1, size=(3, 2))
         model = fully_observed_model(P, r, [0.5, 0.5, 0.0], horizon=1)
         policy = random_policy_for(model, (1,), seed=8)
-        zeta1 = forward_marginals(model, policy).at(1)
+        zeta1 = forward_marginals(model, policy)[0]
         qbar = averaged_local_q(model, zeta1, policy, 1,
                                 np.zeros((3, 3, 1)), 0.0, 0)
         np.testing.assert_array_equal(qbar.reachable[:, 0],
                                       [True, True, False])
-        assert np.all(np.isnan(q_values(qbar)[2]))
+        assert np.all(np.isnan(q_values(qbar, 0.0)[2]))
 
     def test_mass_is_cell_marginal(self):
         model = dectiger_model(horizon=3)
         policy = random_policy_for(model, (2, 2), seed=9)
         traj = forward_marginals(model, policy)
         l_next = np.zeros((2, 9, 4))
-        qbar = averaged_local_q(model, traj.at(2), policy, 2, l_next, 0.0, 0)
+        qbar = averaged_local_q(model, traj[1], policy, 2, l_next, 0.0, 0)
         y_comp = joint_components(model.obs_counts)[0]
         w_comp = joint_components((2, 2))[0]
         want = np.zeros((3, 2))
-        flat = traj.at(2).sum(axis=0)
+        flat = traj[1].sum(axis=0)
         for y in range(9):
             for w in range(4):
                 want[y_comp[y], w_comp[w]] += flat[y, w]
@@ -295,7 +268,7 @@ class TestAveragedLocalQ:
         policy = JointPolicy(horizon=1, agent_state_sizes=(1, 1), tables=tabs)
         qbar = averaged_local_q(model, np.ones((1, 1, 1)), policy, 1,
                                 np.zeros((1, 1, 1)), 1.0, 0)
-        q = q_values(qbar)[0, 0, :, 0]
+        q = q_values(qbar, 1.0)[0, 0, :, 0]
         want = [logmeanexp_direct([1.0, 1e-200], row, 1.0)
                 for row in ([1.0, 1.0], [0.0, 600.0])]
         np.testing.assert_allclose(q, want, rtol=0, atol=1e-12)
@@ -312,7 +285,7 @@ class TestAveragedLocalQ:
         a bad agent would fail deep inside with an IndexError."""
         model = dectiger_model(horizon=3)
         policy = random_policy_for(model, (2, 2), seed=9)
-        zeta_t = forward_marginals(model, policy).at(1)
+        zeta_t = forward_marginals(model, policy)[0]
         with pytest.raises(ValueError, match=re.escape(match)):
             averaged_local_q(model, zeta_t, policy, t, np.zeros((2, 9, 4)),
                              0.0, agent)
@@ -340,7 +313,8 @@ class TestAveragedLocalQ:
             shape = (8, model.joint_obs_count, 9)
             for policy, l_next in ((singles[0], np.zeros(shape)),
                                    (batch, np.zeros((3,) + shape))):
-                zeta_t = forward_marginals(model, policy).at(model.horizon)
+                zeta_t = forward_marginals(model, policy)[
+                    ..., model.horizon - 1, :, :, :]
                 for agent in (0, 1):
                     qbar = averaged_local_q(model, zeta_t, policy,
                                             model.horizon, l_next, lam, agent)
@@ -356,7 +330,7 @@ class TestAveragedLocalQ:
         singles = [random_policy_for(model, (2, 3), seed=80 + r)
                    for r in range(3)]
         batch = PolicyBatch.stack(singles, 3)
-        zeta_t = forward_marginals(model, batch).at(2)
+        zeta_t = forward_marginals(model, batch)[:, 1]
         l_next = np.random.default_rng(5).uniform(
             -1.0, 1.0, size=(3, 3, model.joint_obs_count, 6))
         for agent in (0, 1):
@@ -383,7 +357,7 @@ class TestFactoredLocalQ:
         restarts, the table is the full product's to 1e-12, and the greedy
         pick is the full product's wherever its best two cells differ by
         more than 1e-9."""
-        factored = solver._averaged_local_q
+        factored = StagePlan.local_q
         clear_cells = []
 
         def checked(plan, t, agent):
@@ -402,7 +376,7 @@ class TestFactoredLocalQ:
             clear_cells.append(int(clear.sum()))
             return got
 
-        monkeypatch.setattr(solver, "_averaged_local_q", checked)
+        monkeypatch.setattr(StagePlan, "local_q", checked)
         model = random_model(np.random.default_rng(30 + agents), n_states=3,
                              action_counts=(2,) * agents,
                              obs_counts=(2,) * agents, horizon=3)
@@ -422,7 +396,7 @@ class TestFactoredLocalQ:
                               max_sweeps=8, restarts=2, seed=0,
                               z_sizes=(2, 2))
         got = rscpi(model, config)
-        monkeypatch.setattr(solver, "_averaged_local_q", flat_local_q)
+        monkeypatch.setattr(StagePlan, "local_q", flat_local_q)
         want = rscpi(model, config)
         assert got.trace == want.trace
         assert got.sweeps == want.sweeps == 8
@@ -454,15 +428,14 @@ class TestFactoredLocalQ:
 
         # the plan's arena holds each agent's buffers in one phase; a call
         # may allocate more on top of the largest
-        plan = solver.SweepPlan(model, batch, risk, ws)
+        plan = ws.layout(model, batch, risk)
         held = max(8 * sum(max(map(math.prod, entry))
                            if isinstance(entry, list) else math.prod(entry)
-                           for entry in solver._LocalQLayout(
-                               model, batch, ws, agent).spec
+                           for entry in evaluation._LocalQLayout(
+                               model, batch, ws.zeta, ws.q_red, agent).spec
                            if entry is not None)
                    for agent in (0, 1)) / 1e6
-        assert held + peak_mb(lambda agent: solver._averaged_local_q(
-            plan, 2, agent)) < 0.6
+        assert held + peak_mb(lambda agent: plan.local_q(2, agent)) < 0.6
         assert peak_mb(lambda agent: flat_local_q(plan, 2, agent)) > 0.6
 
 
@@ -498,20 +471,23 @@ class TestStagePlanScratch:
 
 class TestSolveLayout:
     """A solve lays its stages out once per regime: its sweeps and exact
-    evaluations share the one `SweepPlan` its workspace keeps."""
+    evaluations share the one `StagePlan` its workspace keeps."""
 
     @staticmethod
     def count_plans(monkeypatch):
+        """The lam of each solve plan built, one laid out over zeta; the
+        plans of a lone `backward` or `fold_stage` are not counted."""
         built = []
 
-        class Counted(solver.SweepPlan):
+        class Counted(StagePlan):
             __slots__ = ()
 
-            def __init__(self, model, batch, risk, ws):
-                built.append(risk.lam)
-                super().__init__(model, batch, risk, ws)
+            def __init__(self, batch, risk, *args, zeta=None, **kwargs):
+                if zeta is not None:
+                    built.append(risk.lam)
+                super().__init__(batch, risk, *args, zeta=zeta, **kwargs)
 
-        monkeypatch.setattr(solver, "SweepPlan", Counted)
+        monkeypatch.setattr(evaluation, "StagePlan", Counted)
         return built
 
     def test_an_untilted_solve_lays_its_stages_out_once(self, monkeypatch):
@@ -569,6 +545,19 @@ class TestSolveLayout:
         assert peak_kb(True) <= peak_kb(False) + 16.0
 
 
+class TestModuleBoundary:
+    def test_solver_binds_no_private_name_of_evaluation(self):
+        """Policy improvement reaches evaluation through its public names
+        only: how a stage is laid out stays evaluation's own decision."""
+        private = [value for name, value in vars(evaluation).items()
+                   if name.startswith("_")
+                   and (inspect.isfunction(value) or inspect.isclass(value))]
+        assert private
+        bound = [name for name, value in vars(solver).items()
+                 if any(value is p for p in private)]
+        assert bound == []
+
+
 class TestGreedyAgentUpdate:
     def test_neutral_picks_safe_action(self):
         picks = greedy_agent_update(matrix_qbar(p2=0.9, lam=0.0))
@@ -579,16 +568,15 @@ class TestGreedyAgentUpdate:
         assert picks[0, 0] == 1     # a = 1 of Z = 1
 
     def test_all_equal_ties_to_first_cell(self):
-        qbar = AveragedLocalQ(agent=0, t=1, table=np.zeros((2, 2, 3, 2)),
-                              mass=np.ones((2, 2)), lam=0.0, is_plain=True)
+        qbar = AveragedLocalQ(table=np.zeros((2, 2, 3, 2)),
+                              mass=np.ones((2, 2)))
         np.testing.assert_array_equal(greedy_agent_update(qbar), 0)
 
     def test_flat_index_is_action_times_z_plus_next_state(self):
         table = np.zeros((2, 1, 3, 2))
         table[0, 0, 2, 1] = 1.0
         table[1, 0, 1, 0] = 1.0
-        qbar = AveragedLocalQ(agent=0, t=1, table=table,
-                              mass=np.ones((2, 1)), lam=0.0, is_plain=True)
+        qbar = AveragedLocalQ(table=table, mass=np.ones((2, 1)))
         np.testing.assert_array_equal(greedy_agent_update(qbar),
                                       [[2 * 2 + 1], [1 * 2 + 0]])
 
@@ -600,7 +588,7 @@ class TestGreedyAgentUpdate:
         model = dectiger_model(horizon=3)
         policy = random_policy_for(model, (2, 2), seed=3)
         before = [tab[0].copy() for tab in policy.tables]
-        zeta_1 = forward_marginals(model, policy).at(1)
+        zeta_1 = forward_marginals(model, policy)[0]
         l_next = np.zeros((model.state_count, model.joint_obs_count, 4))
         sweep(model, policy, lam, 1.0)
         for agent, tab in enumerate(policy.tables):
@@ -616,14 +604,13 @@ class TestGreedyAgentUpdate:
         policy = random_policy_for(model, (2, 2), seed=12)
         traj = forward_marginals(model, policy)
         for lam in (1e-6, 0.1, 1.0, 5.0):
-            tilted = value_stack(model, policy)
-            backward(model, policy, lam, out=tilted)
+            tilted = backward_stages(model, policy, lam)
             for agent in (0, 1):
-                qbar = averaged_local_q(model, traj.at(2), policy, 2,
+                qbar = averaged_local_q(model, traj[1], policy, 2,
                                         tilted[2], lam, agent)
                 yi, wi, ai, zi = qbar.table.shape
                 flat_w = qbar.table.reshape(yi, wi, ai * zi)
-                flat_q = q_values(qbar).reshape(yi, wi, ai * zi)
+                flat_q = q_values(qbar, lam).reshape(yi, wi, ai * zi)
                 for y in range(yi):
                     for w in range(wi):
                         if qbar.mass[y, w] > 0:
@@ -846,7 +833,7 @@ class TestFixpoints:
         wi = policy.agent_state_sizes[agent]
         mass = np.zeros((yi, wi))
         np.add.at(mass, (y_comp[:, None], w_comp[None, :]),
-                  traj.at(t).sum(axis=0))
+                  traj[..., t - 1, :, :, :].sum(axis=0))
         return mass > 0
 
     def test_full_greedy_reaches_bitwise_fixpoint(self):
