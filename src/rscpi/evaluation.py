@@ -24,13 +24,15 @@ once sharing its memory, and the plan holds the strided views of those
 buffers and of the tensors the recursion reads and writes. The arena holds
 the fold's buffers and the stage backup's intermediate; a plan given the
 marginals `zeta` also holds each agent's averaged local value
-(`_LocalQLayout`) and reserves the forward step's room. A stage forms only
-the views of its policy rows (stage t - 1 of a table) and runs `np.copyto`,
-`np.matmul(out=)` and ufuncs with `out=` on the prepared operands. Nothing
-of a plan depends on T. A lone `forward_marginals` or `backward` call lays
-its stages out for itself; a solve keeps one plan on its `SolveWorkspace`
-(`SolveWorkspace.layout`), which its forward steps, sweeps and exact
-evaluations share while the regime (tilted or not) holds.
+(`_LocalQLayout`) and the forward step into zeta (`StagePlan.forward`). A
+stage forms only the views of its policy rows (stage t - 1 of a table) and
+runs `np.copyto`, `np.matmul(out=)` and ufuncs with `out=` on the prepared
+operands. Nothing of a plan depends on T. A solve keeps one plan on its
+`SolveWorkspace` (`SolveWorkspace.layout`), which its forward steps, sweeps
+and exact evaluations share while the regime (tilted or not) holds; the
+plan lays each of them out once. A lone `backward` call lays its stages
+out for itself, and a lone `forward_marginals` call runs on a workspace of
+its own.
 
 The forward marginals, both steps, `backward`, `evaluate_exact` and
 `evaluate_risk` also take a `PolicyBatch`: its leading restart axis leads
@@ -110,9 +112,9 @@ def _check_dims(model: DecPomdpModel, policy: JointPolicy):
         raise ValueError("observation space mismatch")
 
 
-def _scratch(*phases, arena=None):
-    """C-ordered float64 buffers of the given shapes, cut from one flat
-    arena: `arena` when given, else a new one.
+def _scratch(*phases):
+    """C-ordered float64 buffers of the given shapes, cut from one new flat
+    arena.
 
     Each phase lists the buffers in use together: a shape, a list of shapes
     that view one region in turn, or None for no buffer. Every phase starts
@@ -139,9 +141,7 @@ def _scratch(*phases, arena=None):
             at += n + (n & 1)
         specs.append(spec)
         top = max(top, at)
-    arena = np.empty(top) if arena is None else arena
-    if arena.size < top:
-        raise ValueError(f"scratch holds {arena.size} floats, needs {top}")
+    arena = np.empty(top)
     out = []
     for phase, spec in zip(phases, specs):
         if spec is None:
@@ -159,12 +159,6 @@ def _scratch(*phases, arena=None):
             bufs.append(views if type(entry) is list else views[0])
         out.append(bufs)
     return out
-
-
-def _reserve(shapes) -> tuple:
-    """The shape of one flat buffer as long as `_scratch` lays `shapes` out
-    in one phase: a phase of it reserves their room without their views."""
-    return (sum(n + (n & 1) for n in map(math.prod, shapes)),)
 
 
 def _paired_view(x: np.ndarray, firsts, seconds) -> np.ndarray:
@@ -251,90 +245,6 @@ class _Contraction:
                 np.matmul(left[t - 1], x, out=out)
             else:
                 np.matmul(x, right[t - 1], out=out)
-
-
-def _check_out(out, shape):
-    """Refuse an `out` of another shape or dtype before anything is
-    written: a float32 one would round every stage, an integer one would
-    truncate it."""
-    if out is None:
-        return
-    if out.shape != shape:
-        raise ValueError(f"out has shape {out.shape}, expected {shape}")
-    if out.dtype != np.float64:
-        raise ValueError(f"out has dtype {out.dtype}, expected float64")
-
-
-def _forward_shapes(model: DecPomdpModel, R: int, w_sizes) -> list:
-    """The buffers `forward_marginals` cuts for R restarts of agent-state
-    sizes w_sizes: the contraction's, occupancy, next marginal, mass."""
-    S, Y = model.state_count, model.joint_obs_count
-    A, Z = model.joint_action_count, math.prod(w_sizes)
-    ks = [y * w for y, w in zip(model.obs_counts, w_sizes)]
-    js = [a * w for a, w in zip(model.action_counts, w_sizes)]
-    return (_Contraction.shapes(R, S, ks, js, False)
-            + [(R, S, A, Z), (R, Z, S * Y), (R,)])
-
-
-def forward_marginals(model: DecPomdpModel, policy: JointPolicy,
-                      out=None, scratch=None) -> np.ndarray:
-    """Forward recursion for zeta_t(s, y, z_), t = 1..T, returned as one
-    (T, S, Y, Z) tensor ((R, T, S, Y, Z) for a batch of R restarts) whose
-    index t - 1 holds zeta_t: `out` when given.
-
-    zeta_1 = zeta1 (x) phi; each later step trades each agent's (y^i, w^i)
-    axes of the occupancy for its (a^i, z^i) under the previous policy rows
-    and pushes the result through the joint dynamics. Each tensor is
-    renormalized when its mass drifts within 1e-8 of 1, and errors beyond.
-    The step's operands are laid out once per call, in `_forward_shapes`
-    buffers cut from `scratch`, a flat float64 arena, or a new arena.
-    """
-    _check_dims(model, policy)
-    S, Y = model.state_count, model.joint_obs_count
-    A = model.joint_action_count
-    y_sizes, a_sizes = model.obs_counts, model.action_counts
-    w_sizes = policy.agent_state_sizes
-    Z = math.prod(w_sizes)
-    T = model.horizon
-    phi = joint_phi(policy)
-    _check_out(out, phi.shape[:-1] + (T, S, Y, Z))
-    batch = PolicyBatch.of(policy)
-    R = batch.size
-    bufs, = _scratch(_forward_shapes(model, R, w_sizes), arena=scratch)
-    zetas = out if out is not None else np.zeros(phi.shape[:-1] + (T, S, Y, Z))
-    zetas[..., 0, :, :, :] = model.zeta1[:, :, None] * phi[..., None, None, :]
-    by_stage = (zetas if batch is policy else zetas[None]).swapaxes(0, 1)
-    ks = [y * w for y, w in zip(y_sizes, w_sizes)]
-    js = [a * w for a, w in zip(a_sizes, w_sizes)]
-    *steps, occ, nxt, total = bufs
-    contract = _Contraction(batch, ks, js, False, steps, forward=True)
-    pair_in = _paired_view(by_stage, y_sizes, w_sizes)
-    pair_out = steps[0].reshape((R, S) + sum(zip(y_sizes, w_sizes), ()))
-    n = len(w_sizes)
-    unpair_in = steps[-1].reshape((R, S) + sum(zip(a_sizes, w_sizes), ()))
-    unpair_in = unpair_in.transpose(0, 1, *range(2, 2 + 2 * n, 2),
-                                    *range(3, 2 + 2 * n, 2))
-    unpair_out = occ.reshape((R, S) + a_sizes + w_sizes)
-    occ_t = occ.reshape(R, S * A, Z).swapaxes(-1, -2)
-    p_flat = model.P.reshape(S * A, S * Y)
-    nxt_t = nxt.swapaxes(-1, -2).reshape(R, S, Y, Z)
-    total_b = total[:, None, None, None]
-    for t in range(1, T):
-        np.copyto(pair_out, pair_in[t - 1])
-        contract(t)
-        np.copyto(unpair_out, unpair_in)
-        np.matmul(occ_t, p_flat, out=nxt)
-        cur = by_stage[t]
-        np.copyto(cur, nxt_t)
-        np.add.reduce(cur, axis=(1, 2, 3), out=total)
-        off = np.abs(total - 1.0) > MARGINAL_ATOL
-        if off.any():
-            raise ValueError(
-                f"marginal at t={t + 1} sums to {total[off].flat[0]:.12g}; "
-                "dynamics or policy rows are not normalized"
-            )
-        np.divide(cur, total_b, out=cur)
-    return zetas
 
 
 def check_stage(t: int, horizon: int):
@@ -527,20 +437,20 @@ class StagePlan:
     A plan serves one policy batch, one regime of `risk` (tilted or not),
     the q_red tensor (R, S, A, Z) that `stage_backup` fills and a stack
     `targets` (K, R, S, Y, Z) of the value tensors L_t is folded into. It
-    cuts one scratch `arena` into the fold's buffers and, when it is given
+    cuts one scratch arena into the fold's buffers and, when it is given
     the `model` whose stages it backs up, the stage backup's `scratch`.
     Given also the marginals `zeta` (R, T, S, Y, Z), it lays out each
-    agent's averaged local value in `local` and reserves room for the
-    buffers `forward_marginals` cuts from the arena per call; none of
-    these phases are in use at once. The plan holds views of its arrays
-    and of the policy's tables, none per stage, so its size does not
-    depend on T; a stage forms only its rows' views. `batched=False` names
-    a caller without a restart axis in its errors.
+    agent's averaged local value in `local` and the forward step that
+    `forward` runs into zeta, always untilted; none of these phases are in
+    use at once. The plan holds views of its arrays and of the policy's
+    tables, none per stage, so its size does not depend on T; a stage
+    forms only its rows' views. `batched=False` names a caller without a
+    restart axis in its errors.
     """
 
     __slots__ = ("contract", "q_in", "q_out", "folded", "targets", "paired",
-                 "batch", "risk", "q_red", "batched", "scratch", "arena",
-                 "local", "model", "zeta")
+                 "batch", "risk", "q_red", "batched", "scratch", "local",
+                 "model", "zeta", "forward_ops")
 
     def __init__(self, batch: PolicyBatch, risk: RiskParameter,
                  q_red: np.ndarray, targets: np.ndarray,
@@ -559,14 +469,25 @@ class StagePlan:
         if zeta is not None:
             local = [_LocalQLayout(model, batch, zeta, q_red, i)
                      for i in range(model.n_agents)]
-            # the last phase only reserves the forward step's room
-            phases = [lay.spec for lay in local] + [[_reserve(
-                _forward_shapes(model, R, batch.agent_state_sizes))]]
+            A, Y = model.joint_action_count, model.joint_obs_count
+            # the forward step's: contraction, occupancy, next marginal, mass
+            phases = [lay.spec for lay in local] + [
+                _Contraction.shapes(R, S, js, ks, False)
+                + [(R, S, A, Z), (R, Z, S * Y), (R, 1, 1, 1)]]
         fold, (self.scratch,), *bufs = _scratch(
             _Contraction.shapes(R, S, ks, js, logs), backup, *phases)
         for lay, lay_bufs in zip(local, bufs):
             lay.bind(lay_bufs)
-        self.arena = fold[0].base   # every buffer views the one arena
+        self.forward_ops = None
+        if zeta is not None:
+            *steps, occ, nxt, total = bufs[-1]
+            self.forward_ops = (
+                _paired_view(zeta.swapaxes(0, 1), y_w[::2], y_w[1::2]),
+                steps[0].reshape((R, S) + y_w),
+                _Contraction(batch, js, ks, False, steps, forward=True),
+                _paired_view(occ, a_w[::2], a_w[1::2]),
+                steps[-1].reshape((R, S) + a_w),
+                occ.reshape(R, S * A, Z).swapaxes(-1, -2), nxt, total)
         self.contract = _Contraction(batch, ks, js, logs, fold)
         self.q_in = _paired_view(q_red, a_w[::2], a_w[1::2])
         self.q_out = fold[0].reshape((R, S) + a_w)
@@ -576,6 +497,42 @@ class StagePlan:
         self.batch, self.risk, self.q_red = batch, risk, q_red
         self.batched = batched
         self.local, self.model, self.zeta = local, model, zeta
+
+    def forward(self) -> np.ndarray:
+        """`forward_marginals` of the plan's batch into `zeta`, returned.
+
+        Each step copies zeta_t's agents' (y^i, w^i) axes paired into the
+        contraction, which trades them for (a^i, z^i) under the stage's
+        rows, copies the occupancy back unpaired and pushes it through P.
+        It runs untilted in either regime and returns before a sweep's
+        first stage writes the arena.
+        """
+        (pair_in, pair_out, contract, unpair_out, unpair_in, occ, nxt,
+         total) = self.forward_ops
+        model, zeta = self.model, self.zeta
+        R, _, S, Y, Z = zeta.shape
+        # two plain reshapes per call: each view a plan holds stays under
+        # every stage's peak
+        p_flat = model.P.reshape(S * model.joint_action_count, S * Y)
+        nxt_t = nxt.swapaxes(-1, -2).reshape(R, S, Y, Z)
+        phi = joint_phi(self.batch)
+        zeta[:, 0] = model.zeta1[:, :, None] * phi[:, None, None, :]
+        for t in range(1, model.horizon):
+            np.copyto(pair_out, pair_in[t - 1])
+            contract(t)
+            np.copyto(unpair_out, unpair_in)
+            np.matmul(occ, p_flat, out=nxt)
+            cur = zeta[:, t]
+            np.copyto(cur, nxt_t)
+            np.add.reduce(cur, axis=(1, 2, 3), out=total, keepdims=True)
+            off = np.abs(total - 1.0) > MARGINAL_ATOL
+            if off.any():
+                raise ValueError(
+                    f"marginal at t={t + 1} sums to {total[off].flat[0]:.12g}"
+                    "; dynamics or policy rows are not normalized"
+                )
+            np.divide(cur, total, out=cur)
+        return zeta
 
     def fold(self, t: int, k: int) -> np.ndarray:
         """`fold_stage` of stage t (1-based) from q_red into targets[k].
@@ -659,7 +616,8 @@ class SolveWorkspace:
     `peak_floats` counts the first two, R * (T*S*Y*Z + 2*S*Y*Z) floats.
     Forward steps, sweeps and exact evaluations on the workspace share the
     `StagePlan` that `layout` keeps in `plan`, whose arena `peak_floats`
-    does not count.
+    does not count: the plan lays each of them out once, the forward step
+    in either regime.
     """
 
     def __init__(self, model: DecPomdpModel, z_sizes, restarts: int = 1):
@@ -678,20 +636,25 @@ class SolveWorkspace:
         self.plan = None
 
     def layout(self, model: DecPomdpModel, batch: PolicyBatch,
-               risk: RiskParameter) -> StagePlan:
+               risk: RiskParameter = None) -> StagePlan:
         """The `StagePlan` of `batch` on these tensors, its `risk` bound to
         risk.
 
-        The kept plan is reused while it serves this batch in risk's regime
-        (`RiskParameter.is_neutral`), else dropped before the next one is
-        laid out, so that one arena lives at a time. Raises ValueError for
-        a workspace of another model or one that does not fit the batch.
+        The kept plan is reused while it serves the batch's arrays in
+        risk's regime (`RiskParameter.is_neutral`), or in either regime
+        when risk is None. Otherwise it is dropped before the next one is
+        laid out (untilted when risk is None), so that one arena lives at
+        a time. Found by the arrays, the plan stays with a JointPolicy
+        that `PolicyBatch.of` wraps anew on every call. Raises ValueError
+        for a workspace of another model or one that does not fit the
+        batch.
         """
         if model is not self.model:
             raise ValueError("workspace was built for another model")
         plan = self.plan
-        if (plan is None or plan.batch is not batch
-                or plan.risk.is_neutral != risk.is_neutral):
+        if (plan is None or not _same_arrays(plan.batch, batch)
+                or risk is not None
+                and plan.risk.is_neutral != risk.is_neutral):
             plan = self.plan = None   # free the old arena first
             if (self.restarts, self.z_sizes) != (batch.size,
                                                  batch.agent_state_sizes):
@@ -700,10 +663,46 @@ class SolveWorkspace:
                     f"agent-state sizes {self.z_sizes}, the batch "
                     f"{batch.size} of {batch.agent_state_sizes}")
             _check_dims(model, batch)
-            plan = self.plan = StagePlan(batch, risk, self.q_red, self.l,
-                                         model=model, zeta=self.zeta)
-        plan.risk = risk
+            plan = self.plan = StagePlan(
+                batch, RiskParameter(0.0) if risk is None else risk,
+                self.q_red, self.l, model=model, zeta=self.zeta)
+        elif risk is not None:
+            plan.risk = risk
         return plan
+
+
+def _same_arrays(a: PolicyBatch, b: PolicyBatch) -> bool:
+    """Whether two batches view the same memory alike, table by table and
+    phi by phi, as each `PolicyBatch.of` of one JointPolicy does."""
+    if a is b:
+        return True
+    xs, ys = [*a.tables, *a.phi], [*b.tables, *b.phi]
+    return len(xs) == len(ys) and all(
+        x.__array_interface__["data"][0] == y.__array_interface__["data"][0]
+        and (x.shape, x.strides, x.dtype) == (y.shape, y.strides, y.dtype)
+        for x, y in zip(xs, ys))
+
+
+def forward_marginals(model: DecPomdpModel, policy: JointPolicy,
+                      workspace: SolveWorkspace = None) -> np.ndarray:
+    """Forward recursion for zeta_t(s, y, z_), t = 1..T, returned as one
+    (T, S, Y, Z) tensor ((R, T, S, Y, Z) for a batch of R restarts) whose
+    index t - 1 holds zeta_t.
+
+    zeta_1 = zeta1 (x) phi; each later step trades each agent's (y^i, w^i)
+    axes of the occupancy for its (a^i, z^i) under the previous policy rows
+    and pushes the result through the joint dynamics. Each tensor is
+    renormalized when its mass drifts within 1e-8 of 1, and errors beyond.
+    The steps run as `StagePlan.forward`, on the plan that the workspace's
+    `layout` keeps for the batch, in either regime, and into its `zeta`;
+    with no workspace, on one built for this call.
+    """
+    batch = PolicyBatch.of(policy)
+    if workspace is None:
+        workspace = SolveWorkspace(model, batch.agent_state_sizes,
+                                   restarts=batch.size)
+    zeta = workspace.layout(model, batch).forward()
+    return zeta if batch is policy else zeta[0]
 
 
 def fold_stage(policy: JointPolicy, t: int, q_red: np.ndarray,

@@ -167,17 +167,16 @@ def sweep(model: DecPomdpModel, policy, lam, alpha: float,
                          f"({batch.size},), one flag per restart")
     with kernels.quiet_overflow():
         for group in groups:
-            l_next = _sweep_pass(plan, group, alpha, live)
+            l_next = _sweep_pass(ws, group, alpha, live)
     return aggregate_initial(model, policy,
                              l_next if batch is policy else l_next[0], risk)
 
 
-def _sweep_pass(plan: StagePlan, agents, alpha, live) -> np.ndarray:
-    """One T..1 pass updating `agents` at every stage; returns L_1. The
-    forward step cuts its buffers from the plan's arena, in a phase of
-    their own: it returns before any stage writes."""
-    model = plan.model
-    forward_marginals(model, plan.batch, out=plan.zeta, scratch=plan.arena)
+def _sweep_pass(ws: SolveWorkspace, agents, alpha, live) -> np.ndarray:
+    """One T..1 pass updating `agents` at every stage on the workspace's
+    plan, its forward step first; returns L_1."""
+    plan, model = ws.plan, ws.model
+    forward_marginals(model, plan.batch, workspace=ws)
     l_next = plan.targets[0]
     l_next[...] = 0.0
     for t in range(model.horizon, 0, -1):

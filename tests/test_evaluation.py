@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _benchmarks import (dectiger_block_policy, dectiger_model,
                          deterministic_policy, fully_observed_model,
@@ -12,14 +14,14 @@ from _benchmarks import (dectiger_block_policy, dectiger_model,
                          recycling_reactive_policy)
 from oracles import (evaluate_enum, evaluate_risk_enum, fold_stage_joint,
                      forward_marginals_joint, forward_sum_eval,
-                     marginal_enum, rollout_monte_carlo_rows,
-                     _sample_rows, weighted_logmeanexp)
+                     marginal_enum, risk_vi_reference,
+                     rollout_monte_carlo_rows, _sample_rows,
+                     weighted_logmeanexp)
 from rscpi import RiskParameter, evaluation, kernels
 from rscpi.bench_cli import load_model
-from rscpi.evaluation import (NumericError, _forward_shapes, _reserve,
-                              evaluate_exact, evaluate_risk, fold_stage,
-                              forward_marginals, joint_phi,
-                              rollout_monte_carlo)
+from rscpi.evaluation import (NumericError, SolveWorkspace, evaluate_exact,
+                              evaluate_risk, fold_stage, forward_marginals,
+                              joint_phi, rollout_monte_carlo)
 from rscpi.model import matrix_game_model
 from rscpi.policy import ROW_ATOL, JointPolicy, PolicyBatch, random_policy
 from test_cli import HUGE_REWARD_MODEL
@@ -212,45 +214,30 @@ class TestForwardMarginals:
         with pytest.raises(ValueError):
             forward_marginals(model, policy)
 
-    @pytest.mark.parametrize("shape", [(4, 2, 9, 4), (2, 2, 9, 4),
-                                       (1, 3, 2, 9, 4), (3, 2, 9, 2)])
-    def test_out_shape_checked(self, shape):
-        """An out with a longer horizon would come back with an all-zero
-        last stage; every wrong shape is refused, naming the right one."""
-        model = dectiger_model(horizon=3)
-        policy = random_policy_for(model, (2, 2), seed=0)
-        out = np.zeros(shape)
-        with pytest.raises(ValueError, match=r"expected \(3, 2, 9, 4\)"):
-            forward_marginals(model, policy, out=out)
-        assert not out.any()
+    @pytest.mark.parametrize("agents", [2, 3])
+    @pytest.mark.parametrize("kept", [None, 0.0, 0.7])
+    def test_on_a_workspace_as_alone(self, agents, kept):
+        """With a workspace the step runs on the plan kept for the batch,
+        tilted or not, or lays an untilted one out when none is kept; its
+        bits are those of the lone call, which runs on a workspace of its
+        own, whatever the shared arena held before."""
+        model, singles, batch = contraction_case(agents)
+        ws = SolveWorkspace(model, batch.agent_state_sizes,
+                            restarts=batch.size)
+        plan = None
+        if kept is not None:
+            plan = ws.layout(model, batch, RiskParameter(kept))
+            plan.q_out.base.fill(np.nan)   # the arena every phase shares
+        got = forward_marginals(model, batch, workspace=ws)
+        assert got is ws.zeta
+        assert ws.plan.risk.lam == (0.0 if kept is None else kept)
+        assert plan is None or ws.plan is plan
+        assert got.tobytes() == forward_marginals(model, batch).tobytes()
+        one = SolveWorkspace(model, batch.agent_state_sizes)
+        got = forward_marginals(model, singles[1], workspace=one)
+        assert got.tobytes() == forward_marginals(model,
+                                                  singles[1]).tobytes()
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
-    def test_out_dtype_checked(self, dtype):
-        """An integer out would truncate every zeta_t and a float32 one
-        round it; either is refused, naming both dtypes, before a write."""
-        model = dectiger_model(horizon=3)
-        policy = random_policy_for(model, (2, 2), seed=0)
-        out = np.zeros((3, 2, 9, 4), dtype=dtype)
-        with pytest.raises(ValueError, match=rf"dtype {np.dtype(dtype)}, "
-                                             r"expected float64"):
-            forward_marginals(model, policy, out=out)
-        assert not out.any()
-
-
-    def test_scratch_too_small_is_refused(self):
-        """A solve's layout reserves the step's room as one buffer of
-        `_reserve`'s length; one float less is refused before a write."""
-        model = dectiger_model(horizon=3)
-        policy = random_policy_for(model, (2, 2), seed=0)
-        room, = _reserve(_forward_shapes(model, 1, (2, 2)))
-        want = forward_marginals(model, policy)
-        out = np.zeros((3, 2, 9, 4))
-        with pytest.raises(ValueError, match=f"scratch holds {room - 1} "):
-            forward_marginals(model, policy, out=out,
-                              scratch=np.empty(room - 1))
-        assert not out.any()
-        forward_marginals(model, policy, out=out, scratch=np.empty(room))
-        assert np.array_equal(out, want)
 
 class TestEvaluateExact:
     def test_matrix_game_corner_points(self):
@@ -362,6 +349,71 @@ class TestEvaluateRisk:
         model = matrix_game_model(MATRIX_PAYOFFS)
         with pytest.raises(ValueError, match="lam"):
             evaluate_risk(model, uniform_matrix_policy(), -0.5)
+
+
+def mdp_bound(model, lam):
+    """The optimal value of the model's fully observed state MDP (P summed
+    over y'), under the entropic tilt lam, from zeta1 summed over y: Q_MDP
+    at lam = 0. A decentralized policy is a randomized history-dependent
+    policy of that MDP, so no policy's objective exceeds it."""
+    V, _, psi = risk_vi_reference(model.P.sum(axis=3).tolist(),
+                                  model.r.tolist(), model.horizon, lam)
+    return weighted_logmeanexp(model.zeta1.sum(axis=1), V[0], lam), psi
+
+
+def assert_below_bound(model, policy, lams):
+    scale = model.horizon * np.abs(model.r).max() + 1.0
+    for lam in lams:
+        got = (evaluate_exact(model, policy) if lam == 0.0
+               else evaluate_risk(model, policy, lam))
+        bound, _ = mdp_bound(model, lam)
+        assert got <= bound + 1e-9 * scale, (lam, got, bound)
+
+
+class TestUpperBound:
+    """Every objective is at most the state MDP's: an evaluation that
+    overcounts reward fails here even where two recursions of this package
+    agree."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 3),
+           agents=st.integers(1, 3), horizon=st.integers(1, 4),
+           reward_scale=st.sampled_from([0.1, 1.0, 10.0]),
+           lam=st.sampled_from([0.05, 0.5, 1.0]), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_models_and_policies(self, seed, n_states, agents,
+                                       horizon, reward_scale, lam, data):
+        # |V| <= 4 * 10 * 1.0, so the oracle's unshifted exp stays finite
+        sizes = st.lists(st.integers(1, 2), min_size=agents,
+                         max_size=agents).map(tuple)
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n_states=n_states,
+                             action_counts=data.draw(sizes),
+                             obs_counts=data.draw(sizes), horizon=horizon,
+                             reward_scale=reward_scale)
+        policy = random_policy_for(model, data.draw(sizes), seed % 1000)
+        assert_below_bound(model, policy, [0.0, lam])
+
+    @pytest.mark.parametrize("load, horizon, q_mdp", [
+        (dectiger_model, 6, 120.0), (recycling_model, 100, 328.371)])
+    def test_bundled_models(self, load, horizon, q_mdp):
+        model = load(horizon=horizon)
+        assert mdp_bound(model, 0.0)[0] == pytest.approx(q_mdp, abs=1e-3)
+        policy = random_policy_for(model, (2, 2), seed=0)
+        assert_below_bound(model, policy, [0.0, 0.1, 0.5, 1.0])
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+    def test_reached_when_the_state_is_observed(self, lam):
+        """On a fully observed MDP the bound's own Markov policy reaches it:
+        `evaluate_risk` reports in the bound's units, the reward's."""
+        rng = np.random.default_rng(11)
+        P = rng.dirichlet(np.ones(3), size=(3, 2))
+        model = fully_observed_model(P, rng.uniform(-2.0, 2.0, (3, 2)),
+                                     rng.dirichlet(np.ones(3)), horizon=4)
+        bound, psi = mdp_bound(model, lam)
+        policy = deterministic_policy(model, (1,),
+                                      lambda i, t, y, w: (psi[t][y], 0))
+        assert evaluate_risk(model, policy, lam) == pytest.approx(
+            bound, rel=1e-12, abs=1e-12)
 
 
 def deterministic_process():

@@ -412,7 +412,7 @@ class TestFactoredLocalQ:
         batch = PolicyBatch.of(random_policy_for(model, (3, 3), seed=1))
         risk = RiskParameter(lam)
         ws = SolveWorkspace(model, (3, 3))
-        forward_marginals(model, batch, out=ws.zeta)
+        forward_marginals(model, batch, workspace=ws)
         with kernels.quiet_overflow():
             stage_backup(model, np.zeros((1, 8, 16, 9)), risk, ws.q_red)
 
@@ -470,8 +470,9 @@ class TestStagePlanScratch:
 
 
 class TestSolveLayout:
-    """A solve lays its stages out once per regime: its sweeps and exact
-    evaluations share the one `StagePlan` its workspace keeps."""
+    """A solve lays its stages out once per regime: its forward steps,
+    sweeps and exact evaluations share the one `StagePlan` its workspace
+    keeps."""
 
     @staticmethod
     def count_plans(monkeypatch):
@@ -490,6 +491,28 @@ class TestSolveLayout:
         monkeypatch.setattr(evaluation, "StagePlan", Counted)
         return built
 
+    @staticmethod
+    def count_arenas(monkeypatch):
+        """The phase count of each scratch arena cut."""
+        cuts = []
+        cut = evaluation._scratch
+
+        def counted(*phases):
+            cuts.append(len(phases))
+            return cut(*phases)
+
+        monkeypatch.setattr(evaluation, "_scratch", counted)
+        return cuts
+
+    def test_an_untilted_solve_cuts_one_arena(self, monkeypatch):
+        """The plan lays the forward step out with its other phases, so no
+        forward step of the solve cuts an arena of its own."""
+        cuts = self.count_arenas(monkeypatch)
+        config = SolverConfig(lambda0=0.0, alpha=0.1, max_sweeps=30,
+                              restarts=3, seed=0, z_sizes=(2, 2))
+        assert rscpi(dectiger_model(horizon=4), config).sweeps > 2
+        assert len(cuts) == 1
+
     def test_an_untilted_solve_lays_its_stages_out_once(self, monkeypatch):
         built = self.count_plans(monkeypatch)
         config = SolverConfig(lambda0=0.0, alpha=0.1, max_sweeps=30,
@@ -500,12 +523,34 @@ class TestSolveLayout:
 
     def test_a_change_of_regime_swaps_the_layout(self, monkeypatch):
         built = self.count_plans(monkeypatch)
+        cuts = self.count_arenas(monkeypatch)
         config = SolverConfig(lambda0=0.5, anneal_sweeps=2, alpha=0.1,
                               max_sweeps=6, restarts=2, seed=0,
                               z_sizes=(2, 2))
         assert rscpi(dectiger_model(horizon=3), config).sweeps > 3
         # each tilted sweep is followed by an untilted evaluation
         assert built == [0.5, 0.0, 0.25, 0.0]
+        assert len(cuts) == len(built)
+
+    def test_a_joint_policy_keeps_its_plan(self, monkeypatch):
+        """`PolicyBatch.of` wraps a JointPolicy anew on every call; the
+        workspace finds the plan of the policy's arrays, and the results
+        are those of the calls without it."""
+        model = dectiger_model(horizon=4)
+        policy = random_policy_for(model, (2, 2), seed=3)
+        twin = policy.copy()
+        want = [(sweep(model, twin, 0.0, 0.3).hex(),
+                 evaluate_exact(model, twin).hex()) for _ in range(5)]
+        built = self.count_plans(monkeypatch)
+        ws = SolveWorkspace(model, (2, 2))
+        got = [(sweep(model, policy, 0.0, 0.3, workspace=ws).hex(),
+                evaluate_exact(model, policy, workspace=ws).hex())
+               for _ in range(5)]
+        assert built == [0.0]
+        assert got == want
+        assert tables_bytes(policy) == tables_bytes(twin)
+        with pytest.raises(ValueError, match="another model"):
+            evaluate_exact(dectiger_model(horizon=4), policy, workspace=ws)
 
     @pytest.mark.parametrize("ordering", ["sequential", "per_agent"])
     def test_evaluation_on_the_workspace_is_a_lone_one(self, ordering):
@@ -780,6 +825,9 @@ class TestBatchedSweep:
         with pytest.raises(ValueError, match="workspace was built for "
                                              "another model"):
             evaluate_exact(other, batch, workspace=ws)
+        with pytest.raises(ValueError, match="workspace was built for "
+                                             "another model"):
+            forward_marginals(other, batch, workspace=ws)
         assert tables_bytes(policy) == before
 
 
