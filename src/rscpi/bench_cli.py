@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,9 +30,10 @@ CSV_COLUMNS = ["env", "T", "z_sizes", "lambda0", "alpha", "anneal_sweeps",
                "seed", "ablation", "sweeps", "J_exact", "J_risk_final",
                "wall_time_ms", "peak_floats", "init_obs_mode"]
 
-# name -> (disable_rs, disable_cpi), in report-column order
-ABLATIONS = {"cpi-only": (True, False), "rs-only": (False, True),
-             "none": (True, True), "rs-cpi": (False, False)}
+# name -> the SolverConfig values it fixes, in report-column order: no risk
+# seeking is lambda0 = 0, no conservative step alpha = 1
+ABLATIONS = {"cpi-only": dict(lambda0=0.0), "rs-only": dict(alpha=1.0),
+             "none": dict(lambda0=0.0, alpha=1.0), "rs-cpi": {}}
 
 # --init-obs / config "init_obs" name -> make_initial_distribution mode
 INIT_OBS_MODES = {"dummy": "dummy_observation",
@@ -190,15 +191,17 @@ def _append_rows(out_dir: str, rows: list):
 def run_single(model, env: str, z_sizes, lambda0, alpha, anneal_sweeps,
                seed, ablation, max_sweeps=200, restarts=1,
                init_obs="dummy"):
-    """One rscpi solve wrapped into a RunRecord (plus the SolveResult)."""
-    disable_rs, disable_cpi = ABLATIONS[ablation]
+    """One rscpi solve wrapped into a RunRecord (plus the SolveResult).
+
+    The config is validated with the values as given, then solved with the
+    values the ablation fixes; the record keeps the values as given.
+    """
     config = SolverConfig(
         lambda0=float(lambda0), anneal_sweeps=int(anneal_sweeps),
         alpha=float(alpha), max_sweeps=int(max_sweeps),
-        restarts=int(restarts), seed=int(seed), disable_rs=disable_rs,
-        disable_cpi=disable_cpi, z_sizes=tuple(z_sizes),
+        restarts=int(restarts), seed=int(seed), z_sizes=tuple(z_sizes),
     )
-    result = rscpi(model, config)
+    result = rscpi(model, replace(config, **ABLATIONS[ablation]))
     record = RunRecord(
         env=env, horizon=model.horizon, z_sizes=tuple(z_sizes),
         lambda0=float(lambda0), alpha=float(alpha),
@@ -220,7 +223,8 @@ def cmd_solve(args) -> int:
         record, result = run_single(
             model, env, z_sizes, args.lambda0, args.alpha,
             args.anneal_sweeps, args.seed,
-            next(name for name, f in ABLATIONS.items() if f == flags),
+            next(name for name, fixed in ABLATIONS.items()
+                 if ("lambda0" in fixed, "alpha" in fixed) == flags),
             max_sweeps=args.max_sweeps, restarts=args.restarts,
             init_obs=args.init_obs)
         line = _json_line({

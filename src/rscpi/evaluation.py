@@ -39,12 +39,18 @@ The forward marginals, both steps, `backward`, `evaluate_exact` and
 every tensor they read and write, and each restart's slice gets the bits
 it would get alone. A `JointPolicy` runs as a batch of one.
 
+P's sparse support is built once per model, in one form (`_support`): each
+row's successors padded to the longest row's W by cells whose p = 0.0 and
+log p = -inf, so that they drop out of every sum by their value. The tilted
+stage backup reads its successors and log p, the rollout its successors
+and p.
+
 The Monte-Carlo rollout builds the CDF of every distribution it draws from
 once per call and samples chunks of episodes from them; its results are
 reproducible per (seed, chunk). It draws each successor from the W cells of
-P's padded support (`_support`), not from all S * Y, and reads each index
-a step needs, the next state's row and the agents' columns, from tables
-built once per call. A draw never lands on a zero-probability category.
+P's support, not from all S * Y, and reads each index a step needs, the
+next state's row and the agents' columns, from tables built once per call.
+A draw never lands on a zero-probability category.
 """
 
 from __future__ import annotations
@@ -262,30 +268,29 @@ def finite_risk(lam, what: str) -> RiskParameter:
     return risk
 
 
-def dynamics_support(model: DecPomdpModel):
-    """CSR-style support of P over flat (s*A + a) rows; cached on the model.
-
-    Returns (indptr, s', y', log p): the successors of row s*A + a sit at
-    positions indptr[s*A + a] : indptr[s*A + a + 1].
-    """
-    return _support(model)[0]
-
-
 def _support(model: DecPomdpModel):
-    """dynamics_support and its `kernels.pad_support` form, built once per
-    model."""
+    """P's support padded by value, (succ, p, log p), built once per model.
+
+    Each is (W, S*A), W the longest row's length: column s*A + a lists the
+    successors of row (s, a), each as s' * Y + y', in `np.nonzero` order,
+    with their p and log p. A shorter row is padded with p = 0.0 and
+    log p = -inf, so a pad cell drops out of a sum or a logsumexp by its
+    value. Its successor repeats the row's last, so a non-finite value
+    gathered there already spoils the row through that last cell.
+    """
     cached = getattr(model, "_support", None)
     if cached is not None:
         return cached
     S, A, Y = model.state_count, model.joint_action_count, model.joint_obs_count
     flat = model.P.reshape(S * A, S * Y)
     rows, cols = np.nonzero(flat)
-    indptr = np.zeros(S * A + 1, dtype=np.int64)
-    np.add.at(indptr, rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    support = (indptr, (cols // Y).astype(np.int64),
-               (cols % Y).astype(np.int64), np.log(flat[rows, cols]))
-    model._support = (support, kernels.pad_support(*support, Y))
+    lengths = np.bincount(rows, minlength=S * A)
+    ends = np.cumsum(lengths)
+    k = np.arange(lengths.max(initial=0))[:, None]
+    succ = cols[np.minimum(ends - lengths + k, ends - 1)]
+    p = np.where(k < lengths, flat[np.arange(S * A), succ], 0.0)
+    with np.errstate(divide="ignore"):
+        model._support = (succ, p, np.log(p))
     return model._support
 
 
@@ -309,7 +314,7 @@ def _backup_scratch(model: DecPomdpModel, R: int, Z: int,
     SA = model.state_count * model.joint_action_count
     if risk.is_neutral:
         return (R, SA, Z)
-    return (_support(model)[1][0].shape[0], SA, R, Z)
+    return (len(_support(model)[0]), SA, R, Z)
 
 
 def stage_backup(model: DecPomdpModel, l_next: np.ndarray,
@@ -330,9 +335,9 @@ def stage_backup(model: DecPomdpModel, l_next: np.ndarray,
         ev = np.matmul(p_flat, l_next.reshape(lead + (S * Y, Z)), out=scratch)
         np.add(model.r[:, :, None], ev.reshape(lead + (S, A, Z)), out=out)
     else:
-        support, padded = _support(model)
-        kernels.tilted_q_log(*support, risk.lam * model.r, l_next, out,
-                             pad=padded, scratch=scratch)
+        succ, _, logp = _support(model)
+        kernels.tilted_q_log(succ, logp, risk.lam * model.r, l_next, out,
+                             scratch=scratch)
     return out
 
 
@@ -835,11 +840,7 @@ def _aggregate(zeta1, phi, l1, risk: RiskParameter) -> np.ndarray:
     with np.errstate(divide="ignore"):
         x = np.log(zeta1)[None, :, :, None] + np.log(phi)[:, None, None, :]
     x += l1
-    x = x.reshape(len(x), -1)
-    m = x.max(axis=1, keepdims=True)
-    x -= m
-    acc = np.exp(x, out=x).sum(axis=1)
-    return (m[:, 0] + np.log(acc)) / risk.lam
+    return logsumexp(x.reshape(len(x), -1), axis=1) / risk.lam
 
 
 def rollout_monte_carlo(model: DecPomdpModel, policy: JointPolicy,
@@ -849,7 +850,7 @@ def rollout_monte_carlo(model: DecPomdpModel, policy: JointPolicy,
     Every draw is from a row of zeta1, a phi^i, an agent's table at
     (t, y^i, w^i) or P at (s, a). Their CDFs are built once per call with
     the category axis leading, and each step gathers one column per episode.
-    P is drawn on its padded support (`_support`), W successors a row, and
+    P is drawn on its support (`_support`), W successors a row, and
     the positions drawn, like every other index a step needs, are read from
     tables built once per call. The draws depend on the seed and on the
     chunk size. A PolicyBatch is refused: its phi would be read as one
@@ -882,10 +883,8 @@ def rollout_monte_carlo(model: DecPomdpModel, policy: JointPolicy,
     w_next = [np.arange(a * z) % z for a, z in zip(a_sizes, z_sizes)]
     # P on its support, pad cells 0.0: the running sums equal P's own at
     # every successor, so the count below u picks the same successor
-    succ, _, pad = _support(model)[1]
-    probs = model.P.reshape(SA, S * Y)[np.arange(SA)[:, None], succ.T]
-    probs[pad.T] = 0.0
-    p_cdf = _cdf_columns(probs)
+    succ, p, _ = _support(model)
+    p_cdf = _cdf_columns(p.T)
     # s A and each agent's y^i Z_i at a flat (s, y), then at a support cell
     # k SA + row, k the drawn position
     sy0, sy1 = np.arange(S * Y), succ.reshape(-1)

@@ -7,11 +7,11 @@ max-shifted logsumexp; a single global shift is unsafe because lambda*V
 spans far beyond exp()'s range on long horizons. Its largest intermediate,
 the gathered successors, lands in a `scratch=` buffer when one is given.
 
-Dynamics enter as a CSR-style support: for flat row (s, a), the nonzero
-successors (s', y') live at positions indptr[s*A + a] : indptr[s*A + a + 1].
-The backup runs on that support padded to one row length, with each
-successor as one flat index s' * Y + y' (`pad_support`); callers that back
-up many stages build the padding once and pass it as `pad=`.
+Dynamics enter as P's support padded by value (`evaluation._support`): the
+successors of flat row s*A + a, each the flat index s' * Y + y', fill
+column s*A + a of a (W, S*A) array, and log p the same cells of another,
+with log p = -inf in the pad cells behind a shorter row. A pad cell's term
+is then -inf whatever finite value it gathers, so its exp adds an exact 0.0.
 
 The kernel also takes a batch: a leading restart axis on L_next and out.
 Each restart's slice comes out bit for bit as it would alone.
@@ -37,32 +37,17 @@ def quiet_overflow():
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def pad_support(indptr, sp_idx, yp_idx, logp, obs_count):
-    """The CSR support padded to its longest row, successors leading.
-
-    Returns (s' * obs_count + y', log p, pad), each of shape (W, S*A) for W
-    the longest row's length: column s*A + a holds that row's successors,
-    then copies of the last support entry wherever `pad` is True.
-    """
-    lengths = np.diff(indptr)
-    cols = np.arange(lengths.max(initial=0))[:, None]
-    pos = np.minimum(indptr[:-1] + cols, len(logp) - 1)
-    return sp_idx[pos] * obs_count + yp_idx[pos], logp[pos], cols >= lengths
-
-
-def tilted_q_log(indptr, sp_idx, yp_idx, logp, lam_r, L_next, out,
-                 pad=None, scratch=None):
-    """out[s, a, z] = lam_r[s, a] + LSE_k(logp[k] + L_next[s'_k, y'_k, z]).
+def tilted_q_log(succ, logp, lam_r, L_next, out, scratch=None):
+    """out[s, a, z] = lam_r[s, a] + LSE_k(logp[k, j] + L_next[succ[k, j], z])
+    for j = s*A + a, with L_next's (S, Y) axes read as one flat s' * Y + y'.
 
     Works on any leading restart axes in front of (S, Y, Z) and (S, A, Z).
-    The padded support is gathered with the successors leading and every
-    other axis behind them (pad cells get -inf, so exp adds an exact 0.0),
-    so each cell sums one successor at a time in support order; reduceat
-    would not. The gather lands in `scratch`, of shape (W, S*A) + the
-    restart axes + (Z,), or in a new array when it is None.
+    The support is gathered with the successors leading and every other
+    axis behind them, so each cell sums one successor at a time in support
+    order; reduceat would not. The gather lands in `scratch`, of shape
+    (W, S*A) + the restart axes + (Z,), or in a new array when it is None.
     """
     S, Y = L_next.shape[-3:-1]
-    succ, lp, padded = pad or pad_support(indptr, sp_idx, yp_idx, logp, Y)
     nb = L_next.ndim - 3
     # (R.., S, Y, Z) -> (S Y, R.., Z), then (S, A, R.., Z) -> (R.., S, A, Z)
     restarts_in = (nb, nb + 1) + tuple(range(nb)) + (nb + 2,)
@@ -70,8 +55,7 @@ def tilted_q_log(indptr, sp_idx, yp_idx, logp, lam_r, L_next, out,
     rows = L_next.transpose(restarts_in).reshape((S * Y,) + L_next.shape[:nb]
                                                  + L_next.shape[-1:])
     vals = np.take(rows, succ, axis=0, out=scratch, mode="clip")
-    vals += lp.reshape(lp.shape + (1,) * (nb + 1))
-    vals[padded] = NEG_INF
+    vals += logp.reshape(logp.shape + (1,) * (nb + 1))
     m = vals.max(axis=0, initial=NEG_INF)
     ok = np.isfinite(m)
     vals -= np.where(ok, m, 0.0)

@@ -44,8 +44,6 @@ class SolverConfig:
     restarts: int = 5
     seed: int = 0
     ordering: str = "sequential"
-    disable_rs: bool = False
-    disable_cpi: bool = False
     z_sizes: tuple = (2, 2)
     phi_mode: str = "point_mass"
 
@@ -58,8 +56,6 @@ class SolverConfig:
              "an integer", is_int),
             (("lambda0", "alpha", "tol"), "a number",
              lambda v: is_int(v) or isinstance(v, (float, np.floating))),
-            (("disable_rs", "disable_cpi"), "a bool",
-             lambda v: isinstance(v, (bool, np.bool_))),
             (("z_sizes",), "a sequence of integers",
              lambda v: isinstance(v, (tuple, list)) and all(map(is_int, v))),
         ]
@@ -93,7 +89,7 @@ class SolverConfig:
 
     def lam_at(self, k: int) -> float:
         """Annealed tilt for sweep k (1-based): lambda0 max(0, 1-(k-1)/K1)."""
-        if self.disable_rs or self.lambda0 == 0.0 or self.anneal_sweeps == 0:
+        if self.lambda0 == 0.0 or self.anneal_sweeps == 0:
             return 0.0
         return self.lambda0 * max(0.0, 1.0 - (k - 1) / self.anneal_sweeps)
 
@@ -238,7 +234,6 @@ def rscpi(model: DecPomdpModel, config: SolverConfig,
                              phi_mode=config.phi_mode)
 
     batch = PolicyBatch.stack((draw(r) for r in range(R)), R)
-    alpha = 1.0 if config.disable_cpi else config.alpha
     live = np.ones(R, dtype=bool)
     running = list(range(R))
     traces = [[] for _ in range(R)]
@@ -246,7 +241,8 @@ def rscpi(model: DecPomdpModel, config: SolverConfig,
     for k in range(1, config.max_sweeps + 1):
         lam_k = config.lam_at(k)
         untilted = RiskParameter(lam_k).is_neutral
-        j_risk = sweep(model, batch, lam_k, alpha, config.ordering, ws, live)
+        j_risk = sweep(model, batch, lam_k, config.alpha, config.ordering, ws,
+                       live)
         j_exact = evaluate_exact(model, batch, workspace=ws)
         # Python floats and lists keep the bookkeeping between steps cheap
         j_risk, j_exact = j_risk.tolist(), j_exact.tolist()

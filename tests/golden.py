@@ -160,10 +160,18 @@ def load() -> dict:
 
 
 def differences(name: str, want: dict, got: dict) -> list:
-    """One line per field of record `name` whose value moved."""
-    return [f"{name}: {key} is {got.get(key)!r}, recorded {want.get(key)!r}"
-            for key in sorted(set(want) | set(got))
-            if want.get(key) != got.get(key)]
+    """One line per field of record `name` whose value moved; for a list of
+    the recorded length, its first entry that moved."""
+    out = []
+    for key in sorted(set(want) | set(got)):
+        w, g = want.get(key), got.get(key)
+        if w == g:
+            continue
+        if isinstance(w, list) and isinstance(g, list) and len(w) == len(g):
+            i = next(i for i, (a, b) in enumerate(zip(w, g)) if a != b)
+            key, w, g = f"{key}[{i}]", w[i], g[i]
+        out.append(f"{name}: {key} is {g!r}, recorded {w!r}")
+    return out
 
 
 def main(argv=None) -> int:

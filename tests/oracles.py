@@ -614,6 +614,37 @@ def averaged_local_q_flat(model, zeta_t, batch, t, q_red, risk, agent):
                           mass=mass.reshape(shape[:3]))
 
 
+def csr_support(P):
+    """P's support as CSR over the flat rows s*A + a, read off np.nonzero:
+    (indptr, s', y', log p), row j's successors at indptr[j] : indptr[j+1].
+    """
+    import numpy as np
+
+    S, A, _, Y = P.shape
+    flat = P.reshape(S * A, -1)
+    rows, cols = np.nonzero(flat)
+    indptr = np.searchsorted(rows, np.arange(S * A + 1))
+    return indptr, cols // Y, cols % Y, np.log(flat[rows, cols])
+
+
+def value_padded(indptr, sp_idx, yp_idx, logp, obs_count):
+    """A CSR support in the form kernels.tilted_q_log takes, (succ, log p),
+    each (W, rows) for W the longest row: column j holds row j's successors
+    s' * Y + y' and their log p in order, then pad cells of log p = -inf
+    (successor 0), filled one cell at a time."""
+    import numpy as np
+
+    n = len(indptr) - 1
+    width = max((indptr[j + 1] - indptr[j] for j in range(n)), default=0)
+    succ = np.zeros((width, n), dtype=np.int64)
+    lp = np.full((width, n), NEG_INF)
+    for j in range(n):
+        for k, e in enumerate(range(indptr[j], indptr[j + 1])):
+            succ[k, j] = sp_idx[e] * obs_count + yp_idx[e]
+            lp[k, j] = logp[e]
+    return succ, lp
+
+
 def tilted_q_log_rows(indptr, sp_idx, yp_idx, logp, lam_r, L_next, out):
     """kernels.tilted_q_log one (s, a) support row at a time.
 

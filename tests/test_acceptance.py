@@ -205,10 +205,11 @@ def test_05_ablations_collapse_to_always_listen(dectiger6):
             if key in seen:
                 continue
             seen.add(key)
-            cfg = SolverConfig(lambda0=lam0, anneal_sweeps=k1, alpha=alpha,
+            cfg = SolverConfig(lambda0=0.0 if no_rs else lam0,
+                               anneal_sweeps=k1,
+                               alpha=1.0 if no_cpi else alpha,
                                max_sweeps=200, restarts=1, seed=0,
-                               z_sizes=(2, 2), disable_rs=no_rs,
-                               disable_cpi=no_cpi)
+                               z_sizes=(2, 2))
             res = rscpi(dectiger6, cfg,
                         initial_policy=_uniform_policy(dectiger6, (2, 2)))
             best = max(best, res.j_exact)

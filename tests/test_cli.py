@@ -168,6 +168,36 @@ class TestSolve:
         assert row["ablation"] == "none"
         assert row["lambda0"] == "1"  # the requested schedule is recorded
 
+    @pytest.mark.parametrize("flag,value", [("--no-rs", ("--lambda0", "0")),
+                                            ("--no-cpi", ("--alpha", "1"))],
+                             ids=["no-rs", "no-cpi"])
+    def test_ablation_flag_is_its_value(self, capsys, tmp_path, flag, value):
+        # --no-rs solves as lambda0 = 0 does, --no-cpi as alpha = 1
+        path = tmp_path / "dectiger.dpomdp"
+        path.write_text(dectiger_text())
+        runs = {}
+        for name, extra in (("flag", (flag,)), ("value", value),
+                            ("neither", ())):
+            code, out, _ = run_cli(
+                capsys, "solve", "--model", str(path), "--horizon", "3",
+                "--agent-states", "2", "--lambda0", "0.5", "--alpha", "0.3",
+                "--anneal-sweeps", "3", "--max-sweeps", "40", "--restarts",
+                "2", "--out", str(tmp_path / name), *extra)
+            assert code == 0
+            doc = json.loads(out)
+            runs[name] = (doc["J_exact"], doc["sweeps"])
+        assert runs["flag"] == runs["value"]
+        assert runs["flag"] != runs["neither"]
+
+    def test_ablation_flag_does_not_excuse_a_bad_value(self, capsys,
+                                                      tmp_path):
+        code, out, err = run_cli(
+            capsys, "solve", "--model", "matrix-game", "--horizon", "1",
+            "--agent-states", "1", "--lambda0", "-1", "--no-rs",
+            "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert "lambda0 must be finite and >= 0" in err
+
 
 class TestEval:
     def write_policy(self, tmp_path, policy):

@@ -1,21 +1,24 @@
-"""The log-domain backup kernel against its scalar-loop and per-row forms
-in oracles, the per-agent log-domain fold against the fold of the dense
+"""P's value-padded support against the CSR support in oracles, the
+log-domain backup kernel against its scalar-loop and per-row forms in
+oracles, the per-agent log-domain fold against the fold of the dense
 joint table, both batched against per-restart calls, and the averaged local
 value's per-agent reduction against its loop reference."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _benchmarks import random_model, random_policy_for
-from oracles import (averaged_local_q_loops, expand_joint_policy_gather,
-                     fold_policy_log_loops, fold_policy_log_states,
-                     tilted_q_log_loops, tilted_q_log_rows)
+from oracles import (averaged_local_q_loops, csr_support,
+                     expand_joint_policy_gather, fold_policy_log_loops,
+                     fold_policy_log_states, tilted_q_log_loops,
+                     tilted_q_log_rows, value_padded)
 from rscpi import RiskParameter, kernels
 from rscpi.bench_cli import load_model
-from rscpi.evaluation import (averaged_local_q, dynamics_support,
-                              finite_risk, fold_stage, stage_backup)
+from rscpi.evaluation import (_support, averaged_local_q, finite_risk,
+                              fold_stage, stage_backup)
 from rscpi.policy import PolicyBatch
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,16 +34,22 @@ def kernel_inputs(seed, n_states=3, action_counts=(2, 2), obs_counts=(2, 2),
     policy = random_policy_for(model, z_sizes, seed + 1)
     S, A = model.state_count, model.joint_action_count
     Y, Z = model.joint_obs_count, int(np.prod(z_sizes))
-    indptr, sp, yp, logp = dynamics_support(model)
     l_next = rng.uniform(-2.0, 2.0, size=(S, Y, Z))
     m = expand_joint_policy_gather(policy, 0)
     zeta = rng.dirichlet(np.ones(S * Y * Z)).reshape(S, Y, Z)
     zeta[zeta < 0.002] = 0.0  # genuine zero-mass cells
     zeta /= zeta.sum()
     q_red = rng.uniform(-3.0, 3.0, size=(S, A, Z))
-    return dict(model=model, policy=policy, indptr=indptr, sp=sp, yp=yp,
-                logp=logp, l_next=l_next, m=m, zeta=zeta, q_red=q_red,
-                lam=lam, S=S, A=A, Y=Y, Z=Z)
+    return dict(model=model, policy=policy, **supports(model),
+                l_next=l_next, m=m, zeta=zeta, q_red=q_red, lam=lam, S=S, A=A,
+                Y=Y, Z=Z)
+
+
+def supports(model):
+    """The model's support in the oracles' CSR form, and in the kernel's
+    (succ, log p) form as the package builds it."""
+    succ, _, logp = _support(model)
+    return dict(csr=csr_support(model.P), padded=(succ, logp))
 
 
 def log_of(arr):
@@ -70,10 +79,8 @@ class TestBackendAgreement:
         lam_r = b["lam"] * b["model"].r
         out_a = np.zeros((b["S"], b["A"], b["Z"]))
         out_b = np.zeros_like(out_a)
-        tilted_q_log_loops(
-            b["indptr"], b["sp"], b["yp"], b["logp"], lam_r, b["l_next"], out_a)
-        kernels.tilted_q_log(
-            b["indptr"], b["sp"], b["yp"], b["logp"], lam_r, b["l_next"], out_b)
+        tilted_q_log_loops(*b["csr"], lam_r, b["l_next"], out_a)
+        kernels.tilted_q_log(*b["padded"], lam_r, b["l_next"], out_b)
         np.testing.assert_allclose(out_a, out_b, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -115,26 +122,30 @@ class TestBackendAgreement:
             assert_matches_loops(b, lam, agent)
 
     def test_empty_support_row_gives_neg_inf(self):
-        # a row with no successors must produce -inf, not garbage
+        # a row with no successors must produce -inf, not garbage; padded
+        # to a width of 0 or 2, its column holds pad cells only
         indptr = np.array([0, 0], dtype=np.int64)
         empty_i = np.zeros(0, dtype=np.int64)
         empty_f = np.zeros(0)
         out_a = np.zeros((1, 1, 2))
-        out_b = np.zeros((1, 1, 2))
         lam_r = np.zeros((1, 1))
         l_next = np.zeros((1, 1, 2))
         tilted_q_log_loops(
             indptr, empty_i, empty_i, empty_f, lam_r, l_next, out_a)
-        kernels.tilted_q_log(
-            indptr, empty_i, empty_i, empty_f, lam_r, l_next, out_b)
         assert np.all(out_a == -np.inf)
-        assert np.all(out_b == -np.inf)
+        for width in (0, 2):
+            out_b = np.zeros((1, 1, 2))
+            kernels.tilted_q_log(np.zeros((width, 1), dtype=np.int64),
+                                 np.full((width, 1), -np.inf), lam_r, l_next,
+                                 out_b)
+            assert np.all(out_b == -np.inf)
 
 
-def tilted_args(b, l_next=None):
-    """tilted_q_log's inputs, all but `out`, from a kernel_inputs bundle."""
-    return (b["indptr"], b["sp"], b["yp"], b["logp"],
-            b["lam"] * b["model"].r, b["l_next"] if l_next is None else l_next)
+def tilted_args(b, form, l_next=None):
+    """tilted_q_log's inputs, all but `out`, from a kernel_inputs bundle: the
+    support in `form`, "padded" for the kernel or "csr" for the oracles."""
+    return (*b[form], b["lam"] * b["model"].r,
+            b["l_next"] if l_next is None else l_next)
 
 
 def bench_file_inputs(name, horizon, seed=0, z_sizes=(2, 2)):
@@ -145,10 +156,9 @@ def bench_file_inputs(name, horizon, seed=0, z_sizes=(2, 2)):
     S, A = model.state_count, model.joint_action_count
     Y = model.joint_obs_count
     Z = int(np.prod(z_sizes))
-    indptr, sp, yp, logp = dynamics_support(model)
     policy = random_policy_for(model, z_sizes, seed + 1)
-    return dict(model=model, policy=policy, indptr=indptr, sp=sp, yp=yp,
-                logp=logp, l_next=rng.uniform(-20.0, 20.0, size=(S, Y, Z)),
+    return dict(model=model, policy=policy, **supports(model),
+                l_next=rng.uniform(-20.0, 20.0, size=(S, Y, Z)),
                 m=expand_joint_policy_gather(policy, 0),
                 q_red=rng.uniform(-20.0, 20.0, size=(S, A, Z)),
                 lam=0.5, S=S, A=A, Y=Y, Z=Z)
@@ -160,8 +170,8 @@ def assert_matches_oracles(b):
     1e-12."""
     S, A, Y, Z = b["S"], b["A"], b["Y"], b["Z"]
     got_q, want_q = np.empty((S, A, Z)), np.empty((S, A, Z))
-    kernels.tilted_q_log(*tilted_args(b), got_q)
-    tilted_q_log_rows(*tilted_args(b), want_q)
+    kernels.tilted_q_log(*tilted_args(b, "padded"), got_q)
+    tilted_q_log_rows(*tilted_args(b, "csr"), want_q)
     assert np.array_equal(got_q, want_q)
     got_l, want_l = np.empty((S, Y, Z)), np.empty((S, Y, Z))
     fold_stage(b["policy"], 1, b["q_red"], RiskParameter(b["lam"]), got_l)
@@ -181,7 +191,7 @@ class TestNumpyKernels:
                                               ("recycling.dpomdp", 100)])
     def test_equal_on_bundled_supports(self, name, horizon):
         b = bench_file_inputs(name, horizon)
-        lengths = np.diff(b["indptr"])
+        lengths = np.diff(b["csr"][0])
         assert lengths.min() < lengths.max()  # rows are padded
         assert_matches_oracles(b)
 
@@ -189,13 +199,13 @@ class TestNumpyKernels:
         # successors are added one at a time for every Z; summing along a
         # contiguous axis would switch to pairwise sums when Z = 1
         b = kernel_inputs(5, n_states=4, obs_counts=(3, 3))
-        assert np.diff(b["indptr"]).min() >= 16
+        assert np.diff(b["csr"][0]).min() >= 16
         l2 = b["l_next"][:, :, :2].copy()
         l1 = l2[:, :, :1].copy()
         out1 = np.empty((b["S"], b["A"], 1))
         out2 = np.empty((b["S"], b["A"], 2))
-        kernels.tilted_q_log(*tilted_args(b, l1), out1)
-        kernels.tilted_q_log(*tilted_args(b, l2), out2)
+        kernels.tilted_q_log(*tilted_args(b, "padded", l1), out1)
+        kernels.tilted_q_log(*tilted_args(b, "padded", l2), out2)
         assert np.array_equal(out1[:, :, 0], out2[:, :, 0])
 
     def test_padding_with_empty_rows(self):
@@ -211,8 +221,10 @@ class TestNumpyKernels:
         lam_r = rng.uniform(-1.0, 1.0, size=(2, 3))
         l_next = rng.uniform(-5.0, 5.0, size=(2, 3, 2))
         args = (indptr, sp, yp, logp, lam_r, l_next)
+        padded = value_padded(indptr, sp, yp, logp, 3)
+        assert np.all(padded[1][:, lengths == 0] == -np.inf)   # all pad
         got, loop, rows = (np.empty((2, 3, 2)) for _ in range(3))
-        kernels.tilted_q_log(*args, got)
+        kernels.tilted_q_log(*padded, lam_r, l_next, got)
         tilted_q_log_loops(*args, loop)
         tilted_q_log_rows(*args, rows)
         empty = (lengths == 0).reshape(2, 3)
@@ -231,9 +243,9 @@ class TestNumpyKernels:
         b = kernel_inputs(0)
         S, A, Y, Z = b["S"], b["A"], b["Y"], b["Z"]
         dense = np.empty((S, A, Z))
-        kernels.tilted_q_log(*tilted_args(b), dense)
+        kernels.tilted_q_log(*tilted_args(b, "padded"), dense)
         for out in views((S, A, Z)):
-            kernels.tilted_q_log(*tilted_args(b), out)
+            kernels.tilted_q_log(*tilted_args(b, "padded"), out)
             assert np.array_equal(out, dense)
         risk = RiskParameter(b["lam"])
         dense = np.empty((S, Y, Z))
@@ -289,13 +301,13 @@ class TestBatchedKernels:
         b, x = self.batch(seed)
         risk = RiskParameter(b["lam"])
         if impls == "numpy":
-            tilted = kernels.tilted_q_log
+            tilted, support = kernels.tilted_q_log, b["padded"]
             same = np.array_equal
 
             def fold(r, out):
                 fold_stage(x["policies"][r], 1, x["q_red"][r], risk, out)
         else:
-            tilted = tilted_q_log_loops
+            tilted, support = tilted_q_log_loops, b["csr"]
 
             def fold(r, out):
                 log_m = log_of(expand_joint_policy_gather(x["policies"][r],
@@ -306,14 +318,58 @@ class TestBatchedKernels:
                 return np.allclose(got, want, rtol=0, atol=1e-12)
         R, S, A, Y, Z = 3, b["S"], b["A"], b["Y"], b["Z"]
         lam_r = b["lam"] * b["model"].r
-        csr = (b["indptr"], b["sp"], b["yp"], b["logp"])
         got_q, got_l = np.empty((R, S, A, Z)), np.empty((R, S, Y, Z))
-        kernels.tilted_q_log(*csr, lam_r, x["l_next"], got_q,
-                             pad=kernels.pad_support(*csr, b["Y"]))
+        kernels.tilted_q_log(*b["padded"], lam_r, x["l_next"], got_q)
         fold_stage(x["batch"], 1, x["q_red"], risk, got_l)
         for r in range(R):
             want_q, want_l = np.empty((S, A, Z)), np.empty((S, Y, Z))
-            tilted(*csr, lam_r, x["l_next"][r], want_q)
+            tilted(*support, lam_r, x["l_next"][r], want_q)
             fold(r, want_l)
             assert same(got_q[r], want_q)
             assert same(got_l[r], want_l)
+
+
+def sparse_model(seed):
+    """A random model with about half of P's cells zero, each row keeping
+    at least its largest cell, so that its rows differ in length."""
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n_states=3, horizon=2)
+    S, A = model.state_count, model.joint_action_count
+    flat = model.P.reshape(S * A, -1).copy()
+    keep = rng.random(flat.shape) < 0.5
+    keep[np.arange(S * A), flat.argmax(axis=1)] = True
+    flat *= keep
+    flat /= flat.sum(axis=1, keepdims=True)
+    return dataclasses.replace(model, P=flat.reshape(model.P.shape))
+
+
+class TestSupport:
+    """`_support` against the CSR support in oracles: each real cell holds
+    its successor, p and log p in np.nonzero order, each pad cell p = 0.0
+    and log p = -inf behind a valid successor."""
+
+    @pytest.mark.parametrize("source", ["dectiger.dpomdp",
+                                        "recycling.dpomdp", 0, 1, 2, 3])
+    def test_matches_the_csr_oracle(self, source):
+        model = (sparse_model(source) if isinstance(source, int)
+                 else load_model(str(ROOT / "benchmarks" / source), 3)[0])
+        S, A = model.state_count, model.joint_action_count
+        Y = model.joint_obs_count
+        indptr, sp, yp, logp = csr_support(model.P)
+        lengths = np.diff(indptr)
+        assert lengths.min() < lengths.max()   # rows are padded
+        succ, p, lp = _support(model)
+        assert succ.shape == p.shape == lp.shape == (lengths.max(), S * A)
+        assert np.all((0 <= succ) & (succ < S * Y))
+        for j, (lo, hi) in enumerate(zip(indptr[:-1], indptr[1:])):
+            n = hi - lo
+            assert np.array_equal(succ[:n, j], sp[lo:hi] * Y + yp[lo:hi])
+            assert np.array_equal(p[:n, j],
+                                  model.P[j // A, j % A, sp[lo:hi], yp[lo:hi]])
+            assert np.array_equal(lp[:n, j], logp[lo:hi])
+            assert np.all(p[n:, j] == 0.0)
+            assert np.all(lp[n:, j] == -np.inf)
+
+    def test_built_once_per_model(self):
+        model = sparse_model(0)
+        assert _support(model) is _support(model)

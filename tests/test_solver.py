@@ -927,15 +927,15 @@ class TestSolverConfig:
                dict(seed=-1), dict(z_sizes=(2.5, 2)), dict(z_sizes=(True, 2)),
                dict(z_sizes=2), dict(phi_mode="point-mass"),
                dict(phi_mode=None), dict(lambda0="1"), dict(alpha=True),
-               dict(tol="x"), dict(disable_rs="no"), dict(disable_cpi=1)]
+               dict(tol="x")]
         for kv in bad:
             with pytest.raises(ValueError, match=next(iter(kv))):
                 SolverConfig(**kv).validate()
         SolverConfig().validate()
         SolverConfig(restarts=np.int64(2), seed=np.int64(3),
                      z_sizes=[np.int64(1), 2], phi_mode="uniform",
-                     lambda0=1, alpha=np.float64(0.5), tol=math.inf,
-                     disable_rs=np.bool_(True)).validate()
+                     lambda0=1, alpha=np.float64(0.5),
+                     tol=math.inf).validate()
 
     @pytest.mark.parametrize("kv", [dict(lambda0=math.nan),
                                     dict(lambda0=math.inf),
@@ -954,10 +954,6 @@ class TestSolverConfig:
         cfg = SolverConfig(lambda0=2.0, anneal_sweeps=4)
         assert [cfg.lam_at(k) for k in (1, 2, 3, 4, 5, 9)] == [
             2.0, 1.5, 1.0, 0.5, 0.0, 0.0]
-
-    def test_disable_rs_forces_zero(self):
-        cfg = SolverConfig(lambda0=2.0, anneal_sweeps=4, disable_rs=True)
-        assert all(cfg.lam_at(k) == 0.0 for k in range(1, 8))
 
 
 class TestRscpi:
@@ -1078,17 +1074,6 @@ class TestRscpi:
                               z_sizes=(2, 2))
         with pytest.raises(ValueError, match=f"initial_policy {field} "):
             rscpi(model, config, initial_policy=policy)
-
-    def test_disable_cpi_forces_full_greedy(self):
-        model = matrix_game_model(MATRIX_PAYOFFS)
-        config = SolverConfig(lambda0=0.0, anneal_sweeps=0, alpha=0.1,
-                              max_sweeps=10, restarts=1, seed=3,
-                              z_sizes=(1, 1), disable_cpi=True)
-        init = interior_matrix_policy(0.9, 0.9)
-        result = rscpi(model, config, initial_policy=init)
-        # alpha is overridden to 1, so the first sweep already locks a corner
-        assert atom(result.policy, 0) in (0.0, 1.0)
-        assert result.sweeps <= 3
 
     def test_peak_floats_closed_form(self):
         for T in (4, 6):
