@@ -7,9 +7,9 @@ harness. See the README for the CLI and file conventions.
 
 from .dpomdp_parser import (ParseDiagnostic, RawDpomdpFile, compile_model,
                             parse_dpomdp, serialize_canonical)
-from .evaluation import (AveragedLocalQ, NumericError, RiskParameter,
-                         averaged_local_q, backward, evaluate_exact,
-                         evaluate_risk, forward_marginals, rollout_monte_carlo)
+from .evaluation import (AveragedLocalQ, NumericError, averaged_local_q,
+                         backward, evaluate_exact, evaluate_risk,
+                         forward_marginals, rollout_monte_carlo)
 from .model import (DecPomdpModel, JointIndexer, make_initial_distribution,
                     matrix_game_model)
 from .policy import (JointPolicy, dump_policy, mix_policies,
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AveragedLocalQ", "DecPomdpModel", "JointIndexer", "JointPolicy",
     "NumericError",
-    "ParseDiagnostic", "RawDpomdpFile", "RiskParameter", "SolveResult",
+    "ParseDiagnostic", "RawDpomdpFile", "SolveResult",
     "SolverConfig", "averaged_local_q", "backward",
     "compile_model", "dump_policy", "evaluate_exact", "evaluate_risk",
     "forward_marginals", "greedy_agent_update", "make_initial_distribution",

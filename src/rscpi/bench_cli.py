@@ -189,8 +189,7 @@ def _append_rows(out_dir: str, rows: list):
 
 
 def run_single(model, env: str, z_sizes, lambda0, alpha, anneal_sweeps,
-               seed, ablation, max_sweeps=200, restarts=1,
-               init_obs="dummy"):
+               seed, ablation, max_sweeps=200, restarts=1):
     """One rscpi solve wrapped into a RunRecord (plus the SolveResult).
 
     The config is validated with the values as given, then solved with the
@@ -208,9 +207,7 @@ def run_single(model, env: str, z_sizes, lambda0, alpha, anneal_sweeps,
         anneal_sweeps=int(anneal_sweeps), seed=int(seed), ablation=ablation,
         sweeps=result.sweeps, j_exact=result.j_exact,
         j_risk_final=result.j_risk_final, wall_time_ms=result.wall_time_ms,
-        peak_floats=result.peak_floats,
-        init_obs_mode=INIT_OBS_MODES[init_obs] if env != "matrix-game"
-        else model.init_obs_mode,
+        peak_floats=result.peak_floats, init_obs_mode=model.init_obs_mode,
     )
     return record, result
 
@@ -225,8 +222,7 @@ def cmd_solve(args) -> int:
             args.anneal_sweeps, args.seed,
             next(name for name, fixed in ABLATIONS.items()
                  if ("lambda0" in fixed, "alpha" in fixed) == flags),
-            max_sweeps=args.max_sweeps, restarts=args.restarts,
-            init_obs=args.init_obs)
+            max_sweeps=args.max_sweeps, restarts=args.restarts)
         line = _json_line({
             "env": env, "J_exact": result.j_exact,
             "J_risk_final": result.j_risk_final, "sweeps": result.sweeps,
@@ -239,14 +235,19 @@ def cmd_solve(args) -> int:
     except NumericError as exc:
         print(f"{args.model}:0: error: {exc}", file=sys.stderr)
         return 3
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "policy.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(policy_to_json(result.policy))
-    with open(os.path.join(args.out, "policy.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write(dump_policy(result.policy, model))
-    _append_rows(args.out, [record.to_row()])
+    # the directory is made only once the solve has run
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        with open(os.path.join(args.out, "policy.json"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(policy_to_json(result.policy))
+        with open(os.path.join(args.out, "policy.txt"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(dump_policy(result.policy, model))
+        _append_rows(args.out, [record.to_row()])
+    except OSError as exc:
+        print(f"{args.out}:0: error: {exc}", file=sys.stderr)
+        return 2
     print(line)
     return 0
 
@@ -273,8 +274,7 @@ def _sweep_task(task: dict):
         record, _ = run_single(
             model, env, tuple(z_sizes), task["lambda0"], task["alpha"],
             task["anneal"], task["seed"], task["ablation"],
-            max_sweeps=task["max_sweeps"], restarts=task["restarts"],
-            init_obs=task["init_obs"])
+            max_sweeps=task["max_sweeps"], restarts=task["restarts"])
         return task, record.to_row(), None
     except (ValueError, NumericError) as exc:
         return task, None, f"{task['model']}:0: error: {exc}"
@@ -402,13 +402,13 @@ def render_report(csv_path: str) -> str:
 def cmd_report(args) -> int:
     try:
         text = render_report(args.csv)
+        if args.out_file:
+            with open(args.out_file, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out_file:
-        with open(args.out_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not args.out_file:
         print(text)
     return 0
 

@@ -68,21 +68,16 @@ ZERO_THRESHOLD = 1e-9
 MARGINAL_ATOL = 1e-8
 
 
-@dataclass(frozen=True)
-class RiskParameter:
-    """The entropic-risk parameter of the tilted recursions.
+def is_neutral(lam) -> bool:
+    """Whether the tilt lam takes the plain expectation.
 
     The certainty equivalent of a random return X under lam is
     (1/lam) * log E[exp(lam X)]; lam > 0 weights high outcomes (risk
     seeking), and lam -> 0 recovers the plain expectation. Below
-    ZERO_THRESHOLD every recursion takes the plain expectation.
+    ZERO_THRESHOLD every recursion takes the plain expectation; a nan lam
+    takes the tilted path.
     """
-
-    lam: float
-
-    @property
-    def is_neutral(self) -> bool:
-        return abs(self.lam) < ZERO_THRESHOLD
+    return abs(lam) < ZERO_THRESHOLD
 
 
 class NumericError(RuntimeError):
@@ -260,12 +255,13 @@ def check_stage(t: int, horizon: int):
         raise ValueError(f"t={t} outside 1..{horizon}")
 
 
-def finite_risk(lam, what: str) -> RiskParameter:
-    """lam as a RiskParameter; `what` names the caller in the error."""
-    risk = lam if isinstance(lam, RiskParameter) else RiskParameter(float(lam))
-    if not 0.0 <= risk.lam < math.inf:
+def finite_risk(lam, what: str) -> float:
+    """lam as a float, refused unless finite and >= 0; `what` names the
+    caller in the error."""
+    lam = float(lam)
+    if not 0.0 <= lam < math.inf:
         raise ValueError(f"{what} requires finite lam >= 0")
-    return risk
+    return lam
 
 
 def _support(model: DecPomdpModel):
@@ -307,19 +303,18 @@ def logsumexp(vals: np.ndarray, axis: int, out=None) -> np.ndarray:
 
 
 def _backup_scratch(model: DecPomdpModel, R: int, Z: int,
-                    risk: RiskParameter) -> tuple:
+                    tilted: bool) -> tuple:
     """Shape of `stage_backup`'s scratch for R restarts: the expectation
-    (R, S*A, Z) at lam = 0, the gathered successors (W, S*A, R, Z) of the
-    padded support at lam > 0."""
+    (R, S*A, Z) untilted, the gathered successors (W, S*A, R, Z) of the
+    padded support tilted."""
     SA = model.state_count * model.joint_action_count
-    if risk.is_neutral:
+    if not tilted:
         return (R, SA, Z)
     return (len(_support(model)[0]), SA, R, Z)
 
 
-def stage_backup(model: DecPomdpModel, l_next: np.ndarray,
-                 risk: RiskParameter, out: np.ndarray,
-                 scratch: np.ndarray = None) -> np.ndarray:
+def stage_backup(model: DecPomdpModel, l_next: np.ndarray, lam: float,
+                 out: np.ndarray, scratch: np.ndarray = None) -> np.ndarray:
     """Reduced local value q_red[s, a, z] of a stage under L_{t+1}.
 
     lam = 0: r(s, a) + sum_{s', y'} P(s', y' | s, a) V_{t+1}(s', y', z).
@@ -330,13 +325,13 @@ def stage_backup(model: DecPomdpModel, l_next: np.ndarray,
     S, Y, Z = l_next.shape[-3:]
     lead = l_next.shape[:-3]
     A = model.r.shape[1]
-    if risk.is_neutral:
+    if is_neutral(lam):
         p_flat = model.P.reshape(S * A, S * Y)
         ev = np.matmul(p_flat, l_next.reshape(lead + (S * Y, Z)), out=scratch)
         np.add(model.r[:, :, None], ev.reshape(lead + (S, A, Z)), out=out)
     else:
         succ, _, logp = _support(model)
-        kernels.tilted_q_log(succ, logp, risk.lam * model.r, l_next, out,
+        kernels.tilted_q_log(succ, logp, lam * model.r, l_next, out,
                              scratch=scratch)
     return out
 
@@ -439,7 +434,7 @@ class _LocalQLayout:
 class StagePlan:
     """The operands of a backward recursion's stages, laid out once.
 
-    A plan serves one policy batch, one regime of `risk` (tilted or not),
+    A plan serves one policy batch, one regime (`tilted` or not),
     the q_red tensor (R, S, A, Z) that `stage_backup` fills and a stack
     `targets` (K, R, S, Y, Z) of the value tensors L_t is folded into. It
     cuts one scratch arena into the fold's buffers and, when it is given
@@ -454,10 +449,10 @@ class StagePlan:
     """
 
     __slots__ = ("contract", "q_in", "q_out", "folded", "targets", "paired",
-                 "batch", "risk", "q_red", "batched", "scratch", "local",
+                 "batch", "tilted", "q_red", "batched", "scratch", "local",
                  "model", "zeta", "forward_ops")
 
-    def __init__(self, batch: PolicyBatch, risk: RiskParameter,
+    def __init__(self, batch: PolicyBatch, tilted: bool,
                  q_red: np.ndarray, targets: np.ndarray,
                  model: DecPomdpModel = None, zeta: np.ndarray = None,
                  batched: bool = True):
@@ -467,9 +462,8 @@ class StagePlan:
         y_w = tuple(d for y, w, _, _ in sizes for d in (y, w))
         ks = [a * w for _, w, a, _ in sizes]
         js = [y * w for y, w, _, _ in sizes]
-        logs = not risk.is_neutral
         backup = [None if model is None
-                  else _backup_scratch(model, R, Z, risk)]
+                  else _backup_scratch(model, R, Z, tilted)]
         local, phases = [], []
         if zeta is not None:
             local = [_LocalQLayout(model, batch, zeta, q_red, i)
@@ -480,7 +474,7 @@ class StagePlan:
                 _Contraction.shapes(R, S, js, ks, False)
                 + [(R, S, A, Z), (R, Z, S * Y), (R, 1, 1, 1)]]
         fold, (self.scratch,), *bufs = _scratch(
-            _Contraction.shapes(R, S, ks, js, logs), backup, *phases)
+            _Contraction.shapes(R, S, ks, js, tilted), backup, *phases)
         for lay, lay_bufs in zip(local, bufs):
             lay.bind(lay_bufs)
         self.forward_ops = None
@@ -493,13 +487,13 @@ class StagePlan:
                 _paired_view(occ, a_w[::2], a_w[1::2]),
                 steps[-1].reshape((R, S) + a_w),
                 occ.reshape(R, S * A, Z).swapaxes(-1, -2), nxt, total)
-        self.contract = _Contraction(batch, ks, js, logs, fold)
+        self.contract = _Contraction(batch, ks, js, tilted, fold)
         self.q_in = _paired_view(q_red, a_w[::2], a_w[1::2])
         self.q_out = fold[0].reshape((R, S) + a_w)
         self.folded = fold[-1].reshape((R, S) + y_w)
         self.targets = targets
         self.paired = _paired_view(targets, y_w[::2], y_w[1::2])
-        self.batch, self.risk, self.q_red = batch, risk, q_red
+        self.batch, self.tilted, self.q_red = batch, tilted, q_red
         self.batched = batched
         self.local, self.model, self.zeta = local, model, zeta
 
@@ -601,14 +595,14 @@ class StagePlan:
         np.add.reduce(first, axis=1, out=lay.b)
         np.copyto(q, lay.q_in)
         np.copyto(second, q_factor)
-        if self.risk.is_neutral:
-            np.multiply(second, lay.b, out=second)
-            np.add.reduce(second, axis=(0, 1), out=lay.table)
-        else:
+        if self.tilted:
             with np.errstate(divide="ignore"):
                 np.log(lay.b, out=lay.b)
                 np.add(second, lay.b, out=second)
                 logsumexp(second, axis=(0, 1), out=lay.table)
+        else:
+            np.multiply(second, lay.b, out=second)
+            np.add.reduce(second, axis=(0, 1), out=lay.table)
         return AveragedLocalQ(table=lay.table, mass=lay.mass)
 
 
@@ -641,25 +635,23 @@ class SolveWorkspace:
         self.plan = None
 
     def layout(self, model: DecPomdpModel, batch: PolicyBatch,
-               risk: RiskParameter = None) -> StagePlan:
-        """The `StagePlan` of `batch` on these tensors, its `risk` bound to
-        risk.
+               tilted: bool = None) -> StagePlan:
+        """The `StagePlan` of `batch` on these tensors, in the regime
+        `tilted`.
 
-        The kept plan is reused while it serves the batch's arrays in
-        risk's regime (`RiskParameter.is_neutral`), or in either regime
-        when risk is None. Otherwise it is dropped before the next one is
-        laid out (untilted when risk is None), so that one arena lives at
-        a time. Found by the arrays, the plan stays with a JointPolicy
-        that `PolicyBatch.of` wraps anew on every call. Raises ValueError
-        for a workspace of another model or one that does not fit the
-        batch.
+        The kept plan is reused while it serves the batch's arrays in that
+        regime, or in either regime when tilted is None. Otherwise it is
+        dropped before the next one is laid out (untilted when tilted is
+        None), so that one arena lives at a time. Found by the arrays, the
+        plan stays with a JointPolicy that `PolicyBatch.of` wraps anew on
+        every call. Raises ValueError for a workspace of another model or
+        one that does not fit the batch.
         """
         if model is not self.model:
             raise ValueError("workspace was built for another model")
         plan = self.plan
         if (plan is None or not _same_arrays(plan.batch, batch)
-                or risk is not None
-                and plan.risk.is_neutral != risk.is_neutral):
+                or tilted is not None and plan.tilted != tilted):
             plan = self.plan = None   # free the old arena first
             if (self.restarts, self.z_sizes) != (batch.size,
                                                  batch.agent_state_sizes):
@@ -668,11 +660,8 @@ class SolveWorkspace:
                     f"agent-state sizes {self.z_sizes}, the batch "
                     f"{batch.size} of {batch.agent_state_sizes}")
             _check_dims(model, batch)
-            plan = self.plan = StagePlan(
-                batch, RiskParameter(0.0) if risk is None else risk,
-                self.q_red, self.l, model=model, zeta=self.zeta)
-        elif risk is not None:
-            plan.risk = risk
+            plan = self.plan = StagePlan(batch, bool(tilted), self.q_red,
+                                         self.l, model=model, zeta=self.zeta)
         return plan
 
 
@@ -710,21 +699,24 @@ def forward_marginals(model: DecPomdpModel, policy: JointPolicy,
     return zeta if batch is policy else zeta[0]
 
 
-def fold_stage(policy: JointPolicy, t: int, q_red: np.ndarray,
-               risk: RiskParameter, out: np.ndarray) -> np.ndarray:
+def fold_stage(policy: JointPolicy, t: int, q_red: np.ndarray, lam,
+               out: np.ndarray) -> np.ndarray:
     """L_t[s, y, w] = the stage-t (1-based) policy rows folded into q_red.
 
     lam = 0: sum_{a, z} prod_i pi^i_t(a^i, z^i | y^i, w^i) q_red[s, a, z],
     taken one agent at a time; lam > 0: the same sum in the log domain. A
     batch's restart axis leads q_red and out, which may be strided. One
     `StagePlan.fold` on a plan of this call; raises NumericError at the
-    first non-finite cell, and ValueError when t is outside 1..T.
+    first non-finite cell, and ValueError when t is outside 1..T or lam is
+    not finite and >= 0.
     """
+    lam = finite_risk(lam, "fold_stage")
     check_stage(t, policy.horizon)
     batch = PolicyBatch.of(policy)
     if batch is not policy:
         q_red, out = q_red[None], out[None]
-    plan = StagePlan(batch, risk, q_red, out[None], batched=batch is policy)
+    plan = StagePlan(batch, not is_neutral(lam), q_red, out[None],
+                     batched=batch is policy)
     plan.fold(t, 0)
     return out if batch is policy else out[0]
 
@@ -738,23 +730,24 @@ def backward(model: DecPomdpModel, policy: JointPolicy, lam,
     `layout` when a `SolveWorkspace` is given, else a plan of this call.
     L_t alternates between the plan's two targets, L_t in targets[t % 2].
     """
-    risk = finite_risk(lam, "tilted recursion")
+    lam = finite_risk(lam, "tilted recursion")
+    tilted = not is_neutral(lam)
     batch = PolicyBatch.of(policy)
     if workspace is None:
         _check_dims(model, policy)
         S, Y = model.state_count, model.joint_obs_count
         A, R = model.joint_action_count, batch.size
         Z = math.prod(batch.agent_state_sizes)
-        plan = StagePlan(batch, risk, np.empty((R, S, A, Z)),
+        plan = StagePlan(batch, tilted, np.empty((R, S, A, Z)),
                          np.empty((2, R, S, Y, Z)), model=model,
                          batched=batch is policy)
     else:
-        plan = workspace.layout(model, batch, risk)
+        plan = workspace.layout(model, batch, tilted)
     l_next = plan.targets[0]
     l_next[...] = 0.0
     with kernels.quiet_overflow():
         for t in range(model.horizon, 0, -1):
-            stage_backup(model, l_next, risk, plan.q_red,
+            stage_backup(model, l_next, lam, plan.q_red,
                          scratch=plan.scratch)
             l_next = plan.fold(t, t % 2)
     return l_next if batch is policy else l_next[0]
@@ -767,9 +760,8 @@ def evaluate_exact(model: DecPomdpModel, policy: JointPolicy,
     a PolicyBatch. Raises NumericError when a value overflows. With a
     `SolveWorkspace`, it recurses on the workspace's layout.
     """
-    risk = RiskParameter(0.0)
     return aggregate_initial(model, policy,
-                             backward(model, policy, risk, workspace), risk)
+                             backward(model, policy, 0.0, workspace), 0.0)
 
 
 def evaluate_risk(model: DecPomdpModel, policy: JointPolicy, lam):
@@ -779,9 +771,9 @@ def evaluate_risk(model: DecPomdpModel, policy: JointPolicy, lam):
     (1/lam) log sum zeta1 phi exp(lam V_1); plain expectation at lam ~ 0.
     A float for a JointPolicy, one value per restart for a PolicyBatch.
     """
-    risk = finite_risk(lam, "risk-seeking evaluation")
-    return aggregate_initial(model, policy, backward(model, policy, risk),
-                             risk)
+    lam = finite_risk(lam, "risk-seeking evaluation")
+    return aggregate_initial(model, policy, backward(model, policy, lam),
+                             lam)
 
 
 def averaged_local_q(model: DecPomdpModel, zeta_t: np.ndarray,
@@ -795,7 +787,7 @@ def averaged_local_q(model: DecPomdpModel, zeta_t: np.ndarray,
     does the result. One `StagePlan.local_q` on a plan of this call; raises
     ValueError when t is outside 1..T or agent outside 0..N-1.
     """
-    risk = finite_risk(lam, "averaged_local_q")
+    lam = finite_risk(lam, "averaged_local_q")
     check_stage(t, policy.horizon)
     if not 0 <= agent < model.n_agents:
         raise ValueError(f"agent={agent} outside 0..{model.n_agents - 1}")
@@ -804,9 +796,9 @@ def averaged_local_q(model: DecPomdpModel, zeta_t: np.ndarray,
         zeta_t, l_next = zeta_t[None], l_next[None]
     ws = SolveWorkspace(model, batch.agent_state_sizes, restarts=batch.size)
     ws.zeta[:, t - 1] = zeta_t
-    plan = ws.layout(model, batch, risk)
+    plan = ws.layout(model, batch, not is_neutral(lam))
     with kernels.quiet_overflow():
-        stage_backup(model, l_next, risk, ws.q_red, scratch=plan.scratch)
+        stage_backup(model, l_next, lam, ws.q_red, scratch=plan.scratch)
         qbar = plan.local_q(t, agent)
     if batch is not policy:
         qbar.table, qbar.mass = qbar.table[0], qbar.mass[0]
@@ -814,7 +806,7 @@ def averaged_local_q(model: DecPomdpModel, zeta_t: np.ndarray,
 
 
 def aggregate_initial(model: DecPomdpModel, policy: JointPolicy,
-                      l1: np.ndarray, risk: RiskParameter):
+                      l1: np.ndarray, lam: float):
     """Fold L_1 with zeta1 (x) phi into the scalar objective.
 
     A PolicyBatch folds all restarts in one call, into an array with one
@@ -823,24 +815,24 @@ def aggregate_initial(model: DecPomdpModel, policy: JointPolicy,
     """
     phi = joint_phi(policy)
     if isinstance(policy, PolicyBatch):
-        return _aggregate(model.zeta1, phi, l1, risk)
-    return float(_aggregate(model.zeta1, phi[None], l1[None], risk)[0])
+        return _aggregate(model.zeta1, phi, l1, lam)
+    return float(_aggregate(model.zeta1, phi[None], l1[None], lam)[0])
 
 
-def _aggregate(zeta1, phi, l1, risk: RiskParameter) -> np.ndarray:
+def _aggregate(zeta1, phi, l1, lam: float) -> np.ndarray:
     """The objective of each restart from its joint phi (R, Z) and L_1
     (R, S, Y, Z)."""
-    if risk.is_neutral:
+    if is_neutral(lam):
         if zeta1.size == 2 and len(phi) > 1:
             # numpy's einsum sums a batch of two-cell zeta1 in another order
             # than it sums one restart's
-            return np.concatenate([_aggregate(zeta1, p[None], x[None], risk)
+            return np.concatenate([_aggregate(zeta1, p[None], x[None], lam)
                                    for p, x in zip(phi, l1)])
         return np.einsum("sy,rz,rsyz->r", zeta1, phi, l1)
     with np.errstate(divide="ignore"):
         x = np.log(zeta1)[None, :, :, None] + np.log(phi)[:, None, None, :]
     x += l1
-    return logsumexp(x.reshape(len(x), -1), axis=1) / risk.lam
+    return logsumexp(x.reshape(len(x), -1), axis=1) / lam
 
 
 def rollout_monte_carlo(model: DecPomdpModel, policy: JointPolicy,

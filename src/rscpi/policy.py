@@ -163,9 +163,9 @@ class PolicyBatch:
         return tuple(t.shape[-4] for t in self.tables)
 
 
-def point_mass_phi(z_size: int, index: int = 0) -> np.ndarray:
+def point_mass_phi(z_size: int) -> np.ndarray:
     phi = np.zeros(int(z_size))
-    phi[index] = 1.0
+    phi[0] = 1.0
     return phi
 
 
@@ -264,14 +264,14 @@ def _json_field(doc: dict, name: str):
     return doc[name]
 
 
-def dump_policy(policy: JointPolicy, model=None, names=None) -> str:
+def dump_policy(policy: JointPolicy, model=None) -> str:
     """Human-readable dump: one table per time step.
 
     Rows are observation symbols, one column block per agent state; each cell
     shows the most probable (action, next agent state), annotated with its
     probability when below 0.999.
     """
-    act_names, obs_names = _resolve_names(policy, model, names)
+    act_names, obs_names = _resolve_names(policy, model)
     lines = []
     for t in range(policy.horizon):
         lines.append(f"t={t + 1}")
@@ -295,17 +295,15 @@ def dump_policy(policy: JointPolicy, model=None, names=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _resolve_names(policy, model, names):
-    if names is not None:
-        return names
+def _resolve_names(policy, model):
     n = policy.n_agents
     acts = policy.action_counts()
     obs = policy.obs_counts()
     act_names = [[f"a{k}" for k in range(acts[i])] for i in range(n)]
     obs_names = [[f"y{k}" for k in range(obs[i])] for i in range(n)]
     if model is not None:
-        if getattr(model, "action_names", None):
+        if model.action_names:
             act_names = [list(model.action_names[i]) for i in range(n)]
-        if getattr(model, "obs_names", None):
+        if model.obs_names:
             obs_names = [list(model.obs_names[i]) for i in range(n)]
     return act_names, obs_names

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .evaluation import (AveragedLocalQ, RiskParameter, SolveWorkspace,
-                         StagePlan, aggregate_initial, evaluate_exact,
-                         finite_risk, forward_marginals, stage_backup)
+from .evaluation import (AveragedLocalQ, SolveWorkspace, StagePlan,
+                         aggregate_initial, evaluate_exact, finite_risk,
+                         forward_marginals, is_neutral, stage_backup)
 from .model import DecPomdpModel, is_int
 from .policy import (PHI_MODES, JointPolicy, PolicyBatch, mix_policies,
                      random_policy)
@@ -145,7 +145,7 @@ def sweep(model: DecPomdpModel, policy, lam, alpha: float,
     workspace's `layout`. Returns the risk objective read off the last
     pass's L_1: a float for a JointPolicy, one per restart for a batch.
     """
-    risk = finite_risk(lam, "sweep")
+    lam = finite_risk(lam, "sweep")
     if ordering == "sequential":
         groups = [range(model.n_agents)]
     elif ordering == "per_agent":
@@ -155,7 +155,7 @@ def sweep(model: DecPomdpModel, policy, lam, alpha: float,
     batch = PolicyBatch.of(policy)
     ws = workspace or SolveWorkspace(model, batch.agent_state_sizes,
                                      restarts=batch.size)
-    plan = ws.layout(model, batch, risk)
+    ws.layout(model, batch, not is_neutral(lam))
     live = (np.ones(batch.size, dtype=bool) if live is None
             else np.asarray(live, dtype=bool))
     if live.shape != (batch.size,):
@@ -163,12 +163,12 @@ def sweep(model: DecPomdpModel, policy, lam, alpha: float,
                          f"({batch.size},), one flag per restart")
     with kernels.quiet_overflow():
         for group in groups:
-            l_next = _sweep_pass(ws, group, alpha, live)
+            l_next = _sweep_pass(ws, group, lam, alpha, live)
     return aggregate_initial(model, policy,
-                             l_next if batch is policy else l_next[0], risk)
+                             l_next if batch is policy else l_next[0], lam)
 
 
-def _sweep_pass(ws: SolveWorkspace, agents, alpha, live) -> np.ndarray:
+def _sweep_pass(ws: SolveWorkspace, agents, lam, alpha, live) -> np.ndarray:
     """One T..1 pass updating `agents` at every stage on the workspace's
     plan, its forward step first; returns L_1."""
     plan, model = ws.plan, ws.model
@@ -176,8 +176,7 @@ def _sweep_pass(ws: SolveWorkspace, agents, alpha, live) -> np.ndarray:
     l_next = plan.targets[0]
     l_next[...] = 0.0
     for t in range(model.horizon, 0, -1):
-        stage_backup(model, l_next, plan.risk, plan.q_red,
-                     scratch=plan.scratch)
+        stage_backup(model, l_next, lam, plan.q_red, scratch=plan.scratch)
         for i in agents:
             _update_agent_at(plan, t, i, alpha, live)
         # L_{T+1} = 0 sits in l[0], so L_t lands there for even t
@@ -211,7 +210,7 @@ def rscpi(model: DecPomdpModel, config: SolverConfig,
     so its value is only read while it runs. Both steps run on the solve's
     workspace and share its stage layout (`SolveWorkspace.layout`).
     Convergence is only checked once the tilt counts as zero, by the rule
-    `RiskParameter.is_neutral` under which a sweep runs untilted: a restart
+    `evaluation.is_neutral` under which a sweep runs untilted: a restart
     stops when its sweep's risk objective improves by less than tol, and is
     masked out of the sweeps that follow. The best restart is chosen by
     exact value, ties keeping the earliest (lowest) seed.
@@ -240,7 +239,7 @@ def rscpi(model: DecPomdpModel, config: SolverConfig,
     prev = [None] * R
     for k in range(1, config.max_sweeps + 1):
         lam_k = config.lam_at(k)
-        untilted = RiskParameter(lam_k).is_neutral
+        untilted = is_neutral(lam_k)
         j_risk = sweep(model, batch, lam_k, config.alpha, config.ordering, ws,
                        live)
         j_exact = evaluate_exact(model, batch, workspace=ws)

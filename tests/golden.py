@@ -3,6 +3,7 @@ solves, pinned bit for bit in tests/golden/records.json.
 
     python3 tests/golden.py --check    # exit 1 on any difference
     python3 tests/golden.py --write    # rewrite the records
+    python3 tests/golden.py --digest 0-5   # one sha256, workload seeds 0-5
 
 A solve's record holds every trace entry, J_exact, the final J_risk, the
 sweep count and the winning seed, each float as `float.hex`, and a sha256 of
@@ -15,6 +16,11 @@ The bits of a float sum can depend on numpy's SIMD dispatch and on the BLAS
 kernel behind `np.matmul`, so the file also holds the stamp of the machine
 that wrote it. Under another stamp `--check` exits 2 without comparing: a
 looser comparison would let a moved bit pass.
+
+`--digest SEEDS` compares two checkouts on one machine: it computes every
+record, the benchmark workloads at SEEDS (a range `a-b` or a comma list)
+instead of 0-1, and prints the machine stamp and one sha256 over the
+records. It writes no file.
 """
 
 from __future__ import annotations
@@ -139,12 +145,13 @@ def three_agent_record() -> dict:
     return solve_record(rscpi(model, SolverConfig(**THREE_AGENTS)))
 
 
-def recipes() -> dict:
-    """Record name -> a call that computes the record."""
+def recipes(seeds=BENCH_SEEDS) -> dict:
+    """Record name -> a call that computes the record, the benchmark
+    workloads at `seeds`."""
     workloads = ("dectiger-t6", "recycling-t100", "synthetic-large",
                  "policy-eval")
     out = {f"{w}/seed{s}": (lambda w=w, s=s: bench_record(w, s))
-           for w in workloads for s in BENCH_SEEDS}
+           for w in workloads for s in seeds}
     out["dectiger-t6-per-agent"] = lambda: dectiger_record(0.0)
     out["dectiger-t6-per-agent/lambda0=0.5"] = lambda: dectiger_record(0.5)
     out["three-agents"] = three_agent_record
@@ -174,13 +181,33 @@ def differences(name: str, want: dict, got: dict) -> list:
     return out
 
 
+def parse_seeds(text: str) -> tuple:
+    """`a-b` (inclusive) or a comma list of seeds."""
+    if "-" in text:
+        lo, hi = text.split("-", 1)
+        return tuple(range(int(lo), int(hi) + 1))
+    return tuple(int(s) for s in text.split(","))
+
+
+def digest(records: dict) -> str:
+    text = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--check", action="store_true")
     mode.add_argument("--write", action="store_true")
+    mode.add_argument("--digest", metavar="SEEDS", type=parse_seeds)
     args = parser.parse_args(argv)
     here = stamp()
+    if args.digest is not None:
+        records = {name: make() for name, make in recipes(args.digest).items()}
+        print(json.dumps(here))
+        print(f"{digest(records)}  {len(records)} records, workload seeds "
+              f"{','.join(map(str, args.digest))}")
+        return 0
     if args.write:
         records = {name: make() for name, make in recipes().items()}
         RECORDS.parent.mkdir(exist_ok=True)

@@ -228,6 +228,47 @@ def risk_vi_reference(P, r, T, lam):
     return V, Q, psi
 
 
+def qpomdp_bound(model):
+    """Q_POMDP: the optimal value of the centralized POMDP, whose one
+    controller sees the joint observation and picks the joint action.
+
+    A decentralized policy is a randomized policy of that controller, so
+    no policy's exact value exceeds it (Oliehoek, Spaan & Vlassis, JAIR
+    2008: Q_MDP >= Q_POMDP >= Q*). Stage t's value at the belief b over
+    states is max_a [b . r_a + sum_y' Pr(y' | b, a) V_{t+1}(b'_{a,y'})],
+    recursed over the beliefs reached and memoized on (t, b rounded to 13
+    digits). V_T(b) = max_a b . r_a is linear in an unnormalized b, so the
+    stage before the last sums its children's values in one product.
+    """
+    import numpy as np
+
+    P, r, T = model.P, model.r, model.horizon   # P (S, A, S', Y')
+    memo = {}
+
+    def value(t, b):
+        key = (t, tuple(np.round(b, 13)))
+        if key not in memo:
+            now = b @ r
+            if t < T:
+                # each (a, y') child's belief times Pr(y' | b, a)
+                nxt = np.einsum("s,sapy->apy", b, P)
+                mass = nxt.sum(axis=1)
+                if t + 1 == T:
+                    now = now + np.einsum("apy,pb->ayb", nxt, r).max(
+                        axis=2).sum(axis=1)
+                else:
+                    now = now + [
+                        sum(m * value(t + 1, nxt[a, :, y] / m)
+                            for y, m in enumerate(mass[a]) if m > 0.0)
+                        for a in range(len(mass))]
+            memo[key] = float(np.max(now))
+        return memo[key]
+
+    mass1 = model.zeta1.sum(axis=0)
+    return float(sum(m * value(1, model.zeta1[:, y] / m)
+                     for y, m in enumerate(mass1) if m > 0.0))
+
+
 def expand_joint_policy_gather(policy, t, skip_agent=None):
     """Joint policy table by per-agent fancy-index gathers over flat axes.
 
@@ -316,7 +357,7 @@ def backward_stages(model, policy, lam):
     from rscpi import kernels
     from rscpi.evaluation import finite_risk, fold_stage, stage_backup
 
-    risk = finite_risk(lam, "backward_stages")
+    lam = finite_risk(lam, "backward_stages")
     lead = policy.tables[0].shape[:-5]
     S, Y = model.state_count, model.joint_obs_count
     A, T = model.joint_action_count, model.horizon
@@ -326,8 +367,8 @@ def backward_stages(model, policy, lam):
     q_red = np.empty(lead + (S, A, Z))
     with kernels.quiet_overflow():
         for t in range(T, 0, -1):
-            stage_backup(model, l_next, risk, q_red)
-            l_next = fold_stage(policy, t, q_red, risk,
+            stage_backup(model, l_next, lam, q_red)
+            l_next = fold_stage(policy, t, q_red, lam,
                                 stack[..., t - 1, :, :, :])
     return stack
 
@@ -564,7 +605,7 @@ def q_values(qbar, lam):
     return out
 
 
-def averaged_local_q_flat(model, zeta_t, batch, t, q_red, risk, agent):
+def averaged_local_q_flat(model, zeta_t, batch, t, q_red, tilted, agent):
     """StagePlan.local_q by the full product, a drop-in replacement.
 
     Every (s, co-agents' y, w, a, z) cell is one row of a (rows, cells)
@@ -572,8 +613,8 @@ def averaged_local_q_flat(model, zeta_t, batch, t, q_red, risk, agent):
     column sum adds the rows one at a time in flat joint order, whatever R
     is. It holds S * co_yw * co_az * R * yw * az floats at once, where the
     package sums the co-agents' (y, w) axes out before q is broadcast in.
-    lam > 0 adds logs instead and shifts each column by its own max before
-    the exp.
+    Tilted, it adds logs instead and shifts each column by its own max
+    before the exp.
     """
     import numpy as np
 
@@ -594,7 +635,7 @@ def averaged_local_q_flat(model, zeta_t, batch, t, q_red, risk, agent):
     q = agent_last(q_red.reshape(R, S, *a_sizes, *w_sizes), agent, n)
     q = q.reshape(S, 1, co_az, R, 1, az)
     cells = R * yw * az
-    if risk.is_neutral:
+    if not tilted:
         vals = np.multiply(zeta * copi, q).reshape(-1, cells)
         table = vals.sum(axis=0)
     else:

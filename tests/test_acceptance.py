@@ -20,11 +20,11 @@ from _benchmarks import (
 )
 from oracles import (backward_stages, forward_sum_eval, risk_vi_reference,
                      weighted_logmeanexp)
-from rscpi import RiskParameter
 from rscpi.evaluation import (
     averaged_local_q,
     evaluate_exact,
     forward_marginals,
+    is_neutral,
     rollout_monte_carlo,
 )
 from rscpi.model import matrix_game_model
@@ -221,10 +221,9 @@ def test_05_ablations_collapse_to_always_listen(dectiger6):
 
 
 def _tail_objective(zeta_t, l_t, risk):
-    if risk.is_neutral:
+    if is_neutral(risk):
         return float(np.sum(zeta_t * l_t))
-    return weighted_logmeanexp(zeta_t.ravel(), (l_t / risk.lam).ravel(),
-                               risk.lam)
+    return weighted_logmeanexp(zeta_t.ravel(), (l_t / risk).ravel(), risk)
 
 
 def test_06_conservative_update_never_degrades_tail():
@@ -243,7 +242,7 @@ def test_06_conservative_update_never_degrades_tail():
         policy = random_policy_for(model, z_sizes, seed=2000 + k)
         t = int(rng.integers(1, horizon + 1))
         agent = int(rng.integers(0, 2))
-        risk = RiskParameter(float(rng.choice([0.0, 0.1, 0.5, 1.0, 2.0])))
+        risk = float(rng.choice([0.0, 0.1, 0.5, 1.0, 2.0]))
         alpha = float(rng.choice([0.1, 0.3, 0.5, 1.0]))
 
         zeta_t = forward_marginals(model, policy)[t - 1]

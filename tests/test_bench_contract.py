@@ -20,9 +20,9 @@ from _benchmarks import dectiger_model, random_policy_for
 from rscpi import kernels
 
 ROOT = Path(__file__).resolve().parents[1]
-REMOVED = ["DeterministicAgentSlice", "FiniteMdp", "certainty_equivalent",
-           "risk_policy_evaluation_mdp", "risk_value_iteration",
-           "weighted_logmeanexp"]
+REMOVED = ["DeterministicAgentSlice", "FiniteMdp", "RiskParameter",
+           "certainty_equivalent", "risk_policy_evaluation_mdp",
+           "risk_value_iteration", "weighted_logmeanexp"]
 # per-layer rows of the benchmark that a solve must keep reaching
 SOLVE_LAYERS = ["solver.sweep", "solver.greedy_agent_update",
                 "policy.mix_policies", "evaluation.forward_marginals",

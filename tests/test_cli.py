@@ -104,6 +104,17 @@ class TestSolve:
         assert out == ""
         assert not (tmp_path / "out").exists()
 
+    def test_out_below_a_file_exits_2(self, capsys, tmp_path):
+        """An --out that cannot be made is a diagnostic and exit 2, not a
+        traceback after the solve."""
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        code, out, err = solve_matrix(capsys, blocker / "out")
+        assert code == 2 and out == ""
+        assert err.startswith(f"{blocker / 'out'}:0: error:")
+        assert len(err.splitlines()) == 1
+        assert blocker.read_text() == ""
+
     def test_broken_model_file_exits_2_with_diagnostics(self, capsys,
                                                         tmp_path):
         path = tmp_path / "bad.dpomdp"
@@ -568,6 +579,15 @@ class TestReport:
                                "--out-file", str(out_file))
         assert code == 0 and out == ""
         assert out_file.read_text().startswith("# Benchmark report")
+
+    def test_out_file_below_a_file_exits_2(self, capsys, tmp_path):
+        path = self.write_csv(tmp_path, [self.record_row()])
+        out_file = path / "report.md"   # runs.csv is a regular file
+        code, out, err = run_cli(capsys, "report", str(path),
+                                 "--out-file", str(out_file))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(out_file) in err
+        assert len(err.splitlines()) == 1
 
     def test_stdout_by_default(self, capsys, tmp_path):
         path = self.write_csv(tmp_path, [self.record_row()])

@@ -14,10 +14,10 @@ from _benchmarks import (dectiger_block_policy, dectiger_model,
                          recycling_reactive_policy)
 from oracles import (evaluate_enum, evaluate_risk_enum, fold_stage_joint,
                      forward_marginals_joint, forward_sum_eval,
-                     marginal_enum, risk_vi_reference,
+                     marginal_enum, qpomdp_bound, risk_vi_reference,
                      rollout_monte_carlo_rows, _sample_rows,
                      weighted_logmeanexp)
-from rscpi import RiskParameter, evaluation, kernels
+from rscpi import evaluation, kernels
 from rscpi.bench_cli import load_model
 from rscpi.evaluation import (NumericError, SolveWorkspace, evaluate_exact,
                               evaluate_risk, fold_stage, forward_marginals,
@@ -89,7 +89,7 @@ class TestPerAgentContraction:
             for t in range(1, model.horizon + 1):
                 got = np.empty((model.state_count, model.joint_obs_count,
                                 q_red.shape[-1]))
-                fold_stage(policy, t, q_red, RiskParameter(lam), got)
+                fold_stage(policy, t, q_red, lam, got)
                 want = fold_stage_joint(policy, t, q_red, lam)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -106,7 +106,7 @@ class TestPerAgentContraction:
     def test_batch_equals_each_restart_alone(self, agents, lam):
         model, singles, batch = contraction_case(agents)
         q_red = q_red_for(model, singles[0], restarts=(batch.size,))
-        risk = RiskParameter(lam)
+        risk = lam
         got = np.empty(q_red.shape[:2] + (model.joint_obs_count,
                                           q_red.shape[-1]))
         zetas = forward_marginals(model, batch)
@@ -131,7 +131,7 @@ class TestPerAgentContraction:
                         q_red.shape[-1]))
         with pytest.raises(NumericError, match="nonfinite tilted value"):
             with kernels.quiet_overflow():
-                fold_stage(singles[0], 2, q_red, RiskParameter(lam), out)
+                fold_stage(singles[0], 2, q_red, lam, out)
 
     @pytest.mark.parametrize("t", [0, -1, 4])
     def test_stage_outside_horizon_is_refused(self, t):
@@ -142,7 +142,7 @@ class TestPerAgentContraction:
         q_red = q_red_for(model, policy)
         out = np.full((model.state_count, model.joint_obs_count, 4), np.nan)
         with pytest.raises(ValueError, match=rf"t={t} outside 1\.\.3"):
-            fold_stage(policy, t, q_red, RiskParameter(0.0), out)
+            fold_stage(policy, t, q_red, 0.0, out)
         assert np.all(np.isnan(out))
 
     def test_no_joint_table_is_formed(self):
@@ -165,7 +165,7 @@ class TestPerAgentContraction:
                 tracemalloc.stop()
 
         peaks = [peak_mb(lambda: fold_stage(policy, 2, q_red,
-                                            RiskParameter(lam), out))
+                                            lam, out))
                  for lam in (0.0, 0.5)]
         peaks.append(peak_mb(lambda: forward_marginals(model, policy)))
         assert max(peaks) < joint_mb, (peaks, joint_mb)
@@ -226,11 +226,11 @@ class TestForwardMarginals:
                             restarts=batch.size)
         plan = None
         if kept is not None:
-            plan = ws.layout(model, batch, RiskParameter(kept))
+            plan = ws.layout(model, batch, bool(kept))
             plan.q_out.base.fill(np.nan)   # the arena every phase shares
         got = forward_marginals(model, batch, workspace=ws)
         assert got is ws.zeta
-        assert ws.plan.risk.lam == (0.0 if kept is None else kept)
+        assert ws.plan.tilted == bool(kept)
         assert plan is None or ws.plan is plan
         assert got.tobytes() == forward_marginals(model, batch).tobytes()
         one = SolveWorkspace(model, batch.agent_state_sizes)
@@ -400,6 +400,43 @@ class TestUpperBound:
         assert mdp_bound(model, 0.0)[0] == pytest.approx(q_mdp, abs=1e-3)
         policy = random_policy_for(model, (2, 2), seed=0)
         assert_below_bound(model, policy, [0.0, 0.1, 0.5, 1.0])
+
+    @given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 3),
+           agents=st.integers(1, 3), horizon=st.integers(1, 4),
+           reward_scale=st.sampled_from([0.1, 1.0, 10.0]), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_exact_value_below_qpomdp(self, seed, n_states, agents, horizon,
+                                      reward_scale, data):
+        """The centralized POMDP's value bounds every exact value, and is
+        itself at most the state MDP's."""
+        sizes = st.lists(st.integers(1, 2), min_size=agents,
+                         max_size=agents).map(tuple)
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n_states=n_states,
+                             action_counts=data.draw(sizes),
+                             obs_counts=data.draw(sizes), horizon=horizon,
+                             reward_scale=reward_scale)
+        policy = random_policy_for(model, data.draw(sizes), seed % 1000)
+        scale = model.horizon * np.abs(model.r).max() + 1.0
+        bound = qpomdp_bound(model)
+        assert bound <= mdp_bound(model, 0.0)[0] + 1e-9 * scale
+        assert evaluate_exact(model, policy) <= bound + 1e-9 * scale
+
+    @pytest.mark.parametrize("horizon, q_pomdp", [
+        (3, 13.015), (4, 22.701), (5, 26.810), (6, 35.074)])
+    def test_dectiger_qpomdp(self, horizon, q_pomdp):
+        """Dec-Tiger's Q_POMDP lies between its optima (5.19, 4.80, 7.03,
+        10.38) and its Q_MDP (60, 80, 100, 120)."""
+        model = dectiger_model(horizon=horizon)
+        assert qpomdp_bound(model) == pytest.approx(q_pomdp, abs=1e-3)
+
+    @pytest.mark.parametrize("horizon", [3, 4, 5])
+    def test_recycling_qpomdp_is_its_qmdp(self, horizon):
+        """The robots start in one state and their joint observation is the
+        next state, so the centralized controller always knows the state."""
+        model = recycling_model(horizon=horizon)
+        assert qpomdp_bound(model) == pytest.approx(
+            mdp_bound(model, 0.0)[0], rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
     def test_reached_when_the_state_is_observed(self, lam):

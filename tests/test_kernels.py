@@ -15,7 +15,7 @@ from oracles import (averaged_local_q_loops, csr_support,
                      expand_joint_policy_gather, fold_policy_log_loops,
                      fold_policy_log_states, tilted_q_log_loops,
                      tilted_q_log_rows, value_padded)
-from rscpi import RiskParameter, kernels
+from rscpi import kernels
 from rscpi.bench_cli import load_model
 from rscpi.evaluation import (_support, averaged_local_q, finite_risk,
                               fold_stage, stage_backup)
@@ -89,7 +89,7 @@ class TestBackendAgreement:
         out_a = np.zeros((b["S"], b["Y"], b["Z"]))
         out_b = np.zeros_like(out_a)
         fold_policy_log_loops(log_of(b["m"]), b["q_red"], out_a)
-        fold_stage(b["policy"], 1, b["q_red"], RiskParameter(b["lam"]),
+        fold_stage(b["policy"], 1, b["q_red"], b["lam"],
                    out_b)
         np.testing.assert_allclose(out_a, out_b, rtol=0, atol=1e-12)
 
@@ -174,7 +174,7 @@ def assert_matches_oracles(b):
     tilted_q_log_rows(*tilted_args(b, "csr"), want_q)
     assert np.array_equal(got_q, want_q)
     got_l, want_l = np.empty((S, Y, Z)), np.empty((S, Y, Z))
-    fold_stage(b["policy"], 1, b["q_red"], RiskParameter(b["lam"]), got_l)
+    fold_stage(b["policy"], 1, b["q_red"], b["lam"], got_l)
     fold_policy_log_states(log_of(b["m"]), b["q_red"], want_l)
     np.testing.assert_allclose(got_l, want_l, rtol=0, atol=1e-12)
 
@@ -247,7 +247,7 @@ class TestNumpyKernels:
         for out in views((S, A, Z)):
             kernels.tilted_q_log(*tilted_args(b, "padded"), out)
             assert np.array_equal(out, dense)
-        risk = RiskParameter(b["lam"])
+        risk = b["lam"]
         dense = np.empty((S, Y, Z))
         fold_stage(b["policy"], 1, b["q_red"], risk, dense)
         for out in views((S, Y, Z)):
@@ -263,7 +263,7 @@ class TestNumpyKernels:
         model, R = b["model"], 3
         batch = PolicyBatch.stack(
             [random_policy_for(model, (2, 2), 300 + r) for r in range(R)], R)
-        risk = RiskParameter(lam)
+        risk = lam
         q_red = np.random.default_rng(1).uniform(
             -1.0, 1.0, size=(R, b["S"], b["A"], b["Z"]))
         shape = (R, b["S"], b["Y"], b["Z"])
@@ -299,7 +299,7 @@ class TestBatchedKernels:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_equal_to_per_restart_calls(self, impls, seed):
         b, x = self.batch(seed)
-        risk = RiskParameter(b["lam"])
+        risk = b["lam"]
         if impls == "numpy":
             tilted, support = kernels.tilted_q_log, b["padded"]
             same = np.array_equal

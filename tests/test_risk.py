@@ -1,5 +1,6 @@
-"""The risk parameter's neutral threshold, and the weighted logmeanexp that
-the tail-objective and fully observed checks aggregate with."""
+"""The tilt's neutral threshold, the one float form of lam that every
+recursion takes, and the weighted logmeanexp that the tail-objective and
+fully observed checks aggregate with."""
 
 import math
 
@@ -8,19 +9,99 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _benchmarks import random_model, random_policy_for
 from oracles import logmeanexp_direct, weighted_logmeanexp
-from rscpi import RiskParameter
+from rscpi.evaluation import (aggregate_initial, averaged_local_q, backward,
+                              evaluate_risk, fold_stage, forward_marginals,
+                              is_neutral, stage_backup)
+from rscpi.solver import sweep
 
 
 class TestRiskParameter:
     def test_below_threshold_is_neutral(self):
-        assert RiskParameter(0.0).is_neutral
-        assert RiskParameter(1e-10).is_neutral
-        assert RiskParameter(-1e-10).is_neutral
+        assert is_neutral(0.0)
+        assert is_neutral(1e-10)
+        assert is_neutral(-1e-10)
 
     def test_above_threshold_is_tilted(self):
-        assert not RiskParameter(1e-8).is_neutral
-        assert not RiskParameter(1.0).is_neutral
+        assert not is_neutral(1e-8)
+        assert not is_neutral(1.0)
+
+
+def lam_case():
+    """A two-agent model, a policy, its marginals and a random L_2 and
+    q_red, shared by the lam contract's calls."""
+    rng = np.random.default_rng(5)
+    model = random_model(rng, n_states=3, action_counts=(2, 3),
+                         obs_counts=(2, 2), horizon=3)
+    policy = random_policy_for(model, (2, 2), seed=6)
+    S, A = model.state_count, model.joint_action_count
+    l_next = rng.uniform(-1.0, 1.0, size=(S, model.joint_obs_count, 4))
+    q_red = rng.uniform(-1.0, 1.0, size=(S, A, 4))
+    return model, policy, forward_marginals(model, policy), l_next, q_red
+
+
+def lam_calls(model, policy, zeta, l_next, q_red):
+    """Name -> a call of lam returning its result's bytes, one per entry
+    point that takes lam."""
+
+    def backup(lam):
+        out = np.empty(q_red.shape)
+        return stage_backup(model, l_next, lam, out).tobytes()
+
+    def fold(lam):
+        out = np.empty(l_next.shape)
+        return fold_stage(policy, 2, q_red, lam, out).tobytes()
+
+    def swept(lam):
+        twin = policy.copy()
+        j = sweep(model, twin, lam, 0.3)
+        return [float(j).hex()] + [t.tobytes() for t in twin.tables]
+
+    def local(lam):
+        qbar = averaged_local_q(model, zeta[1], policy, 2, l_next, lam, 1)
+        return qbar.table.tobytes() + qbar.mass.tobytes()
+
+    return {
+        "stage_backup": backup,
+        "fold_stage": fold,
+        "aggregate_initial": lambda lam: float(aggregate_initial(
+            model, policy, l_next, lam)).hex(),
+        "backward": lambda lam: backward(model, policy, lam).tobytes(),
+        "evaluate_risk": lambda lam: float(evaluate_risk(model, policy,
+                                                         lam)).hex(),
+        "sweep": swept,
+        "averaged_local_q": local,
+    }
+
+
+class TestLamContract:
+    """lam is one float through every recursion: a Python float and an
+    np.float64 of the same value give the same bits, and every public entry
+    point refuses a negative or non-finite lam at its boundary."""
+
+    @pytest.mark.parametrize("name", ["stage_backup", "fold_stage",
+                                      "aggregate_initial", "backward",
+                                      "evaluate_risk", "sweep",
+                                      "averaged_local_q"])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_float_and_float64_give_the_same_bits(self, name, lam):
+        call = lam_calls(*lam_case())[name]
+        assert call(lam) == call(np.float64(lam))
+
+    @pytest.mark.parametrize("name", ["fold_stage", "backward",
+                                      "evaluate_risk", "sweep",
+                                      "averaged_local_q"])
+    @pytest.mark.parametrize("lam", [-1.0, math.inf, math.nan])
+    def test_bad_lam_is_refused(self, name, lam):
+        call = lam_calls(*lam_case())[name]
+        with pytest.raises(ValueError, match="lam"):
+            call(lam)
+
+    def test_nan_is_not_neutral(self):
+        """A nan lam takes the tilted path, where the boundary check or the
+        tilted recursion's finiteness check fails it."""
+        assert not is_neutral(math.nan)
 
 
 class TestWeightedLogmeanexp:

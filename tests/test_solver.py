@@ -14,12 +14,12 @@ from _benchmarks import (dectiger_model, deterministic_policy,
 from oracles import (averaged_local_q_flat, backward_stages,
                      logmeanexp_direct, q_values, risk_vi_reference,
                      update_agent_at_incumbent, weighted_logmeanexp)
-from rscpi import RiskParameter, evaluation, kernels, solver
+from rscpi import evaluation, kernels, solver
 from rscpi.evaluation import (AveragedLocalQ, NumericError, SolveWorkspace,
                               StagePlan, aggregate_initial, averaged_local_q,
                               backward, evaluate_exact, evaluate_risk,
-                              forward_marginals, joint_components,
-                              stage_backup)
+                              forward_marginals, is_neutral,
+                              joint_components, stage_backup)
 from rscpi.model import matrix_game_model
 from rscpi.policy import JointPolicy, PolicyBatch, mix_policies, random_policy
 from rscpi.solver import SolverConfig, greedy_agent_update, rscpi, sweep
@@ -54,7 +54,7 @@ def flat_local_q(plan, t, agent):
     """`averaged_local_q_flat` on the operands of a sweep's plan, in the
     place of `StagePlan.local_q`."""
     return averaged_local_q_flat(plan.model, plan.zeta[:, t - 1], plan.batch,
-                                 t, plan.q_red, plan.risk, agent)
+                                 t, plan.q_red, plan.tilted, agent)
 
 
 class TestBackwardTiltedValues:
@@ -87,7 +87,7 @@ class TestBackwardTiltedValues:
             model = random_model(rng, horizon=int(rng.integers(2, 5)))
             policy = random_policy_for(model, (2, 2), seed=10 + k)
             l1 = backward(model, policy, 0.0)
-            j = aggregate_initial(model, policy, l1, RiskParameter(0.0))
+            j = aggregate_initial(model, policy, l1, 0.0)
             assert j == pytest.approx(evaluate_exact(model, policy), abs=1e-9)
 
     def test_stage_indexing(self):
@@ -176,7 +176,7 @@ class TestBatchedEvaluation:
             policy.phi = [rng.dirichlet(np.ones(z)) for z in (2, 3)]
         batch = PolicyBatch.stack(singles, 3)
         l1 = 10.0 * rng.normal(size=(3, n_states, model.joint_obs_count, 6))
-        risk = RiskParameter(lam)
+        risk = lam
         got = aggregate_initial(model, batch, l1, risk)
         for r, policy in enumerate(singles):
             want = aggregate_initial(model, policy, l1[r].copy(), risk)
@@ -410,7 +410,7 @@ class TestFactoredLocalQ:
                              action_counts=(4, 4), obs_counts=(4, 4),
                              horizon=2, init_obs_mode="uniform_observation")
         batch = PolicyBatch.of(random_policy_for(model, (3, 3), seed=1))
-        risk = RiskParameter(lam)
+        risk = lam
         ws = SolveWorkspace(model, (3, 3))
         forward_marginals(model, batch, workspace=ws)
         with kernels.quiet_overflow():
@@ -428,7 +428,7 @@ class TestFactoredLocalQ:
 
         # the plan's arena holds each agent's buffers in one phase; a call
         # may allocate more on top of the largest
-        plan = ws.layout(model, batch, risk)
+        plan = ws.layout(model, batch, not is_neutral(risk))
         held = max(8 * sum(max(map(math.prod, entry))
                            if isinstance(entry, list) else math.prod(entry)
                            for entry in evaluation._LocalQLayout(
@@ -476,17 +476,18 @@ class TestSolveLayout:
 
     @staticmethod
     def count_plans(monkeypatch):
-        """The lam of each solve plan built, one laid out over zeta; the
-        plans of a lone `backward` or `fold_stage` are not counted."""
+        """The regime (tilted or not) of each solve plan built, one laid out
+        over zeta; the plans of a lone `backward` or `fold_stage` are not
+        counted."""
         built = []
 
         class Counted(StagePlan):
             __slots__ = ()
 
-            def __init__(self, batch, risk, *args, zeta=None, **kwargs):
+            def __init__(self, batch, tilted, *args, zeta=None, **kwargs):
                 if zeta is not None:
-                    built.append(risk.lam)
-                super().__init__(batch, risk, *args, zeta=zeta, **kwargs)
+                    built.append(tilted)
+                super().__init__(batch, tilted, *args, zeta=zeta, **kwargs)
 
         monkeypatch.setattr(evaluation, "StagePlan", Counted)
         return built
@@ -519,7 +520,7 @@ class TestSolveLayout:
                               restarts=3, seed=0, z_sizes=(2, 2))
         result = rscpi(dectiger_model(horizon=4), config)
         assert result.sweeps > 2
-        assert built == [0.0]
+        assert built == [False]
 
     def test_a_change_of_regime_swaps_the_layout(self, monkeypatch):
         built = self.count_plans(monkeypatch)
@@ -529,7 +530,7 @@ class TestSolveLayout:
                               z_sizes=(2, 2))
         assert rscpi(dectiger_model(horizon=3), config).sweeps > 3
         # each tilted sweep is followed by an untilted evaluation
-        assert built == [0.5, 0.0, 0.25, 0.0]
+        assert built == [True, False, True, False]
         assert len(cuts) == len(built)
 
     def test_a_joint_policy_keeps_its_plan(self, monkeypatch):
@@ -546,7 +547,7 @@ class TestSolveLayout:
         got = [(sweep(model, policy, 0.0, 0.3, workspace=ws).hex(),
                 evaluate_exact(model, policy, workspace=ws).hex())
                for _ in range(5)]
-        assert built == [0.0]
+        assert built == [False]
         assert got == want
         assert tables_bytes(policy) == tables_bytes(twin)
         with pytest.raises(ValueError, match="another model"):
@@ -729,7 +730,7 @@ class TestStageBackups:
         backup = solver.stage_backup
 
         def counted(model, l_next, risk, out, **scratch):
-            calls.append(risk.lam)
+            calls.append(risk)
             return backup(model, l_next, risk, out, **scratch)
 
         monkeypatch.setattr(solver, "stage_backup", counted)
@@ -1011,7 +1012,7 @@ class TestRscpi:
         assert result.sweeps >= 4  # 3 annealed + at least one at zero
 
     def test_convergence_counts_below_the_neutral_threshold(self):
-        """A tilt below RiskParameter's 1e-9 threshold runs untilted, so it
+        """A tilt below is_neutral's 1e-9 threshold runs untilted, so it
         is checked for convergence too: at lambda0 = 1e-10 each restart
         stops while the schedule is still above 0."""
         model = matrix_game_model(MATRIX_PAYOFFS)
