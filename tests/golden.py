@@ -18,7 +18,7 @@ that wrote it. Under another stamp `--check` exits 2 without comparing: a
 looser comparison would let a moved bit pass.
 
 `--digest SEEDS` compares two checkouts on one machine: it computes every
-record, the benchmark workloads at SEEDS (a range `a-b` or a comma list)
+record, the benchmark workloads at SEEDS (`a-b`, inclusive, or one seed)
 instead of 0-1, and prints the machine stamp and one sha256 over the
 records. It writes no file.
 """
@@ -182,16 +182,9 @@ def differences(name: str, want: dict, got: dict) -> list:
 
 
 def parse_seeds(text: str) -> tuple:
-    """`a-b` (inclusive) or a comma list of seeds."""
-    if "-" in text:
-        lo, hi = text.split("-", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(s) for s in text.split(","))
-
-
-def digest(records: dict) -> str:
-    text = json.dumps(records, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    """The seeds `a-b` (inclusive) or `a`."""
+    lo, _, hi = text.partition("-")
+    return tuple(range(int(lo), int(hi or lo) + 1))
 
 
 def main(argv=None) -> int:
@@ -204,9 +197,10 @@ def main(argv=None) -> int:
     here = stamp()
     if args.digest is not None:
         records = {name: make() for name, make in recipes(args.digest).items()}
+        text = json.dumps(records, sort_keys=True, separators=(",", ":"))
         print(json.dumps(here))
-        print(f"{digest(records)}  {len(records)} records, workload seeds "
-              f"{','.join(map(str, args.digest))}")
+        print(f"{hashlib.sha256(text.encode()).hexdigest()}  {len(records)} "
+              f"records, workload seeds {args.digest[0]}-{args.digest[-1]}")
         return 0
     if args.write:
         records = {name: make() for name, make in recipes().items()}

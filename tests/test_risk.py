@@ -28,22 +28,18 @@ class TestRiskParameter:
         assert not is_neutral(1.0)
 
 
-def lam_case():
-    """A two-agent model, a policy, its marginals and a random L_2 and
-    q_red, shared by the lam contract's calls."""
+def lam_calls():
+    """Name -> a call of lam returning its result's bytes, one per entry
+    point that takes lam, all on one two-agent model and policy, its
+    marginals and a random L_2 and q_red."""
     rng = np.random.default_rng(5)
     model = random_model(rng, n_states=3, action_counts=(2, 3),
                          obs_counts=(2, 2), horizon=3)
     policy = random_policy_for(model, (2, 2), seed=6)
+    zeta = forward_marginals(model, policy)
     S, A = model.state_count, model.joint_action_count
     l_next = rng.uniform(-1.0, 1.0, size=(S, model.joint_obs_count, 4))
     q_red = rng.uniform(-1.0, 1.0, size=(S, A, 4))
-    return model, policy, forward_marginals(model, policy), l_next, q_red
-
-
-def lam_calls(model, policy, zeta, l_next, q_red):
-    """Name -> a call of lam returning its result's bytes, one per entry
-    point that takes lam."""
 
     def backup(lam):
         out = np.empty(q_red.shape)
@@ -86,7 +82,7 @@ class TestLamContract:
                                       "averaged_local_q"])
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     def test_float_and_float64_give_the_same_bits(self, name, lam):
-        call = lam_calls(*lam_case())[name]
+        call = lam_calls()[name]
         assert call(lam) == call(np.float64(lam))
 
     @pytest.mark.parametrize("name", ["fold_stage", "backward",
@@ -94,7 +90,7 @@ class TestLamContract:
                                       "averaged_local_q"])
     @pytest.mark.parametrize("lam", [-1.0, math.inf, math.nan])
     def test_bad_lam_is_refused(self, name, lam):
-        call = lam_calls(*lam_case())[name]
+        call = lam_calls()[name]
         with pytest.raises(ValueError, match="lam"):
             call(lam)
 
