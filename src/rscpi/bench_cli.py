@@ -15,13 +15,13 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dpomdp_parser import parse_dpomdp, compile_model, render_diagnostics
 from .evaluation import (NumericError, evaluate_exact, evaluate_risk,
-                         rollout_monte_carlo)
+                         is_neutral, rollout_monte_carlo)
 from .model import is_int, matrix_game_model
 from .policy import dump_policy, policy_from_json, policy_to_json
 from .solver import SolverConfig, rscpi
@@ -30,10 +30,11 @@ CSV_COLUMNS = ["env", "T", "z_sizes", "lambda0", "alpha", "anneal_sweeps",
                "seed", "ablation", "sweeps", "J_exact", "J_risk_final",
                "wall_time_ms", "peak_floats", "init_obs_mode"]
 
-# name -> the SolverConfig values it fixes, in report-column order: no risk
-# seeking is lambda0 = 0, no conservative step alpha = 1
-ABLATIONS = {"cpi-only": dict(lambda0=0.0), "rs-only": dict(alpha=1.0),
-             "none": dict(lambda0=0.0, alpha=1.0), "rs-cpi": {}}
+# (risk seeking, conservative step) -> the ablation label of a solve, in
+# report-column order: no risk seeking is an untilted first sweep (lambda0
+# = 0 or anneal_sweeps = 0), no conservative step alpha = 1
+ABLATIONS = {(False, True): "cpi-only", (True, False): "rs-only",
+             (False, False): "none", (True, True): "rs-cpi"}
 
 # --init-obs / config "init_obs" name -> make_initial_distribution mode
 INIT_OBS_MODES = {"dummy": "dummy_observation",
@@ -78,7 +79,6 @@ class RunConfigFile:
     alpha: list
     anneal_sweeps: list
     seeds: list
-    ablations: list
     out: str = "."
     max_sweeps: int = 200
     restarts: int = 1
@@ -93,7 +93,7 @@ class RunConfigFile:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
         cfg = cls(**doc)
         for name in ("horizons", "agent_states", "lambda0", "alpha",
-                     "anneal_sweeps", "seeds", "ablations"):
+                     "anneal_sweeps", "seeds"):
             val = getattr(cfg, name)
             if not isinstance(val, list) or not val:
                 raise ValueError(f"config field '{name}' must be a nonempty list")
@@ -116,10 +116,6 @@ class RunConfigFile:
             for name in names:
                 if not ok(getattr(cfg, name)):
                     raise ValueError(f"config field '{name}' must be {what}")
-        for ab in cfg.ablations:
-            if ab not in ABLATIONS:
-                raise ValueError(f"unknown ablation '{ab}'; "
-                                 f"choose from {list(ABLATIONS)}")
         if cfg.init_obs not in INIT_OBS_MODES:
             raise ValueError("init_obs must be "
                              + " or ".join(f"'{k}'" for k in INIT_OBS_MODES))
@@ -167,7 +163,11 @@ def load_model(path: str, horizon: int, init_obs: str = "dummy"):
 
 
 def _parse_z_sizes(text: str, n_agents: int) -> tuple:
-    parts = [int(p) for p in str(text).split(",")]
+    try:
+        parts = [int(p) for p in str(text).split(",")]
+    except ValueError:
+        raise ValueError("--agent-states must be one integer or a comma "
+                         f"list of integers, got {text!r}") from None
     if len(parts) == 1:
         parts = parts * n_agents
     if len(parts) != n_agents:
@@ -189,22 +189,24 @@ def _append_rows(out_dir: str, rows: list):
 
 
 def run_single(model, env: str, z_sizes, lambda0, alpha, anneal_sweeps,
-               seed, ablation, max_sweeps=200, restarts=1):
+               seed, max_sweeps=200, restarts=1):
     """One rscpi solve wrapped into a RunRecord (plus the SolveResult).
 
-    The config is validated with the values as given, then solved with the
-    values the ablation fixes; the record keeps the values as given.
+    The record's ablation is read off the config solved: risk seeking when
+    its first sweep is tilted, a conservative step when alpha < 1.
     """
     config = SolverConfig(
         lambda0=float(lambda0), anneal_sweeps=int(anneal_sweeps),
         alpha=float(alpha), max_sweeps=int(max_sweeps),
         restarts=int(restarts), seed=int(seed), z_sizes=tuple(z_sizes),
     )
-    result = rscpi(model, replace(config, **ABLATIONS[ablation]))
+    result = rscpi(model, config)
     record = RunRecord(
-        env=env, horizon=model.horizon, z_sizes=tuple(z_sizes),
-        lambda0=float(lambda0), alpha=float(alpha),
-        anneal_sweeps=int(anneal_sweeps), seed=int(seed), ablation=ablation,
+        env=env, horizon=model.horizon, z_sizes=config.z_sizes,
+        lambda0=config.lambda0, alpha=config.alpha,
+        anneal_sweeps=config.anneal_sweeps, seed=config.seed,
+        ablation=ABLATIONS[(not is_neutral(config.lam_at(1)),
+                            config.alpha < 1.0)],
         sweeps=result.sweeps, j_exact=result.j_exact,
         j_risk_final=result.j_risk_final, wall_time_ms=result.wall_time_ms,
         peak_floats=result.peak_floats, init_obs_mode=model.init_obs_mode,
@@ -216,13 +218,10 @@ def cmd_solve(args) -> int:
     try:
         model, env = load_model(args.model, args.horizon, args.init_obs)
         z_sizes = _parse_z_sizes(args.agent_states, model.n_agents)
-        flags = (args.no_rs, args.no_cpi)
         record, result = run_single(
             model, env, z_sizes, args.lambda0, args.alpha,
-            args.anneal_sweeps, args.seed,
-            next(name for name, fixed in ABLATIONS.items()
-                 if ("lambda0" in fixed, "alpha" in fixed) == flags),
-            max_sweeps=args.max_sweeps, restarts=args.restarts)
+            args.anneal_sweeps, args.seed, max_sweeps=args.max_sweeps,
+            restarts=args.restarts)
         line = _json_line({
             "env": env, "J_exact": result.j_exact,
             "J_risk_final": result.j_risk_final, "sweeps": result.sweeps,
@@ -273,8 +272,8 @@ def _sweep_task(task: dict):
             z_sizes = (z_sizes,) * model.n_agents
         record, _ = run_single(
             model, env, tuple(z_sizes), task["lambda0"], task["alpha"],
-            task["anneal"], task["seed"], task["ablation"],
-            max_sweeps=task["max_sweeps"], restarts=task["restarts"])
+            task["anneal"], task["seed"], max_sweeps=task["max_sweeps"],
+            restarts=task["restarts"])
         return task, record.to_row(), None
     except (ValueError, NumericError) as exc:
         return task, None, f"{task['model']}:0: error: {exc}"
@@ -289,11 +288,11 @@ def cmd_sweep(args) -> int:
         return 2
     tasks = [
         {"model": cfg.model, "horizon": T, "z": z, "lambda0": l0,
-         "alpha": a, "anneal": k1, "seed": seed, "ablation": ab,
+         "alpha": a, "anneal": k1, "seed": seed,
          "max_sweeps": cfg.max_sweeps, "restarts": cfg.restarts,
          "init_obs": cfg.init_obs}
         for T in cfg.horizons for z in cfg.agent_states
-        for ab in cfg.ablations for l0 in cfg.lambda0 for a in cfg.alpha
+        for l0 in cfg.lambda0 for a in cfg.alpha
         for k1 in cfg.anneal_sweeps for seed in cfg.seeds
     ]
     workers = min(cfg.workers, len(tasks))
@@ -361,7 +360,7 @@ def render_report(csv_path: str) -> str:
     for r in rows:
         by_env.setdefault(r["env"], []).append(r)
     lines = ["# Benchmark report", ""]
-    order = list(ABLATIONS)
+    order = list(ABLATIONS.values())
     for env in sorted(by_env):
         body = by_env[env]
         lines.append(f"## {env}")
@@ -437,8 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-sweeps", type=int, default=200)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--restarts", type=int, default=5)
-    sp.add_argument("--no-rs", action="store_true")
-    sp.add_argument("--no-cpi", action="store_true")
     sp.add_argument("--out", default=".")
     sp.set_defaults(func=cmd_solve)
 

@@ -100,17 +100,22 @@ def joint_components(sizes):
     return [idx.component(i) for i in range(len(idx.sizes))]
 
 
-def _check_dims(model: DecPomdpModel, policy: JointPolicy):
-    if policy.horizon != model.horizon:
-        raise ValueError(
-            f"policy horizon {policy.horizon} != model horizon {model.horizon}"
-        )
-    if policy.n_agents != model.n_agents:
-        raise ValueError("agent count mismatch")
-    if policy.action_counts() != model.action_counts:
-        raise ValueError("action space mismatch")
-    if policy.obs_counts() != model.obs_counts:
-        raise ValueError("observation space mismatch")
+def check_fit(model: DecPomdpModel, policy: JointPolicy, z_sizes=None,
+              name: str = "policy"):
+    """Raise ValueError naming the first field of policy (or of a
+    PolicyBatch) that does not fit the model: its horizon, agent count,
+    action counts and observation counts, then its agent-state sizes when
+    z_sizes is given."""
+    fields = [("horizon", policy.horizon, model.horizon),
+              ("n_agents", policy.n_agents, model.n_agents),
+              ("action_counts", policy.action_counts(), model.action_counts),
+              ("obs_counts", policy.obs_counts(), model.obs_counts)]
+    if z_sizes is not None:
+        fields.append(("agent_state_sizes", policy.agent_state_sizes,
+                       tuple(int(z) for z in z_sizes)))
+    for field, got, want in fields:
+        if got != want:
+            raise ValueError(f"{name} {field} is {got}, expected {want}")
 
 
 def _scratch(*phases):
@@ -444,18 +449,17 @@ class StagePlan:
     `forward` runs into zeta, always untilted; none of these phases are in
     use at once. The plan holds views of its arrays and of the policy's
     tables, none per stage, so its size does not depend on T; a stage
-    forms only its rows' views. `batched=False` names a caller without a
-    restart axis in its errors.
+    forms only its rows' views. Its errors name the restart when there is
+    more than one.
     """
 
     __slots__ = ("contract", "q_in", "q_out", "folded", "targets", "paired",
-                 "batch", "tilted", "q_red", "batched", "scratch", "local",
+                 "batch", "tilted", "q_red", "scratch", "local",
                  "model", "zeta", "forward_ops")
 
     def __init__(self, batch: PolicyBatch, tilted: bool,
                  q_red: np.ndarray, targets: np.ndarray,
-                 model: DecPomdpModel = None, zeta: np.ndarray = None,
-                 batched: bool = True):
+                 model: DecPomdpModel = None, zeta: np.ndarray = None):
         R, S, _, Z = q_red.shape
         sizes = [tab.shape[2:] for tab in batch.tables]   # (Y, W, A, Z)
         a_w = tuple(d for _, w, a, _ in sizes for d in (a, w))
@@ -494,7 +498,6 @@ class StagePlan:
         self.targets = targets
         self.paired = _paired_view(targets, y_w[::2], y_w[1::2])
         self.batch, self.tilted, self.q_red = batch, tilted, q_red
-        self.batched = batched
         self.local, self.model, self.zeta = local, model, zeta
 
     def forward(self) -> np.ndarray:
@@ -546,7 +549,7 @@ class StagePlan:
         out = self.targets[k]
         if not np.isfinite(out).all():
             r, s, y, w = (int(c) for c in np.argwhere(~np.isfinite(out))[0])
-            where = f" of restart {r}" if self.batched else ""
+            where = f" of restart {r}" if len(out) > 1 else ""
             raise NumericError(
                 f"nonfinite tilted value at t={t}, cell={(s, y, w)}{where}"
             )
@@ -659,7 +662,7 @@ class SolveWorkspace:
                     f"workspace holds {self.restarts} restarts of "
                     f"agent-state sizes {self.z_sizes}, the batch "
                     f"{batch.size} of {batch.agent_state_sizes}")
-            _check_dims(model, batch)
+            check_fit(model, batch)
             plan = self.plan = StagePlan(batch, bool(tilted), self.q_red,
                                          self.l, model=model, zeta=self.zeta)
         return plan
@@ -715,8 +718,7 @@ def fold_stage(policy: JointPolicy, t: int, q_red: np.ndarray, lam,
     batch = PolicyBatch.of(policy)
     if batch is not policy:
         q_red, out = q_red[None], out[None]
-    plan = StagePlan(batch, not is_neutral(lam), q_red, out[None],
-                     batched=batch is policy)
+    plan = StagePlan(batch, not is_neutral(lam), q_red, out[None])
     plan.fold(t, 0)
     return out if batch is policy else out[0]
 
@@ -734,13 +736,12 @@ def backward(model: DecPomdpModel, policy: JointPolicy, lam,
     tilted = not is_neutral(lam)
     batch = PolicyBatch.of(policy)
     if workspace is None:
-        _check_dims(model, policy)
+        check_fit(model, policy)
         S, Y = model.state_count, model.joint_obs_count
         A, R = model.joint_action_count, batch.size
         Z = math.prod(batch.agent_state_sizes)
         plan = StagePlan(batch, tilted, np.empty((R, S, A, Z)),
-                         np.empty((2, R, S, Y, Z)), model=model,
-                         batched=batch is policy)
+                         np.empty((2, R, S, Y, Z)), model=model)
     else:
         plan = workspace.layout(model, batch, tilted)
     l_next = plan.targets[0]
@@ -851,7 +852,7 @@ def rollout_monte_carlo(model: DecPomdpModel, policy: JointPolicy,
     if isinstance(policy, PolicyBatch):
         raise ValueError("rollout_monte_carlo simulates one JointPolicy, "
                          "not a PolicyBatch; roll out each of its policies")
-    _check_dims(model, policy)
+    check_fit(model, policy)
     for name, value, low in (("episodes", episodes, 1), ("chunk", chunk, 1),
                              ("seed", seed, 0)):
         if not is_int(value, low):

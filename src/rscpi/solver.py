@@ -27,8 +27,9 @@ import numpy as np
 
 from . import kernels
 from .evaluation import (AveragedLocalQ, SolveWorkspace, StagePlan,
-                         aggregate_initial, evaluate_exact, finite_risk,
-                         forward_marginals, is_neutral, stage_backup)
+                         aggregate_initial, check_fit, evaluate_exact,
+                         finite_risk, forward_marginals, is_neutral,
+                         stage_backup)
 from .model import DecPomdpModel, is_int
 from .policy import (PHI_MODES, JointPolicy, PolicyBatch, mix_policies,
                      random_policy)
@@ -184,21 +185,6 @@ def _sweep_pass(ws: SolveWorkspace, agents, lam, alpha, live) -> np.ndarray:
     return l_next
 
 
-def _check_initial_policy(model: DecPomdpModel, z_sizes, policy: JointPolicy):
-    """Raise ValueError naming the first field of policy that does not fit
-    the model and the configured agent-state sizes."""
-    fields = [("horizon", policy.horizon, model.horizon),
-              ("n_agents", policy.n_agents, model.n_agents),
-              ("action_counts", policy.action_counts(), model.action_counts),
-              ("obs_counts", policy.obs_counts(), model.obs_counts),
-              ("agent_state_sizes", policy.agent_state_sizes,
-               tuple(int(z) for z in z_sizes))]
-    for name, got, want in fields:
-        if got != want:
-            raise ValueError(f"initial_policy {name} is {got}, "
-                             f"the solve needs {want}")
-
-
 def rscpi(model: DecPomdpModel, config: SolverConfig,
           initial_policy: JointPolicy = None) -> SolveResult:
     """Annealed risk-seeking CPI with random restarts run in lockstep.
@@ -220,7 +206,7 @@ def rscpi(model: DecPomdpModel, config: SolverConfig,
         raise ValueError(f"z_sizes lists {len(config.z_sizes)} agent-state "
                          f"sizes for {model.n_agents} agents")
     if initial_policy is not None:
-        _check_initial_policy(model, config.z_sizes, initial_policy)
+        check_fit(model, initial_policy, config.z_sizes, "initial_policy")
     t0 = time.perf_counter()
     R = config.restarts
     ws = SolveWorkspace(model, config.z_sizes, restarts=R)

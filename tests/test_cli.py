@@ -7,6 +7,7 @@ import math
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 
 from _benchmarks import dectiger_block_policy, dectiger_text
 from rscpi import bench_cli
-from rscpi.bench_cli import (CSV_COLUMNS, RunRecord, load_model, main,
-                             render_report)
+from rscpi.bench_cli import (ABLATIONS, CSV_COLUMNS, RunConfigFile, RunRecord,
+                             load_model, main, render_report)
 from rscpi.policy import JointPolicy, policy_to_json
 
 MATRIX_UNIFORM = JointPolicy(
@@ -43,6 +44,17 @@ HUGE_REWARD_MODEL = "\n".join([
     "start: uniform", "T: * : uniform", "O: * : uniform",
     "R: * : * : * : * : 9e307",
 ]) + "\n"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_sweep_config():
+    """The JSON document of the README's sweep section."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("### sweep"):]
+    start = section.index("```json\n") + len("```json\n")
+    return json.loads(section[start:section.index("```", start)])
 
 
 def read_rows(path):
@@ -74,7 +86,7 @@ class TestSolve:
         row = dict(zip(CSV_COLUMNS, rows[1]))
         assert row["env"] == "matrix-game"
         assert row["J_exact"] == "6"
-        assert row["ablation"] == "rs-cpi"
+        assert row["ablation"] == "rs-only"   # --alpha 1: no conservative step
         assert row["z_sizes"] == "1,1"
 
     def test_seventeen_digit_round_trip(self, capsys, tmp_path):
@@ -145,6 +157,15 @@ class TestSolve:
         assert "lambda0 must be finite" in err
         assert not (tmp_path / "runs.csv").exists()
 
+    @pytest.mark.parametrize("text", ["abc", "2,,2"])
+    def test_malformed_agent_states_exits_2(self, capsys, tmp_path, text):
+        code, out, err = run_cli(
+            capsys, "solve", "--model", "matrix-game", "--horizon", "1",
+            "--agent-states", text, "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.strip() == ("--agent-states must be one integer or a "
+                               f"comma list of integers, got {text!r}")
+
     def test_bad_agent_states_arity_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "solve", "--model", "matrix-game", "--horizon", "1",
@@ -173,38 +194,36 @@ class TestSolve:
         assert len(rows) == 3
         assert sum(1 for r in rows if r == CSV_COLUMNS) == 1
 
-    def test_ablation_flags_label_rows(self, capsys, tmp_path):
-        solve_matrix(capsys, tmp_path, "--no-rs", "--no-cpi")
+    @pytest.mark.parametrize("lambda0,alpha,anneal,label", [
+        ("1", "0.3", "1", "rs-cpi"), ("0", "0.3", "1", "cpi-only"),
+        ("1", "0.3", "0", "cpi-only"), ("1", "1", "1", "rs-only"),
+        ("0", "1", "1", "none")],
+        ids=["rs-cpi", "cpi-only", "cpi-only-unannealed", "rs-only", "none"])
+    def test_row_labels_the_values_solved(self, capsys, tmp_path, lambda0,
+                                          alpha, anneal, label):
+        """The ablation is read off the config solved: risk seeking when
+        the first sweep is tilted, a conservative step when alpha < 1."""
+        code, _, _ = solve_matrix(capsys, tmp_path, "--lambda0", lambda0,
+                                  "--alpha", alpha, "--anneal-sweeps", anneal)
+        assert code == 0
         row = dict(zip(CSV_COLUMNS, read_rows(tmp_path / "runs.csv")[1]))
-        assert row["ablation"] == "none"
-        assert row["lambda0"] == "1"  # the requested schedule is recorded
+        assert row["ablation"] == label
+        assert (row["lambda0"], row["alpha"], row["anneal_sweeps"]) == (
+            lambda0, alpha, anneal)
 
-    @pytest.mark.parametrize("flag,value", [("--no-rs", ("--lambda0", "0")),
-                                            ("--no-cpi", ("--alpha", "1"))],
-                             ids=["no-rs", "no-cpi"])
-    def test_ablation_flag_is_its_value(self, capsys, tmp_path, flag, value):
-        # --no-rs solves as lambda0 = 0 does, --no-cpi as alpha = 1
-        path = tmp_path / "dectiger.dpomdp"
-        path.write_text(dectiger_text())
-        runs = {}
-        for name, extra in (("flag", (flag,)), ("value", value),
-                            ("neither", ())):
-            code, out, _ = run_cli(
-                capsys, "solve", "--model", str(path), "--horizon", "3",
-                "--agent-states", "2", "--lambda0", "0.5", "--alpha", "0.3",
-                "--anneal-sweeps", "3", "--max-sweeps", "40", "--restarts",
-                "2", "--out", str(tmp_path / name), *extra)
-            assert code == 0
-            doc = json.loads(out)
-            runs[name] = (doc["J_exact"], doc["sweeps"])
-        assert runs["flag"] == runs["value"]
-        assert runs["flag"] != runs["neither"]
+    def test_help_lists_no_ablation_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--alpha" in out
+        assert "--no-rs" not in out and "--no-cpi" not in out
 
     def test_ablation_flag_does_not_excuse_a_bad_value(self, capsys,
                                                       tmp_path):
         code, out, err = run_cli(
             capsys, "solve", "--model", "matrix-game", "--horizon", "1",
-            "--agent-states", "1", "--lambda0", "-1", "--no-rs",
+            "--agent-states", "1", "--lambda0", "-1",
             "--out", str(tmp_path))
         assert code == 2 and out == ""
         assert "lambda0 must be finite and >= 0" in err
@@ -378,8 +397,8 @@ class TestSweep:
     def write_config(self, tmp_path, **overrides):
         doc = {
             "model": "matrix-game", "horizons": [1], "agent_states": [1],
-            "lambda0": [0.0, 1.0], "alpha": [1.0], "anneal_sweeps": [1],
-            "seeds": [0, 1], "ablations": ["rs-cpi", "none"],
+            "lambda0": [0.0, 1.0], "alpha": [0.1, 1.0], "anneal_sweeps": [1],
+            "seeds": [0, 1],
             "out": str(tmp_path), "max_sweeps": 20, "restarts": 1,
         }
         doc.update(overrides)
@@ -398,10 +417,11 @@ class TestSweep:
         report = (tmp_path / "report.md").read_text()
         assert "## matrix-game" in report
         assert "### Runtime and memory" in report
-        # ablation columns follow the fixed order: none before rs-cpi
+        # every ablation gets a column, in the fixed order
         header = next(l for l in report.splitlines()
                       if l.startswith("| T |") and "|Z|" in l)
-        assert header.index("none") < header.index("rs-cpi")
+        assert header == ("| T | " + " | ".join(
+            f"{ab} |Z|=1,1" for ab in ABLATIONS.values()) + " |")
 
     def test_parallel_workers_produce_all_rows(self, capsys, tmp_path):
         path = self.write_config(tmp_path, workers=2, lambda0=[1.0],
@@ -409,6 +429,26 @@ class TestSweep:
         code, out, _ = run_cli(capsys, "sweep", str(path))
         assert code == 0
         assert json.loads(out)["rows"] == 4
+
+    def test_readme_example(self, capsys, tmp_path):
+        """The README's grid is a config the CLI takes as written; run on
+        the matrix game, its cells are 8 distinct solves whose report has
+        every ablation column, in the fixed order."""
+        doc = readme_sweep_config()
+        RunConfigFile.from_json(doc)
+        doc.update(model="matrix-game", out=str(tmp_path))
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "sweep", str(path))
+        assert code == 0 and json.loads(out)["rows"] == 8
+        rows = [dict(zip(CSV_COLUMNS, r))
+                for r in read_rows(tmp_path / "runs.csv")[1:]]
+        assert len({(r["lambda0"], r["alpha"], r["anneal_sweeps"],
+                     r["seed"]) for r in rows}) == 8
+        header = next(l for l in (tmp_path / "report.md").read_text()
+                      .splitlines() if l.startswith("| T |") and "|Z|" in l)
+        assert header == ("| T | " + " | ".join(
+            f"{ab} |Z|=2,2" for ab in ABLATIONS.values()) + " |")
 
     def test_empty_seed_list_exits_2(self, capsys, tmp_path):
         path = self.write_config(tmp_path, seeds=[])
@@ -422,9 +462,12 @@ class TestSweep:
         assert code == 2 and "unknown config keys: ['typo_key']" in err
 
     def test_unknown_ablation_exits_2(self, capsys, tmp_path):
-        path = self.write_config(tmp_path, ablations=["rscpi"])
-        code, _, err = run_cli(capsys, "sweep", str(path))
-        assert code == 2 and "unknown ablation 'rscpi'" in err
+        # the ablations are values of lambda0 and alpha, not an axis
+        path = self.write_config(tmp_path, ablations=["rs-cpi"])
+        code, out, err = run_cli(capsys, "sweep", str(path))
+        assert code == 2 and out == ""
+        assert "unknown config keys: ['ablations']" in err
+        assert not (tmp_path / "runs.csv").exists()
 
     def test_missing_config_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sweep", str(tmp_path / "none.json"))
@@ -441,7 +484,7 @@ class TestSweep:
     def test_failed_cell_location_printed_once(self, capsys, tmp_path):
         # load_model's message already starts with "<path>: error:"
         path = self.write_config(tmp_path, model=".", lambda0=[0.0],
-                                 seeds=[0], ablations=["rs-cpi"])
+                                 seeds=[0], alpha=[1.0])
         code, _, err = run_cli(capsys, "sweep", str(path))
         assert code == 2
         cell, last = err.splitlines()
@@ -450,7 +493,7 @@ class TestSweep:
 
     def test_solver_error_gets_the_model_prefix(self, capsys, tmp_path):
         path = self.write_config(tmp_path, alpha=[1.5], lambda0=[0.0],
-                                 seeds=[0], ablations=["rs-cpi"])
+                                 seeds=[0])
         code, _, err = run_cli(capsys, "sweep", str(path))
         assert code == 2
         assert err.splitlines()[0] == (
@@ -470,7 +513,7 @@ class TestSweep:
         blocker = tmp_path / "taken"
         blocker.write_text("")
         path = self.write_config(tmp_path, out=str(blocker), seeds=[0],
-                                 lambda0=[1.0], ablations=["rs-cpi"])
+                                 lambda0=[1.0], alpha=[1.0])
         code, out, err = run_cli(capsys, "sweep", str(path))
         assert code == 2 and out == ""
         assert f"{blocker}:0: error:" in err
@@ -482,7 +525,7 @@ class TestSweep:
 
         monkeypatch.setattr(bench_cli, "ProcessPoolExecutor", refuse)
         path = self.write_config(tmp_path, workers=10 ** 9, lambda0=[1.0],
-                                 seeds=[0], ablations=["rs-cpi"])
+                                 seeds=[0], alpha=[1.0])
         code, out, _ = run_cli(capsys, "sweep", str(path))
         assert code == 0 and json.loads(out)["rows"] == 1
 
@@ -492,7 +535,7 @@ class TestSweep:
 CONFIG_VALUES = json_values(st.integers(-2, 4))
 
 CONFIG_FIELDS = ["model", "horizons", "agent_states", "lambda0", "alpha",
-                 "anneal_sweeps", "seeds", "ablations", "max_sweeps",
+                 "anneal_sweeps", "seeds", "max_sweeps",
                  "restarts", "init_obs", "workers"]
 
 
@@ -503,7 +546,7 @@ def sweep_doc_with(field, value):
         return value
     doc = {"model": "matrix-game", "horizons": [1], "agent_states": [1],
            "lambda0": [0.0], "alpha": [1.0], "anneal_sweeps": [1],
-           "seeds": [0], "ablations": ["rs-cpi"], "max_sweeps": 20,
+           "seeds": [0], "max_sweeps": 20,
            "restarts": 1}
     doc[field] = value
     return doc

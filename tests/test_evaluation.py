@@ -19,9 +19,10 @@ from oracles import (evaluate_enum, evaluate_risk_enum, fold_stage_joint,
                      weighted_logmeanexp)
 from rscpi import evaluation, kernels
 from rscpi.bench_cli import load_model
-from rscpi.evaluation import (NumericError, SolveWorkspace, evaluate_exact,
-                              evaluate_risk, fold_stage, forward_marginals,
-                              joint_phi, rollout_monte_carlo)
+from rscpi.evaluation import (NumericError, SolveWorkspace, check_fit,
+                              evaluate_exact, evaluate_risk, fold_stage,
+                              forward_marginals, joint_phi,
+                              rollout_monte_carlo)
 from rscpi.model import matrix_game_model
 from rscpi.policy import ROW_ATOL, JointPolicy, PolicyBatch, random_policy
 from test_cli import HUGE_REWARD_MODEL
@@ -237,6 +238,37 @@ class TestForwardMarginals:
         got = forward_marginals(model, singles[1], workspace=one)
         assert got.tobytes() == forward_marginals(model,
                                                   singles[1]).tobytes()
+
+
+class TestCheckFit:
+    @pytest.mark.parametrize("field,kwargs", [
+        ("horizon", dict(horizon=3)),
+        ("n_agents", dict(action_counts=(3, 3, 3), obs_counts=(3, 3, 3),
+                          z_sizes=(2, 2, 2))),
+        ("action_counts", dict(action_counts=(3, 2))),
+        ("obs_counts", dict(obs_counts=(3, 2)))])
+    def test_names_the_first_field_that_differs(self, field, kwargs):
+        model = dectiger_model(horizon=2)
+        dims = dict(action_counts=model.action_counts,
+                    obs_counts=model.obs_counts, z_sizes=(2, 2), horizon=2)
+        dims.update(kwargs)
+        policy = random_policy(dims["action_counts"], dims["obs_counts"],
+                               dims["z_sizes"], dims["horizon"], seed=0)
+        for call in (lambda: evaluate_exact(model, policy),
+                     lambda: rollout_monte_carlo(model, policy, 10, 0),
+                     lambda: forward_marginals(model,
+                                               PolicyBatch.of(policy))):
+            with pytest.raises(ValueError, match=f"^policy {field} is "):
+                call()
+
+    def test_agent_state_sizes_only_when_given(self):
+        model = dectiger_model(horizon=2)
+        policy = random_policy_for(model, (2, 3), seed=0)
+        check_fit(model, policy)
+        check_fit(model, policy, (2, 3))
+        with pytest.raises(ValueError, match=r"^plan agent_state_sizes is "
+                                             r"\(2, 3\), expected \(2, 2\)$"):
+            check_fit(model, policy, (2, 2), name="plan")
 
 
 class TestEvaluateExact:

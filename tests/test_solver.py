@@ -197,6 +197,19 @@ class TestBatchedEvaluation:
                                  r"cell=.* of restart 1"):
             evaluate_exact(model, batch)
 
+    def test_overflow_of_one_policy_names_no_restart(self):
+        """One JointPolicy is one restart: evaluate_risk and sweep report
+        its overflow alike, with no restart in the message."""
+        model = matrix_game_model([[1e308] * 2] * 2)
+        messages = []
+        for run in (lambda p: evaluate_risk(model, p, 5.0),
+                    lambda p: sweep(model, p, 5.0, 0.5)):
+            with pytest.raises(NumericError) as exc:
+                run(interior_matrix_policy(0.5, 0.5))
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert messages[0] == "nonfinite tilted value at t=1, cell=(0, 0, 0)"
+
 
 class TestAveragedLocalQ:
     def test_matrix_game_neutral_values(self):
