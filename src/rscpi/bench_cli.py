@@ -30,6 +30,11 @@ CSV_COLUMNS = ["env", "T", "z_sizes", "lambda0", "alpha", "anneal_sweeps",
                "seed", "ablation", "sweeps", "J_exact", "J_risk_final",
                "wall_time_ms", "peak_floats", "init_obs_mode"]
 
+# the columns of runs.csv that `render_report` reads; a CSV without one of
+# them is a ValueError
+REPORT_COLUMNS = ["env", "T", "z_sizes", "ablation", "J_exact",
+                  "wall_time_ms", "peak_floats"]
+
 # (risk seeking, conservative step) -> the ablation label of a solve, in
 # report-column order: no risk seeking is an untilted first sweep (lambda0
 # = 0 or anneal_sweeps = 0), no conservative step alpha = 1
@@ -134,9 +139,12 @@ def _is_finite(value) -> bool:
 def load_model(path: str, horizon: int, init_obs: str = "dummy"):
     """Load a .dpomdp file or the reserved 'matrix-game' fixture name.
 
-    Returns (model, env_name); raises SystemExit-free ValueError with the
-    rendered diagnostics on parse failure.
+    Returns (model, env_name); every ValueError it raises is a rendered
+    diagnostic that names the file, a bad horizon's included.
     """
+    if not is_int(horizon, 1):
+        raise ValueError(f"{path}:0: error: horizon must be an integer "
+                         f">= 1, got {horizon!r}")
     if path == "matrix-game":
         model = matrix_game_model(MATRIX_GAME_PAYOFFS, horizon=horizon)
         return model, "matrix-game"
@@ -217,6 +225,10 @@ def run_single(model, env: str, z_sizes, lambda0, alpha, anneal_sweeps,
 def cmd_solve(args) -> int:
     try:
         model, env = load_model(args.model, args.horizon, args.init_obs)
+    except ValueError as exc:   # load_model's diagnostics name the file
+        print(exc, file=sys.stderr)
+        return 2
+    try:
         z_sizes = _parse_z_sizes(args.agent_states, model.n_agents)
         record, result = run_single(
             model, env, z_sizes, args.lambda0, args.alpha,
@@ -228,12 +240,9 @@ def cmd_solve(args) -> int:
             "wall_time_ms": result.wall_time_ms,
             "peak_floats": result.peak_floats, "seed": result.seed,
         })
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    except NumericError as exc:
+    except (ValueError, NumericError) as exc:
         print(f"{args.model}:0: error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, NumericError) else 2
     # the directory is made only once the solve has run
     try:
         os.makedirs(args.out, exist_ok=True)
@@ -328,6 +337,10 @@ def cmd_sweep(args) -> int:
 def cmd_eval(args) -> int:
     try:
         model, _ = load_model(args.model, args.horizon, args.init_obs)
+    except ValueError as exc:   # load_model's diagnostics name the file
+        print(exc, file=sys.stderr)
+        return 2
+    try:
         with open(args.policy, "r", encoding="utf-8") as fh:
             policy = policy_from_json(fh.read())
         out = {"J_exact": evaluate_exact(model, policy)}
@@ -356,6 +369,10 @@ def render_report(csv_path: str) -> str:
         rows = [r for r in reader]
     if not rows:
         raise ValueError("runs.csv has no data rows")
+    missing = [c for c in REPORT_COLUMNS if c not in reader.fieldnames]
+    if missing:
+        raise ValueError(f"{csv_path} lacks the column(s) "
+                         f"{', '.join(missing)} of runs.csv")
     by_env = {}
     for r in rows:
         by_env.setdefault(r["env"], []).append(r)

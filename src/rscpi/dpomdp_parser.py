@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (DecPomdpModel, JointIndexer, make_initial_distribution,
+from .model import (DecPomdpModel, make_initial_distribution,
                     pad_dynamics_for_dummy)
 
 ROW_EXACT = 1e-12      # keep row bits as parsed below this deviation
@@ -590,35 +590,6 @@ def compile_model(raw: RawDpomdpFile, horizon: int,
         discount=raw.discount,
     )
     return model, diags
-
-
-def serialize_canonical(raw: RawDpomdpFile) -> str:
-    """Expand to single-entry form with exact float text (round-trips bitwise)."""
-    T, O, R, diags = compile_tables(raw)
-    if any(d.severity == "error" for d in diags):
-        raise ValueError("cannot serialize a file with table errors")
-    n = raw.agent_count
-    obs = JointIndexer(len(x) for x in raw.observation_names)
-    act = JointIndexer(len(x) for x in raw.action_names)
-    out = [f"agents: {n}", f"discount: {raw.discount!r}", "values: reward",
-           "states: " + " ".join(raw.state_names), "actions:"]
-    out += [" ".join(names) for names in raw.action_names]
-    out.append("observations:")
-    out += [" ".join(names) for names in raw.observation_names]
-    out.append("start:")
-    out.append(" ".join(repr(float(v)) for v in raw.start_distribution))
-    for (s, a, sp) in zip(*np.nonzero(T)):
-        ja = " ".join(str(c) for c in act.decode(a))
-        out.append(f"T: {ja} : {s} : {sp} : {float(T[s, a, sp])!r}")
-    for (a, sp, y) in zip(*np.nonzero(O)):
-        ja = " ".join(str(c) for c in act.decode(a))
-        jo = " ".join(str(c) for c in obs.decode(y))
-        out.append(f"O: {ja} : {sp} : {jo} : {float(O[a, sp, y])!r}")
-    for (a, s, sp, y) in zip(*np.nonzero(R)):
-        ja = " ".join(str(c) for c in act.decode(a))
-        jo = " ".join(str(c) for c in obs.decode(y))
-        out.append(f"R: {ja} : {s} : {sp} : {jo} : {float(R[a, s, sp, y])!r}")
-    return "\n".join(out) + "\n"
 
 
 def render_diagnostics(diags, filename: str) -> str:

@@ -3,12 +3,13 @@ averaged local value, and a seeded Monte-Carlo rollout cross-check.
 
 The backward recursion walks t = T..1 over the chain on (state, joint
 observation, joint agent state). Each stage is one `stage_backup`, which
-reduces L_{t+1} to q_red[s, a, z], and one `fold_stage`, which folds the
-stage's policy rows into L_t. Values are carried in the log domain as
+reduces L_{t+1} to q_red[s, a, z], and one `StagePlan.fold`, which folds
+the stage's policy rows into L_t. Values are carried in the log domain as
 L_t = lam * V_t for lam > 0 and as plain V_t at lam = 0, so the same tensors
 stay finite for any reward scale. `backward` is the one recursion: exact
 evaluation and risk-seeking evaluation read its L_1. A sweep of policy
-iteration runs the same two steps with its agent updates between them.
+iteration runs the same two steps with its agent updates
+(`StagePlan.local_q`) between them.
 
 The fold and the forward marginals never form the joint policy table
 M_t = prod_i pi^i_t, of prod_i |Y^i| |Z^i|^2 |A^i| floats: they contract one
@@ -27,12 +28,11 @@ marginals `zeta` also holds each agent's averaged local value
 (`_LocalQLayout`) and the forward step into zeta (`StagePlan.forward`). A
 stage forms only the views of its policy rows (stage t - 1 of a table) and
 runs `np.copyto`, `np.matmul(out=)` and ufuncs with `out=` on the prepared
-operands. Nothing of a plan depends on T. A solve keeps one plan on its
-`SolveWorkspace` (`SolveWorkspace.layout`), which its forward steps, sweeps
-and exact evaluations share while the regime (tilted or not) holds; the
-plan lays each of them out once. A lone `backward` call lays its stages
-out for itself, and a lone `forward_marginals` call runs on a workspace of
-its own.
+operands. Nothing of a plan depends on T. A `SolveWorkspace` is built for
+one model and one policy object and keeps their plan (`layout`), which
+their forward steps, sweeps and exact evaluations share while the regime
+(tilted or not) holds. A lone `forward_marginals` call runs on a workspace
+of its own; a lone `backward` call lays out a plan without the marginals.
 
 The forward marginals, both steps, `backward`, `evaluate_exact` and
 `evaluate_risk` also take a `PolicyBatch`: its leading restart axis leads
@@ -253,13 +253,6 @@ class _Contraction:
                 np.matmul(x, right[t - 1], out=out)
 
 
-def check_stage(t: int, horizon: int):
-    """Refuse a 1-based stage index outside 1..horizon: t = 0 would index
-    the last stage's rows through t - 1 = -1."""
-    if not 1 <= t <= horizon:
-        raise ValueError(f"t={t} outside 1..{horizon}")
-
-
 def finite_risk(lam, what: str) -> float:
     """lam as a float, refused unless finite and >= 0; `what` names the
     caller in the error."""
@@ -439,35 +432,33 @@ class _LocalQLayout:
 class StagePlan:
     """The operands of a backward recursion's stages, laid out once.
 
-    A plan serves one policy batch, one regime (`tilted` or not),
-    the q_red tensor (R, S, A, Z) that `stage_backup` fills and a stack
-    `targets` (K, R, S, Y, Z) of the value tensors L_t is folded into. It
-    cuts one scratch arena into the fold's buffers and, when it is given
-    the `model` whose stages it backs up, the stage backup's `scratch`.
-    Given also the marginals `zeta` (R, T, S, Y, Z), it lays out each
-    agent's averaged local value in `local` and the forward step that
-    `forward` runs into zeta, always untilted; none of these phases are in
-    use at once. The plan holds views of its arrays and of the policy's
-    tables, none per stage, so its size does not depend on T; a stage
-    forms only its rows' views. Its errors name the restart when there is
-    more than one.
+    A plan serves one model, one policy batch, one regime (`tilted` or
+    not), the q_red tensor (R, S, A, Z) that `stage_backup` fills and a
+    stack `targets` (K, R, S, Y, Z) of the value tensors L_t is folded
+    into. It cuts one scratch arena into the fold's buffers and the stage
+    backup's `scratch`. Given also the marginals `zeta` (R, T, S, Y, Z), it
+    lays out each agent's averaged local value in `local` and the forward
+    step that `forward` runs into zeta, always untilted; none of these
+    phases are in use at once. The plan holds views of its arrays and of
+    the policy's tables, none per stage, so its size does not depend on T;
+    a stage forms only its rows' views. Its errors name the restart when
+    there is more than one.
     """
 
     __slots__ = ("contract", "q_in", "q_out", "folded", "targets", "paired",
                  "batch", "tilted", "q_red", "scratch", "local",
                  "model", "zeta", "forward_ops")
 
-    def __init__(self, batch: PolicyBatch, tilted: bool,
-                 q_red: np.ndarray, targets: np.ndarray,
-                 model: DecPomdpModel = None, zeta: np.ndarray = None):
+    def __init__(self, model: DecPomdpModel, batch: PolicyBatch,
+                 tilted: bool, q_red: np.ndarray, targets: np.ndarray,
+                 zeta: np.ndarray = None):
         R, S, _, Z = q_red.shape
         sizes = [tab.shape[2:] for tab in batch.tables]   # (Y, W, A, Z)
         a_w = tuple(d for _, w, a, _ in sizes for d in (a, w))
         y_w = tuple(d for y, w, _, _ in sizes for d in (y, w))
         ks = [a * w for _, w, a, _ in sizes]
         js = [y * w for y, w, _, _ in sizes]
-        backup = [None if model is None
-                  else _backup_scratch(model, R, Z, tilted)]
+        backup = [_backup_scratch(model, R, Z, tilted)]
         local, phases = [], []
         if zeta is not None:
             local = [_LocalQLayout(model, batch, zeta, q_red, i)
@@ -537,8 +528,12 @@ class StagePlan:
         return zeta
 
     def fold(self, t: int, k: int) -> np.ndarray:
-        """`fold_stage` of stage t (1-based) from q_red into targets[k].
+        """L_t[s, y, w] = the stage-t (1-based) policy rows folded into
+        q_red, written into targets[k] and returned.
 
+        Untilted: sum_{a, z} prod_i pi^i_t(a^i, z^i | y^i, w^i)
+        q_red[s, a, z], taken one agent at a time; tilted: the same sum in
+        the log domain.
         The contraction leaves the agents' (y^i, w^i) axes paired; they are
         copied once into a paired view of the target, which may be strided.
         Raises NumericError at the first non-finite cell.
@@ -556,8 +551,9 @@ class StagePlan:
         return out
 
     def local_q(self, t: int, agent: int) -> AveragedLocalQ:
-        """`averaged_local_q` of the plan's batch at stage t, on zeta_t and
-        the backed-up q_red.
+        """The averaged local value of agent at stage t (1-based): the
+        stage's backed-up q_red averaged over zeta_t and the co-agents'
+        rows, with the restart axis of the plan's batch.
 
         zeta_t (R, S, Y, Z) varies along (s, y, w), the co-agents' policy
         along their own (y, w, a, z) axes, q_red (R, S, A, Z) along
@@ -610,74 +606,64 @@ class StagePlan:
 
 
 class SolveWorkspace:
-    """The work tensors of a solve for one model/|Z|, kept across its steps.
+    """The work tensors and the stage plan of one policy on one model, kept
+    across a solve's steps.
 
-    Every tensor has a restart axis of `restarts`: the marginal trajectory
-    `zeta` (R, T, S, Y, Z), the two alternating value tensors stacked in
-    `l` (2, R, S, Y, Z) and `q_red` (R, S, A, Z), which is scratch.
-    `peak_floats` counts the first two, R * (T*S*Y*Z + 2*S*Y*Z) floats.
-    Forward steps, sweeps and exact evaluations on the workspace share the
-    `StagePlan` that `layout` keeps in `plan`, whose arena `peak_floats`
-    does not count: the plan lays each of them out once, the forward step
-    in either regime.
+    It is built for one `model` and one `policy` object, a JointPolicy or
+    a PolicyBatch of R restarts, which `batch` views as a batch (of one for
+    a JointPolicy). Every tensor has that restart axis: the marginal
+    trajectory `zeta` (R, T, S, Y, Z), the two alternating value tensors
+    stacked in `l` (2, R, S, Y, Z) and `q_red` (R, S, A, Z), which is
+    scratch. `peak_floats` counts the first two, R * (T*S*Y*Z + 2*S*Y*Z)
+    floats. Forward steps, sweeps and exact evaluations on the workspace
+    share the `StagePlan` that `layout` keeps in `plan`, whose arena
+    `peak_floats` does not count: the plan lays each of them out once, the
+    forward step in either regime. They refuse a workspace built for
+    another model or another policy object (`SolveWorkspace.of`).
     """
 
-    def __init__(self, model: DecPomdpModel, z_sizes, restarts: int = 1):
-        self.model = model
-        self.z_sizes = tuple(int(z) for z in z_sizes)
-        self.restarts = int(restarts)
+    def __init__(self, model: DecPomdpModel, policy: JointPolicy):
+        check_fit(model, policy)
+        self.model, self.policy = model, policy
+        self.batch = batch = PolicyBatch.of(policy)
         S, Y = model.state_count, model.joint_obs_count
-        A = model.joint_action_count
-        Z = math.prod(self.z_sizes)
-        T = model.horizon
-        R = self.restarts
+        A, T = model.joint_action_count, model.horizon
+        R, Z = batch.size, math.prod(batch.agent_state_sizes)
         self.zeta = np.zeros((R, T, S, Y, Z))
         self.l = np.zeros((2, R, S, Y, Z))
         self.q_red = np.zeros((R, S, A, Z))
         self.peak_floats = self.zeta.size + self.l.size
         self.plan = None
 
-    def layout(self, model: DecPomdpModel, batch: PolicyBatch,
-               tilted: bool = None) -> StagePlan:
-        """The `StagePlan` of `batch` on these tensors, in the regime
+    @classmethod
+    def of(cls, model: DecPomdpModel, policy: JointPolicy,
+           workspace: "SolveWorkspace" = None) -> "SolveWorkspace":
+        """`workspace`, refused with ValueError unless it was built for
+        this model and this policy object; a new one when None."""
+        if workspace is None:
+            return cls(model, policy)
+        if workspace.model is not model:
+            raise ValueError("workspace was built for another model")
+        if workspace.policy is not policy:
+            raise ValueError("workspace was built for another policy")
+        return workspace
+
+    def layout(self, tilted: bool = None) -> StagePlan:
+        """The `StagePlan` of the policy on these tensors, in the regime
         `tilted`.
 
-        The kept plan is reused while it serves the batch's arrays in that
-        regime, or in either regime when tilted is None. Otherwise it is
-        dropped before the next one is laid out (untilted when tilted is
-        None), so that one arena lives at a time. Found by the arrays, the
-        plan stays with a JointPolicy that `PolicyBatch.of` wraps anew on
-        every call. Raises ValueError for a workspace of another model or
-        one that does not fit the batch.
+        The kept plan is reused in that regime, or in either regime when
+        tilted is None. Otherwise it is dropped before the next one is laid
+        out (untilted when tilted is None), so that one arena lives at a
+        time.
         """
-        if model is not self.model:
-            raise ValueError("workspace was built for another model")
         plan = self.plan
-        if (plan is None or not _same_arrays(plan.batch, batch)
-                or tilted is not None and plan.tilted != tilted):
+        if plan is None or tilted is not None and plan.tilted != tilted:
             plan = self.plan = None   # free the old arena first
-            if (self.restarts, self.z_sizes) != (batch.size,
-                                                 batch.agent_state_sizes):
-                raise ValueError(
-                    f"workspace holds {self.restarts} restarts of "
-                    f"agent-state sizes {self.z_sizes}, the batch "
-                    f"{batch.size} of {batch.agent_state_sizes}")
-            check_fit(model, batch)
-            plan = self.plan = StagePlan(batch, bool(tilted), self.q_red,
-                                         self.l, model=model, zeta=self.zeta)
+            plan = self.plan = StagePlan(self.model, self.batch,
+                                         bool(tilted), self.q_red, self.l,
+                                         zeta=self.zeta)
         return plan
-
-
-def _same_arrays(a: PolicyBatch, b: PolicyBatch) -> bool:
-    """Whether two batches view the same memory alike, table by table and
-    phi by phi, as each `PolicyBatch.of` of one JointPolicy does."""
-    if a is b:
-        return True
-    xs, ys = [*a.tables, *a.phi], [*b.tables, *b.phi]
-    return len(xs) == len(ys) and all(
-        x.__array_interface__["data"][0] == y.__array_interface__["data"][0]
-        and (x.shape, x.strides, x.dtype) == (y.shape, y.strides, y.dtype)
-        for x, y in zip(xs, ys))
 
 
 def forward_marginals(model: DecPomdpModel, policy: JointPolicy,
@@ -691,36 +677,11 @@ def forward_marginals(model: DecPomdpModel, policy: JointPolicy,
     and pushes the result through the joint dynamics. Each tensor is
     renormalized when its mass drifts within 1e-8 of 1, and errors beyond.
     The steps run as `StagePlan.forward`, on the plan that the workspace's
-    `layout` keeps for the batch, in either regime, and into its `zeta`;
-    with no workspace, on one built for this call.
+    `layout` keeps, in either regime, and into its `zeta`; with no
+    workspace, on one built for this call.
     """
-    batch = PolicyBatch.of(policy)
-    if workspace is None:
-        workspace = SolveWorkspace(model, batch.agent_state_sizes,
-                                   restarts=batch.size)
-    zeta = workspace.layout(model, batch).forward()
-    return zeta if batch is policy else zeta[0]
-
-
-def fold_stage(policy: JointPolicy, t: int, q_red: np.ndarray, lam,
-               out: np.ndarray) -> np.ndarray:
-    """L_t[s, y, w] = the stage-t (1-based) policy rows folded into q_red.
-
-    lam = 0: sum_{a, z} prod_i pi^i_t(a^i, z^i | y^i, w^i) q_red[s, a, z],
-    taken one agent at a time; lam > 0: the same sum in the log domain. A
-    batch's restart axis leads q_red and out, which may be strided. One
-    `StagePlan.fold` on a plan of this call; raises NumericError at the
-    first non-finite cell, and ValueError when t is outside 1..T or lam is
-    not finite and >= 0.
-    """
-    lam = finite_risk(lam, "fold_stage")
-    check_stage(t, policy.horizon)
-    batch = PolicyBatch.of(policy)
-    if batch is not policy:
-        q_red, out = q_red[None], out[None]
-    plan = StagePlan(batch, not is_neutral(lam), q_red, out[None])
-    plan.fold(t, 0)
-    return out if batch is policy else out[0]
+    zeta = SolveWorkspace.of(model, policy, workspace).layout().forward()
+    return zeta if isinstance(policy, PolicyBatch) else zeta[0]
 
 
 def backward(model: DecPomdpModel, policy: JointPolicy, lam,
@@ -729,21 +690,22 @@ def backward(model: DecPomdpModel, policy: JointPolicy, lam,
 
     For a PolicyBatch of R restarts, L_1 carries a leading restart axis,
     (R, S, Y, Z). The stages run on one `StagePlan`: the workspace's
-    `layout` when a `SolveWorkspace` is given, else a plan of this call.
-    L_t alternates between the plan's two targets, L_t in targets[t % 2].
+    `layout` when a `SolveWorkspace` is given, else a plan of this call
+    without the marginals. L_t alternates between the plan's two targets,
+    L_t in targets[t % 2].
     """
     lam = finite_risk(lam, "tilted recursion")
     tilted = not is_neutral(lam)
-    batch = PolicyBatch.of(policy)
     if workspace is None:
         check_fit(model, policy)
+        batch = PolicyBatch.of(policy)
         S, Y = model.state_count, model.joint_obs_count
         A, R = model.joint_action_count, batch.size
         Z = math.prod(batch.agent_state_sizes)
-        plan = StagePlan(batch, tilted, np.empty((R, S, A, Z)),
-                         np.empty((2, R, S, Y, Z)), model=model)
+        plan = StagePlan(model, batch, tilted, np.empty((R, S, A, Z)),
+                         np.empty((2, R, S, Y, Z)))
     else:
-        plan = workspace.layout(model, batch, tilted)
+        plan = SolveWorkspace.of(model, policy, workspace).layout(tilted)
     l_next = plan.targets[0]
     l_next[...] = 0.0
     with kernels.quiet_overflow():
@@ -751,7 +713,7 @@ def backward(model: DecPomdpModel, policy: JointPolicy, lam,
             stage_backup(model, l_next, lam, plan.q_red,
                          scratch=plan.scratch)
             l_next = plan.fold(t, t % 2)
-    return l_next if batch is policy else l_next[0]
+    return l_next if plan.batch is policy else l_next[0]
 
 
 def evaluate_exact(model: DecPomdpModel, policy: JointPolicy,
@@ -775,35 +737,6 @@ def evaluate_risk(model: DecPomdpModel, policy: JointPolicy, lam):
     lam = finite_risk(lam, "risk-seeking evaluation")
     return aggregate_initial(model, policy, backward(model, policy, lam),
                              lam)
-
-
-def averaged_local_q(model: DecPomdpModel, zeta_t: np.ndarray,
-                     policy: JointPolicy, t: int, l_next: np.ndarray,
-                     lam, agent: int) -> AveragedLocalQ:
-    """Average the stage's local values over zeta_t and the co-agents' rows.
-
-    t is 1-based. l_next holds L_{t+1}; the stage is backed up into its
-    reduced (s, a, z) form, which is broadcast over (y, z_). For a
-    PolicyBatch, zeta_t and l_next carry its leading restart axis, and so
-    does the result. One `StagePlan.local_q` on a plan of this call; raises
-    ValueError when t is outside 1..T or agent outside 0..N-1.
-    """
-    lam = finite_risk(lam, "averaged_local_q")
-    check_stage(t, policy.horizon)
-    if not 0 <= agent < model.n_agents:
-        raise ValueError(f"agent={agent} outside 0..{model.n_agents - 1}")
-    batch = PolicyBatch.of(policy)
-    if batch is not policy:
-        zeta_t, l_next = zeta_t[None], l_next[None]
-    ws = SolveWorkspace(model, batch.agent_state_sizes, restarts=batch.size)
-    ws.zeta[:, t - 1] = zeta_t
-    plan = ws.layout(model, batch, not is_neutral(lam))
-    with kernels.quiet_overflow():
-        stage_backup(model, l_next, lam, ws.q_red, scratch=plan.scratch)
-        qbar = plan.local_q(t, agent)
-    if batch is not policy:
-        qbar.table, qbar.mass = qbar.table[0], qbar.mass[0]
-    return qbar
 
 
 def aggregate_initial(model: DecPomdpModel, policy: JointPolicy,

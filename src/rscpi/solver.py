@@ -145,6 +145,7 @@ def sweep(model: DecPomdpModel, policy, lam, alpha: float,
     which the T..t walk has not yet modified. The passes run on the
     workspace's `layout`. Returns the risk objective read off the last
     pass's L_1: a float for a JointPolicy, one per restart for a batch.
+    A workspace built for another model or policy object is refused.
     """
     lam = finite_risk(lam, "sweep")
     if ordering == "sequential":
@@ -153,10 +154,9 @@ def sweep(model: DecPomdpModel, policy, lam, alpha: float,
         groups = [[i] for i in range(model.n_agents)]
     else:
         raise ValueError(f"unknown ordering {ordering!r}")
-    batch = PolicyBatch.of(policy)
-    ws = workspace or SolveWorkspace(model, batch.agent_state_sizes,
-                                     restarts=batch.size)
-    ws.layout(model, batch, not is_neutral(lam))
+    ws = SolveWorkspace.of(model, policy, workspace)
+    batch = ws.batch
+    ws.layout(not is_neutral(lam))
     live = (np.ones(batch.size, dtype=bool) if live is None
             else np.asarray(live, dtype=bool))
     if live.shape != (batch.size,):
@@ -173,7 +173,7 @@ def _sweep_pass(ws: SolveWorkspace, agents, lam, alpha, live) -> np.ndarray:
     """One T..1 pass updating `agents` at every stage on the workspace's
     plan, its forward step first; returns L_1."""
     plan, model = ws.plan, ws.model
-    forward_marginals(model, plan.batch, workspace=ws)
+    forward_marginals(model, ws.policy, workspace=ws)
     l_next = plan.targets[0]
     l_next[...] = 0.0
     for t in range(model.horizon, 0, -1):
@@ -209,7 +209,6 @@ def rscpi(model: DecPomdpModel, config: SolverConfig,
         check_fit(model, initial_policy, config.z_sizes, "initial_policy")
     t0 = time.perf_counter()
     R = config.restarts
-    ws = SolveWorkspace(model, config.z_sizes, restarts=R)
 
     def draw(r):
         if r == 0 and initial_policy is not None:
@@ -219,6 +218,7 @@ def rscpi(model: DecPomdpModel, config: SolverConfig,
                              phi_mode=config.phi_mode)
 
     batch = PolicyBatch.stack((draw(r) for r in range(R)), R)
+    ws = SolveWorkspace(model, batch)
     live = np.ones(R, dtype=bool)
     running = list(range(R))
     traces = [[] for _ in range(R)]

@@ -348,29 +348,53 @@ def forward_marginals_joint(model, policy):
     return np.stack(out)
 
 
-def backward_stages(model, policy, lam):
-    """Every L_t of the backward recursion, L_t at index t - 1 of a
-    (T, S, Y, Z) stack ((R, T, S, Y, Z) for a PolicyBatch of R restarts),
-    from one `stage_backup` and one `fold_stage` per stage."""
+def stage_plan(model, policy, lam, l_next=None, q_red=None):
+    """The `StagePlan` that a solve of policy lays out in lam's regime, on
+    a `SolveWorkspace` of its own, after its forward step; then, given
+    l_next = L_{t+1}, the stage backup into its q_red, or q_red copied in.
+
+    plan.fold(t, k) folds stage t's rows into plan.targets[k], and
+    plan.local_q(t, i) is agent i's averaged local value. The operands
+    broadcast over the plan's restart axis, which every output carries: one
+    restart for a JointPolicy.
+    """
     import numpy as np
 
     from rscpi import kernels
-    from rscpi.evaluation import finite_risk, fold_stage, stage_backup
+    from rscpi.evaluation import SolveWorkspace, is_neutral, stage_backup
+
+    plan = SolveWorkspace(model, policy).layout(not is_neutral(lam))
+    plan.forward()
+    if l_next is not None:
+        np.copyto(plan.targets[0], l_next)
+        with kernels.quiet_overflow():
+            stage_backup(model, plan.targets[0], lam, plan.q_red,
+                         scratch=plan.scratch)
+    if q_red is not None:
+        np.copyto(plan.q_red, q_red)
+    return plan
+
+
+def backward_stages(model, policy, lam):
+    """Every L_t of the backward recursion, L_t at index t - 1 of a
+    (T, S, Y, Z) stack ((R, T, S, Y, Z) for a PolicyBatch of R restarts),
+    from one `stage_backup` and one `StagePlan.fold` per stage."""
+    import numpy as np
+
+    from rscpi import kernels
+    from rscpi.evaluation import finite_risk, stage_backup
 
     lam = finite_risk(lam, "backward_stages")
-    lead = policy.tables[0].shape[:-5]
-    S, Y = model.state_count, model.joint_obs_count
-    A, T = model.joint_action_count, model.horizon
-    Z = math.prod(policy.agent_state_sizes)
-    stack = np.full(lead + (T, S, Y, Z), np.nan)
-    l_next = np.zeros(lead + (S, Y, Z))
-    q_red = np.empty(lead + (S, A, Z))
+    plan = stage_plan(model, policy, lam)
+    stack = np.full(plan.zeta.shape, np.nan)
+    l_next = plan.targets[0]
+    l_next[...] = 0.0
     with kernels.quiet_overflow():
-        for t in range(T, 0, -1):
-            stage_backup(model, l_next, lam, q_red)
-            l_next = fold_stage(policy, t, q_red, lam,
-                                stack[..., t - 1, :, :, :])
-    return stack
+        for t in range(model.horizon, 0, -1):
+            stage_backup(model, l_next, lam, plan.q_red, scratch=plan.scratch)
+            l_next = plan.fold(t, t % 2)
+            stack[:, t - 1] = l_next
+    return stack if plan.batch is policy else stack[0]
 
 
 def as_table(picks, action_count, z_size):

@@ -19,9 +19,8 @@ from _benchmarks import (
     recycling_model,
 )
 from oracles import (backward_stages, forward_sum_eval, risk_vi_reference,
-                     weighted_logmeanexp)
+                     stage_plan, weighted_logmeanexp)
 from rscpi.evaluation import (
-    averaged_local_q,
     evaluate_exact,
     forward_marginals,
     is_neutral,
@@ -82,12 +81,11 @@ def _atoms(policy):
 def test_01_matrix_game_best_response_paths():
     t0 = time.perf_counter()
     model = matrix_game_model(MATRIX_PAYOFFS)
-    zeta1 = np.ones((1, 1, 1))
     l_next = np.zeros((1, 1, 1))
 
     def step(policy, lam, agent):
-        qbar = averaged_local_q(model, zeta1, policy, 1, l_next, lam, agent)
-        picks = greedy_agent_update(qbar)
+        qbar = stage_plan(model, policy, lam, l_next).local_q(1, agent)
+        picks = greedy_agent_update(qbar)[0]
         policy.tables[agent][0] = mix_policies(policy.tables[agent][0],
                                                picks, 1.0)
 
@@ -253,11 +251,10 @@ def test_06_conservative_update_never_degrades_tail():
                   else np.zeros((S, Y, Z)))
         j_before = _tail_objective(zeta_t, tilted[t - 1], risk)
 
-        qbar = averaged_local_q(model, zeta_t, policy, t, l_next, risk,
-                                agent)
+        qbar = stage_plan(model, policy, risk, l_next).local_q(t, agent)
         tab = policy.tables[agent][t - 1]
-        mixed = mix_policies(tab, greedy_agent_update(qbar), alpha)
-        keep = ~qbar.reachable
+        mixed = mix_policies(tab, greedy_agent_update(qbar)[0], alpha)
+        keep = ~qbar.reachable[0]
         if keep.any():
             mixed[keep] = tab[keep]
         policy.tables[agent][t - 1] = mixed
@@ -296,19 +293,18 @@ def test_07_greedy_fixpoint_is_a_no_op():
             prev = snap
         assert converged, (k, lam)
 
-        traj = forward_marginals(model, policy)
         tilted = backward_stages(model, policy, lam)
         S, Y = model.state_count, model.joint_obs_count
         Z = int(np.prod(z_sizes))
         for t in range(1, horizon + 1):
             l_next = (tilted[t] if t < horizon
                       else np.zeros((S, Y, Z)))
+            plan = stage_plan(model, policy, lam, l_next)
             for agent in range(model.n_agents):
-                qbar = averaged_local_q(model, traj[t - 1], policy, t,
-                                        l_next, lam, agent)
+                qbar = plan.local_q(t, agent)
                 tab = policy.tables[agent][t - 1]
-                mixed = mix_policies(tab, greedy_agent_update(qbar), 1.0)
-                ok = qbar.reachable
+                mixed = mix_policies(tab, greedy_agent_update(qbar)[0], 1.0)
+                ok = qbar.reachable[0]
                 assert np.array_equal(mixed[ok], tab[ok]), (k, t, agent)
     assert time.perf_counter() - t0 < 60.0
 

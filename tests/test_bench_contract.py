@@ -21,8 +21,10 @@ from rscpi import kernels
 
 ROOT = Path(__file__).resolve().parents[1]
 REMOVED = ["DeterministicAgentSlice", "FiniteMdp", "RiskParameter",
-           "certainty_equivalent", "risk_policy_evaluation_mdp",
-           "risk_value_iteration", "weighted_logmeanexp"]
+           "averaged_local_q", "certainty_equivalent", "check_stage",
+           "fold_stage", "risk_policy_evaluation_mdp",
+           "risk_value_iteration", "serialize_canonical",
+           "weighted_logmeanexp"]
 # per-layer rows of the benchmark that a solve must keep reaching
 SOLVE_LAYERS = ["solver.sweep", "solver.greedy_agent_update",
                 "policy.mix_policies", "evaluation.forward_marginals",

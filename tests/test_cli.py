@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from _benchmarks import dectiger_block_policy, dectiger_text
 from rscpi import bench_cli
-from rscpi.bench_cli import (ABLATIONS, CSV_COLUMNS, RunConfigFile, RunRecord,
-                             load_model, main, render_report)
+from rscpi.bench_cli import (ABLATIONS, CSV_COLUMNS, REPORT_COLUMNS,
+                             RunConfigFile, RunRecord, load_model, main,
+                             render_report)
 from rscpi.policy import JointPolicy, policy_to_json
 
 MATRIX_UNIFORM = JointPolicy(
@@ -163,8 +164,9 @@ class TestSolve:
             capsys, "solve", "--model", "matrix-game", "--horizon", "1",
             "--agent-states", text, "--out", str(tmp_path))
         assert code == 2 and out == ""
-        assert err.strip() == ("--agent-states must be one integer or a "
-                               f"comma list of integers, got {text!r}")
+        assert err.strip() == ("matrix-game:0: error: --agent-states must "
+                               "be one integer or a comma list of "
+                               f"integers, got {text!r}")
 
     def test_bad_agent_states_arity_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -227,6 +229,21 @@ class TestSolve:
             "--out", str(tmp_path))
         assert code == 2 and out == ""
         assert "lambda0 must be finite and >= 0" in err
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--lambda0", "-1", "lambda0 must be finite and >= 0, got -1.0"),
+        ("--restarts", "0", "restarts must be >= 1"),
+        ("--horizon", "0", "horizon must be an integer >= 1, got 0"),
+        ("--agent-states", "1,1,1", "--agent-states lists 3 sizes for 2 "
+                                    "agents")])
+    def test_config_error_is_one_located_line(self, capsys, tmp_path, flag,
+                                              value, message):
+        """A config or flag error prints as the solve's numeric errors do,
+        `<model>:0: error: ...`, on one line."""
+        code, out, err = solve_matrix(capsys, tmp_path, flag, value)
+        assert code == 2 and out == ""
+        assert err == f"matrix-game:0: error: {message}\n"
+        assert not (tmp_path / "runs.csv").exists()
 
 
 class TestEval:
@@ -328,6 +345,32 @@ class TestEval:
                                "--horizon", "1",
                                "--policy", str(tmp_path / "none.json"))
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("case", ["missing model", "broken model",
+                                      "horizon 0", "missing policy"])
+    def test_each_error_line_says_error_once(self, capsys, tmp_path, case):
+        """load_model's diagnostics, which name the file and its line,
+        print as they are, each line of a parse failure alike; a policy
+        file's errors get `error: ` in front."""
+        model, horizon = str(tmp_path / "nonexist.dpomdp"), "2"
+        policy = self.write_policy(tmp_path, MATRIX_UNIFORM)
+        if case == "broken model":
+            model = tmp_path / "bad.dpomdp"
+            model.write_text("agents: 2\nfoo\nbar\n")
+        elif case == "horizon 0":
+            model, horizon = "matrix-game", "0"
+        elif case == "missing policy":
+            model, horizon = "matrix-game", "1"
+            policy = tmp_path / "none.json"
+        code, out, err = run_cli(capsys, "eval", "--model", str(model),
+                                 "--horizon", horizon, "--policy",
+                                 str(policy))
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == (5 if case == "broken model" else 1)
+        prefix = "error: " if case == "missing policy" else f"{model}:"
+        for line in lines:
+            assert line.startswith(prefix) and line.count("error:") == 1
 
     def test_corrupt_policy_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -614,6 +657,27 @@ class TestReport:
         path = self.write_csv(tmp_path, [])
         code, _, err = run_cli(capsys, "report", str(path))
         assert code == 2 and "runs.csv has no data rows" in err
+
+    @pytest.mark.parametrize("header", [["a", "b"], CSV_COLUMNS[:-2]])
+    def test_csv_lacking_a_read_column_exits_2(self, capsys, tmp_path,
+                                               header):
+        """A runs.csv whose header lacks a column that the report reads is
+        a one-line diagnostic naming the missing ones, not a KeyError."""
+        path = tmp_path / "runs.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, ["1"] * len(header)])
+        code, out, err = run_cli(capsys, "report", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        missing = [c for c in REPORT_COLUMNS if c not in header]
+        assert missing and f"column(s) {', '.join(missing)} " in err
+
+    def test_the_written_schema_renders(self, tmp_path):
+        """Every column the report reads is one that solve and sweep
+        write, so their runs.csv renders."""
+        assert set(REPORT_COLUMNS) <= set(CSV_COLUMNS)
+        path = self.write_csv(tmp_path, [self.record_row()])
+        assert render_report(str(path)).startswith("# Benchmark report")
 
     def test_out_file_written(self, capsys, tmp_path):
         path = self.write_csv(tmp_path, [self.record_row()])

@@ -15,12 +15,12 @@ from _benchmarks import (dectiger_block_policy, dectiger_model,
 from oracles import (evaluate_enum, evaluate_risk_enum, fold_stage_joint,
                      forward_marginals_joint, forward_sum_eval,
                      marginal_enum, qpomdp_bound, risk_vi_reference,
-                     rollout_monte_carlo_rows, _sample_rows,
+                     rollout_monte_carlo_rows, _sample_rows, stage_plan,
                      weighted_logmeanexp)
 from rscpi import evaluation, kernels
 from rscpi.bench_cli import load_model
 from rscpi.evaluation import (NumericError, SolveWorkspace, check_fit,
-                              evaluate_exact, evaluate_risk, fold_stage,
+                              evaluate_exact, evaluate_risk,
                               forward_marginals, joint_phi,
                               rollout_monte_carlo)
 from rscpi.model import matrix_game_model
@@ -78,7 +78,7 @@ def q_red_for(model, policy, restarts=(), seed=0):
 
 
 class TestPerAgentContraction:
-    """fold_stage and forward_marginals contract the policy one agent at a
+    """The fold and the forward step contract the policy one agent at a
     time; the references in oracles form the dense joint table."""
 
     @pytest.mark.parametrize("agents", [2, 3])
@@ -87,10 +87,9 @@ class TestPerAgentContraction:
         model, singles, _ = contraction_case(agents)
         for policy in singles:
             q_red = q_red_for(model, policy)
+            plan = stage_plan(model, policy, lam, q_red=q_red)
             for t in range(1, model.horizon + 1):
-                got = np.empty((model.state_count, model.joint_obs_count,
-                                q_red.shape[-1]))
-                fold_stage(policy, t, q_red, lam, got)
+                got = plan.fold(t, 0)[0]
                 want = fold_stage_joint(policy, t, q_red, lam)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -107,16 +106,14 @@ class TestPerAgentContraction:
     def test_batch_equals_each_restart_alone(self, agents, lam):
         model, singles, batch = contraction_case(agents)
         q_red = q_red_for(model, singles[0], restarts=(batch.size,))
-        risk = lam
-        got = np.empty(q_red.shape[:2] + (model.joint_obs_count,
-                                          q_red.shape[-1]))
+        plan = stage_plan(model, batch, lam, q_red=q_red)
+        alone = [stage_plan(model, policy, lam, q_red=q_red[r])
+                 for r, policy in enumerate(singles)]
         zetas = forward_marginals(model, batch)
         for t in range(1, model.horizon + 1):
-            fold_stage(batch, t, q_red, risk, got)
-            for r, policy in enumerate(singles):
-                alone = np.empty(got.shape[1:])
-                fold_stage(policy, t, q_red[r], risk, alone)
-                assert np.array_equal(got[r], alone)
+            got = plan.fold(t, 0)
+            for r, one in enumerate(alone):
+                assert np.array_equal(got[r], one.fold(t, 0)[0])
         for r, policy in enumerate(singles):
             assert np.array_equal(zetas[r],
                                   forward_marginals(model, policy))
@@ -128,33 +125,20 @@ class TestPerAgentContraction:
         model, singles, _ = contraction_case(2, restarts=1)
         q_red = q_red_for(model, singles[0])
         q_red[1, 2, 3] = np.inf
-        out = np.empty((model.state_count, model.joint_obs_count,
-                        q_red.shape[-1]))
+        plan = stage_plan(model, singles[0], lam, q_red=q_red)
         with pytest.raises(NumericError, match="nonfinite tilted value"):
             with kernels.quiet_overflow():
-                fold_stage(singles[0], 2, q_red, lam, out)
-
-    @pytest.mark.parametrize("t", [0, -1, 4])
-    def test_stage_outside_horizon_is_refused(self, t):
-        """t = 0 would fold the last stage's rows through t - 1 = -1; out
-        is left unwritten."""
-        model = dectiger_model(horizon=3)
-        policy = random_policy_for(model, (2, 2), seed=0)
-        q_red = q_red_for(model, policy)
-        out = np.full((model.state_count, model.joint_obs_count, 4), np.nan)
-        with pytest.raises(ValueError, match=rf"t={t} outside 1\.\.3"):
-            fold_stage(policy, t, q_red, 0.0, out)
-        assert np.all(np.isnan(out))
+                plan.fold(2, 0)
 
     def test_no_joint_table_is_formed(self):
-        """Each step peaks below one dense joint table, Y*W*A*W floats,
-        on Dec-Tiger T=3 with 8 agent states per agent."""
+        """Each step, its plan laid out with it, peaks below one dense
+        joint table, Y*W*A*W floats, on Dec-Tiger T=3 with 8 agent states
+        per agent."""
         model = dectiger_model(horizon=3)
         policy = random_policy_for(model, (8, 8), seed=0)
         Y, A, W = model.joint_obs_count, model.joint_action_count, 64
         joint_mb = Y * W * A * W * 8 / 1e6
         q_red = q_red_for(model, policy)
-        out = np.empty((model.state_count, Y, W))
 
         def peak_mb(step):
             step()
@@ -165,8 +149,8 @@ class TestPerAgentContraction:
             finally:
                 tracemalloc.stop()
 
-        peaks = [peak_mb(lambda: fold_stage(policy, 2, q_red,
-                                            lam, out))
+        peaks = [peak_mb(lambda: stage_plan(model, policy, lam,
+                                            q_red=q_red).fold(2, 0))
                  for lam in (0.0, 0.5)]
         peaks.append(peak_mb(lambda: forward_marginals(model, policy)))
         assert max(peaks) < joint_mb, (peaks, joint_mb)
@@ -223,18 +207,17 @@ class TestForwardMarginals:
         bits are those of the lone call, which runs on a workspace of its
         own, whatever the shared arena held before."""
         model, singles, batch = contraction_case(agents)
-        ws = SolveWorkspace(model, batch.agent_state_sizes,
-                            restarts=batch.size)
+        ws = SolveWorkspace(model, batch)
         plan = None
         if kept is not None:
-            plan = ws.layout(model, batch, bool(kept))
+            plan = ws.layout(bool(kept))
             plan.q_out.base.fill(np.nan)   # the arena every phase shares
         got = forward_marginals(model, batch, workspace=ws)
         assert got is ws.zeta
         assert ws.plan.tilted == bool(kept)
         assert plan is None or ws.plan is plan
         assert got.tobytes() == forward_marginals(model, batch).tobytes()
-        one = SolveWorkspace(model, batch.agent_state_sizes)
+        one = SolveWorkspace(model, singles[1])
         got = forward_marginals(model, singles[1], workspace=one)
         assert got.tobytes() == forward_marginals(model,
                                                   singles[1]).tobytes()

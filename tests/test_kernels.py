@@ -13,12 +13,11 @@ import pytest
 from _benchmarks import random_model, random_policy_for
 from oracles import (averaged_local_q_loops, csr_support,
                      expand_joint_policy_gather, fold_policy_log_loops,
-                     fold_policy_log_states, tilted_q_log_loops,
+                     fold_policy_log_states, stage_plan, tilted_q_log_loops,
                      tilted_q_log_rows, value_padded)
 from rscpi import kernels
 from rscpi.bench_cli import load_model
-from rscpi.evaluation import (_support, averaged_local_q, finite_risk,
-                              fold_stage, stage_backup)
+from rscpi.evaluation import StagePlan, _support, is_neutral
 from rscpi.policy import PolicyBatch
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,20 +55,24 @@ def log_of(arr):
     return np.log(arr, where=arr > 0, out=np.full_like(arr, -np.inf))
 
 
+def fold(b, policy, q_red, lam):
+    """Stage 1's rows of one policy folded into q_red on a solve's plan."""
+    return stage_plan(b["model"], policy, lam, q_red=q_red).fold(1, 0)[0]
+
+
 def assert_matches_loops(b, lam, agent):
-    """averaged_local_q's table and mass at t=1 equal the loop reference."""
+    """The averaged local value's table and mass at t=1, on the bundle's
+    zeta_1, equal the loop reference on the plan's q_red."""
     model, policy = b["model"], b["policy"]
-    qbar = averaged_local_q(model, b["zeta"], policy, 1, b["l_next"], lam,
-                            agent)
-    q_red = np.empty((b["S"], b["A"], b["Z"]))
-    with kernels.quiet_overflow():
-        stage_backup(model, b["l_next"], finite_risk(lam, "test"), q_red)
+    plan = stage_plan(model, policy, lam, b["l_next"])
+    plan.zeta[:, 0] = b["zeta"]
+    qbar = plan.local_q(1, agent)
     table, mass = averaged_local_q_loops(
         b["zeta"], expand_joint_policy_gather(policy, 0, skip_agent=agent),
-        q_red, model.obs_counts, policy.agent_state_sizes,
+        plan.q_red[0], model.obs_counts, policy.agent_state_sizes,
         model.action_counts, agent, lam)
-    np.testing.assert_allclose(qbar.table, table, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(qbar.mass, mass, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(qbar.table[0], table, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(qbar.mass[0], mass, rtol=0, atol=1e-12)
 
 
 class TestBackendAgreement:
@@ -87,10 +90,8 @@ class TestBackendAgreement:
     def test_fold_policy_log(self, seed):
         b = kernel_inputs(seed)
         out_a = np.zeros((b["S"], b["Y"], b["Z"]))
-        out_b = np.zeros_like(out_a)
         fold_policy_log_loops(log_of(b["m"]), b["q_red"], out_a)
-        fold_stage(b["policy"], 1, b["q_red"], b["lam"],
-                   out_b)
+        out_b = fold(b, b["policy"], b["q_red"], b["lam"])
         np.testing.assert_allclose(out_a, out_b, rtol=0, atol=1e-12)
 
     # The averaged local value is one numpy reduction;
@@ -166,15 +167,15 @@ def bench_file_inputs(name, horizon, seed=0, z_sizes=(2, 2)):
 
 def assert_matches_oracles(b):
     """tilted_q_log equals its per-row oracle bit for bit; the log-domain
-    fold_stage agrees with the per-state fold of the dense joint table to
+    fold agrees with the per-state fold of the dense joint table to
     1e-12."""
     S, A, Y, Z = b["S"], b["A"], b["Y"], b["Z"]
     got_q, want_q = np.empty((S, A, Z)), np.empty((S, A, Z))
     kernels.tilted_q_log(*tilted_args(b, "padded"), got_q)
     tilted_q_log_rows(*tilted_args(b, "csr"), want_q)
     assert np.array_equal(got_q, want_q)
-    got_l, want_l = np.empty((S, Y, Z)), np.empty((S, Y, Z))
-    fold_stage(b["policy"], 1, b["q_red"], b["lam"], got_l)
+    got_l = fold(b, b["policy"], b["q_red"], b["lam"])
+    want_l = np.empty((S, Y, Z))
     fold_policy_log_states(log_of(b["m"]), b["q_red"], want_l)
     np.testing.assert_allclose(got_l, want_l, rtol=0, atol=1e-12)
 
@@ -235,46 +236,39 @@ class TestNumpyKernels:
 
     def test_strided_out(self):
         # a reshape of these views copies, so writes through one would be lost
-        def views(shape):
-            S, A, Z = shape
-            return [np.full((S, A, 2 * Z), np.nan)[:, :, ::2],
-                    np.full((Z, A, S), np.nan).T]
-
         b = kernel_inputs(0)
-        S, A, Y, Z = b["S"], b["A"], b["Y"], b["Z"]
+        S, A, Z = b["S"], b["A"], b["Z"]
         dense = np.empty((S, A, Z))
         kernels.tilted_q_log(*tilted_args(b, "padded"), dense)
-        for out in views((S, A, Z)):
+        for out in (np.full((S, A, 2 * Z), np.nan)[:, :, ::2],
+                    np.full((Z, A, S), np.nan).T):
             kernels.tilted_q_log(*tilted_args(b, "padded"), out)
-            assert np.array_equal(out, dense)
-        risk = b["lam"]
-        dense = np.empty((S, Y, Z))
-        fold_stage(b["policy"], 1, b["q_red"], risk, dense)
-        for out in views((S, Y, Z)):
-            fold_stage(b["policy"], 1, b["q_red"], risk, out)
             assert np.array_equal(out, dense)
 
     @pytest.mark.parametrize("lam", [0.0, 0.7])
     def test_strided_batched_fold_targets(self, lam):
-        """fold_stage of a batch writes strided (R, S, Y, Z) targets, such
-        as one stage of an (R, T, S, Y, Z) stack, as it writes a dense
-        one."""
+        """A plan's fold writes strided (R, S, Y, Z) targets, such as one
+        stage of an (R, T, S, Y, Z) stack, as it writes a dense one."""
         b = kernel_inputs(0)
         model, R = b["model"], 3
         batch = PolicyBatch.stack(
             [random_policy_for(model, (2, 2), 300 + r) for r in range(R)], R)
-        risk = lam
         q_red = np.random.default_rng(1).uniform(
             -1.0, 1.0, size=(R, b["S"], b["A"], b["Z"]))
-        shape = (R, b["S"], b["Y"], b["Z"])
-        dense = np.full(shape, np.nan)
-        fold_stage(batch, 1, q_red, risk, dense)
+        shape = (1, R, b["S"], b["Y"], b["Z"])
+
+        def fold(targets):
+            StagePlan(model, batch, not is_neutral(lam), q_red,
+                      targets).fold(1, 0)
+            return targets[0]
+
+        dense = fold(np.full(shape, np.nan))
         wide = np.full(shape[:-1] + (2 * b["Z"],), np.nan)
-        stack = np.full((R, model.horizon) + shape[1:], np.nan)
-        for out in (wide[..., ::2], np.full(shape[::-1], np.nan).T,
-                    stack[:, 0]):
+        stack = np.full(shape[:2] + (model.horizon,) + shape[2:], np.nan)
+        for targets in (wide[..., ::2], np.full(shape[::-1], np.nan).T,
+                        stack[:, :, 0]):
+            out = fold(targets)
             assert not out.flags.c_contiguous
-            fold_stage(batch, 1, q_red, risk, out)
             assert np.array_equal(out, dense)
 
 
@@ -304,12 +298,12 @@ class TestBatchedKernels:
             tilted, support = kernels.tilted_q_log, b["padded"]
             same = np.array_equal
 
-            def fold(r, out):
-                fold_stage(x["policies"][r], 1, x["q_red"][r], risk, out)
+            def fold_one(r, out):
+                out[...] = fold(b, x["policies"][r], x["q_red"][r], risk)
         else:
             tilted, support = tilted_q_log_loops, b["csr"]
 
-            def fold(r, out):
+            def fold_one(r, out):
                 log_m = log_of(expand_joint_policy_gather(x["policies"][r],
                                                           0))
                 fold_policy_log_loops(log_m, x["q_red"][r], out)
@@ -318,13 +312,14 @@ class TestBatchedKernels:
                 return np.allclose(got, want, rtol=0, atol=1e-12)
         R, S, A, Y, Z = 3, b["S"], b["A"], b["Y"], b["Z"]
         lam_r = b["lam"] * b["model"].r
-        got_q, got_l = np.empty((R, S, A, Z)), np.empty((R, S, Y, Z))
+        got_q = np.empty((R, S, A, Z))
         kernels.tilted_q_log(*b["padded"], lam_r, x["l_next"], got_q)
-        fold_stage(x["batch"], 1, x["q_red"], risk, got_l)
+        got_l = stage_plan(b["model"], x["batch"], risk,
+                           q_red=x["q_red"]).fold(1, 0)
         for r in range(R):
             want_q, want_l = np.empty((S, A, Z)), np.empty((S, Y, Z))
             tilted(*support, lam_r, x["l_next"][r], want_q)
-            fold(r, want_l)
+            fold_one(r, want_l)
             assert same(got_q[r], want_q)
             assert same(got_l[r], want_l)
 

@@ -13,7 +13,7 @@ from _benchmarks import dectiger_text, recycling_text
 from rscpi.bench_cli import load_model
 from rscpi.dpomdp_parser import (ParseDiagnostic, compile_model,
                                  compile_tables, parse_dpomdp,
-                                 render_diagnostics, serialize_canonical)
+                                 render_diagnostics)
 from rscpi.model import JointIndexer
 
 
@@ -50,6 +50,36 @@ def tables_ok(text):
     assert not any(d.severity == "error" for d in diags), \
         [d.message for d in diags]
     return T, O, R
+
+
+def serialize_canonical(raw) -> str:
+    """A parsed file in single-entry form with exact float text, the round
+    trip's tool: its re-parse compiles to the same table bytes."""
+    T, O, R, diags = compile_tables(raw)
+    if any(d.severity == "error" for d in diags):
+        raise ValueError("cannot serialize a file with table errors")
+    n = raw.agent_count
+    obs = JointIndexer(len(x) for x in raw.observation_names)
+    act = JointIndexer(len(x) for x in raw.action_names)
+    out = [f"agents: {n}", f"discount: {raw.discount!r}", "values: reward",
+           "states: " + " ".join(raw.state_names), "actions:"]
+    out += [" ".join(names) for names in raw.action_names]
+    out.append("observations:")
+    out += [" ".join(names) for names in raw.observation_names]
+    out.append("start:")
+    out.append(" ".join(repr(float(v)) for v in raw.start_distribution))
+    for (s, a, sp) in zip(*np.nonzero(T)):
+        ja = " ".join(str(c) for c in act.decode(a))
+        out.append(f"T: {ja} : {s} : {sp} : {float(T[s, a, sp])!r}")
+    for (a, sp, y) in zip(*np.nonzero(O)):
+        ja = " ".join(str(c) for c in act.decode(a))
+        jo = " ".join(str(c) for c in obs.decode(y))
+        out.append(f"O: {ja} : {sp} : {jo} : {float(O[a, sp, y])!r}")
+    for (a, s, sp, y) in zip(*np.nonzero(R)):
+        ja = " ".join(str(c) for c in act.decode(a))
+        jo = " ".join(str(c) for c in obs.decode(y))
+        out.append(f"R: {ja} : {s} : {sp} : {jo} : {float(R[a, s, sp, y])!r}")
+    return "\n".join(out) + "\n"
 
 
 def messages(diags, severity=None):

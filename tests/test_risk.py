@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _benchmarks import random_model, random_policy_for
-from oracles import logmeanexp_direct, weighted_logmeanexp
-from rscpi.evaluation import (aggregate_initial, averaged_local_q, backward,
-                              evaluate_risk, fold_stage, forward_marginals,
+from oracles import logmeanexp_direct, stage_plan, weighted_logmeanexp
+from rscpi.evaluation import (aggregate_initial, backward, evaluate_risk,
                               is_neutral, stage_backup)
 from rscpi.solver import sweep
 
@@ -30,13 +29,13 @@ class TestRiskParameter:
 
 def lam_calls():
     """Name -> a call of lam returning its result's bytes, one per entry
-    point that takes lam, all on one two-agent model and policy, its
-    marginals and a random L_2 and q_red."""
+    point that takes lam and one per step of a stage on a solve's plan, all
+    on one two-agent model and policy, its marginals and a random L_2 and
+    q_red. The stage steps are named after the phases of a sweep."""
     rng = np.random.default_rng(5)
     model = random_model(rng, n_states=3, action_counts=(2, 3),
                          obs_counts=(2, 2), horizon=3)
     policy = random_policy_for(model, (2, 2), seed=6)
-    zeta = forward_marginals(model, policy)
     S, A = model.state_count, model.joint_action_count
     l_next = rng.uniform(-1.0, 1.0, size=(S, model.joint_obs_count, 4))
     q_red = rng.uniform(-1.0, 1.0, size=(S, A, 4))
@@ -46,8 +45,8 @@ def lam_calls():
         return stage_backup(model, l_next, lam, out).tobytes()
 
     def fold(lam):
-        out = np.empty(l_next.shape)
-        return fold_stage(policy, 2, q_red, lam, out).tobytes()
+        plan = stage_plan(model, policy, lam, q_red=q_red)
+        return plan.fold(2, 0).tobytes()
 
     def swept(lam):
         twin = policy.copy()
@@ -55,7 +54,7 @@ def lam_calls():
         return [float(j).hex()] + [t.tobytes() for t in twin.tables]
 
     def local(lam):
-        qbar = averaged_local_q(model, zeta[1], policy, 2, l_next, lam, 1)
+        qbar = stage_plan(model, policy, lam, l_next).local_q(2, 1)
         return qbar.table.tobytes() + qbar.mass.tobytes()
 
     return {
@@ -85,9 +84,7 @@ class TestLamContract:
         call = lam_calls()[name]
         assert call(lam) == call(np.float64(lam))
 
-    @pytest.mark.parametrize("name", ["fold_stage", "backward",
-                                      "evaluate_risk", "sweep",
-                                      "averaged_local_q"])
+    @pytest.mark.parametrize("name", ["backward", "evaluate_risk", "sweep"])
     @pytest.mark.parametrize("lam", [-1.0, math.inf, math.nan])
     def test_bad_lam_is_refused(self, name, lam):
         call = lam_calls()[name]

@@ -2,7 +2,6 @@
 
 import inspect
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -13,11 +12,12 @@ from _benchmarks import (dectiger_model, deterministic_policy,
                          recycling_model)
 from oracles import (averaged_local_q_flat, backward_stages,
                      logmeanexp_direct, q_values, risk_vi_reference,
-                     update_agent_at_incumbent, weighted_logmeanexp)
+                     stage_plan, update_agent_at_incumbent,
+                     weighted_logmeanexp)
 from rscpi import evaluation, kernels, solver
 from rscpi.evaluation import (AveragedLocalQ, NumericError, SolveWorkspace,
-                              StagePlan, aggregate_initial, averaged_local_q,
-                              backward, evaluate_exact, evaluate_risk,
+                              StagePlan, aggregate_initial, backward,
+                              evaluate_exact, evaluate_risk,
                               forward_marginals, is_neutral,
                               joint_components, stage_backup)
 from rscpi.model import matrix_game_model
@@ -41,13 +41,17 @@ def atom(policy, agent):
     return float(policy.tables[agent][0, 0, 0, 0, 0])
 
 
+def lone(qbar):
+    """A JointPolicy's AveragedLocalQ without its restart axis of one."""
+    return AveragedLocalQ(table=qbar.table[0], mass=qbar.mass[0])
+
+
 def matrix_qbar(p2, lam):
     """Agent 1's averaged local Q on the matrix game vs a (p2, 1-p2) partner."""
     model = matrix_game_model(MATRIX_PAYOFFS)
     policy = interior_matrix_policy(0.5, p2)
-    zeta1 = np.ones((1, 1, 1))
-    l_next = np.zeros((1, 1, 1))
-    return averaged_local_q(model, zeta1, policy, 1, l_next, lam, 0)
+    return lone(stage_plan(model, policy, lam,
+                           np.zeros((1, 1, 1))).local_q(1, 0))
 
 
 def flat_local_q(plan, t, agent):
@@ -236,9 +240,8 @@ class TestAveragedLocalQ:
         r = rng.uniform(-1, 1, size=(3, 2))
         model = fully_observed_model(P, r, [0.2, 0.5, 0.3], horizon=1)
         policy = random_policy_for(model, (1,), seed=6)
-        zeta1 = forward_marginals(model, policy)[0]
-        l_next = np.zeros((3, 3, 1))
-        qbar = averaged_local_q(model, zeta1, policy, 1, l_next, lam, 0)
+        qbar = lone(stage_plan(model, policy, lam,
+                               np.zeros((3, 3, 1))).local_q(1, 0))
         assert np.all(qbar.reachable)
         q = q_values(qbar, lam)[:, 0, :, 0]
         np.testing.assert_allclose(q, r, atol=1e-12)
@@ -249,9 +252,8 @@ class TestAveragedLocalQ:
         r = rng.uniform(-1, 1, size=(3, 2))
         model = fully_observed_model(P, r, [0.5, 0.5, 0.0], horizon=1)
         policy = random_policy_for(model, (1,), seed=8)
-        zeta1 = forward_marginals(model, policy)[0]
-        qbar = averaged_local_q(model, zeta1, policy, 1,
-                                np.zeros((3, 3, 1)), 0.0, 0)
+        qbar = lone(stage_plan(model, policy, 0.0,
+                               np.zeros((3, 3, 1))).local_q(1, 0))
         np.testing.assert_array_equal(qbar.reachable[:, 0],
                                       [True, True, False])
         assert np.all(np.isnan(q_values(qbar, 0.0)[2]))
@@ -260,8 +262,8 @@ class TestAveragedLocalQ:
         model = dectiger_model(horizon=3)
         policy = random_policy_for(model, (2, 2), seed=9)
         traj = forward_marginals(model, policy)
-        l_next = np.zeros((2, 9, 4))
-        qbar = averaged_local_q(model, traj[1], policy, 2, l_next, 0.0, 0)
+        qbar = lone(stage_plan(model, policy, 0.0,
+                               np.zeros((2, 9, 4))).local_q(2, 0))
         y_comp = joint_components(model.obs_counts)[0]
         w_comp = joint_components((2, 2))[0]
         want = np.zeros((3, 2))
@@ -279,29 +281,14 @@ class TestAveragedLocalQ:
         tabs = [np.array([0.5, 0.5]).reshape(1, 1, 1, 2, 1),
                 np.array([1.0, 1e-200]).reshape(1, 1, 1, 2, 1)]
         policy = JointPolicy(horizon=1, agent_state_sizes=(1, 1), tables=tabs)
-        qbar = averaged_local_q(model, np.ones((1, 1, 1)), policy, 1,
-                                np.zeros((1, 1, 1)), 1.0, 0)
+        qbar = lone(stage_plan(model, policy, 1.0,
+                               np.zeros((1, 1, 1))).local_q(1, 0))
         q = q_values(qbar, 1.0)[0, 0, :, 0]
         want = [logmeanexp_direct([1.0, 1e-200], row, 1.0)
                 for row in ([1.0, 1.0], [0.0, 600.0])]
         np.testing.assert_allclose(q, want, rtol=0, atol=1e-12)
         assert q[1] > q[0] + 100.0
         assert greedy_agent_update(qbar)[0, 0] == 1
-
-    @pytest.mark.parametrize("t, agent, match", [
-        (0, 0, "t=0 outside 1..3"), (4, 1, "t=4 outside 1..3"),
-        (1, 2, "agent=2 outside 0..1"), (1, -1, "agent=-1 outside 0..1")],
-        ids=["t=0", "t=T+1", "agent=N", "agent=-1"])
-    def test_stage_and_agent_outside_range_are_refused(self, t, agent,
-                                                        match):
-        """t = 0 would average the last stage's rows through t - 1 = -1;
-        a bad agent would fail deep inside with an IndexError."""
-        model = dectiger_model(horizon=3)
-        policy = random_policy_for(model, (2, 2), seed=9)
-        zeta_t = forward_marginals(model, policy)[0]
-        with pytest.raises(ValueError, match=re.escape(match)):
-            averaged_local_q(model, zeta_t, policy, t, np.zeros((2, 9, 4)),
-                             0.0, agent)
 
     @pytest.mark.parametrize("lam", [0.0, 0.7])
     def test_last_stage_ties_stay_exact(self, lam):
@@ -324,13 +311,10 @@ class TestAveragedLocalQ:
                        for r in range(3)]
             batch = PolicyBatch.stack(singles, 3)
             shape = (8, model.joint_obs_count, 9)
-            for policy, l_next in ((singles[0], np.zeros(shape)),
-                                   (batch, np.zeros((3,) + shape))):
-                zeta_t = forward_marginals(model, policy)[
-                    ..., model.horizon - 1, :, :, :]
+            for policy in (singles[0], batch):
+                plan = stage_plan(model, policy, lam, np.zeros(shape))
                 for agent in (0, 1):
-                    qbar = averaged_local_q(model, zeta_t, policy,
-                                            model.horizon, l_next, lam, agent)
+                    qbar = plan.local_q(model.horizon, agent)
                     assert np.all(qbar.table == qbar.table[..., :1])
                     picks = greedy_agent_update(qbar)
                     assert np.all(picks[qbar.reachable] % 3 == 0)
@@ -343,17 +327,17 @@ class TestAveragedLocalQ:
         singles = [random_policy_for(model, (2, 3), seed=80 + r)
                    for r in range(3)]
         batch = PolicyBatch.stack(singles, 3)
-        zeta_t = forward_marginals(model, batch)[:, 1]
         l_next = np.random.default_rng(5).uniform(
             -1.0, 1.0, size=(3, 3, model.joint_obs_count, 6))
+        plan = stage_plan(model, batch, lam, l_next)
+        alone = [stage_plan(model, policy, lam, l_next[r])
+                 for r, policy in enumerate(singles)]
         for agent in (0, 1):
-            qbar = averaged_local_q(model, zeta_t, batch, 2, l_next, lam,
-                                    agent)
-            for r, policy in enumerate(singles):
-                one = averaged_local_q(model, zeta_t[r], policy, 2,
-                                       l_next[r], lam, agent)
-                assert np.array_equal(qbar.table[r], one.table)
-                assert np.array_equal(qbar.mass[r], one.mass)
+            qbar = plan.local_q(2, agent)
+            for r, one in enumerate(alone):
+                one = one.local_q(2, agent)
+                assert np.array_equal(qbar.table[r], one.table[0])
+                assert np.array_equal(qbar.mass[r], one.mass[0])
 
 
 class TestFactoredLocalQ:
@@ -424,7 +408,7 @@ class TestFactoredLocalQ:
                              horizon=2, init_obs_mode="uniform_observation")
         batch = PolicyBatch.of(random_policy_for(model, (3, 3), seed=1))
         risk = lam
-        ws = SolveWorkspace(model, (3, 3))
+        ws = SolveWorkspace(model, batch)
         forward_marginals(model, batch, workspace=ws)
         with kernels.quiet_overflow():
             stage_backup(model, np.zeros((1, 8, 16, 9)), risk, ws.q_red)
@@ -441,7 +425,7 @@ class TestFactoredLocalQ:
 
         # the plan's arena holds each agent's buffers in one phase; a call
         # may allocate more on top of the largest
-        plan = ws.layout(model, batch, not is_neutral(risk))
+        plan = ws.layout(not is_neutral(risk))
         held = max(8 * sum(max(map(math.prod, entry))
                            if isinstance(entry, list) else math.prod(entry)
                            for entry in evaluation._LocalQLayout(
@@ -471,7 +455,7 @@ class TestStagePlanScratch:
         model = recycling_model(horizon=horizon)
         batch = PolicyBatch.stack(
             [random_policy_for(model, (2, 2), seed=r) for r in range(3)], 3)
-        ws = SolveWorkspace(model, (2, 2), restarts=3)
+        ws = SolveWorkspace(model, batch)
         return (self.warm_peak_kb(lambda: evaluate_exact(model, batch)),
                 self.warm_peak_kb(lambda: sweep(model, batch, 0.0, 0.3,
                                                 workspace=ws)))
@@ -490,17 +474,16 @@ class TestSolveLayout:
     @staticmethod
     def count_plans(monkeypatch):
         """The regime (tilted or not) of each solve plan built, one laid out
-        over zeta; the plans of a lone `backward` or `fold_stage` are not
-        counted."""
+        over zeta; the plans of a lone `backward` are not counted."""
         built = []
 
         class Counted(StagePlan):
             __slots__ = ()
 
-            def __init__(self, batch, tilted, *args, zeta=None, **kwargs):
+            def __init__(self, model, batch, tilted, *args, zeta=None):
                 if zeta is not None:
                     built.append(tilted)
-                super().__init__(batch, tilted, *args, zeta=zeta, **kwargs)
+                super().__init__(model, batch, tilted, *args, zeta=zeta)
 
         monkeypatch.setattr(evaluation, "StagePlan", Counted)
         return built
@@ -547,16 +530,16 @@ class TestSolveLayout:
         assert len(cuts) == len(built)
 
     def test_a_joint_policy_keeps_its_plan(self, monkeypatch):
-        """`PolicyBatch.of` wraps a JointPolicy anew on every call; the
-        workspace finds the plan of the policy's arrays, and the results
-        are those of the calls without it."""
+        """A workspace wraps its JointPolicy in a batch once, so every call
+        on it shares one plan, and the results are those of the calls
+        without it."""
         model = dectiger_model(horizon=4)
         policy = random_policy_for(model, (2, 2), seed=3)
         twin = policy.copy()
         want = [(sweep(model, twin, 0.0, 0.3).hex(),
                  evaluate_exact(model, twin).hex()) for _ in range(5)]
         built = self.count_plans(monkeypatch)
-        ws = SolveWorkspace(model, (2, 2))
+        ws = SolveWorkspace(model, policy)
         got = [(sweep(model, policy, 0.0, 0.3, workspace=ws).hex(),
                 evaluate_exact(model, policy, workspace=ws).hex())
                for _ in range(5)]
@@ -573,7 +556,7 @@ class TestSolveLayout:
         batch = PolicyBatch.stack([random_policy_for(model, (2, 3),
                                                      seed=140 + r)
                                    for r in range(3)], 3)
-        ws = SolveWorkspace(model, (2, 3), restarts=3)
+        ws = SolveWorkspace(model, batch)
         for lam in (0.7, 0.0, 0.0):
             sweep(model, batch, lam, 0.4, ordering, ws)
             got = evaluate_exact(model, batch, workspace=ws)
@@ -590,7 +573,7 @@ class TestSolveLayout:
 
         def peak_kb(evaluate):
             batch = PolicyBatch.of(policy.copy())
-            ws = SolveWorkspace(model, (3, 3))
+            ws = SolveWorkspace(model, batch)
             tracemalloc.start()
             try:
                 sweep(model, batch, 1.0, 0.3, workspace=ws)
@@ -647,12 +630,10 @@ class TestGreedyAgentUpdate:
         model = dectiger_model(horizon=3)
         policy = random_policy_for(model, (2, 2), seed=3)
         before = [tab[0].copy() for tab in policy.tables]
-        zeta_1 = forward_marginals(model, policy)[0]
-        l_next = np.zeros((model.state_count, model.joint_obs_count, 4))
+        plan = stage_plan(model, policy, lam)
         sweep(model, policy, lam, 1.0)
         for agent, tab in enumerate(policy.tables):
-            reach = averaged_local_q(model, zeta_1, policy, 1, l_next, lam,
-                                     agent).reachable
+            reach = plan.local_q(1, agent).reachable[0]
             assert reach.any() and not reach.all()
             assert tab[0][~reach].tobytes() == before[agent][~reach].tobytes()
             assert np.all(tab[0][reach].max(axis=(-2, -1)) == 1.0)
@@ -661,12 +642,11 @@ class TestGreedyAgentUpdate:
         rng = np.random.default_rng(11)
         model = random_model(rng, horizon=3)
         policy = random_policy_for(model, (2, 2), seed=12)
-        traj = forward_marginals(model, policy)
         for lam in (1e-6, 0.1, 1.0, 5.0):
-            tilted = backward_stages(model, policy, lam)
+            plan = stage_plan(model, policy, lam,
+                              backward_stages(model, policy, lam)[2])
             for agent in (0, 1):
-                qbar = averaged_local_q(model, traj[1], policy, 2,
-                                        tilted[2], lam, agent)
+                qbar = lone(plan.local_q(2, agent))
                 yi, wi, ai, zi = qbar.table.shape
                 flat_w = qbar.table.reshape(yi, wi, ai * zi)
                 flat_q = q_values(qbar, lam).reshape(yi, wi, ai * zi)
@@ -772,7 +752,7 @@ class TestBatchedSweep:
                  for r in range(3)]
         batch = PolicyBatch.stack(start, 3)
         live = np.array([True, False, True])
-        ws = SolveWorkspace(model, z_sizes, restarts=3)
+        ws = SolveWorkspace(model, batch)
         alone = [p.copy() for p in start]
         for _ in range(2):
             j = sweep(model, batch, lam, 0.4, ordering, ws, live)
@@ -812,12 +792,26 @@ class TestBatchedSweep:
         assert [t.tobytes() for t in batch.tables] == before
 
     def test_workspace_must_match_the_batch(self):
+        """Each call on a workspace refuses a copy of its policy, whose
+        arrays the plan does not view, and a model of the same shape, whose
+        P the plan would not back up with; nothing is written."""
         model = random_model(np.random.default_rng(8), horizon=2)
+        other = random_model(np.random.default_rng(9), horizon=2)
         policy = random_policy_for(model, (2, 2), seed=9)
-        for restarts, z_sizes in ((2, (2, 2)), (1, (3, 3))):
-            ws = SolveWorkspace(model, z_sizes, restarts=restarts)
-            with pytest.raises(ValueError, match="workspace holds"):
-                sweep(model, policy, 0.0, 0.5, workspace=ws)
+        ws = SolveWorkspace(model, policy)
+        calls = [lambda m, p: sweep(m, p, 0.0, 0.5, workspace=ws),
+                 lambda m, p: evaluate_exact(m, p, workspace=ws),
+                 lambda m, p: forward_marginals(m, p, workspace=ws),
+                 lambda m, p: backward(m, p, 0.5, workspace=ws)]
+        for call in calls:
+            twin = policy.copy()
+            for m, p, what in ((model, twin, "policy"),
+                               (other, policy, "model")):
+                with pytest.raises(ValueError, match="workspace was built "
+                                                     f"for another {what}"):
+                    call(m, p)
+            assert tables_bytes(twin) == tables_bytes(policy)
+        assert ws.plan is None
 
 
     @pytest.mark.parametrize("obs_counts", [(2, 2), (3, 2)])
@@ -829,8 +823,8 @@ class TestBatchedSweep:
         other = random_model(np.random.default_rng(9), horizon=2,
                              obs_counts=obs_counts)
         policy = random_policy_for(model, (2, 2), seed=9)
-        ws = SolveWorkspace(model, (2, 2))
         batch = PolicyBatch.of(policy)
+        ws = SolveWorkspace(model, batch)
         sweep(model, batch, 0.0, 0.5, workspace=ws)
         before = tables_bytes(policy)
         with pytest.raises(ValueError, match="workspace was built for "
