@@ -30,10 +30,11 @@ CSV_COLUMNS = ["env", "T", "z_sizes", "lambda0", "alpha", "anneal_sweeps",
                "seed", "ablation", "sweeps", "J_exact", "J_risk_final",
                "wall_time_ms", "peak_floats", "init_obs_mode"]
 
-# the columns of runs.csv that `render_report` reads; a CSV without one of
-# them is a ValueError
-REPORT_COLUMNS = ["env", "T", "z_sizes", "ablation", "J_exact",
-                  "wall_time_ms", "peak_floats"]
+# the columns of runs.csv that `render_report` reads, with their types; a
+# CSV without one of them, or a row whose value is missing or does not
+# convert, is a ValueError
+REPORT_COLUMNS = {"env": str, "T": int, "z_sizes": str, "ablation": str,
+                  "J_exact": float, "wall_time_ms": float, "peak_floats": int}
 
 # (risk seeking, conservative step) -> the ablation label of a solve, in
 # report-column order: no risk seeking is an untilted first sweep (lambda0
@@ -156,16 +157,13 @@ def load_model(path: str, horizon: int, init_obs: str = "dummy"):
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: error: {exc}") from None
     raw, diags = parse_dpomdp(text)
-    if raw is None:
-        raise ValueError(render_diagnostics(diags, path))
-    model, cdiags = compile_model(raw, horizon, INIT_OBS_MODES[init_obs])
-    diags = diags + cdiags
     warnings = [d for d in diags if d.severity == "warning"]
     if warnings:
         print(render_diagnostics(warnings, path), file=sys.stderr)
-    if model is None:
+    if raw is None:
         raise ValueError(render_diagnostics(
             [d for d in diags if d.severity == "error"], path))
+    model = compile_model(raw, horizon, INIT_OBS_MODES[init_obs])
     env = os.path.splitext(os.path.basename(path))[0]
     return model, env
 
@@ -269,23 +267,18 @@ def _json_line(doc: dict) -> str:
 
 
 def _sweep_task(task: dict):
-    """Worker body: one grid cell. Returns (task, row, error-or-None)."""
-    try:
-        model, env = load_model(task["model"], task["horizon"],
-                                task["init_obs"])
-    except ValueError as exc:  # load_model's messages start with the path
-        return task, None, str(exc)
+    """Worker body: one grid cell. Returns (row, error-or-None)."""
     try:
         z_sizes = task["z"]
         if isinstance(z_sizes, int):
-            z_sizes = (z_sizes,) * model.n_agents
+            z_sizes = (z_sizes,) * task["model"].n_agents
         record, _ = run_single(
-            model, env, tuple(z_sizes), task["lambda0"], task["alpha"],
-            task["anneal"], task["seed"], max_sweeps=task["max_sweeps"],
-            restarts=task["restarts"])
-        return task, record.to_row(), None
+            task["model"], task["env"], tuple(z_sizes), task["lambda0"],
+            task["alpha"], task["anneal"], task["seed"],
+            max_sweeps=task["max_sweeps"], restarts=task["restarts"])
+        return record.to_row(), None
     except (ValueError, NumericError) as exc:
-        return task, None, f"{task['model']}:0: error: {exc}"
+        return None, f"{task['path']}:0: error: {exc}"
 
 
 def cmd_sweep(args) -> int:
@@ -295,11 +288,16 @@ def cmd_sweep(args) -> int:
     except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
         print(f"{args.config}:0: error: {exc}", file=sys.stderr)
         return 2
+    try:   # each horizon's model is loaded once, before any cell runs
+        loaded = {T: load_model(cfg.model, T, cfg.init_obs)
+                  for T in dict.fromkeys(cfg.horizons)}
+    except ValueError as exc:   # load_model's diagnostics name the file
+        print(exc, file=sys.stderr)
+        return 2
     tasks = [
-        {"model": cfg.model, "horizon": T, "z": z, "lambda0": l0,
-         "alpha": a, "anneal": k1, "seed": seed,
-         "max_sweeps": cfg.max_sweeps, "restarts": cfg.restarts,
-         "init_obs": cfg.init_obs}
+        {"path": cfg.model, "model": loaded[T][0], "env": loaded[T][1],
+         "z": z, "lambda0": l0, "alpha": a, "anneal": k1, "seed": seed,
+         "max_sweeps": cfg.max_sweeps, "restarts": cfg.restarts}
         for T in cfg.horizons for z in cfg.agent_states
         for l0 in cfg.lambda0 for a in cfg.alpha
         for k1 in cfg.anneal_sweeps for seed in cfg.seeds
@@ -311,7 +309,7 @@ def cmd_sweep(args) -> int:
     else:
         outcomes = [_sweep_task(t) for t in tasks]
     rows, failures = [], 0
-    for task, row, err in outcomes:
+    for row, err in outcomes:
         if row is None:
             failures += 1
             print(err, file=sys.stderr)
@@ -362,19 +360,39 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def render_report(csv_path: str) -> str:
-    """Markdown tables: per environment, rows = T, columns = ablation x |Z|."""
+def _report_rows(csv_path: str) -> list:
+    """The rows of runs.csv, each holding its REPORT_COLUMNS values as
+    their types."""
     with open(csv_path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        rows = [r for r in reader]
-    if not rows:
+        lines = [(reader.line_num, r) for r in reader]
+    if not lines:
         raise ValueError("runs.csv has no data rows")
     missing = [c for c in REPORT_COLUMNS if c not in reader.fieldnames]
     if missing:
         raise ValueError(f"{csv_path} lacks the column(s) "
                          f"{', '.join(missing)} of runs.csv")
+    rows = []
+    for line, raw in lines:
+        row = {}
+        for col, kind in REPORT_COLUMNS.items():
+            value = raw[col]
+            if value is None:   # the row is shorter than its header
+                raise ValueError(f"{csv_path}:{line}: row lacks column {col}")
+            try:
+                row[col] = kind(value)
+            except ValueError:
+                raise ValueError(f"{csv_path}:{line}: column {col} holds "
+                                 f"{value!r}, expected {kind.__name__}"
+                                 ) from None
+        rows.append(row)
+    return rows
+
+
+def render_report(csv_path: str) -> str:
+    """Markdown tables: per environment, rows = T, columns = ablation x |Z|."""
     by_env = {}
-    for r in rows:
+    for r in _report_rows(csv_path):
         by_env.setdefault(r["env"], []).append(r)
     lines = ["# Benchmark report", ""]
     order = list(ABLATIONS.values())
@@ -382,7 +400,7 @@ def render_report(csv_path: str) -> str:
         body = by_env[env]
         lines.append(f"## {env}")
         lines.append("")
-        horizons = sorted({int(r["T"]) for r in body})
+        horizons = sorted({r["T"] for r in body})
         combos = sorted(
             {(r["ablation"], r["z_sizes"]) for r in body},
             key=lambda c: (order.index(c[0]) if c[0] in order else 99, c[1]))
@@ -392,10 +410,9 @@ def render_report(csv_path: str) -> str:
         for T in horizons:
             cells = [str(T)]
             for ab, z in combos:
-                vals = [float(r["J_exact"]) for r in body
-                        if int(r["T"]) == T and r["ablation"] == ab
-                        and r["z_sizes"] == z
-                        and np.isfinite(float(r["J_exact"]))]
+                vals = [r["J_exact"] for r in body
+                        if r["T"] == T and r["ablation"] == ab
+                        and r["z_sizes"] == z and np.isfinite(r["J_exact"])]
                 cells.append(f"{max(vals):.2f}" if vals else "-")
             lines.append("| " + " | ".join(cells) + " |")
         lines.append("")
@@ -404,10 +421,8 @@ def render_report(csv_path: str) -> str:
         lines.append("| T | wall_time_ms (mean ± std) | peak_floats |")
         lines.append("|---|---|---|")
         for T in horizons:
-            wt = np.array([float(r["wall_time_ms"]) for r in body
-                           if int(r["T"]) == T])
-            pf = sorted({int(r["peak_floats"]) for r in body
-                         if int(r["T"]) == T})
+            wt = np.array([r["wall_time_ms"] for r in body if r["T"] == T])
+            pf = sorted({r["peak_floats"] for r in body if r["T"] == T})
             std = wt.std(ddof=1) if wt.size > 1 else 0.0
             pf_text = ", ".join(str(p) for p in pf)
             lines.append(f"| {T} | {wt.mean():.1f} ± {std:.1f} | {pf_text} |")

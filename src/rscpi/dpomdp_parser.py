@@ -9,17 +9,18 @@ whitespace-separated tokens (or a single `*`). `R:` lines are single-valued
 only: `R: ja : s : s' : y' : value`.
 
 Pattern slots accept declared names, integer indices, and `*`. The parser
-resolves and range-checks each pattern once and stores it as an index array
-(joint actions and joint observations as flat mixed-radix indices, agent 1
-the most significant digit); `compile_tables` only writes those cells.
-Entries apply in strict file order with last-write-wins. `values: cost`
-negates rewards. Comments start at `#`. The start distribution is
-renormalized at parse time when it sums to within `START_ATOL` of 1.
+resolves and range-checks each pattern once (joint actions and joint
+observations as flat mixed-radix indices, agent 1 the most significant
+digit) and writes the entry's cells straight into the dense T, O and R, in
+strict file order with last-write-wins. Once the file is read, `values:
+cost` negates rewards and the T and O rows go through the tolerance ladder.
+Comments start at `#`. The start distribution is renormalized at parse
+time when it sums to within `START_ATOL` of 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,55 +44,23 @@ class ParseDiagnostic:
 
 
 @dataclass
-class KernelEntry:
-    """One T: or O: statement, its patterns resolved to index arrays.
-
-    Both kernels read as (joint action, row, column) tables: rows are s for
-    T and s' for O, columns s' for T and the joint observation for O.
-    """
-
-    line: int
-    ja: np.ndarray           # joint actions
-    kind: str                # single | row | matrix | uniform | identity
-    rows: np.ndarray         # rows set (every row for matrix and keywords)
-    cols: np.ndarray = None  # columns set by the single form
-    values: object = None    # float, (k,) row, or (rows, k) matrix
-
-
-@dataclass
-class RewardEntry:
-    """One R: statement, its patterns resolved to index arrays."""
-
-    line: int
-    ja: np.ndarray
-    s: np.ndarray
-    sp: np.ndarray
-    obs: np.ndarray
-    value: float
-
-
-@dataclass
 class RawDpomdpFile:
     agent_count: int
     discount: float
-    value_kind: str
     state_names: list
     action_names: list       # per agent
     observation_names: list  # per agent
     start_distribution: np.ndarray   # renormalized
-    transition_entries: list = field(default_factory=list)
-    observation_entries: list = field(default_factory=list)
-    reward_entries: list = field(default_factory=list)
+    T: np.ndarray            # (S, A, S'), rows normalized
+    O: np.ndarray            # (A, S', Y), rows normalized
+    R: np.ndarray            # (A, S, S', Y), costs negated
 
 
 def parse_dpomdp(text: str):
-    """Tokenize, validate and resolve every pattern to indices; returns
-    (RawDpomdpFile or None, diagnostics)."""
+    """Tokenize, validate and write every entry into the dense tables;
+    returns (RawDpomdpFile, or None on any error, diagnostics)."""
     parser = _Parser(text)
-    raw = parser.run()
-    if any(d.severity == "error" for d in parser.diags):
-        return None, parser.diags
-    return raw, parser.diags
+    return parser.run(), parser.diags
 
 
 class _Parser:
@@ -110,14 +79,14 @@ class _Parser:
         self.actions = None
         self.observations = None
         self.start = None
-        self.start_line = 0
-        self.t_entries = []
-        self.o_entries = []
-        self.r_entries = []
+        self.T = None            # the tables, allocated by the first entry
         self.seen = set()
 
     def error(self, line, msg):
         self.diags.append(ParseDiagnostic(line, "error", msg))
+
+    def warn(self, line, msg):
+        self.diags.append(ParseDiagnostic(line, "warning", msg))
 
     def peek(self):
         return self.lines[self.pos] if self.pos < len(self.lines) else None
@@ -229,7 +198,6 @@ class _Parser:
         if self.states is None:
             self.error(lineno, "start requires 'states' first")
             return
-        self.start_line = lineno
         toks = rest.split()
         if not toks:
             item = self.peek()
@@ -237,7 +205,6 @@ class _Parser:
                 self.error(lineno, "start has no distribution")
                 return
             lineno, body = self.take()
-            self.start_line = lineno
             toks = body.split()
         if toks == ["uniform"]:
             self.start = np.full(len(self.states), 1.0 / len(self.states))
@@ -269,7 +236,21 @@ class _Parser:
         if missing:
             self.error(lineno, f"{kind} entry before {missing[0]} declaration")
             return False
+        if self.T is None:   # the declarations can no longer change
+            self._allocate_tables()
         return True
+
+    def _allocate_tables(self):
+        """Zero T (S,A,S'), O (A,S',Y), R (A,S,S',Y) and the line that last
+        set each T row (s, a) and O row (a, s')."""
+        S = len(self.states)
+        A = int(np.prod([len(x) for x in self.actions]))
+        Y = int(np.prod([len(x) for x in self.observations]))
+        self.T = np.zeros((S, A, S))
+        self.O = np.zeros((A, S, Y))
+        self.R = np.zeros((A, S, S, Y))
+        self.t_line = np.zeros((S, A), dtype=np.int64)
+        self.o_line = np.zeros((A, S), dtype=np.int64)
 
     def _joint_tokens(self, lineno, part, names_per_agent, what):
         """Resolve a joint pattern to flat joint indices, or None on error."""
@@ -338,12 +319,15 @@ class _Parser:
             out[k] = row
         return out
 
-    def _kernel_entry(self, lineno, rest, cols, obs_form):
-        """Shared T:/O: statement parser; the row slot is a state."""
+    def _kernel_entry(self, lineno, rest, table, lines, obs_form):
+        """Shared T:/O: statement: writes its cells into a (joint action,
+        row, column) table, the row slot a state, and stamps its line on
+        every row it sets."""
         parts = [p.strip() for p in rest.split(":")]
         ja = self._joint_tokens(lineno, parts[0], self.actions, "joint action")
         if ja is None:
-            return None
+            return
+        n_rows, cols = table.shape[1:]
         n_parts = len(parts)
         if n_parts >= 4:
             # O resolves its joint observation before the arity check
@@ -351,10 +335,10 @@ class _Parser:
                                      "joint observation") if obs_form else None
             if n_parts != 4:
                 self.error(lineno, "malformed entry")
-                return None
+                return
             if obs_form:
                 if col is None:
-                    return None
+                    return
                 p = self._float(lineno, parts[3])
                 row = None if p is None else self._slot(
                     lineno, parts[1], self.states, "state")
@@ -364,56 +348,63 @@ class _Parser:
                     lineno, parts[2], self.states, "state")
                 p = None if col is None else self._float(lineno, parts[3])
             if row is None or p is None:
-                return None
-            return KernelEntry(lineno, ja, "single", row, col, p)
+                return
+            lines[np.ix_(ja, row)] = lineno
+            table[np.ix_(ja, row, col)] = p
+            return
         if n_parts == 3:
             rows = self._slot(lineno, parts[1], self.states, "state")
             if rows is None:
-                return None
+                return
             if parts[2]:
-                row = self._float_row(lineno, parts[2].split(), cols)
+                values = self._float_row(lineno, parts[2].split(), cols)
             else:
                 item = self.peek()
                 if item is None:
                     self.error(lineno, "row form needs a following line")
-                    return None
+                    return
                 ln, body = self.take()
-                row = self._float_row(ln, body.split(), cols)
-            if row is None:
-                return None
-            return KernelEntry(lineno, ja, "row", rows, values=row)
-        # matrix or keyword: `T: ja : kw`, `T: ja :` + lines, `T: ja` + lines
-        every_row = np.arange(len(self.states))
-        kw = parts[1] if n_parts == 2 and parts[1] else None
-        if kw is None:
-            item = self.peek()
-            if item is not None and item[1] in ("uniform", "identity"):
-                kw = self.take()[1]
-        if kw is not None:
-            if kw not in ("uniform", "identity"):
+                values = self._float_row(ln, body.split(), cols)
+            if values is None:
+                return
+            cells = np.ix_(ja, rows)
+        else:
+            # matrix or keyword: `T: ja : kw`, `T: ja :` + lines, `T: ja` + lines
+            kw = parts[1] if n_parts == 2 and parts[1] else None
+            if kw is None:
+                item = self.peek()
+                if item is not None and item[1] in ("uniform", "identity"):
+                    kw = self.take()[1]
+            if kw == "uniform":
+                values = 1.0 / cols
+            elif kw == "identity":
+                if n_rows != cols:   # only O can be non-square
+                    self.error(lineno, f"identity observation kernel needs "
+                                       f"|Y|={cols} equal to |S|={n_rows}")
+                    return
+                values = np.eye(n_rows)
+            elif kw is not None:
                 self.error(lineno, f"malformed entry '{kw}'")
-                return None
-            return KernelEntry(lineno, ja, kw, every_row)
-        mat = self._take_matrix(lineno, len(self.states), cols)
-        if mat is None:
-            return None
-        return KernelEntry(lineno, ja, "matrix", every_row, values=mat)
+                return
+            else:
+                values = self._take_matrix(lineno, n_rows, cols)
+                if values is None:
+                    return
+            cells = ja   # every row
+        lines[cells] = lineno
+        table[cells] = values
 
     def _on_t(self, lineno, rest):
-        if not self._ready_for_entries(lineno, "T"):
-            return
-        entry = self._kernel_entry(lineno, rest, len(self.states),
-                                   obs_form=False)
-        if entry is not None:
-            self.t_entries.append(entry)
+        if self._ready_for_entries(lineno, "T"):
+            # T written through its (A, S, S') view, so both kernels are
+            # (joint action, row, column) tables
+            self._kernel_entry(lineno, rest, self.T.transpose(1, 0, 2),
+                               self.t_line.T, obs_form=False)
 
     def _on_o(self, lineno, rest):
-        if not self._ready_for_entries(lineno, "O"):
-            return
-        cols = int(np.prod([len(x) for x in self.observations]))
-        entry = self._kernel_entry(lineno, rest, cols, obs_form=True)
-        if entry is not None:
-            self.o_entries.append(entry)
+        if self._ready_for_entries(lineno, "O"):
+            self._kernel_entry(lineno, rest, self.O, self.o_line,
+                               obs_form=True)
 
     def _on_r(self, lineno, rest):
         if not self._ready_for_entries(lineno, "R"):
@@ -436,7 +427,10 @@ class _Parser:
         val = self._float(lineno, parts[4], "reward")
         if val is None:
             return
-        self.r_entries.append(RewardEntry(lineno, ja, s, sp, obs, val))
+        self.R[np.ix_(ja, s, sp, obs)] = val + 0.0   # -0.0 as +0.0
+
+    def _failed(self):
+        return any(d.severity == "error" for d in self.diags)
 
     def _finish(self):
         for key, val in (("agents", self.agent_count), ("states", self.states),
@@ -444,8 +438,22 @@ class _Parser:
                          ("observations", self.observations)):
             if val is None:
                 self.error(0, f"missing '{key}' declaration")
-        if any(d.severity == "error" for d in self.diags):
+        if self._failed():
             return None
+        if self.T is None:   # a file without entries
+            self._allocate_tables()
+        if self.value_kind == "cost":
+            # unset cells stay +0.0, as a re-parse holds them
+            self.R = 0.0 - self.R
+        self._normalize_rows(self.T, self.t_line, "T",
+                             lambda i, j: f"(s={i}, a={j})")
+        self._normalize_rows(self.O, self.o_line, "O",
+                             lambda i, j: f"(a={i}, s'={j})")
+        if self._failed():
+            return None
+        if self.discount != 1.0:
+            self.warn(0, f"discount {self.discount:g} recorded but ignored; "
+                         "the objective is undiscounted")
         start = self.start
         if start is None:
             start = np.full(len(self.states), 1.0 / len(self.states))
@@ -454,13 +462,31 @@ class _Parser:
             start = start / total
         return RawDpomdpFile(
             agent_count=self.agent_count, discount=self.discount,
-            value_kind=self.value_kind, state_names=self.states,
-            action_names=self.actions, observation_names=self.observations,
-            start_distribution=start,
-            transition_entries=self.t_entries,
-            observation_entries=self.o_entries,
-            reward_entries=self.r_entries,
+            state_names=self.states, action_names=self.actions,
+            observation_names=self.observations, start_distribution=start,
+            T=self.T, O=self.O, R=self.R,
         )
+
+    def _normalize_rows(self, table, lines, label, describe):
+        """The tolerance ladder on every row of a table whose last axis is
+        the row's, `lines` holding the line that last set each row."""
+        rows = table.reshape(-1, table.shape[-1])
+        sums = rows.sum(axis=1)
+        dev = np.abs(sums - 1.0)
+        negative = (rows < 0).any(axis=1)
+        for k in np.nonzero((dev > ROW_EXACT) | negative)[0]:
+            idx = np.unravel_index(k, lines.shape)
+            line = int(lines[idx])
+            where = f"{label} row {describe(*idx)}"
+            if negative[k]:
+                self.error(line, f"{where} has a negative probability")
+            elif dev[k] > ROW_WARN:
+                self.error(line, f"{where} sums to {sums[k]:.12g}")
+            else:
+                if dev[k] > ROW_SILENT:
+                    self.warn(line,
+                              f"{where} sums to {sums[k]:.12g}; renormalized")
+                rows[k] /= sums[k]
 
 
 def _is_int(tok: str) -> bool:
@@ -475,97 +501,11 @@ def _is_number(tok: str) -> bool:
         return False
 
 
-def compile_tables(raw: RawDpomdpFile):
-    """Write the entries, in file order, into dense T (S,A,S'), O (A,S',Y)
-    and R (A,S,S',Y).
-
-    Returns (T, O, R, diagnostics); rows are renormalized per the tolerance
-    ladder, errors leave the tables unusable (caller checks diagnostics).
-    """
-    diags = []
-    S = len(raw.state_names)
-    A = int(np.prod([len(x) for x in raw.action_names]))
-    Y = int(np.prod([len(x) for x in raw.observation_names]))
-    T = np.zeros((S, A, S))
-    O = np.zeros((A, S, Y))
-    R = np.zeros((A, S, S, Y))
-    t_line = np.zeros((S, A), dtype=np.int64)
-    o_line = np.zeros((A, S), dtype=np.int64)
-    # T filled through its (A, S, S') view, so both are (ja, row, col) tables
-    for e in raw.transition_entries:
-        _fill(T.transpose(1, 0, 2), t_line.T, e, diags)
-    for e in raw.observation_entries:
-        _fill(O, o_line, e, diags)
-    for e in raw.reward_entries:
-        R[np.ix_(e.ja, e.s, e.sp, e.obs)] = e.value + 0.0   # -0.0 as +0.0
-    if raw.value_kind == "cost":
-        R = 0.0 - R     # unset cells stay +0.0, as a re-parse holds them
-    _normalize_rows(T, t_line, "T", lambda i, j: f"(s={i}, a={j})", diags)
-    _normalize_rows(O, o_line, "O", lambda i, j: f"(a={i}, s'={j})", diags)
-    return T, O, R, diags
-
-
-def _fill(table, lines, e, diags):
-    """Write one T:/O: entry into a (joint action, row, column) table and
-    stamp its line on every row it sets."""
-    rows, cols = table.shape[1:]
-    if e.kind == "identity" and rows != cols:   # only O can be non-square
-        diags.append(ParseDiagnostic(
-            e.line, "error",
-            f"identity observation kernel needs |Y|={cols} equal to |S|={rows}"))
-        return
-    if e.kind == "uniform":
-        values = 1.0 / cols
-    elif e.kind == "identity":
-        values = np.eye(rows)
-    else:
-        values = e.values
-    cells = np.ix_(e.ja, e.rows)
-    lines[cells] = e.line
-    if e.cols is not None:
-        cells = np.ix_(e.ja, e.rows, e.cols)
-    table[cells] = values
-
-
-def _normalize_rows(table, lines, label, describe, diags):
-    rows = table.reshape(-1, table.shape[-1])
-    lines_flat = lines.reshape(-1)
-    sums = rows.sum(axis=1)
-    dev = np.abs(sums - 1.0)
-    negative = (rows < 0).any(axis=1)
-    for k in np.nonzero((dev > ROW_EXACT) | negative)[0]:
-        idx = np.unravel_index(k, lines.shape)
-        where = describe(*idx)
-        if negative[k]:
-            diags.append(ParseDiagnostic(
-                int(lines_flat[k]), "error",
-                f"{label} row {where} has a negative probability"))
-        elif dev[k] > ROW_WARN:
-            diags.append(ParseDiagnostic(
-                int(lines_flat[k]), "error",
-                f"{label} row {where} sums to {sums[k]:.12g}"))
-        elif dev[k] > ROW_SILENT:
-            diags.append(ParseDiagnostic(
-                int(lines_flat[k]), "warning",
-                f"{label} row {where} sums to {sums[k]:.12g}; renormalized"))
-            rows[k] /= sums[k]
-        else:
-            rows[k] /= sums[k]
-
-
 def compile_model(raw: RawDpomdpFile, horizon: int,
-                  init_obs_mode: str = "dummy_observation"):
-    """Materialize a DecPomdpModel; returns (model or None, diagnostics)."""
-    T, O, R, diags = compile_tables(raw)
-    if any(d.severity == "error" for d in diags):
-        return None, diags
-    if raw.discount != 1.0:
-        diags.append(ParseDiagnostic(
-            0, "warning",
-            f"discount {raw.discount:g} recorded but ignored; "
-            "the objective is undiscounted"))
-    r = np.einsum("sap,apy,aspy->sa", T, O, R)
-    P = np.einsum("sap,apy->sapy", T, O)
+                  init_obs_mode: str = "dummy_observation") -> DecPomdpModel:
+    """Materialize the DecPomdpModel of a parsed file's tables."""
+    r = np.einsum("sap,apy,aspy->sa", raw.T, raw.O, raw.R)
+    P = np.einsum("sap,apy->sapy", raw.T, raw.O)
     obs_counts = tuple(len(x) for x in raw.observation_names)
     zeta1, aug_counts = make_initial_distribution(
         raw.start_distribution, obs_counts, init_obs_mode)
@@ -574,7 +514,7 @@ def compile_model(raw: RawDpomdpFile, horizon: int,
         P = pad_dynamics_for_dummy(P, obs_counts)
         for names in obs_names:
             names.append("null")
-    model = DecPomdpModel(
+    return DecPomdpModel(
         n_agents=raw.agent_count,
         state_count=len(raw.state_names),
         action_counts=tuple(len(x) for x in raw.action_names),
@@ -589,7 +529,6 @@ def compile_model(raw: RawDpomdpFile, horizon: int,
         init_obs_mode=init_obs_mode,
         discount=raw.discount,
     )
-    return model, diags
 
 
 def render_diagnostics(diags, filename: str) -> str:

@@ -140,9 +140,7 @@ def load_text(text: str, horizon: int,
               init_obs_mode: str = "dummy_observation") -> DecPomdpModel:
     raw, diags = parse_dpomdp(text)
     assert raw is not None, [d.message for d in diags]
-    model, cdiags = compile_model(raw, horizon, init_obs_mode)
-    assert model is not None, [d.message for d in cdiags]
-    return model
+    return compile_model(raw, horizon, init_obs_mode)
 
 
 def dectiger_model(horizon: int,

@@ -163,8 +163,7 @@ def test_04_mars_rovers_band():
 
     raw, diags = parse_dpomdp(MARS_PATH.read_text())
     assert raw is not None, [d.render("mars.dpomdp") for d in diags]
-    model, cdiags = compile_model(raw, horizon=6)
-    assert model is not None, [d.render("mars.dpomdp") for d in cdiags]
+    model = compile_model(raw, horizon=6)
     best = -np.inf
     runs = ((b, cell, i) for b in range(4) for cell in GRID
             for i in range(5))

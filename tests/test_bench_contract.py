@@ -20,8 +20,9 @@ from _benchmarks import dectiger_model, random_policy_for
 from rscpi import kernels
 
 ROOT = Path(__file__).resolve().parents[1]
-REMOVED = ["DeterministicAgentSlice", "FiniteMdp", "RiskParameter",
-           "averaged_local_q", "certainty_equivalent", "check_stage",
+REMOVED = ["DeterministicAgentSlice", "FiniteMdp", "KernelEntry",
+           "RewardEntry", "RiskParameter", "averaged_local_q",
+           "certainty_equivalent", "check_stage", "compile_tables",
            "fold_stage", "risk_policy_evaluation_mdp",
            "risk_value_iteration", "serialize_canonical",
            "weighted_logmeanexp"]
@@ -200,3 +201,4 @@ class TestBenchmarkContract:
             assert name not in rscpi.__all__
             assert not hasattr(rscpi, name)
             assert not hasattr(rscpi.evaluation, name)
+            assert not hasattr(rscpi.dpomdp_parser, name)

@@ -517,11 +517,13 @@ class TestSweep:
         assert code == 2 and "error:" in err
 
     def test_all_cells_failing_exits_2(self, capsys, tmp_path):
-        path = self.write_config(tmp_path,
-                                 model=str(tmp_path / "ghost.dpomdp"))
+        """A model that does not load fails the grid before any cell runs:
+        its diagnostic is printed once, for all eight cells."""
+        ghost = tmp_path / "ghost.dpomdp"
+        path = self.write_config(tmp_path, model=str(ghost))
         code, _, err = run_cli(capsys, "sweep", str(path))
         assert code == 2
-        assert "every grid cell failed" in err
+        assert err.splitlines() == [f"{ghost}: error: model file not found"]
         assert not (tmp_path / "runs.csv").exists()
 
     def test_failed_cell_location_printed_once(self, capsys, tmp_path):
@@ -530,9 +532,22 @@ class TestSweep:
                                  seeds=[0], alpha=[1.0])
         code, _, err = run_cli(capsys, "sweep", str(path))
         assert code == 2
-        cell, last = err.splitlines()
-        assert cell.startswith(".: error: ") and cell.count("error:") == 1
-        assert last == "error: every grid cell failed"
+        [line] = err.splitlines()
+        assert line.startswith(".: error: ") and line.count("error:") == 1
+
+    def test_each_horizon_loads_once(self, capsys, tmp_path):
+        """A model's warnings print once per horizon, not once per cell."""
+        model = tmp_path / "tiger.dpomdp"
+        model.write_text(dectiger_text().replace("discount: 1.0",
+                                                 "discount: 0.9"))
+        path = self.write_config(tmp_path, model=str(model), horizons=[1, 2],
+                                 lambda0=[1.0], alpha=[1.0],
+                                 seeds=[0, 1, 2, 3], max_sweeps=2)
+        code, out, err = run_cli(capsys, "sweep", str(path))
+        assert code == 0 and json.loads(out)["rows"] == 8
+        assert err.splitlines() == 2 * [
+            f"{model}:0: warning: discount 0.9 recorded but ignored; "
+            "the objective is undiscounted"]
 
     def test_solver_error_gets_the_model_prefix(self, capsys, tmp_path):
         path = self.write_config(tmp_path, alpha=[1.5], lambda0=[0.0],
@@ -671,6 +686,25 @@ class TestReport:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         missing = [c for c in REPORT_COLUMNS if c not in header]
         assert missing and f"column(s) {', '.join(missing)} " in err
+
+    def test_short_row_names_its_line_and_column(self, capsys, tmp_path):
+        """csv fills a row shorter than its header with None; the report
+        names the row instead of failing on float(None)."""
+        path = self.write_csv(tmp_path, [self.record_row(),
+                                         ["matrix-game", "1"]])
+        code, out, err = run_cli(capsys, "report", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}:3: row lacks column z_sizes\n"
+
+    def test_mistyped_value_names_its_line_and_column(self, capsys,
+                                                      tmp_path):
+        row = self.record_row()
+        row[CSV_COLUMNS.index("T")] = "abc"
+        path = self.write_csv(tmp_path, [row])
+        code, out, err = run_cli(capsys, "report", str(path))
+        assert code == 2 and out == ""
+        assert err == (f"error: {path}:2: column T holds 'abc', "
+                       "expected int\n")
 
     def test_the_written_schema_renders(self, tmp_path):
         """Every column the report reads is one that solve and sweep

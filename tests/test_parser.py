@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from _benchmarks import dectiger_text, recycling_text
 from rscpi.bench_cli import load_model
 from rscpi.dpomdp_parser import (ParseDiagnostic, compile_model,
-                                 compile_tables, parse_dpomdp,
-                                 render_diagnostics)
-from rscpi.model import JointIndexer
+                                 parse_dpomdp, render_diagnostics)
+from rscpi.model import DecPomdpModel, JointIndexer
 
 
 def full_file(*extra, discount="1.0", values="reward", start="0.5 0.5"):
@@ -45,19 +44,25 @@ def parse_ok(text):
     return raw
 
 
+def tables(raw):
+    return raw.T, raw.O, raw.R
+
+
 def tables_ok(text):
-    T, O, R, diags = compile_tables(parse_ok(text))
-    assert not any(d.severity == "error" for d in diags), \
-        [d.message for d in diags]
-    return T, O, R
+    return tables(parse_ok(text))
+
+
+def parse_errors(text):
+    """The error messages of a file the parser refuses."""
+    raw, diags = parse_dpomdp(text)
+    assert raw is None
+    return messages(diags, "error")
 
 
 def serialize_canonical(raw) -> str:
     """A parsed file in single-entry form with exact float text, the round
-    trip's tool: its re-parse compiles to the same table bytes."""
-    T, O, R, diags = compile_tables(raw)
-    if any(d.severity == "error" for d in diags):
-        raise ValueError("cannot serialize a file with table errors")
+    trip's tool: its re-parse holds the same table bytes."""
+    T, O, R = tables(raw)
     n = raw.agent_count
     obs = JointIndexer(len(x) for x in raw.observation_names)
     act = JointIndexer(len(x) for x in raw.action_names)
@@ -123,7 +128,7 @@ class TestPreamble:
         given = np.array([0.5, 0.5000001])
         np.testing.assert_array_equal(raw.start_distribution,
                                       given / given.sum())
-        model, _ = compile_model(raw, horizon=2)
+        model = compile_model(raw, horizon=2)
         assert model.zeta1.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_duplicate_preamble_key(self):
@@ -308,62 +313,77 @@ class TestEntryErrors:
         # widen the joint observation space to 4 > |S| = 2
         text = full_file("O: * : identity").replace(
             "observations:\n2\n1", "observations:\n2\n2")
-        raw = parse_ok(text)
-        _, _, _, diags = compile_tables(raw)
         assert any("identity observation kernel" in m
-                   for m in messages(diags, "error"))
+                   for m in parse_errors(text))
 
     def test_negative_probability_row(self):
-        raw = parse_ok(full_file("T: 0 0 : 0 : -0.5 1.5"))
-        _, _, _, diags = compile_tables(raw)
-        assert any("negative probability" in m
-                   for m in messages(diags, "error"))
+        errors = parse_errors(full_file("T: 0 0 : 0 : -0.5 1.5"))
+        assert any("negative probability" in m for m in errors)
 
     def test_missing_coverage_is_a_sum_error(self):
         lines = full_file().splitlines()
         lines.remove("T: * : uniform")
-        raw = parse_ok("\n".join(lines) + "\n")
-        _, _, _, diags = compile_tables(raw)
-        assert any("T row" in m and "sums to 0" in m
-                   for m in messages(diags, "error"))
+        errors = parse_errors("\n".join(lines) + "\n")
+        assert any("T row" in m and "sums to 0" in m for m in errors)
+
+    def test_entry_and_preamble_errors_reported_together(self):
+        """An entry's own error reports with the file's other errors: the
+        identity shape error and a later duplicate key, in line order."""
+        text = full_file("O: * : identity", "states: 2").replace(
+            "observations:\n2\n1", "observations:\n2\n2")
+        raw, diags = parse_dpomdp(text)
+        assert raw is None
+        assert [(d.line_number, d.severity) for d in diags] == [
+            (15, "error"), (16, "error")]
+        assert diags[0].message.startswith("identity observation kernel")
+        assert diags[1].message == "duplicate preamble key 'states'"
 
 
 class TestNormalizationLadder:
     def test_tiny_deviation_renormalizes_silently(self):
-        raw = parse_ok(full_file("T: 0 0 : 0 : 0.6 0.4000005"))
-        T, _, _, diags = compile_tables(raw)
+        raw, diags = parse_dpomdp(full_file("T: 0 0 : 0 : 0.6 0.4000005"))
+        T = raw.T
         assert diags == []
         assert T[0, 0].sum() == pytest.approx(1.0, abs=1e-12)
         assert T[0, 0, 0] == pytest.approx(0.6 / 1.0000005, abs=1e-15)
 
     def test_moderate_deviation_warns_and_renormalizes(self):
-        raw = parse_ok(full_file("T: 0 0 : 0 : 0.6 0.40005"))
-        T, _, _, diags = compile_tables(raw)
+        raw, diags = parse_dpomdp(full_file("T: 0 0 : 0 : 0.6 0.40005"))
+        T = raw.T
         warnings = messages(diags, "warning")
         assert len(warnings) == 1
         assert "T row (s=0, a=0) sums to 1.00005; renormalized" in warnings[0]
         assert T[0, 0].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_large_deviation_is_an_error(self):
-        raw = parse_ok(full_file("T: 0 0 : 0 : 0.6 0.405"))
-        _, _, _, diags = compile_tables(raw)
+        raw, diags = parse_dpomdp(full_file("T: 0 0 : 0 : 0.6 0.405"))
         assert any("T row (s=0, a=0) sums to 1.005" in m
                    for m in messages(diags, "error"))
-        model, _ = compile_model(raw, horizon=2)
-        assert model is None
+        assert raw is None   # nothing to compile
+
+    def test_load_model_prints_the_warning_and_raises_the_error(
+            self, capsys, tmp_path):
+        path = tmp_path / "ladder.dpomdp"
+        path.write_text(full_file("T: 0 0 : 0 : 0.6 0.40005",
+                                  "T: 0 1 : 0 : 0.6 0.405"))
+        with pytest.raises(ValueError) as exc:
+            load_model(str(path), 2)
+        assert str(exc.value) == (
+            f"{path}:16: error: T row (s=0, a=1) sums to 1.005")
+        assert capsys.readouterr().err == (
+            f"{path}:15: warning: T row (s=0, a=0) sums to 1.00005; "
+            "renormalized\n")
 
     def test_exact_rows_kept_bitwise(self):
         row = np.array([0.3, 0.7])
-        raw = parse_ok(full_file("T: 0 0 : 0 : 0.3 0.7"))
-        T, _, _, _ = compile_tables(raw)
+        T = parse_ok(full_file("T: 0 0 : 0 : 0.3 0.7")).T
         assert np.array_equal(T[0, 0], row)
 
 
 class TestCompileModel:
     def test_dectiger_dummy_mode_dimensions(self):
         raw = parse_ok(dectiger_text())
-        model, diags = compile_model(raw, horizon=3)
-        assert messages(diags, "error") == []
+        model = compile_model(raw, horizon=3)
         assert model.obs_counts == (3, 3)
         assert model.obs_names[0][-1] == "null"
         assert model.P.shape == (2, 9, 2, 9)
@@ -372,20 +392,20 @@ class TestCompileModel:
 
     def test_dectiger_uniform_mode_dimensions(self):
         raw = parse_ok(dectiger_text())
-        model, _ = compile_model(raw, horizon=3,
-                                 init_obs_mode="uniform_observation")
+        model = compile_model(raw, horizon=3,
+                              init_obs_mode="uniform_observation")
         assert model.obs_counts == (2, 2)
         assert model.P.shape == (2, 9, 2, 4)
 
     def test_joint_rows_normalized(self):
         for text in (dectiger_text(), recycling_text(), full_file()):
-            model, _ = compile_model(parse_ok(text), horizon=2)
+            model = compile_model(parse_ok(text), horizon=2)
             np.testing.assert_allclose(model.P.sum(axis=(2, 3)), 1.0,
                                        atol=1e-9)
 
     def test_dectiger_rewards(self):
         raw = parse_ok(dectiger_text())
-        model, _ = compile_model(raw, horizon=3)
+        model = compile_model(raw, horizon=3)
         ix = JointIndexer((3, 3))
         listen = ix.encode((0, 0))
         both_left = ix.encode((1, 1))
@@ -401,8 +421,8 @@ class TestCompileModel:
             "O: 0 0 : 0 : 0 0 : 0.3", "O: 0 0 : 0 : 1 0 : 0.7",
             "R: 0 0 : 0 : 0 : 0 0 : 10", "R: 0 0 : 0 : 0 : 1 0 : -10",
         ]
-        model, _ = compile_model(parse_ok("\n".join(lines)), horizon=1,
-                                 init_obs_mode="uniform_observation")
+        model = compile_model(parse_ok("\n".join(lines)), horizon=1,
+                              init_obs_mode="uniform_observation")
         assert model.r[0, 0] == pytest.approx(0.3 * 10 - 0.7 * 10, abs=1e-12)
 
     def test_reward_matches_triple_sum_oracle(self):
@@ -425,8 +445,8 @@ class TestCompileModel:
                 for y in range(2):
                     lines.append(f"R: 0 0 : {s} : {sp} : {y} 0 : "
                                  f"{float(R_vals[s, sp, y])!r}")
-        model, _ = compile_model(parse_ok("\n".join(lines)), horizon=1,
-                                 init_obs_mode="uniform_observation")
+        model = compile_model(parse_ok("\n".join(lines)), horizon=1,
+                              init_obs_mode="uniform_observation")
         for s in range(S):
             want = sum(T_rows[s, sp] * O_rows[sp, y] * R_vals[s, sp, y]
                        for sp in range(S) for y in range(2))
@@ -437,26 +457,24 @@ class TestCompileModel:
                         T_rows[s, sp] * O_rows[sp, y], abs=1e-15)
 
     def test_cost_files_negate_rewards(self):
-        model, _ = compile_model(parse_ok(full_file(values="cost")),
-                                 horizon=1)
+        model = compile_model(parse_ok(full_file(values="cost")), horizon=1)
         np.testing.assert_allclose(model.r, -1.0, atol=1e-12)
 
     def test_discount_recorded_but_ignored_with_warning(self):
-        model, diags = compile_model(parse_ok(full_file(discount="0.9")),
-                                     horizon=2)
-        assert model.discount == 0.9
+        raw, diags = parse_dpomdp(full_file(discount="0.9"))
+        assert compile_model(raw, horizon=2).discount == 0.9
         assert any("discount 0.9 recorded but ignored" in m
                    for m in messages(diags, "warning"))
 
     def test_dummy_null_never_emitted(self):
-        model, _ = compile_model(parse_ok(dectiger_text()), horizon=2)
+        model = compile_model(parse_ok(dectiger_text()), horizon=2)
         ix = JointIndexer((3, 3))
         for y in range(9):
             if 2 in ix.decode(y):
                 assert np.all(model.P[:, :, :, y] == 0.0)
 
     def test_recycling_reward_spot_checks(self):
-        model, _ = compile_model(parse_ok(recycling_text()), horizon=2)
+        model = compile_model(parse_ok(recycling_text()), horizon=2)
         ix = JointIndexer((3, 3))
         hh, ll = 0, 3
         assert model.r[hh, ix.encode((0, 0))] == pytest.approx(5.0)
@@ -477,9 +495,7 @@ class TestSerializeCanonical:
         raw1 = parse_ok(text)
         canon = serialize_canonical(raw1)
         raw2 = parse_ok(canon)
-        t1 = compile_tables(raw1)[:3]
-        t2 = compile_tables(raw2)[:3]
-        for a, b in zip(t1, t2):
+        for a, b in zip(tables(raw1), tables(raw2)):
             assert a.tobytes() == b.tobytes()
         assert serialize_canonical(raw2) == canon
 
@@ -490,7 +506,7 @@ class TestSerializeCanonical:
             "R: * : * : * : * : 1.0", "R: 0 1 : * : 1 : * : 2.5")
         raw1 = parse_ok(text)
         raw2 = parse_ok(serialize_canonical(raw1))
-        R1, R2 = compile_tables(raw1)[2], compile_tables(raw2)[2]
+        R1, R2 = raw1.R, raw2.R
         assert np.count_nonzero(R1) == 4   # one joint action, s and y free
         assert R1.tobytes() == R2.tobytes()
         assert not np.signbit(R1[R1 == 0.0]).any()
@@ -501,9 +517,10 @@ class TestSerializeCanonical:
         np.testing.assert_array_equal(raw2.start_distribution, [0.25, 0.75])
 
     def test_refuses_broken_tables(self):
-        raw = parse_ok(full_file("T: 0 0 : 0 : 0.6 0.405"))
-        with pytest.raises(ValueError, match="cannot serialize"):
-            serialize_canonical(raw)
+        """A file whose tables break the ladder parses to nothing, so there
+        is nothing to serialize."""
+        errors = parse_errors(full_file("T: 0 0 : 0 : 0.6 0.405"))
+        assert any("sums to 1.005" in m for m in errors)
 
 
 class TestDiagnostics:
@@ -582,7 +599,7 @@ def mutated_bundled_file(draw):
 
 class TestMutatedFilesFuzz:
     """Malformed model text yields diagnostics, never an exception; a file
-    that parses and serializes round-trips bitwise."""
+    that parses compiles, and round-trips bitwise."""
 
     @given(text=mutated_bundled_file())
     @example(text=BUNDLED["dectiger.dpomdp"].replace("agents: 2",
@@ -598,20 +615,12 @@ class TestMutatedFilesFuzz:
         assert (raw is None) == any(d.severity == "error" for d in diags)
         if raw is not None:
             for horizon in (1, 3):
-                model, cdiags = compile_model(raw, horizon)
-                assert all(isinstance(d, ParseDiagnostic) for d in cdiags)
-                if model is None:
-                    assert any(d.severity == "error" for d in cdiags)
-            try:
-                canon = serialize_canonical(raw)
-            except ValueError:
-                canon = None
-            if canon is not None:
-                raw2 = parse_ok(canon)
-                for a, b in zip(compile_tables(raw)[:3],
-                                compile_tables(raw2)[:3]):
-                    assert np.array_equal(a, b)
-                assert serialize_canonical(raw2) == canon
+                assert isinstance(compile_model(raw, horizon), DecPomdpModel)
+            canon = serialize_canonical(raw)
+            raw2 = parse_ok(canon)
+            for a, b in zip(tables(raw), tables(raw2)):
+                assert np.array_equal(a, b)
+            assert serialize_canonical(raw2) == canon
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "fuzz.dpomdp")
             with open(path, "w", encoding="utf-8") as fh:
