@@ -9,8 +9,7 @@ from .dpomdp_parser import ParseDiagnostic, compile_model, parse_dpomdp
 from .evaluation import (AveragedLocalQ, NumericError, backward,
                          evaluate_exact, evaluate_risk, forward_marginals,
                          rollout_monte_carlo)
-from .model import (DecPomdpModel, JointIndexer, make_initial_distribution,
-                    matrix_game_model)
+from .model import DecPomdpModel, make_initial_distribution, matrix_game_model
 from .policy import (JointPolicy, dump_policy, mix_policies,
                      policy_from_json, policy_to_json, random_policy)
 from .solver import (SolveResult, SolverConfig, greedy_agent_update, rscpi,
@@ -19,7 +18,7 @@ from .solver import (SolveResult, SolverConfig, greedy_agent_update, rscpi,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AveragedLocalQ", "DecPomdpModel", "JointIndexer", "JointPolicy",
+    "AveragedLocalQ", "DecPomdpModel", "JointPolicy",
     "NumericError", "ParseDiagnostic", "SolveResult", "SolverConfig",
     "backward",
     "compile_model", "dump_policy", "evaluate_exact", "evaluate_risk",

@@ -444,11 +444,10 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_model_flags(p, with_horizon_default=None):
+def _add_model_flags(p):
     p.add_argument("--model", required=True,
                    help=".dpomdp path or the 'matrix-game' fixture")
-    p.add_argument("--horizon", type=int, required=with_horizon_default is None,
-                   default=with_horizon_default)
+    p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--init-obs", choices=list(INIT_OBS_MODES),
                    default="dummy")
 

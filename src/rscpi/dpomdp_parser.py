@@ -15,11 +15,14 @@ digit) and writes the entry's cells straight into the dense T, O and R, in
 strict file order with last-write-wins. Once the file is read, `values:
 cost` negates rewards and the T and O rows go through the tolerance ladder.
 Comments start at `#`. The start distribution is renormalized at parse
-time when it sums to within `START_ATOL` of 1.
+time when it sums to within `START_ATOL` of 1. A count above
+`MAX_TABLE_CELLS`, a `states` count whose square is above it, and sizes
+whose R table is larger are refused before their names or tables are built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +34,7 @@ ROW_EXACT = 1e-12      # keep row bits as parsed below this deviation
 ROW_SILENT = 1e-6      # renormalize silently up to here
 ROW_WARN = 1e-4        # renormalize with a warning up to here, error beyond
 START_ATOL = 1e-6
+MAX_TABLE_CELLS = 2**28   # 2 GiB of float64; Mars rovers' R is ~1.5e8 cells
 
 
 @dataclass
@@ -153,14 +157,18 @@ class _Parser:
         self.value_kind = kind
 
     def _on_states(self, lineno, rest):
-        self.states = self._name_list(lineno, rest, "s")
+        self.states = self._name_list(lineno, rest, "s",
+                                      math.isqrt(MAX_TABLE_CELLS))
 
-    def _name_list(self, lineno, rest, prefix):
+    def _name_list(self, lineno, rest, prefix, limit=MAX_TABLE_CELLS):
         toks = rest.split()
         if len(toks) == 1 and toks[0].isdigit():
             n = int(toks[0])
             if n < 1:
                 self.error(lineno, "count must be positive")
+                return None
+            if n > limit:
+                self.error(lineno, f"count {n} is above the limit of {limit}")
                 return None
             return [f"{prefix}{k}" for k in range(n)]
         if not toks:
@@ -237,20 +245,28 @@ class _Parser:
             self.error(lineno, f"{kind} entry before {missing[0]} declaration")
             return False
         if self.T is None:   # the declarations can no longer change
-            self._allocate_tables()
+            return self._allocate_tables(lineno)
         return True
 
-    def _allocate_tables(self):
+    def _allocate_tables(self, lineno):
         """Zero T (S,A,S'), O (A,S',Y), R (A,S,S',Y) and the line that last
-        set each T row (s, a) and O row (a, s')."""
+        set each T row (s, a) and O row (a, s'); or refuse, at lineno, an R
+        above MAX_TABLE_CELLS and skip the rest, which needs the tables."""
         S = len(self.states)
-        A = int(np.prod([len(x) for x in self.actions]))
-        Y = int(np.prod([len(x) for x in self.observations]))
+        A = math.prod(len(x) for x in self.actions)
+        Y = math.prod(len(x) for x in self.observations)
+        if A * S * S * Y > MAX_TABLE_CELLS:
+            self.error(lineno, f"the declared sizes need an R table of "
+                               f"{A * S * S * Y} cells, above the limit of "
+                               f"{MAX_TABLE_CELLS}")
+            self.pos = len(self.lines)
+            return False
         self.T = np.zeros((S, A, S))
         self.O = np.zeros((A, S, Y))
         self.R = np.zeros((A, S, S, Y))
         self.t_line = np.zeros((S, A), dtype=np.int64)
         self.o_line = np.zeros((A, S), dtype=np.int64)
+        return True
 
     def _joint_tokens(self, lineno, part, names_per_agent, what):
         """Resolve a joint pattern to flat joint indices, or None on error."""
@@ -440,8 +456,8 @@ class _Parser:
                 self.error(0, f"missing '{key}' declaration")
         if self._failed():
             return None
-        if self.T is None:   # a file without entries
-            self._allocate_tables()
+        if self.T is None and not self._allocate_tables(0):   # no entries
+            return None
         if self.value_kind == "cost":
             # unset cells stay +0.0, as a re-parse holds them
             self.R = 0.0 - self.R

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .model import DecPomdpModel, JointIndexer, is_int
+from .model import DecPomdpModel, is_int
 from .policy import JointPolicy, PolicyBatch
 
 ZERO_THRESHOLD = 1e-9
@@ -92,12 +92,6 @@ def joint_phi(policy: JointPolicy) -> np.ndarray:
     for p in policy.phi:
         out = (out[..., :, None] * p[..., None, :]).reshape(lead + (-1,))
     return out
-
-
-def joint_components(sizes):
-    """Per-agent component lookup arrays for a flat joint index."""
-    idx = JointIndexer(sizes)
-    return [idx.component(i) for i in range(len(idx.sizes))]
 
 
 def check_fit(model: DecPomdpModel, policy: JointPolicy, z_sizes=None,
@@ -795,7 +789,7 @@ def rollout_monte_carlo(model: DecPomdpModel, policy: JointPolicy,
     S, Y = model.state_count, model.joint_obs_count
     A, T = model.joint_action_count, model.horizon
     SA = S * A
-    y_comps = joint_components(model.obs_counts)
+    y_comps = np.unravel_index(np.arange(Y), model.obs_counts)
     a_sizes, z_sizes = model.action_counts, policy.agent_state_sizes
     zeta_cdf = _cdf_columns(model.zeta1.reshape(1, -1))
     phi_cdfs = [_cdf_columns(p.reshape(1, -1)) for p in policy.phi]

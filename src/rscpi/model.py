@@ -1,4 +1,4 @@
-"""Core Dec-POMDP data model and joint-space indexing.
+"""Core Dec-POMDP data model.
 
 Axis conventions used everywhere in this package (dense, float64, row-major):
 
@@ -7,8 +7,9 @@ Axis conventions used everywhere in this package (dense, float64, row-major):
     zeta1  (S, Y)           initial joint distribution over (state, observation)
 
 where A = prod |A^i| and Y = prod |Y^i| are flat joint indices in row-major
-agent order (agent 1 is the most significant digit). JointIndexer converts
-between joint tuples and flat indices.
+agent order (agent 1 is the most significant digit), numpy's C order:
+np.ravel_multi_index and np.unravel_index convert between joint tuples and
+flat indices.
 """
 
 from __future__ import annotations
@@ -26,43 +27,6 @@ def is_int(value, lo=None) -> bool:
     return (isinstance(value, (int, np.integer))
             and not isinstance(value, bool)
             and (lo is None or bool(value >= lo)))
-
-
-class JointIndexer:
-    """Mixed-radix bijection between per-agent index tuples and flat indices."""
-
-    def __init__(self, sizes):
-        self.sizes = tuple(int(n) for n in sizes)
-        if any(n <= 0 for n in self.sizes):
-            raise ValueError("all sizes must be positive")
-        self.size = 1
-        for n in self.sizes:
-            self.size *= n
-
-    def encode(self, parts) -> int:
-        parts = tuple(parts)
-        if len(parts) != len(self.sizes):
-            raise ValueError("wrong tuple length")
-        flat = 0
-        for p, n in zip(parts, self.sizes):
-            if not 0 <= p < n:
-                raise ValueError(f"component {p} out of range [0, {n})")
-            flat = flat * n + p
-        return flat
-
-    def decode(self, flat: int):
-        if not 0 <= flat < self.size:
-            raise ValueError(f"flat index {flat} out of range [0, {self.size})")
-        parts = []
-        for n in reversed(self.sizes):
-            parts.append(flat % n)
-            flat //= n
-        return tuple(reversed(parts))
-
-    def component(self, i: int) -> np.ndarray:
-        """Array c with c[flat] = agent i's component of the decoded tuple."""
-        grid = np.indices(self.sizes)[i]
-        return grid.reshape(-1).astype(np.int64)
 
 
 @dataclass
@@ -148,10 +112,8 @@ def make_initial_distribution(start, obs_counts, mode="dummy_observation"):
     S = start.size
     if mode == "dummy_observation":
         new_counts = tuple(n + 1 for n in obs_counts)
-        Y = int(np.prod(new_counts))
-        zeta1 = np.zeros((S, Y))
-        y_null = JointIndexer(new_counts).encode(tuple(n - 1 for n in new_counts))
-        zeta1[:, y_null] = start
+        zeta1 = np.zeros((S, math.prod(new_counts)))
+        zeta1[:, -1] = start   # every null is its agent's last symbol
         return zeta1, new_counts
     if mode == "uniform_observation":
         Y = int(np.prod(obs_counts))
@@ -165,14 +127,9 @@ def pad_dynamics_for_dummy(P, obs_counts):
 
     The null symbols are never emitted after t=1: padded cells stay zero.
     """
-    S, A, S2, Y = P.shape
-    obs_counts = tuple(int(n) for n in obs_counts)
-    new_counts = tuple(n + 1 for n in obs_counts)
-    src = P.reshape((S, A, S2) + obs_counts)
-    out = np.zeros((S, A, S2) + new_counts)
-    sl = (slice(None), slice(None), slice(None)) + tuple(slice(0, n) for n in obs_counts)
-    out[sl] = src
-    return out.reshape(S, A, S2, int(np.prod(new_counts)))
+    padded = np.pad(P.reshape(P.shape[:3] + tuple(obs_counts)),
+                    [(0, 0)] * 3 + [(0, 1)] * len(obs_counts))
+    return padded.reshape(P.shape[:3] + (-1,))
 
 
 def matrix_game_model(payoffs, horizon=1) -> DecPomdpModel:

@@ -476,13 +476,6 @@ def update_agent_at_incumbent(plan, t, agent, alpha, live):
     return qbar
 
 
-def action_indexer(model):
-    """The mixed-radix indexer of a model's flat joint actions."""
-    from rscpi.model import JointIndexer
-
-    return JointIndexer(model.action_counts)
-
-
 def agent_components(sizes):
     """Per-agent component of every flat joint index, row-major agent order."""
     import numpy as np

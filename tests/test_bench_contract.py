@@ -8,6 +8,8 @@ breaks either fails here first.
 """
 
 import importlib.util
+import json
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -20,12 +22,14 @@ from _benchmarks import dectiger_model, random_policy_for
 from rscpi import kernels
 
 ROOT = Path(__file__).resolve().parents[1]
-REMOVED = ["DeterministicAgentSlice", "FiniteMdp", "KernelEntry",
-           "RewardEntry", "RiskParameter", "averaged_local_q",
+REMOVED = ["DeterministicAgentSlice", "FiniteMdp", "JointIndexer",
+           "KernelEntry", "RewardEntry", "RiskParameter", "averaged_local_q",
            "certainty_equivalent", "check_stage", "compile_tables",
-           "fold_stage", "risk_policy_evaluation_mdp",
+           "fold_stage", "joint_components", "risk_policy_evaluation_mdp",
            "risk_value_iteration", "serialize_canonical",
            "weighted_logmeanexp"]
+WORKLOADS = ["dectiger-t6", "recycling-t100", "synthetic-large",
+             "policy-eval"]
 # per-layer rows of the benchmark that a solve must keep reaching
 SOLVE_LAYERS = ["solver.sweep", "solver.greedy_agent_update",
                 "policy.mix_policies", "evaluation.forward_marginals",
@@ -142,8 +146,20 @@ class TestBenchmarkContract:
         for name in SETUP_LAYERS:
             assert summary[f"{name}.calls"] > 0, name
 
-    @pytest.mark.parametrize("workload", ["dectiger-t6", "recycling-t100",
-                                          "synthetic-large", "policy-eval"])
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_setup_probe_runs_in_a_fresh_interpreter(self, workload):
+        """The benchmark times its set-up in child interpreters and stops
+        with exit code 2 ("set-up probe failed") when one exits nonzero or
+        prints no setup_s."""
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--setup-probe",
+             "--workload", workload, "--seed", "0"],
+            capture_output=True, text=True, timeout=120, cwd=ROOT)
+        assert proc.returncode == 0, proc.stderr
+        last = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert last["setup_s"] > 0
+
+    @pytest.mark.parametrize("workload", WORKLOADS)
     def test_seed_zero_passes_the_reference_gate(self, monkeypatch,
                                                  workload):
         """The benchmark refuses a run whose seed-0 J leaves its reference
@@ -202,3 +218,4 @@ class TestBenchmarkContract:
             assert not hasattr(rscpi, name)
             assert not hasattr(rscpi.evaluation, name)
             assert not hasattr(rscpi.dpomdp_parser, name)
+            assert not hasattr(rscpi.model, name)

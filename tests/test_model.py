@@ -1,13 +1,11 @@
-"""Model construction, joint indexing, and initial-distribution tests."""
-
-import itertools
+"""Model construction, null-observation padding and initial-distribution
+tests."""
 
 import numpy as np
 import pytest
 
 from _benchmarks import dectiger_model, deterministic_policy, random_model
-from oracles import action_indexer
-from rscpi.model import (DecPomdpModel, JointIndexer, is_int,
+from rscpi.model import (DecPomdpModel, is_int,
                          make_initial_distribution, matrix_game_model,
                          pad_dynamics_for_dummy)
 
@@ -23,56 +21,21 @@ def test_is_int(value, lo, ok):
     assert is_int(value, lo) is ok
 
 
-class TestJointIndexer:
-    def test_round_trip_exhaustive(self):
-        # several radix mixes, largest just under a million joint indices
-        for sizes in [(2,), (3, 4), (2, 3, 5), (7, 11, 13), (99, 101)]:
-            ix = JointIndexer(sizes)
-            assert ix.size == np.prod(sizes)
-            for flat in range(ix.size):
-                assert ix.encode(ix.decode(flat)) == flat
-            # and the tuple-side round trip on a full sweep of small cases
-            if ix.size <= 1000:
-                for parts in itertools.product(*[range(n) for n in sizes]):
-                    assert ix.decode(ix.encode(parts)) == parts
-
-    def test_row_major_agent_order(self):
-        ix = JointIndexer((2, 3))
-        assert ix.encode((0, 0)) == 0
-        assert ix.encode((0, 2)) == 2
-        assert ix.encode((1, 0)) == 3  # agent 1 is the most significant digit
-        assert ix.decode(5) == (1, 2)
-
-    def test_component_arrays(self):
-        ix = JointIndexer((2, 3))
-        c0, c1 = ix.component(0), ix.component(1)
-        for flat in range(ix.size):
-            parts = ix.decode(flat)
-            assert c0[flat] == parts[0]
-            assert c1[flat] == parts[1]
-
-    def test_range_errors(self):
-        ix = JointIndexer((2, 2))
-        with pytest.raises(ValueError):
-            ix.encode((2, 0))
-        with pytest.raises(ValueError):
-            ix.decode(4)
-        with pytest.raises(ValueError):
-            JointIndexer((2, 0))
-
-
 class TestMakeInitialDistribution:
     def test_point_mass_dummy_single_cell(self):
-        zeta1, counts = make_initial_distribution([1.0, 0.0], (2, 2))
-        assert counts == (3, 3)
-        assert zeta1.shape == (2, 9)
-        assert zeta1.sum() == 1.0
-        nz = np.argwhere(zeta1)
-        assert len(nz) == 1
-        s, y = nz[0]
-        assert zeta1[s, y] == 1.0
-        assert s == 0
-        assert JointIndexer(counts).decode(y) == (2, 2)  # the appended nulls
+        for obs_counts in [(2, 2), (2, 3, 1)]:
+            zeta1, counts = make_initial_distribution([1.0, 0.0], obs_counts)
+            assert counts == tuple(n + 1 for n in obs_counts)
+            assert zeta1.shape == (2, np.prod(counts))
+            assert zeta1.sum() == 1.0
+            nz = np.argwhere(zeta1)
+            assert len(nz) == 1
+            s, y = nz[0]
+            assert zeta1[s, y] == 1.0
+            assert s == 0
+            assert y == zeta1.shape[1] - 1   # the last flat index
+            # every agent on its appended null
+            assert np.unravel_index(y, counts) == obs_counts
 
     def test_uniform_mode_product_cells(self):
         zeta1, counts = make_initial_distribution(
@@ -112,15 +75,18 @@ class TestPadDynamics:
     def test_null_symbols_never_emitted(self):
         rng = np.random.default_rng(1)
         S, A = 2, 4
-        P = rng.dirichlet(np.ones(S * 4), size=(S, A)).reshape(S, A, S, 4)
-        out = pad_dynamics_for_dummy(P, (2, 2))
-        assert out.shape == (S, A, S, 9)
-        np.testing.assert_allclose(out.sum(axis=(2, 3)), 1.0, atol=1e-12)
-        ix = JointIndexer((3, 3))
-        for y in range(9):
-            parts = ix.decode(y)
-            if 2 in parts:  # any null component
-                assert np.all(out[:, :, :, y] == 0.0)
+        for obs_counts in [(2, 2), (2, 3, 1)]:
+            Y = np.prod(obs_counts)
+            P = rng.dirichlet(np.ones(S * Y), size=(S, A)).reshape(S, A, S, Y)
+            out = pad_dynamics_for_dummy(P, obs_counts)
+            counts = tuple(n + 1 for n in obs_counts)
+            assert out.shape == (S, A, S, np.prod(counts))
+            np.testing.assert_allclose(out.sum(axis=(2, 3)), 1.0, atol=1e-12)
+            parts = np.unravel_index(np.arange(out.shape[3]), counts)
+            null = np.any([c == n for c, n in zip(parts, obs_counts)], axis=0)
+            assert np.all(out[..., null] == 0.0)
+            # every other cell is P's, in order and bit for bit
+            np.testing.assert_array_equal(out[..., ~null], P)
 
 
 class TestDecPomdpModel:
@@ -188,11 +154,10 @@ class TestMatrixGame:
         assert model.state_count == 1
         assert model.action_counts == (2, 2)
         assert model.obs_counts == (1, 1)
-        ix = action_indexer(model)
-        assert model.r[0, ix.encode((0, 0))] == 2.0
-        assert model.r[0, ix.encode((0, 1))] == -10.0
-        assert model.r[0, ix.encode((1, 0))] == -10.0
-        assert model.r[0, ix.encode((1, 1))] == 6.0
+        for picks, payoff in [((0, 0), 2.0), ((0, 1), -10.0),
+                              ((1, 0), -10.0), ((1, 1), 6.0)]:
+            a = np.ravel_multi_index(picks, model.action_counts)
+            assert model.r[0, a] == payoff
 
     def test_zero_payoffs_evaluate_to_zero(self):
         from rscpi.evaluation import evaluate_exact

@@ -10,10 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _benchmarks import dectiger_text, recycling_text
-from rscpi.bench_cli import load_model
-from rscpi.dpomdp_parser import (ParseDiagnostic, compile_model,
-                                 parse_dpomdp, render_diagnostics)
-from rscpi.model import DecPomdpModel, JointIndexer
+from rscpi.bench_cli import load_model, main
+from rscpi.dpomdp_parser import (MAX_TABLE_CELLS, ParseDiagnostic,
+                                 compile_model, parse_dpomdp,
+                                 render_diagnostics)
+from rscpi.model import DecPomdpModel
 
 
 def full_file(*extra, discount="1.0", values="reward", start="0.5 0.5"):
@@ -64,8 +65,12 @@ def serialize_canonical(raw) -> str:
     trip's tool: its re-parse holds the same table bytes."""
     T, O, R = tables(raw)
     n = raw.agent_count
-    obs = JointIndexer(len(x) for x in raw.observation_names)
-    act = JointIndexer(len(x) for x in raw.action_names)
+    act = tuple(len(x) for x in raw.action_names)
+    obs = tuple(len(x) for x in raw.observation_names)
+
+    def joint(flat, sizes):
+        return " ".join(str(c) for c in np.unravel_index(flat, sizes))
+
     out = [f"agents: {n}", f"discount: {raw.discount!r}", "values: reward",
            "states: " + " ".join(raw.state_names), "actions:"]
     out += [" ".join(names) for names in raw.action_names]
@@ -74,15 +79,13 @@ def serialize_canonical(raw) -> str:
     out.append("start:")
     out.append(" ".join(repr(float(v)) for v in raw.start_distribution))
     for (s, a, sp) in zip(*np.nonzero(T)):
-        ja = " ".join(str(c) for c in act.decode(a))
+        ja = joint(a, act)
         out.append(f"T: {ja} : {s} : {sp} : {float(T[s, a, sp])!r}")
     for (a, sp, y) in zip(*np.nonzero(O)):
-        ja = " ".join(str(c) for c in act.decode(a))
-        jo = " ".join(str(c) for c in obs.decode(y))
+        ja, jo = joint(a, act), joint(y, obs)
         out.append(f"O: {ja} : {sp} : {jo} : {float(O[a, sp, y])!r}")
     for (a, s, sp, y) in zip(*np.nonzero(R)):
-        ja = " ".join(str(c) for c in act.decode(a))
-        jo = " ".join(str(c) for c in obs.decode(y))
+        ja, jo = joint(a, act), joint(y, obs)
         out.append(f"R: {ja} : {s} : {sp} : {jo} : {float(R[a, s, sp, y])!r}")
     return "\n".join(out) + "\n"
 
@@ -244,21 +247,20 @@ class TestEntryForms:
             "R: 0 * 1 : * : 1 : 0 1 * : 7.5",
         ]) + "\n"
         T, O, R = tables_ok(text)
-        act = JointIndexer((2, 3, 2))
-        obs = JointIndexer((1, 2, 3))
+        act, obs = (2, 3, 2), (1, 2, 3)
         want_T = np.full((2, 12, 2), 0.5)
         want_O = np.full((12, 2, 6), 1.0 / 6.0)
         want_R = np.zeros((12, 2, 2, 6))
         for k in range(3):
-            want_T[0, act.encode((1, k, 0))] = [0.25, 0.75]
+            want_T[0, np.ravel_multi_index((1, k, 0), act)] = [0.25, 0.75]
             for m in range(3):
-                want_R[act.encode((0, k, 1)), :, 1,
-                       obs.encode((0, 1, m))] = 7.5
+                want_R[np.ravel_multi_index((0, k, 1), act), :, 1,
+                       np.ravel_multi_index((0, 1, m), obs)] = 7.5
         for j in range(2):
-            a = act.encode((j, 2, 1))
+            a = np.ravel_multi_index((j, 2, 1), act)
             want_O[a, 1] = 0.0
             for k in range(2):
-                want_O[a, 1, obs.encode((0, k, 2))] = 0.5
+                want_O[a, 1, np.ravel_multi_index((0, k, 2), obs)] = 0.5
         np.testing.assert_array_equal(T, want_T)
         np.testing.assert_array_equal(O, want_O)
         np.testing.assert_array_equal(R, want_R)
@@ -339,6 +341,66 @@ class TestEntryErrors:
         assert diags[1].message == "duplicate preamble key 'states'"
 
 
+# 10^4 states pass the count checks (10^8 cells <= MAX_TABLE_CELLS), but the
+# (2, 2) actions and observations give R 4 * 10^8 * 4 cells
+OVERSIZED = "\n".join([
+    "agents: 2", "states: 10000", "actions:", "2", "2", "observations:",
+    "2", "2", "T: * : uniform", "O: * : uniform",
+]) + "\n"
+
+
+class TestSizeLimits:
+    """A declared size is refused before its names or tables are built;
+    no test here allocates a large array."""
+
+    def test_huge_states_count_refused_at_its_line(self):
+        raw, diags = parse_dpomdp("agents: 2\nstates: 100000000000\n")
+        assert raw is None
+        assert [(d.line_number, d.message) for d in diags][0] == (
+            2, "count 100000000000 is above the limit of 16384")
+
+    def test_states_limit_is_the_square_root(self):
+        assert 16384 ** 2 == MAX_TABLE_CELLS
+        _, diags = parse_dpomdp("agents: 1\nstates: 16384\n")
+        assert all(d.line_number != 2 for d in diags)
+        _, diags = parse_dpomdp("agents: 1\nstates: 16385\n")
+        assert diags[0].line_number == 2
+
+    def test_huge_per_agent_count_refused_at_its_line(self):
+        raw, diags = parse_dpomdp(
+            f"agents: 2\nactions:\n2\n{MAX_TABLE_CELLS + 1}\n")
+        assert raw is None
+        assert diags[0].line_number == 4
+        assert diags[0].message.startswith(
+            f"count {MAX_TABLE_CELLS + 1} is above the limit")
+
+    def test_table_size_refused_once_at_the_first_entry(self):
+        raw, diags = parse_dpomdp(OVERSIZED)
+        assert raw is None
+        assert [(d.line_number, d.message) for d in diags] == [
+            (9, "the declared sizes need an R table of 1600000000 cells, "
+                f"above the limit of {MAX_TABLE_CELLS}")]
+
+    def test_table_size_refused_without_entries(self):
+        raw, diags = parse_dpomdp(OVERSIZED.split("T:")[0])
+        assert raw is None
+        assert [d.line_number for d in diags] == [0]
+        assert "1600000000 cells" in diags[0].message
+
+    def test_load_model_raises_and_solve_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "big.dpomdp"
+        path.write_text(OVERSIZED)
+        with pytest.raises(ValueError) as exc:
+            load_model(str(path), 2)
+        assert str(exc.value).startswith(f"{path}:9: error: ")
+        code = main(["solve", "--model", str(path), "--horizon", "2",
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"{path}:9: error: the declared sizes need")
+        assert not (tmp_path / "out").exists()
+
+
 class TestNormalizationLadder:
     def test_tiny_deviation_renormalizes_silently(self):
         raw, diags = parse_dpomdp(full_file("T: 0 0 : 0 : 0.6 0.4000005"))
@@ -406,9 +468,8 @@ class TestCompileModel:
     def test_dectiger_rewards(self):
         raw = parse_ok(dectiger_text())
         model = compile_model(raw, horizon=3)
-        ix = JointIndexer((3, 3))
-        listen = ix.encode((0, 0))
-        both_left = ix.encode((1, 1))
+        listen = np.ravel_multi_index((0, 0), (3, 3))
+        both_left = np.ravel_multi_index((1, 1), (3, 3))
         np.testing.assert_allclose(model.r[:, listen], -2.0, atol=1e-12)
         assert model.r[0, both_left] == pytest.approx(-50.0, abs=1e-12)
         assert model.r[1, both_left] == pytest.approx(20.0, abs=1e-12)
@@ -468,19 +529,18 @@ class TestCompileModel:
 
     def test_dummy_null_never_emitted(self):
         model = compile_model(parse_ok(dectiger_text()), horizon=2)
-        ix = JointIndexer((3, 3))
-        for y in range(9):
-            if 2 in ix.decode(y):
-                assert np.all(model.P[:, :, :, y] == 0.0)
+        y1, y2 = np.unravel_index(np.arange(9), (3, 3))
+        null = (y1 == 2) | (y2 == 2)   # either agent on its appended null
+        assert np.all(model.P[..., null] == 0.0)
 
     def test_recycling_reward_spot_checks(self):
         model = compile_model(parse_ok(recycling_text()), horizon=2)
-        ix = JointIndexer((3, 3))
+        a00, a11, a22 = np.ravel_multi_index(([0, 1, 2], [0, 1, 2]), (3, 3))
         hh, ll = 0, 3
-        assert model.r[hh, ix.encode((0, 0))] == pytest.approx(5.0)
-        assert model.r[hh, ix.encode((1, 1))] == pytest.approx(4.0)
-        assert model.r[ll, ix.encode((0, 0))] == pytest.approx(-3.0)
-        assert model.r[hh, ix.encode((2, 2))] == pytest.approx(0.0)
+        assert model.r[hh, a00] == pytest.approx(5.0)
+        assert model.r[hh, a11] == pytest.approx(4.0)
+        assert model.r[ll, a00] == pytest.approx(-3.0)
+        assert model.r[hh, a22] == pytest.approx(0.0)
 
 
 class TestSerializeCanonical:

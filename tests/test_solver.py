@@ -10,16 +10,15 @@ import pytest
 from _benchmarks import (dectiger_model, deterministic_policy,
                          fully_observed_model, random_model, random_policy_for,
                          recycling_model)
-from oracles import (averaged_local_q_flat, backward_stages,
-                     logmeanexp_direct, q_values, risk_vi_reference,
-                     stage_plan, update_agent_at_incumbent,
-                     weighted_logmeanexp)
+from oracles import (agent_components, averaged_local_q_flat,
+                     backward_stages, logmeanexp_direct, q_values,
+                     risk_vi_reference, stage_plan,
+                     update_agent_at_incumbent, weighted_logmeanexp)
 from rscpi import evaluation, kernels, solver
 from rscpi.evaluation import (AveragedLocalQ, NumericError, SolveWorkspace,
                               StagePlan, aggregate_initial, backward,
                               evaluate_exact, evaluate_risk,
-                              forward_marginals, is_neutral,
-                              joint_components, stage_backup)
+                              forward_marginals, is_neutral, stage_backup)
 from rscpi.model import matrix_game_model
 from rscpi.policy import JointPolicy, PolicyBatch, mix_policies, random_policy
 from rscpi.solver import SolverConfig, greedy_agent_update, rscpi, sweep
@@ -264,8 +263,8 @@ class TestAveragedLocalQ:
         traj = forward_marginals(model, policy)
         qbar = lone(stage_plan(model, policy, 0.0,
                                np.zeros((2, 9, 4))).local_q(2, 0))
-        y_comp = joint_components(model.obs_counts)[0]
-        w_comp = joint_components((2, 2))[0]
+        y_comp = agent_components(model.obs_counts)[0]
+        w_comp = agent_components((2, 2))[0]
         want = np.zeros((3, 2))
         flat = traj[1].sum(axis=0)
         for y in range(9):
@@ -883,8 +882,8 @@ class TestFixpoints:
     def reachable_rows(self, model, policy, t, agent):
         """Mask of (y_i, w_i) cells with positive pre-sweep marginal mass."""
         traj = forward_marginals(model, policy)
-        y_comp = joint_components(model.obs_counts)[agent]
-        w_comp = joint_components(policy.agent_state_sizes)[agent]
+        y_comp = agent_components(model.obs_counts)[agent]
+        w_comp = agent_components(policy.agent_state_sizes)[agent]
         yi = model.obs_counts[agent]
         wi = policy.agent_state_sizes[agent]
         mass = np.zeros((yi, wi))
