@@ -15,9 +15,10 @@ digit) and writes the entry's cells straight into the dense T, O and R, in
 strict file order with last-write-wins. Once the file is read, `values:
 cost` negates rewards and the T and O rows go through the tolerance ladder.
 Comments start at `#`. The start distribution is renormalized at parse
-time when it sums to within `START_ATOL` of 1. A count above
-`MAX_TABLE_CELLS`, a `states` count whose square is above it, and sizes
-whose R table is larger are refused before their names or tables are built.
+time when it sums to within `START_ATOL` of 1. A declared count above
+`MAX_COUNT`, and sizes whose R table or null-padded P table is above
+`MAX_TABLE_CELLS`, are refused before their names or tables are built; a
+digit token's length is checked before `int()` reads it.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ ROW_SILENT = 1e-6      # renormalize silently up to here
 ROW_WARN = 1e-4        # renormalize with a warning up to here, error beyond
 START_ATOL = 1e-6
 MAX_TABLE_CELLS = 2**28   # 2 GiB of float64; Mars rovers' R is ~1.5e8 cells
+MAX_COUNT = math.isqrt(MAX_TABLE_CELLS)   # 16384, so that S^2 fits
 
 
 @dataclass
@@ -131,14 +133,8 @@ class _Parser:
     # ---- preamble -------------------------------------------------------
 
     def _on_agents(self, lineno, rest):
-        toks = rest.split()
-        if len(toks) == 1 and toks[0].isdigit():
-            self.agent_count = int(toks[0])
-        elif toks:
-            self.agent_count = len(toks)
-        if not self.agent_count:
-            self.error(lineno, "agents must declare a positive count")
-            self.agent_count = None
+        names = self._name_list(lineno, rest, "agent")
+        self.agent_count = None if names is None else len(names)
 
     def _on_discount(self, lineno, rest):
         val = self._float(lineno, rest.strip(), "discount")
@@ -157,18 +153,18 @@ class _Parser:
         self.value_kind = kind
 
     def _on_states(self, lineno, rest):
-        self.states = self._name_list(lineno, rest, "s",
-                                      math.isqrt(MAX_TABLE_CELLS))
+        self.states = self._name_list(lineno, rest, "s")
 
-    def _name_list(self, lineno, rest, prefix, limit=MAX_TABLE_CELLS):
+    def _name_list(self, lineno, rest, prefix):
         toks = rest.split()
-        if len(toks) == 1 and toks[0].isdigit():
-            n = int(toks[0])
+        if len(toks) == 1 and toks[0].isdecimal():
+            n = _bounded_int(toks[0], MAX_COUNT)
+            if n is None:
+                self.error(lineno, f"count {_shown(toks[0])} is above the "
+                                   f"limit of {MAX_COUNT}")
+                return None
             if n < 1:
                 self.error(lineno, "count must be positive")
-                return None
-            if n > limit:
-                self.error(lineno, f"count {n} is above the limit of {limit}")
                 return None
             return [f"{prefix}{k}" for k in range(n)]
         if not toks:
@@ -251,16 +247,23 @@ class _Parser:
     def _allocate_tables(self, lineno):
         """Zero T (S,A,S'), O (A,S',Y), R (A,S,S',Y) and the line that last
         set each T row (s, a) and O row (a, s'); or refuse, at lineno, an R
-        above MAX_TABLE_CELLS and skip the rest, which needs the tables."""
+        or a P padded by one null observation per agent (as `compile_model`
+        pads it) above MAX_TABLE_CELLS and skip the rest, which needs the
+        tables."""
         S = len(self.states)
         A = math.prod(len(x) for x in self.actions)
         Y = math.prod(len(x) for x in self.observations)
-        if A * S * S * Y > MAX_TABLE_CELLS:
-            self.error(lineno, f"the declared sizes need an R table of "
-                               f"{A * S * S * Y} cells, above the limit of "
-                               f"{MAX_TABLE_CELLS}")
-            self.pos = len(self.lines)
-            return False
+        padded = math.prod(len(x) + 1 for x in self.observations)
+        for table, cells in (("an R", A * S * S * Y),
+                             ("a padded P", A * S * S * padded)):
+            if cells > MAX_TABLE_CELLS:
+                shown = (cells if cells.bit_length() <= 64
+                         else f"over 2**{cells.bit_length() - 1}")
+                self.error(lineno, f"the declared sizes need {table} table "
+                                   f"of {shown} cells, above the limit of "
+                                   f"{MAX_TABLE_CELLS}")
+                self.pos = len(self.lines)
+                return False
         self.T = np.zeros((S, A, S))
         self.O = np.zeros((A, S, Y))
         self.R = np.zeros((A, S, S, Y))
@@ -289,10 +292,10 @@ class _Parser:
         """Resolve one pattern token to an index array, or None on error."""
         if tok == "*":
             return np.arange(len(names))
-        if _is_int(tok):
-            idx = int(tok)
-            if not 0 <= idx < len(names):
-                self.error(lineno, f"{what} index {idx} out of range "
+        if tok.removeprefix("-").isdecimal():
+            idx = _bounded_int(tok, len(names))
+            if idx is None or not 0 <= idx < len(names):
+                self.error(lineno, f"{what} index {_shown(tok)} out of range "
                                    f"[0, {len(names)})")
                 return None
             return np.array([idx])
@@ -505,8 +508,19 @@ class _Parser:
                 rows[k] /= sums[k]
 
 
-def _is_int(tok: str) -> bool:
-    return tok.isdigit() or (tok.startswith("-") and tok[1:].isdigit())
+def _bounded_int(tok: str, bound: int):
+    """The value of a decimal integer token if its magnitude is at most
+    bound, else None; its digits are counted first, as int() refuses over
+    4300."""
+    digits = tok.lstrip("-").lstrip("0")
+    if len(digits) > len(str(bound)) or int(digits or "0") > bound:
+        return None
+    return int(tok)
+
+
+def _shown(tok: str) -> str:
+    """A token as a diagnostic quotes it, a long one by its length."""
+    return tok if len(tok) <= 20 else f"of {len(tok)} digits"
 
 
 def _is_number(tok: str) -> bool:

@@ -46,11 +46,11 @@ stage backup reads its successors and log p, the rollout its successors
 and p.
 
 The Monte-Carlo rollout builds the CDF of every distribution it draws from
-once per call and samples chunks of episodes from them; its results are
-reproducible per (seed, chunk). It draws each successor from the W cells of
-P's support, not from all S * Y, and reads each index a step needs, the
-next state's row and the agents' columns, from tables built once per call.
-A draw never lands on a zero-probability category.
+once per call and samples episodes from them in chunks of ROLLOUT_CHUNK;
+its results are reproducible per seed. It draws each successor from the W
+cells of P's support, not from all S * Y, and reads each index a step
+needs, the next state's row and the agents' columns, from tables built
+once per call. A draw never lands on a zero-probability category.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from .policy import JointPolicy, PolicyBatch
 
 ZERO_THRESHOLD = 1e-9
 MARGINAL_ATOL = 1e-8
+ROLLOUT_CHUNK = 4096   # episodes `rollout_monte_carlo` draws at a time
 
 
 def is_neutral(lam) -> bool:
@@ -764,7 +765,7 @@ def _aggregate(zeta1, phi, l1, lam: float) -> np.ndarray:
 
 
 def rollout_monte_carlo(model: DecPomdpModel, policy: JointPolicy,
-                        episodes: int, seed: int, chunk: int = 4096):
+                        episodes: int, seed: int):
     """Seeded simulation of the generative process; returns (mean, stderr).
 
     Every draw is from a row of zeta1, a phi^i, an agent's table at
@@ -772,16 +773,15 @@ def rollout_monte_carlo(model: DecPomdpModel, policy: JointPolicy,
     the category axis leading, and each step gathers one column per episode.
     P is drawn on its support (`_support`), W successors a row, and
     the positions drawn, like every other index a step needs, are read from
-    tables built once per call. The draws depend on the seed and on the
-    chunk size. A PolicyBatch is refused: its phi would be read as one
+    tables built once per call. The draws depend on the seed and on
+    ROLLOUT_CHUNK. A PolicyBatch is refused: its phi would be read as one
     distribution.
     """
     if isinstance(policy, PolicyBatch):
         raise ValueError("rollout_monte_carlo simulates one JointPolicy, "
                          "not a PolicyBatch; roll out each of its policies")
     check_fit(model, policy)
-    for name, value, low in (("episodes", episodes, 1), ("chunk", chunk, 1),
-                             ("seed", seed, 0)):
+    for name, value, low in (("episodes", episodes, 1), ("seed", seed, 0)):
         if not is_int(value, low):
             raise ValueError(f"{name} must be an integer >= {low}, "
                              f"got {value!r}")
@@ -815,7 +815,7 @@ def rollout_monte_carlo(model: DecPomdpModel, policy: JointPolicy,
     totals = np.zeros(episodes)
     done = 0
     while done < episodes:
-        e = min(chunk, episodes - done)
+        e = min(ROLLOUT_CHUNK, episodes - done)
         sy = _draw(rng, zeta_cdf, e)
         s_a, y_z = s_a0[sy], [tab[sy] for tab in y_z0]
         w = [_draw(rng, cdf, e) for cdf in phi_cdfs]

@@ -21,7 +21,6 @@ import numpy as np
 from .model import is_int
 
 ROW_ATOL = 1e-9
-PHI_MODES = ("point_mass", "uniform")
 
 
 @dataclass
@@ -169,31 +168,22 @@ def point_mass_phi(z_size: int) -> np.ndarray:
     return phi
 
 
-def uniform_phi(z_size: int) -> np.ndarray:
-    return np.full(int(z_size), 1.0 / int(z_size))
-
-
-def random_policy(action_counts, obs_counts, z_sizes, horizon, seed,
-                  phi_mode="point_mass") -> JointPolicy:
+def random_policy(action_counts, obs_counts, z_sizes, horizon,
+                  seed) -> JointPolicy:
     """Independent flat-Dirichlet rows; bitwise deterministic per (dims, seed).
 
     Draw order is fixed: agents outer, time steps inner, rows in C order.
-    phi_mode picks each agent's initial agent state: state 0 ("point_mass")
-    or all states alike ("uniform").
+    Every agent starts in agent state 0: a phi of more mass folds into the
+    t = 1 rows at incoming state 0 with the same return distribution.
     """
-    if phi_mode not in PHI_MODES:
-        raise ValueError(f"unknown phi_mode {phi_mode!r}; choose from "
-                         f"{PHI_MODES}")
     rng = np.random.default_rng(int(seed))
     tables = []
     for ai, yi, zi in zip(action_counts, obs_counts, z_sizes):
         k = ai * zi
         rows = rng.dirichlet(np.ones(k), size=(horizon, yi, zi))
         tables.append(rows.reshape(horizon, yi, zi, ai, zi))
-    phi = [point_mass_phi(z) if phi_mode == "point_mass" else uniform_phi(z)
-           for z in z_sizes]
     return JointPolicy(horizon=horizon, agent_state_sizes=tuple(z_sizes),
-                       tables=tables, phi=phi)
+                       tables=tables)
 
 
 def mix_policies(old_slice: np.ndarray, picks: np.ndarray,

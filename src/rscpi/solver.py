@@ -31,8 +31,7 @@ from .evaluation import (AveragedLocalQ, SolveWorkspace, StagePlan,
                          finite_risk, forward_marginals, is_neutral,
                          stage_backup)
 from .model import DecPomdpModel, is_int
-from .policy import (PHI_MODES, JointPolicy, PolicyBatch, mix_policies,
-                     random_policy)
+from .policy import JointPolicy, PolicyBatch, mix_policies, random_policy
 
 
 @dataclass
@@ -46,7 +45,6 @@ class SolverConfig:
     seed: int = 0
     ordering: str = "sequential"
     z_sizes: tuple = (2, 2)
-    phi_mode: str = "point_mass"
 
     def __post_init__(self):
         self.validate()
@@ -65,9 +63,6 @@ class SolverConfig:
                 value = getattr(self, name)
                 if not ok(value):
                     raise ValueError(f"{name} must be {what}, got {value!r}")
-        if self.phi_mode not in PHI_MODES:
-            raise ValueError(f"unknown phi_mode {self.phi_mode!r}; choose "
-                             f"from {PHI_MODES}")
         if not 0.0 <= self.lambda0 < math.inf:
             raise ValueError(f"lambda0 must be finite and >= 0, "
                              f"got {self.lambda0}")
@@ -214,8 +209,7 @@ def rscpi(model: DecPomdpModel, config: SolverConfig,
         if r == 0 and initial_policy is not None:
             return initial_policy
         return random_policy(model.action_counts, model.obs_counts,
-                             config.z_sizes, model.horizon, config.seed + r,
-                             phi_mode=config.phi_mode)
+                             config.z_sizes, model.horizon, config.seed + r)
 
     batch = PolicyBatch.stack((draw(r) for r in range(R)), R)
     ws = SolveWorkspace(model, batch)

@@ -7,7 +7,9 @@ listed kind or when two operations make different steps, so a change that
 breaks either fails here first.
 """
 
+import dataclasses
 import importlib.util
+import inspect
 import json
 import subprocess
 import sys
@@ -23,11 +25,11 @@ from rscpi import kernels
 
 ROOT = Path(__file__).resolve().parents[1]
 REMOVED = ["DeterministicAgentSlice", "FiniteMdp", "JointIndexer",
-           "KernelEntry", "RewardEntry", "RiskParameter", "averaged_local_q",
-           "certainty_equivalent", "check_stage", "compile_tables",
-           "fold_stage", "joint_components", "risk_policy_evaluation_mdp",
-           "risk_value_iteration", "serialize_canonical",
-           "weighted_logmeanexp"]
+           "KernelEntry", "PHI_MODES", "RewardEntry", "RiskParameter",
+           "averaged_local_q", "certainty_equivalent", "check_stage",
+           "compile_tables", "fold_stage", "joint_components",
+           "risk_policy_evaluation_mdp", "risk_value_iteration",
+           "serialize_canonical", "uniform_phi", "weighted_logmeanexp"]
 WORKLOADS = ["dectiger-t6", "recycling-t100", "synthetic-large",
              "policy-eval"]
 # per-layer rows of the benchmark that a solve must keep reaching
@@ -219,3 +221,10 @@ class TestBenchmarkContract:
             assert not hasattr(rscpi.evaluation, name)
             assert not hasattr(rscpi.dpomdp_parser, name)
             assert not hasattr(rscpi.model, name)
+            assert not hasattr(rscpi.policy, name)
+            assert not hasattr(rscpi.solver, name)
+        # options with one value in use are constants
+        fields = {f.name for f in dataclasses.fields(rscpi.SolverConfig)}
+        assert "phi_mode" not in fields
+        assert "chunk" not in inspect.signature(
+            rscpi.evaluation.rollout_monte_carlo).parameters

@@ -2,6 +2,7 @@
 Monte-Carlo cross-checks."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -366,6 +367,33 @@ class TestEvaluateRisk:
             evaluate_risk(model, uniform_matrix_policy(), -0.5)
 
 
+class TestPhiFoldsIntoTheFirstStage:
+    """A phi is no policy freedom: folding it into each agent's t = 1 rows
+    at incoming state 0, with phi then the point mass at 0, keeps the
+    return distribution, so random restarts need no phi other than 0's."""
+
+    @pytest.mark.parametrize("case", ["dectiger", "three_agents"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_uniform_phi_folded_keeps_the_values(self, case, seed):
+        if case == "dectiger":
+            model, z_sizes = dectiger_model(horizon=3), (2, 2)
+        else:
+            model = random_model(np.random.default_rng(8),
+                                 action_counts=(2, 2, 2),
+                                 obs_counts=(2, 2, 2), horizon=4)
+            z_sizes = (2, 1, 3)
+        drawn = random_policy_for(model, z_sizes, seed)
+        uniform = replace(drawn, phi=[np.full(z, 1.0 / z) for z in z_sizes])
+        tables = [tab.copy() for tab in drawn.tables]
+        for tab, phi in zip(tables, uniform.phi):
+            tab[0, :, 0] = np.einsum("w,ywaz->yaz", phi, tab[0])
+        folded = JointPolicy(horizon=model.horizon, agent_state_sizes=z_sizes,
+                             tables=tables)
+        for value in (evaluate_exact, lambda m, p: evaluate_risk(m, p, 0.5)):
+            j = value(model, uniform)
+            assert abs(value(model, folded) - j) <= 1e-12 * max(1.0, abs(j))
+
+
 def mdp_bound(model, lam):
     """The optimal value of the model's fully observed state MDP (P summed
     over y'), under the entropic tilt lam, from zeta1 summed over y: Q_MDP
@@ -531,32 +559,30 @@ class TestMonteCarlo:
         assert a == b
 
     def test_episode_count_validated(self):
-        """episodes and chunk are integers >= 1, seed an integer >= 0; each
-        error names its argument (chunk=0 would loop forever)."""
+        """episodes is an integer >= 1, seed an integer >= 0; each error
+        names its argument."""
         model = matrix_game_model(MATRIX_PAYOFFS)
         for name, bad in [("episodes", 0), ("episodes", -3),
                           ("episodes", True), ("episodes", 10.0),
-                          ("chunk", 0), ("chunk", -3), ("chunk", True),
-                          ("chunk", 2.5), ("seed", -1), ("seed", 1.5),
-                          ("seed", "7")]:
-            args = dict(episodes=10, seed=0, chunk=4) | {name: bad}
+                          ("seed", -1), ("seed", 1.5), ("seed", "7")]:
+            args = dict(episodes=10, seed=0) | {name: bad}
             with pytest.raises(ValueError, match=name):
                 rollout_monte_carlo(model, uniform_matrix_policy(), **args)
 
     def test_numpy_integers_accepted(self):
         model = matrix_game_model(MATRIX_PAYOFFS)
         policy = uniform_matrix_policy()
-        assert (rollout_monte_carlo(model, policy, np.int64(50), np.int64(3),
-                                    chunk=np.int32(7))
-                == rollout_monte_carlo(model, policy, 50, 3, chunk=7))
+        assert (rollout_monte_carlo(model, policy, np.int64(50), np.int64(3))
+                == rollout_monte_carlo(model, policy, 50, 3))
 
 
 def _oracle_cases():
     """(model, policy, episodes) on which the rollout is checked bitwise;
-    no episode count is a multiple of 7 or 4096."""
+    no episode count is a multiple of 7 or 4096. Dec-Tiger's agents start
+    in either agent state, so the phi draws are checked too."""
     tiger = dectiger_model(horizon=6)
-    yield tiger, random_policy(tiger.action_counts, tiger.obs_counts, (2, 2),
-                               6, seed=4, phi_mode="uniform"), 1003
+    drawn = random_policy_for(tiger, (2, 2), seed=4)
+    yield tiger, replace(drawn, phi=[np.full(2, 0.5), np.full(2, 0.5)]), 1003
     recycling = recycling_model(horizon=100)
     yield recycling, random_policy_for(recycling, (2, 2), seed=0), 45
     three = random_model(np.random.default_rng(8), action_counts=(2, 2, 2),
@@ -573,14 +599,14 @@ class TestMonteCarloOracle:
     @pytest.mark.parametrize("case", range(len(ORACLE_CASES)),
                              ids=["dectiger", "recycling", "three_agents",
                                   "deterministic"])
-    def test_equal_to_per_row_sampler(self, case, chunk):
+    def test_equal_to_per_row_sampler(self, case, chunk, monkeypatch):
         """Drawing from CDFs built once per call gives the same bits as
         gathering probability rows and summing them at every step."""
         model, policy, episodes = ORACLE_CASES[case]
         if chunk == 1:  # one Python step per episode and stage
             episodes = 2 + 100 // model.horizon
-        got = rollout_monte_carlo(model, policy, episodes, seed=11,
-                                  chunk=chunk)
+        monkeypatch.setattr(evaluation, "ROLLOUT_CHUNK", chunk)
+        got = rollout_monte_carlo(model, policy, episodes, seed=11)
         assert got == rollout_monte_carlo_rows(model, policy, episodes,
                                                seed=11, chunk=chunk)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from _benchmarks import dectiger_text, recycling_text
 from rscpi.bench_cli import load_model, main
-from rscpi.dpomdp_parser import (MAX_TABLE_CELLS, ParseDiagnostic,
+from rscpi.dpomdp_parser import (MAX_COUNT, MAX_TABLE_CELLS, ParseDiagnostic,
                                  compile_model, parse_dpomdp,
                                  render_diagnostics)
 from rscpi.model import DecPomdpModel
@@ -348,6 +348,12 @@ OVERSIZED = "\n".join([
     "2", "2", "T: * : uniform", "O: * : uniform",
 ]) + "\n"
 
+# one state, action and observation per agent: R has one cell, but the
+# null observations pad P to 2**30; line 65 holds the first entry
+AGENTS_30 = "\n".join(["agents: 30", "states: 1", "actions:", *["1"] * 30,
+                       "observations:", *["1"] * 30, "T: * : uniform",
+                       "O: * : uniform"]) + "\n"
+
 
 class TestSizeLimits:
     """A declared size is refused before its names or tables are built;
@@ -399,6 +405,61 @@ class TestSizeLimits:
         assert code == 2
         assert err.startswith(f"{path}:9: error: the declared sizes need")
         assert not (tmp_path / "out").exists()
+
+    def test_padded_p_table_refused(self, capsys, tmp_path):
+        """R has one cell, but the null observations pad P to 2**30."""
+        path = tmp_path / "agents30.dpomdp"
+        path.write_text(AGENTS_30)
+        raw, diags = parse_dpomdp(AGENTS_30)
+        assert raw is None
+        assert [(d.line_number, d.message) for d in diags] == [
+            (65, "the declared sizes need a padded P table of 1073741824 "
+                 f"cells, above the limit of {MAX_TABLE_CELLS}")]
+        code = main(["solve", "--model", str(path), "--horizon", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"{path}:65: error: the declared sizes need a padded P table")
+
+    def test_every_count_has_the_states_limit(self):
+        assert MAX_COUNT == 16384
+        _, diags = parse_dpomdp("agents: 2\nactions:\n2\n16384\n")
+        assert all(d.line_number != 4 for d in diags)
+        raw, diags = parse_dpomdp("agents: 2\nactions:\n2\n16385\n")
+        assert raw is None
+        assert (diags[0].line_number, diags[0].message) == (
+            4, "count 16385 is above the limit of 16384")
+        _, diags = parse_dpomdp("agents: 16385\n")
+        assert (diags[0].line_number, diags[0].message) == (
+            1, "count 16385 is above the limit of 16384")
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("agents: {}\n", 1, "count of 5000 digits is above the limit"),
+        ("agents: 2\nstates: {}\n", 2,
+         "count of 5000 digits is above the limit"),
+        ("agents: 1\nstates: 2\nactions: 1\nobservations: 1\n"
+         "T: 0 : {} : uniform\n", 5, "state index of 5000 digits out of range"),
+    ], ids=["agents", "states", "index"])
+    def test_long_digit_token_located(self, text, line, message, capsys,
+                                      tmp_path):
+        """int() refuses over 4300 digits; the length is checked first."""
+        path = tmp_path / "long.dpomdp"
+        path.write_text(text.format("9" * 5000))
+        _, diags = parse_dpomdp(path.read_text())
+        assert diags[0].line_number == line
+        assert diags[0].message.startswith(message)
+        code = main(["solve", "--model", str(path), "--horizon", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"{path}:{line}: error: ")
+
+    def test_unicode_digits_are_not_counts(self):
+        """'²' is a digit to str.isdigit() but not to int()."""
+        raw, diags = parse_dpomdp("agents: 2\nstates: 2\nactions: 1\n1\n"
+                                  "observations: 1\n1\nT: 0 0 : ² : uniform\n")
+        assert raw is None
+        assert (diags[0].line_number, diags[0].message) == (
+            7, "undeclared name '²'")
 
 
 class TestNormalizationLadder:

@@ -9,7 +9,7 @@ from oracles import as_table
 from rscpi.model import matrix_game_model
 from rscpi.policy import (JointPolicy, PolicyBatch, dump_policy, mix_policies,
                           point_mass_phi, policy_from_json, policy_to_json,
-                          random_policy, uniform_phi)
+                          random_policy)
 
 DECTIGER_DIMS = dict(action_counts=(3, 3), obs_counts=(3, 3),
                      z_sizes=(2, 2), horizon=3)
@@ -107,18 +107,6 @@ class TestRandomPolicy:
         pol = dectiger_random(3)
         for tab in pol.tables:
             assert np.all(tab > 0.0)
-
-    def test_uniform_phi_mode(self):
-        pol = random_policy((2, 2), (2, 2), (2, 2), horizon=2, seed=0,
-                            phi_mode="uniform")
-        for ph in pol.phi:
-            np.testing.assert_array_equal(ph, uniform_phi(2))
-
-    @pytest.mark.parametrize("mode", ["point-mass", "Uniform", None])
-    def test_unknown_phi_mode_rejected(self, mode):
-        with pytest.raises(ValueError, match="phi_mode"):
-            random_policy((2, 2), (2, 2), (2, 2), horizon=2, seed=0,
-                          phi_mode=mode)
 
 
 class TestMixPolicies:

@@ -932,16 +932,14 @@ class TestSolverConfig:
                dict(restarts=2.0), dict(restarts=True), dict(max_sweeps=50.0),
                dict(anneal_sweeps=2.5), dict(seed=1.5), dict(seed=False),
                dict(seed=-1), dict(z_sizes=(2.5, 2)), dict(z_sizes=(True, 2)),
-               dict(z_sizes=2), dict(phi_mode="point-mass"),
-               dict(phi_mode=None), dict(lambda0="1"), dict(alpha=True),
+               dict(z_sizes=2), dict(lambda0="1"), dict(alpha=True),
                dict(tol="x")]
         for kv in bad:
             with pytest.raises(ValueError, match=next(iter(kv))):
                 SolverConfig(**kv).validate()
         SolverConfig().validate()
         SolverConfig(restarts=np.int64(2), seed=np.int64(3),
-                     z_sizes=[np.int64(1), 2], phi_mode="uniform",
-                     lambda0=1, alpha=np.float64(0.5),
+                     z_sizes=[np.int64(1), 2], lambda0=1, alpha=np.float64(0.5),
                      tol=math.inf).validate()
 
     @pytest.mark.parametrize("kv", [dict(lambda0=math.nan),
