@@ -23,7 +23,7 @@ lays its stages out once, in a `StagePlan`: `_scratch` cuts one flat
 float64 arena into the buffers the stages write, phases that never run at
 once sharing its memory, and the plan holds the strided views of those
 buffers and of the tensors the recursion reads and writes. The arena holds
-the fold's buffers and the stage backup's intermediate; a plan given the
+the fold's buffers and the stage backup's intermediates; a plan given the
 marginals `zeta` also holds each agent's averaged local value
 (`_LocalQLayout`) and the forward step into zeta (`StagePlan.forward`). A
 stage forms only the views of its policy rows (stage t - 1 of a table) and
@@ -39,10 +39,14 @@ The forward marginals, both steps, `backward`, `evaluate_exact` and
 every tensor they read and write, and each restart's slice gets the bits
 it would get alone. A `JointPolicy` runs as a batch of one.
 
+The stage backup is one matmul in both regimes, L_{t+1} (at lam > 0 its
+shifted exp) transposed, the agent state leading, times P's flat table
+transposed.
 P's sparse support is built once per model, in one form (`_support`): each
 row's successors padded to the longest row's W by cells whose p = 0.0 and
-log p = -inf, so that they drop out of every sum by their value. The tilted
-stage backup reads its successors and log p, the rollout its successors
+log p = -inf, so that they drop out of every sum by their value. Its
+successors and log p serve only the cells of a tilted backup whose shifted
+sum underflows (`kernels.tilted_q_log`); the rollout reads its successors
 and p.
 
 The Monte-Carlo rollout builds the CDF of every distribution it draws from
@@ -295,37 +299,32 @@ def logsumexp(vals: np.ndarray, axis: int, out=None) -> np.ndarray:
     return np.add(shift.reshape(acc.shape), np.log(acc), out=out)
 
 
-def _backup_scratch(model: DecPomdpModel, R: int, Z: int,
-                    tilted: bool) -> tuple:
-    """Shape of `stage_backup`'s scratch for R restarts: the expectation
-    (R, S*A, Z) untilted, the gathered successors (W, S*A, R, Z) of the
-    padded support tilted."""
-    SA = model.state_count * model.joint_action_count
-    if not tilted:
-        return (R, SA, Z)
-    return (len(_support(model)[0]), SA, R, Z)
-
-
 def stage_backup(model: DecPomdpModel, l_next: np.ndarray, lam: float,
-                 out: np.ndarray, scratch: np.ndarray = None) -> np.ndarray:
+                 out: np.ndarray, scratch=None) -> np.ndarray:
     """Reduced local value q_red[s, a, z] of a stage under L_{t+1}.
 
     lam = 0: r(s, a) + sum_{s', y'} P(s', y' | s, a) V_{t+1}(s', y', z).
     lam > 0: lam r(s, a) + log sum_{s', y'} P(s', y' | s, a) exp L_{t+1}.
-    A leading restart axis of l_next leads out too. `scratch`, of the shape
-    `_backup_scratch` gives, holds the intermediate; None allocates it.
+    Both are one matmul with the agent state leading: L_{t+1} (or its
+    shifted exp, `kernels.tilted_q_log`), laid out (S*Y, Z) and transposed,
+    times P transposed, so that columns of L_{t+1} that are equal give
+    equal columns of q_red. A leading restart axis of l_next leads out too.
+    `scratch` holds the intermediates for R restarts: the matmul's
+    (R, Z, S*A), after the shifted exp's (R, S*Y, Z) at lam > 0; None
+    allocates them.
     """
     S, Y, Z = l_next.shape[-3:]
     lead = l_next.shape[:-3]
     A = model.r.shape[1]
-    if is_neutral(lam):
-        p_flat = model.P.reshape(S * A, S * Y)
-        ev = np.matmul(p_flat, l_next.reshape(lead + (S * Y, Z)), out=scratch)
-        np.add(model.r[:, :, None], ev.reshape(lead + (S, A, Z)), out=out)
-    else:
+    p_t = model.P.reshape(S * A, S * Y).T
+    if not is_neutral(lam):
         succ, _, logp = _support(model)
-        kernels.tilted_q_log(succ, logp, lam * model.r, l_next, out,
-                             scratch=scratch)
+        return kernels.tilted_q_log(p_t, (succ, logp), lam * model.r, l_next,
+                                    out, scratch=scratch)
+    rows = l_next.reshape(lead + (S * Y, Z)).swapaxes(-1, -2)
+    ev = np.matmul(rows, p_t, out=None if scratch is None else scratch[-1])
+    np.add(model.r[:, :, None],
+           ev.swapaxes(-1, -2).reshape(lead + (S, A, Z)), out=out)
     return out
 
 
@@ -447,23 +446,23 @@ class StagePlan:
     def __init__(self, model: DecPomdpModel, batch: PolicyBatch,
                  tilted: bool, q_red: np.ndarray, targets: np.ndarray,
                  zeta: np.ndarray = None):
-        R, S, _, Z = q_red.shape
+        R, S, A, Z = q_red.shape
+        Y = targets.shape[-2]
         sizes = [tab.shape[2:] for tab in batch.tables]   # (Y, W, A, Z)
         a_w = tuple(d for _, w, a, _ in sizes for d in (a, w))
         y_w = tuple(d for y, w, _, _ in sizes for d in (y, w))
         ks = [a * w for _, w, a, _ in sizes]
         js = [y * w for y, w, _, _ in sizes]
-        backup = [_backup_scratch(model, R, Z, tilted)]
+        backup = [(R, S * Y, Z)] * tilted + [(R, Z, S * A)]  # see stage_backup
         local, phases = [], []
         if zeta is not None:
             local = [_LocalQLayout(model, batch, zeta, q_red, i)
                      for i in range(model.n_agents)]
-            A, Y = model.joint_action_count, model.joint_obs_count
             # the forward step's: contraction, occupancy, next marginal, mass
             phases = [lay.spec for lay in local] + [
                 _Contraction.shapes(R, S, js, ks, False)
                 + [(R, S, A, Z), (R, Z, S * Y), (R, 1, 1, 1)]]
-        fold, (self.scratch,), *bufs = _scratch(
+        fold, self.scratch, *bufs = _scratch(
             _Contraction.shapes(R, S, ks, js, tilted), backup, *phases)
         for lay, lay_bufs in zip(local, bufs):
             lay.bind(lay_bufs)

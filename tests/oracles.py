@@ -686,7 +686,7 @@ def csr_support(P):
 
 
 def value_padded(indptr, sp_idx, yp_idx, logp, obs_count):
-    """A CSR support in the form kernels.tilted_q_log takes, (succ, log p),
+    """A CSR support in the form kernels._tilted_q_gather takes, (succ, log p),
     each (W, rows) for W the longest row: column j holds row j's successors
     s' * Y + y' and their log p in order, then pad cells of log p = -inf
     (successor 0), filled one cell at a time."""
@@ -704,7 +704,7 @@ def value_padded(indptr, sp_idx, yp_idx, logp, obs_count):
 
 
 def tilted_q_log_rows(indptr, sp_idx, yp_idx, logp, lam_r, L_next, out):
-    """kernels.tilted_q_log one (s, a) support row at a time.
+    """kernels._tilted_q_gather one (s, a) support row at a time.
 
     Each row's successors are summed down axis 0 of a C-ordered (n, Z)
     array, one successor after another; this is the order the whole-array

@@ -1,5 +1,6 @@
 """P's value-padded support against the CSR support in oracles, the
-log-domain backup kernel against its scalar-loop and per-row forms in
+log-domain backup kernel (the shifted matmul and the gather that recomputes
+its underflowing cells) against its scalar-loop and per-row forms in
 oracles, the per-agent log-domain fold against the fold of the dense
 joint table, both batched against per-restart calls, and the averaged local
 value's per-agent reduction against its loop reference."""
@@ -9,15 +10,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _benchmarks import random_model, random_policy_for
+from _benchmarks import fully_observed_model, random_model, random_policy_for
 from oracles import (averaged_local_q_loops, csr_support,
                      expand_joint_policy_gather, fold_policy_log_loops,
                      fold_policy_log_states, stage_plan, tilted_q_log_loops,
                      tilted_q_log_rows, value_padded)
 from rscpi import kernels
 from rscpi.bench_cli import load_model
-from rscpi.evaluation import StagePlan, _support, is_neutral
+from rscpi.evaluation import (StagePlan, _support, evaluate_risk, is_neutral,
+                              stage_backup)
 from rscpi.policy import PolicyBatch
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -83,7 +87,7 @@ class TestBackendAgreement:
         out_a = np.zeros((b["S"], b["A"], b["Z"]))
         out_b = np.zeros_like(out_a)
         tilted_q_log_loops(*b["csr"], lam_r, b["l_next"], out_a)
-        kernels.tilted_q_log(*b["padded"], lam_r, b["l_next"], out_b)
+        kernels._tilted_q_gather(*b["padded"], lam_r, b["l_next"], out_b)
         np.testing.assert_allclose(out_a, out_b, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -136,17 +140,34 @@ class TestBackendAgreement:
         assert np.all(out_a == -np.inf)
         for width in (0, 2):
             out_b = np.zeros((1, 1, 2))
-            kernels.tilted_q_log(np.zeros((width, 1), dtype=np.int64),
-                                 np.full((width, 1), -np.inf), lam_r, l_next,
-                                 out_b)
+            kernels._tilted_q_gather(np.zeros((width, 1), dtype=np.int64),
+                                     np.full((width, 1), -np.inf), lam_r,
+                                     l_next, out_b)
             assert np.all(out_b == -np.inf)
+            # the shifted matmul sums an empty row to 0 and hands it to the
+            # gather
+            out_c = np.zeros((1, 1, 2))
+            kernels.tilted_q_log(np.zeros((1, 1)),
+                                 (np.zeros((width, 1), dtype=np.int64),
+                                  np.full((width, 1), -np.inf)),
+                                 lam_r, l_next, out_c)
+            assert np.all(out_c == -np.inf)
 
 
 def tilted_args(b, form, l_next=None):
-    """tilted_q_log's inputs, all but `out`, from a kernel_inputs bundle: the
-    support in `form`, "padded" for the kernel or "csr" for the oracles."""
+    """The gather's inputs, all but `out`, from a kernel_inputs bundle: the
+    support in `form`, "padded" for `kernels._tilted_q_gather` or "csr" for
+    the oracles."""
     return (*b[form], b["lam"] * b["model"].r,
             b["l_next"] if l_next is None else l_next)
+
+
+def matmul_args(b, l_next=None):
+    """`kernels.tilted_q_log`'s inputs, all but `out`, from a kernel_inputs
+    bundle, as `stage_backup` passes them."""
+    model = b["model"]
+    return (model.P.reshape(b["S"] * b["A"], -1).T, b["padded"],
+            b["lam"] * model.r, b["l_next"] if l_next is None else l_next)
 
 
 def bench_file_inputs(name, horizon, seed=0, z_sizes=(2, 2)):
@@ -166,12 +187,12 @@ def bench_file_inputs(name, horizon, seed=0, z_sizes=(2, 2)):
 
 
 def assert_matches_oracles(b):
-    """tilted_q_log equals its per-row oracle bit for bit; the log-domain
+    """The gather equals its per-row oracle bit for bit; the log-domain
     fold agrees with the per-state fold of the dense joint table to
     1e-12."""
     S, A, Y, Z = b["S"], b["A"], b["Y"], b["Z"]
     got_q, want_q = np.empty((S, A, Z)), np.empty((S, A, Z))
-    kernels.tilted_q_log(*tilted_args(b, "padded"), got_q)
+    kernels._tilted_q_gather(*tilted_args(b, "padded"), got_q)
     tilted_q_log_rows(*tilted_args(b, "csr"), want_q)
     assert np.array_equal(got_q, want_q)
     got_l = fold(b, b["policy"], b["q_red"], b["lam"])
@@ -181,8 +202,9 @@ def assert_matches_oracles(b):
 
 
 class TestNumpyKernels:
-    """The whole-array backup kernel adds each cell's terms in the order of
-    its per-row form in oracles, so the two agree bit for bit."""
+    """The gather, which recomputes the shifted matmul's underflowing cells,
+    adds each cell's terms in the order of its per-row form in oracles, so
+    the two agree bit for bit."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_equal_to_per_row_forms(self, seed):
@@ -205,8 +227,8 @@ class TestNumpyKernels:
         l1 = l2[:, :, :1].copy()
         out1 = np.empty((b["S"], b["A"], 1))
         out2 = np.empty((b["S"], b["A"], 2))
-        kernels.tilted_q_log(*tilted_args(b, "padded", l1), out1)
-        kernels.tilted_q_log(*tilted_args(b, "padded", l2), out2)
+        kernels._tilted_q_gather(*tilted_args(b, "padded", l1), out1)
+        kernels._tilted_q_gather(*tilted_args(b, "padded", l2), out2)
         assert np.array_equal(out1[:, :, 0], out2[:, :, 0])
 
     def test_padding_with_empty_rows(self):
@@ -225,7 +247,7 @@ class TestNumpyKernels:
         padded = value_padded(indptr, sp, yp, logp, 3)
         assert np.all(padded[1][:, lengths == 0] == -np.inf)   # all pad
         got, loop, rows = (np.empty((2, 3, 2)) for _ in range(3))
-        kernels.tilted_q_log(*padded, lam_r, l_next, got)
+        kernels._tilted_q_gather(*padded, lam_r, l_next, got)
         tilted_q_log_loops(*args, loop)
         tilted_q_log_rows(*args, rows)
         empty = (lengths == 0).reshape(2, 3)
@@ -238,12 +260,15 @@ class TestNumpyKernels:
         # a reshape of these views copies, so writes through one would be lost
         b = kernel_inputs(0)
         S, A, Z = b["S"], b["A"], b["Z"]
-        dense = np.empty((S, A, Z))
-        kernels.tilted_q_log(*tilted_args(b, "padded"), dense)
-        for out in (np.full((S, A, 2 * Z), np.nan)[:, :, ::2],
-                    np.full((Z, A, S), np.nan).T):
-            kernels.tilted_q_log(*tilted_args(b, "padded"), out)
-            assert np.array_equal(out, dense)
+        for kernel, args in ((kernels._tilted_q_gather,
+                              tilted_args(b, "padded")),
+                             (kernels.tilted_q_log, matmul_args(b))):
+            dense = np.empty((S, A, Z))
+            kernel(*args, dense)
+            for out in (np.full((S, A, 2 * Z), np.nan)[:, :, ::2],
+                        np.full((Z, A, S), np.nan).T):
+                kernel(*args, out)
+                assert np.array_equal(out, dense)
 
     @pytest.mark.parametrize("lam", [0.0, 0.7])
     def test_strided_batched_fold_targets(self, lam):
@@ -295,7 +320,7 @@ class TestBatchedKernels:
         b, x = self.batch(seed)
         risk = b["lam"]
         if impls == "numpy":
-            tilted, support = kernels.tilted_q_log, b["padded"]
+            tilted, support = kernels._tilted_q_gather, b["padded"]
             same = np.array_equal
 
             def fold_one(r, out):
@@ -313,7 +338,7 @@ class TestBatchedKernels:
         R, S, A, Y, Z = 3, b["S"], b["A"], b["Y"], b["Z"]
         lam_r = b["lam"] * b["model"].r
         got_q = np.empty((R, S, A, Z))
-        kernels.tilted_q_log(*b["padded"], lam_r, x["l_next"], got_q)
+        kernels._tilted_q_gather(*b["padded"], lam_r, x["l_next"], got_q)
         got_l = stage_plan(b["model"], x["batch"], risk,
                            q_red=x["q_red"]).fold(1, 0)
         for r in range(R):
@@ -328,7 +353,12 @@ def sparse_model(seed):
     """A random model with about half of P's cells zero, each row keeping
     at least its largest cell, so that its rows differ in length."""
     rng = np.random.default_rng(seed)
-    model = random_model(rng, n_states=3, horizon=2)
+    return sparsified(random_model(rng, n_states=3, horizon=2), rng)
+
+
+def sparsified(model, rng):
+    """model with about half of P's cells zeroed, each row keeping at least
+    its largest cell, and the rows renormalized."""
     S, A = model.state_count, model.joint_action_count
     flat = model.P.reshape(S * A, -1).copy()
     keep = rng.random(flat.shape) < 0.5
@@ -368,3 +398,151 @@ class TestSupport:
     def test_built_once_per_model(self):
         model = sparse_model(0)
         assert _support(model) is _support(model)
+
+
+def assert_near_loops(got, csr, lam_r, l_next):
+    """got (R, S, A, Z) agrees with the scalar loops in oracles, restart by
+    restart, within 1e-13 of the larger of 1 and the largest |cell|."""
+    for r in range(len(got)):
+        want = tilted_q_log_loops(*csr, lam_r, l_next[r],
+                                  np.empty(got.shape[1:]))
+        scale = max(1.0, np.abs(want[np.isfinite(want)]).max(initial=0.0))
+        np.testing.assert_allclose(got[r], want, rtol=0, atol=1e-13 * scale)
+
+
+def lifted(b, lift=2000.0):
+    """The bundle's L_{t+1} with its first successor cell raised by `lift`
+    at z = 0, and the rows of P's support that do not reach that cell: at
+    z = 0 their shifted sums underflow."""
+    l_next = b["l_next"].copy()
+    l_next[0, 0, 0] += lift
+    succ, logp = b["padded"]
+    far = ~((succ == 0) & np.isfinite(logp)).any(axis=0)
+    return l_next, far.reshape(b["S"], b["A"])
+
+
+class TestShiftedMatmul:
+    """`kernels.tilted_q_log` is m + log(exp(L - m) @ P^T) per (restart, z)
+    row; the cells whose shifted sum underflows take the gather's bits."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_agrees_with_the_loops(self, seed):
+        b = kernel_inputs(seed)
+        got = kernels.tilted_q_log(*matmul_args(b), np.empty((b["S"], b["A"],
+                                                              b["Z"])))
+        assert_near_loops(got[None], b["csr"], b["lam"] * b["model"].r,
+                          b["l_next"][None])
+
+    @pytest.mark.parametrize("name,horizon", [("dectiger.dpomdp", 6),
+                                              ("recycling.dpomdp", 100)])
+    def test_agrees_on_bundled_supports(self, name, horizon):
+        b = bench_file_inputs(name, horizon)
+        got = kernels.tilted_q_log(*matmul_args(b), np.empty((b["S"], b["A"],
+                                                              b["Z"])))
+        assert_near_loops(got[None], b["csr"], b["lam"] * b["model"].r,
+                          b["l_next"][None])
+
+    def test_underflowing_cells_take_the_gathers_bits(self):
+        b = kernel_inputs(0)
+        b = dict(b, model=sparsified(b["model"], np.random.default_rng(9)))
+        b.update(supports(b["model"]))
+        l_next, far = lifted(b)
+        assert far.any() and not far.all()
+        got, want = (np.empty((b["S"], b["A"], b["Z"])) for _ in range(2))
+        kernels.tilted_q_log(*matmul_args(b, l_next), got)
+        kernels._tilted_q_gather(*tilted_args(b, "padded", l_next), want)
+        assert np.array_equal(got[far, 0], want[far, 0])
+        assert np.all(np.isfinite(got))
+        assert_near_loops(got[None], b["csr"], b["lam"] * b["model"].r,
+                          l_next[None])
+
+    @pytest.mark.parametrize("Z", [1, 4])
+    def test_batch_gives_each_restart_its_lone_bits(self, Z):
+        """Restart 1's L_{t+1} sends some cells to the gather, the others
+        none; each restart's slice of the batch equals its lone call."""
+        b = kernel_inputs(0)
+        b = dict(b, model=sparsified(b["model"], np.random.default_rng(9)))
+        b.update(supports(b["model"]))
+        rng = np.random.default_rng(4)
+        l_next = rng.uniform(-2.0, 2.0, size=(3, b["S"], b["Y"], Z))
+        l_next[1] = lifted(dict(b, l_next=l_next[1]))[0]
+        got = np.empty((3, b["S"], b["A"], Z))
+        kernels.tilted_q_log(*matmul_args(b, l_next), got)
+        for r in range(3):
+            alone = np.empty((b["S"], b["A"], Z))
+            kernels.tilted_q_log(*matmul_args(b, l_next[r]), alone)
+            assert np.array_equal(got[r], alone)
+
+    @given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 3),
+           sparse=st.booleans(), reward_scale=st.sampled_from([1.0, 10.0]),
+           lam=st.floats(0.01, 5.0), span=st.sampled_from([2.0, 2000.0]),
+           Z=st.sampled_from([1, 3]), R=st.sampled_from([1, 2]))
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_models_agree_with_the_loops(self, seed, n_states, sparse,
+                                               reward_scale, lam, span, Z, R):
+        """A span of 2000 in L_{t+1} sends the cells of rows far below the
+        max to the gather; a batch still gives each restart its lone
+        bits."""
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n_states=n_states, horizon=2,
+                             reward_scale=reward_scale)
+        if sparse:
+            model = sparsified(model, rng)
+        S, A = model.state_count, model.joint_action_count
+        l_next = span * rng.uniform(-1.0, 1.0,
+                                    size=(R, S, model.joint_obs_count, Z))
+        succ, _, logp = _support(model)
+        args = (model.P.reshape(S * A, -1).T, (succ, logp), lam * model.r)
+        got = kernels.tilted_q_log(*args, l_next, np.empty((R, S, A, Z)))
+        assert_near_loops(got, csr_support(model.P), lam * model.r, l_next)
+        for r in range(R):
+            alone = kernels.tilted_q_log(*args, l_next[r],
+                                         np.empty((S, A, Z)))
+            assert np.array_equal(got[r], alone)
+
+
+class TestStageBackup:
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    @pytest.mark.parametrize("R", [1, 3])
+    @pytest.mark.parametrize("Z", [4, 9])
+    @pytest.mark.parametrize("n_states,action_counts", [(3, (2, 2)),
+                                                        (2, (3, 3))])
+    def test_equal_columns_give_equal_bits(self, n_states, action_counts, Z,
+                                           R, lam):
+        """Columns of L_{t+1} that are equal give q_red columns that are
+        equal bit for bit, the last of Z = 9 too, in both regimes. At
+        Z = 9 a P @ L product breaks this on both shapes, and a C-ordered
+        (Z, S*Y) copy of E on the second (S*Y = 32, S*A = 18)."""
+        rng = np.random.default_rng(Z + R)
+        model = random_model(rng, n_states=n_states,
+                             action_counts=action_counts, obs_counts=(3, 3),
+                             horizon=2)
+        S, A = model.state_count, model.joint_action_count
+        l_next = rng.uniform(-3.0, 3.0, size=(R, S, model.joint_obs_count, Z))
+        l_next[..., Z - 1] = l_next[..., 0]
+        l_next[..., Z // 2] = l_next[..., 1]
+        q = stage_backup(model, l_next, lam, np.empty((R, S, A, Z)))
+        assert not np.array_equal(q[..., 0], q[..., 1])
+        assert np.array_equal(q[..., Z - 1], q[..., 0])
+        assert np.array_equal(q[..., Z // 2], q[..., 1])
+
+    def test_absorbing_states_reach_the_gather(self, monkeypatch):
+        """Two absorbing states whose values part by ~1900 per stage: the
+        low state's rows underflow at every stage but the last, and
+        evaluate_risk equals its value with the gather at every cell."""
+        P = np.zeros((2, 2, 2))
+        P[0, :, 0] = P[1, :, 1] = 1.0
+        model = fully_observed_model(P, [[-1000.0, -900.0], [1000.0, 900.0]],
+                                     [0.5, 0.5], horizon=4)
+        policy = random_policy_for(model, (1,), seed=0)
+        calls = []
+        recompute = kernels._recompute_underflow
+        monkeypatch.setattr(kernels, "_recompute_underflow",
+                            lambda *a: calls.append(1) or recompute(*a))
+        got = evaluate_risk(model, policy, 1.0)
+        assert len(calls) == 3
+        monkeypatch.setattr(
+            kernels, "tilted_q_log",
+            lambda p_t, support, lam_r, l_next, out, scratch=None:
+            kernels._tilted_q_gather(*support, lam_r, l_next, out))
+        assert got == evaluate_risk(model, policy, 1.0)

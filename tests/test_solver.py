@@ -434,6 +434,30 @@ class TestFactoredLocalQ:
         assert held + peak_mb(lambda agent: plan.local_q(2, agent)) < 0.6
         assert peak_mb(lambda agent: flat_local_q(plan, 2, agent)) > 0.6
 
+    def test_tilted_arena_holds_no_gathered_support(self):
+        """On the large synthetic shape the stage backup's scratch is the
+        matmul's product with P (R, Z, S*A), after the shifted exp E
+        (R, S*Y, Z) in the tilted regime. So the tilted arena is no larger
+        than the untilted one or the log-domain fold's buffers, plus E, far
+        below the (W, S*A, R, Z) gather of P's support, 1.18 MB here."""
+        model = random_model(np.random.default_rng(0), n_states=8,
+                             action_counts=(4, 4), obs_counts=(4, 4),
+                             horizon=2, init_obs_mode="uniform_observation")
+        ws = SolveWorkspace(model, PolicyBatch.of(
+            random_policy_for(model, (3, 3), seed=1)))
+        S, A, Y, Z = 8, 16, 16, 9
+        arenas = {}
+        for tilted in (False, True):
+            plan = ws.layout(tilted)
+            assert [b.shape for b in plan.scratch] == (
+                [(1, S * Y, Z)] * tilted + [(1, Z, S * A)])
+            arenas[tilted] = plan.scratch[0].base.size
+        fold = evaluation._scratch(evaluation._Contraction.shapes(
+            1, S, [12, 12], [12, 12], True))[0][0].base.size
+        assert arenas[True] <= max(arenas[False], fold) + Z * S * Y
+        gathered = len(evaluation._support(model)[0]) * S * A * Z
+        assert 8 * gathered > 1.1e6 > 4 * 8 * arenas[True]
+
 
 class TestStagePlanScratch:
     """A sweep or an exact evaluation lays its stages out once per call,
