@@ -39,9 +39,8 @@ The forward marginals, both steps, `backward`, `evaluate_exact` and
 every tensor they read and write, and each restart's slice gets the bits
 it would get alone. A `JointPolicy` runs as a batch of one.
 
-The stage backup is one matmul in both regimes, L_{t+1} (at lam > 0 its
-shifted exp) transposed, the agent state leading, times P's flat table
-transposed.
+The stage backup is one matmul in both regimes, P's flat table in Fortran
+order (`DecPomdpModel.P_flat`) times L_{t+1}, at lam > 0 its shifted exp.
 P's sparse support is built once per model, in one form (`_support`): each
 row's successors padded to the longest row's W by cells whose p = 0.0 and
 log p = -inf, so that they drop out of every sum by their value. Its
@@ -305,26 +304,23 @@ def stage_backup(model: DecPomdpModel, l_next: np.ndarray, lam: float,
 
     lam = 0: r(s, a) + sum_{s', y'} P(s', y' | s, a) V_{t+1}(s', y', z).
     lam > 0: lam r(s, a) + log sum_{s', y'} P(s', y' | s, a) exp L_{t+1}.
-    Both are one matmul with the agent state leading: L_{t+1} (or its
-    shifted exp, `kernels.tilted_q_log`), laid out (S*Y, Z) and transposed,
-    times P transposed, so that columns of L_{t+1} that are equal give
-    equal columns of q_red. A leading restart axis of l_next leads out too.
-    `scratch` holds the intermediates for R restarts: the matmul's
-    (R, Z, S*A), after the shifted exp's (R, S*Y, Z) at lam > 0; None
-    allocates them.
+    Both are one matmul, `model.P_flat` times L_{t+1} (or its shifted exp,
+    `kernels.tilted_q_log`) as (S*Y, Z), so that columns of L_{t+1} that
+    are equal give equal columns of q_red. A leading restart axis of l_next
+    leads out too. `scratch` holds the intermediates for R restarts: the
+    matmul's (R, S*A, Z), after the shifted exp's (R, S*Y, Z) at lam > 0;
+    None allocates them.
     """
     S, Y, Z = l_next.shape[-3:]
     lead = l_next.shape[:-3]
     A = model.r.shape[1]
-    p_t = model.P.reshape(S * A, S * Y).T
     if not is_neutral(lam):
         succ, _, logp = _support(model)
-        return kernels.tilted_q_log(p_t, (succ, logp), lam * model.r, l_next,
-                                    out, scratch=scratch)
-    rows = l_next.reshape(lead + (S * Y, Z)).swapaxes(-1, -2)
-    ev = np.matmul(rows, p_t, out=None if scratch is None else scratch[-1])
-    np.add(model.r[:, :, None],
-           ev.swapaxes(-1, -2).reshape(lead + (S, A, Z)), out=out)
+        return kernels.tilted_q_log(model.P_flat, (succ, logp), lam * model.r,
+                                    l_next, out, scratch=scratch)
+    ev = np.matmul(model.P_flat, l_next.reshape(lead + (S * Y, Z)),
+                   out=None if scratch is None else scratch[-1])
+    np.add(model.r[:, :, None], ev.reshape(lead + (S, A, Z)), out=out)
     return out
 
 
@@ -453,7 +449,7 @@ class StagePlan:
         y_w = tuple(d for y, w, _, _ in sizes for d in (y, w))
         ks = [a * w for _, w, a, _ in sizes]
         js = [y * w for y, w, _, _ in sizes]
-        backup = [(R, S * Y, Z)] * tilted + [(R, Z, S * A)]  # see stage_backup
+        backup = [(R, S * Y, Z)] * tilted + [(R, S * A, Z)]  # see stage_backup
         local, phases = [], []
         if zeta is not None:
             local = [_LocalQLayout(model, batch, zeta, q_red, i)

@@ -7,12 +7,10 @@ over the successors (s', y') of each (restart, z), the backup
 log sum_{s', y'} P(s', y' | s, a) exp L_{t+1}(s', y', z) is
 m + log(P @ exp(L_{t+1} - m)): every exp lies in [0, 1], however far
 lambda*V spans beyond exp()'s range on long horizons. E = exp(L - m) keeps
-L's (S*Y, Z) layout and enters the matmul transposed, times P transposed,
-the agent state leading, as L does in the lam = 0 backup
-(`evaluation.stage_backup`). In that form columns of L that are equal give
-equal bits under OpenBLAS at every shape tried; P @ E does not for Z >= 9,
-nor does a C-ordered (Z, S*Y) copy of E at some shapes (S*A of 9 or 18 with
-S*Y >= 32, at some Z from 5 to 13).
+L's (S*Y, Z) layout and P enters in Fortran order (`DecPomdpModel.P_flat`),
+as in the lam = 0 backup (`evaluation.stage_backup`): in that form columns
+of L that are equal give equal bits under OpenBLAS at every shape tried,
+which P in C order does not at some shapes with Z >= 9.
 
 A cell whose shifted sum falls below UNDERFLOW has lost bits to underflow:
 each of its terms sits far below the (restart, z) max. Those cells alone
@@ -51,15 +49,15 @@ def quiet_overflow():
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def tilted_q_log(p_t, support, lam_r, L_next, out, scratch=None):
-    """out[s, a, z] = lam_r[s, a] + log sum_k p_t[k, j] exp(L_next[k, z])
+def tilted_q_log(p_flat, support, lam_r, L_next, out, scratch=None):
+    """out[s, a, z] = lam_r[s, a] + log sum_k p_flat[j, k] exp(L_next[k, z])
     for j = s*A + a, L_next's (S, Y) axes read as one flat k = s' * Y + y'.
 
-    p_t is P's flat (S*A, S*Y) table transposed, a view; `support` the
+    p_flat is P's flat (S*A, S*Y) table in Fortran order; `support` the
     padded (succ, log p) of the same P, read only for underflowing cells.
     Works on any leading restart axes in front of (S, Y, Z) and (S, A, Z).
     `scratch` is the pair of buffers E (.., S*Y, Z) and the product
-    (.., Z, S*A), with the same leading axes; None allocates them.
+    (.., S*A, Z), with the same leading axes; None allocates them.
     Each (restart, z) column is shifted by its own max m; a non-finite m
     shifts by 0, so a nan or +inf in L_next stays non-finite in out.
     """
@@ -67,40 +65,39 @@ def tilted_q_log(p_t, support, lam_r, L_next, out, scratch=None):
     lead = L_next.shape[:-3]
     A = lam_r.shape[1]
     if scratch is None:
-        scratch = np.empty(lead + (S * Y, Z)), np.empty(lead + (Z, S * A))
+        scratch = np.empty(lead + (S * Y, Z)), np.empty(lead + (S * A, Z))
     e, prod = scratch
     rows = L_next.reshape(lead + (S * Y, Z))
     m = rows.max(axis=-2, keepdims=True)
     m[~np.isfinite(m)] = 0.0
     np.subtract(rows, m, out=e)
     np.exp(e, out=e)
-    np.matmul(e.swapaxes(-1, -2), p_t, out=prod)
+    np.matmul(p_flat, e, out=prod)
     low = prod < UNDERFLOW
     # an underflowing cell is recomputed below; until then its log is
     # taken at UNDERFLOW, which needs no divide-by-zero warning
     np.maximum(prod, UNDERFLOW, out=prod)
     np.log(prod, out=prod)
     np.add(lam_r[:, :, None], m.reshape(lead + (1, 1, Z)), out=out)
-    out += prod.swapaxes(-1, -2).reshape(lead + (S, A, Z))
+    out += prod.reshape(lead + (S, A, Z))
     if low.any():
         _recompute_underflow(low, support, lam_r, L_next, out)
     return out
 
 
 def _recompute_underflow(low, support, lam_r, L_next, out):
-    """Overwrite the cells of out that `low` (.., Z, S*A) flags with their
+    """Overwrite the cells of out that `low` (.., S*A, Z) flags with their
     `_tilted_q_gather` value. The gather runs on the support rows j that
     hold a flagged cell, for every restart and z."""
     succ, logp = support
     A = lam_r.shape[1]
-    cols = np.flatnonzero(low.any(axis=tuple(range(low.ndim - 1))))
-    sub = np.empty(low.shape[:-2] + (1, len(cols), low.shape[-2]))
+    cols = np.flatnonzero(low.any(axis=tuple(range(low.ndim - 2)) + (-1,)))
+    sub = np.empty(low.shape[:-2] + (1, len(cols), low.shape[-1]))
     _tilted_q_gather(succ[:, cols], logp[:, cols],
                      lam_r.reshape(1, -1)[:, cols], L_next, sub)
     s, a = np.divmod(cols, A)
     cells = out[..., s, a, :]
-    np.copyto(cells, sub[..., 0, :, :],
-              where=np.swapaxes(low[..., cols], -1, -2))
+    np.copyto(cells, sub[..., 0, :, :], where=low[..., cols, :])
     out[..., s, a, :] = cells
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,18 @@ class DecPomdpModel:
     @property
     def joint_obs_count(self) -> int:
         return math.prod(self.obs_counts)
+
+    @cached_property
+    def P_flat(self) -> np.ndarray:
+        """P as one (S*A, S'*Y') table in Fortran order, built on first
+        use: the left operand of the stage backup's matmul
+        (`evaluation.stage_backup`). Times a C-ordered (S'*Y', Z) operand,
+        its columns that are equal give output columns that are equal bit
+        for bit under OpenBLAS; P's own C order does not at some shapes
+        with Z >= 9. Like every derived table, it assumes P is not
+        replaced after its first use."""
+        S, A = self.P.shape[:2]
+        return np.asfortranarray(self.P.reshape(S * A, -1))
 
     def validate(self):
         S, A, Y = self.state_count, self.joint_action_count, self.joint_obs_count

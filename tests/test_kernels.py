@@ -166,7 +166,7 @@ def matmul_args(b, l_next=None):
     """`kernels.tilted_q_log`'s inputs, all but `out`, from a kernel_inputs
     bundle, as `stage_backup` passes them."""
     model = b["model"]
-    return (model.P.reshape(b["S"] * b["A"], -1).T, b["padded"],
+    return (model.P_flat, b["padded"],
             b["lam"] * model.r, b["l_next"] if l_next is None else l_next)
 
 
@@ -492,7 +492,7 @@ class TestShiftedMatmul:
         l_next = span * rng.uniform(-1.0, 1.0,
                                     size=(R, S, model.joint_obs_count, Z))
         succ, _, logp = _support(model)
-        args = (model.P.reshape(S * A, -1).T, (succ, logp), lam * model.r)
+        args = (model.P_flat, (succ, logp), lam * model.r)
         got = kernels.tilted_q_log(*args, l_next, np.empty((R, S, A, Z)))
         assert_near_loops(got, csr_support(model.P), lam * model.r, l_next)
         for r in range(R):
@@ -511,8 +511,7 @@ class TestStageBackup:
                                            R, lam):
         """Columns of L_{t+1} that are equal give q_red columns that are
         equal bit for bit, the last of Z = 9 too, in both regimes. At
-        Z = 9 a P @ L product breaks this on both shapes, and a C-ordered
-        (Z, S*Y) copy of E on the second (S*Y = 32, S*A = 18)."""
+        Z = 9 P in C order breaks this on both shapes."""
         rng = np.random.default_rng(Z + R)
         model = random_model(rng, n_states=n_states,
                              action_counts=action_counts, obs_counts=(3, 3),
@@ -543,6 +542,6 @@ class TestStageBackup:
         assert len(calls) == 3
         monkeypatch.setattr(
             kernels, "tilted_q_log",
-            lambda p_t, support, lam_r, l_next, out, scratch=None:
+            lambda p_flat, support, lam_r, l_next, out, scratch=None:
             kernels._tilted_q_gather(*support, lam_r, l_next, out))
         assert got == evaluate_risk(model, policy, 1.0)

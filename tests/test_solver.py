@@ -436,7 +436,7 @@ class TestFactoredLocalQ:
 
     def test_tilted_arena_holds_no_gathered_support(self):
         """On the large synthetic shape the stage backup's scratch is the
-        matmul's product with P (R, Z, S*A), after the shifted exp E
+        matmul's product with P (R, S*A, Z), after the shifted exp E
         (R, S*Y, Z) in the tilted regime. So the tilted arena is no larger
         than the untilted one or the log-domain fold's buffers, plus E, far
         below the (W, S*A, R, Z) gather of P's support, 1.18 MB here."""
@@ -450,7 +450,7 @@ class TestFactoredLocalQ:
         for tilted in (False, True):
             plan = ws.layout(tilted)
             assert [b.shape for b in plan.scratch] == (
-                [(1, S * Y, Z)] * tilted + [(1, Z, S * A)])
+                [(1, S * Y, Z)] * tilted + [(1, S * A, Z)])
             arenas[tilted] = plan.scratch[0].base.size
         fold = evaluation._scratch(evaluation._Contraction.shapes(
             1, S, [12, 12], [12, 12], True))[0][0].base.size
